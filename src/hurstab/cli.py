@@ -3,6 +3,8 @@
 Exit codes: 0 success, 2 assertion failure, 3 resource refusal,
 64 usage error, 65 validation error, 74 cache IO error.
 
+`homology` is `stability` without the cache and without exit code 2.
+
 Braid words are serialized as signed integer lists, e.g. [1, -2, 1]
 for sigma_1 sigma_2^-1 sigma_1, with the LEFTMOST letter acting LAST
 (letters compose as left actions, rightmost first).  Reports embed the
@@ -26,6 +28,7 @@ from . import homology as hm
 from . import monodromy as md
 from .braid import BraidError, OrbitSizeError, orbits
 from .groups import ClassSet, FiniteGroup, GroupError, conjugacy_closure
+from .resolution import ResolutionError
 
 EXIT_OK = 0
 EXIT_ASSERTION = 2
@@ -39,6 +42,13 @@ MODEL_VERSION = __version__
 
 class UsageError(ValueError):
     pass
+
+
+def _int(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{what} must be an integer, got {text!r}") from None
 
 
 def parse_group(spec):
@@ -59,7 +69,7 @@ def parse_group(spec):
             "dihedral": FiniteGroup.dihedral,
         }
         if family in builders:
-            return builders[family](int(n))
+            return builders[family](_int(n, "group order"))
     raise UsageError(f"cannot parse group spec {spec!r}")
 
 
@@ -79,6 +89,11 @@ def _element_by_name(group, name):
     if group.element_names and name in group.element_names:
         return group.element_names.index(name)
     raise UsageError(f"unknown element name {name!r} for group {group.name}")
+
+
+def stabiliser_of(group, classes, name):
+    """The named stabilising element, else the first element of the class."""
+    return _element_by_name(group, name) if name else classes.elements[0]
 
 
 def parse_class(spec, group):
@@ -111,18 +126,19 @@ def resolve_grid(args, classes):
             raise UsageError("--kmax is required when |c| > 3")
     if args.imax is None:
         args.imax = 2 if len(classes) == 1 else 1
-    return args.imax, args.kmax
+    if args.imax < 0 or args.kmax < 1:
+        raise UsageError("need --imax >= 0 and --kmax >= 1")
 
 
 def parse_k_range(spec):
     """'3' -> [3]; '1..4' -> [1, 2, 3, 4]."""
     if ".." in spec:
         lo, _, hi = spec.partition("..")
-        lo, hi = int(lo), int(hi)
+        lo, hi = _int(lo, "k"), _int(hi, "k")
         if lo < 1 or hi < lo:
             raise UsageError(f"bad k range {spec!r}")
         return list(range(lo, hi + 1))
-    k = int(spec)
+    k = _int(spec, "k")
     if k < 1:
         raise UsageError("k must be >= 1")
     return [k]
@@ -239,53 +255,25 @@ def cmd_orbits(args):
     return EXIT_OK
 
 
-def cmd_homology(args):
+GRID_CONFIG = ["group", "class_spec", "stabiliser", "imax", "kmax", "coeff"]
+
+
+def cmd_grid(args):
+    """`homology` and `stability`: the same grid.  Only `stability`
+    reads and writes the cache, records it in the config block, and
+    exits 2 on a violated asserted range."""
+    stability = args.command == "stability"
     require_group_class(args)
     group = parse_group(args.group)
     classes = parse_class(args.class_spec, group)
-    g_hat = (
-        _element_by_name(group, args.stabiliser)
-        if args.stabiliser
-        else classes.elements[0]
-    )
-    coeff = hm.Coeff.parse(args.coeff)
-    i_max, k_max = resolve_grid(args, classes)
-    report = xp.stability_table(
-        group,
-        classes,
-        g_hat,
-        i_max=i_max,
-        k_max=k_max,
-        coeff=coeff,
-        max_dim=args.mem_limit,
-        workers=args.workers,
-    )
-    doc = {
-        "config": resolved_config(
-            args, ["group", "class_spec", "stabiliser", "imax", "kmax", "coeff"]
-        ),
-        "report": report.to_json(),
-    }
-    if args.format == "json":
-        emit(render_json(doc), args.out)
-    else:
-        emit(report.to_tsv(), args.out)
-    return EXIT_OK
-
-
-def cmd_stability(args):
-    require_group_class(args)
-    group = parse_group(args.group)
-    classes = parse_class(args.class_spec, group)
-    g_hat = (
-        _element_by_name(group, args.stabiliser)
-        if args.stabiliser
-        else classes.elements[0]
-    )
+    g_hat = stabiliser_of(group, classes, args.stabiliser)
     coeff = hm.Coeff.parse(args.coeff)
     resolve_grid(args, classes)
-    cache = ResultCache(args.cache_dir or ResultCache.default_root(),
-                        enabled=args.cache)
+    if stability:
+        cache = ResultCache(args.cache_dir or ResultCache.default_root(),
+                            enabled=args.cache)
+    else:
+        cache = ResultCache(None, enabled=False)
     key = ResultCache.key_of(
         {
             "kind": "stability",
@@ -298,11 +286,9 @@ def cmd_stability(args):
             "version": MODEL_VERSION,
         }
     )
-    cached = cache.get(key)
-    if cached is not None:
-        report_json = cached
-    else:
-        report = xp.stability_table(
+    report_json = cache.get(key)
+    if report_json is None:
+        report_json = xp.stability_table(
             group,
             classes,
             g_hat,
@@ -311,24 +297,16 @@ def cmd_stability(args):
             coeff=coeff,
             max_dim=args.mem_limit,
             workers=args.workers,
-        )
-        report_json = report.to_json()
+        ).to_json()
         cache.put(key, report_json)
-    doc = {
-        "config": resolved_config(
-            args,
-            ["group", "class_spec", "stabiliser", "imax", "kmax", "coeff",
-             "cache"],
-        ),
-        "report": report_json,
-    }
+    config = resolved_config(
+        args, GRID_CONFIG + ["cache"] if stability else GRID_CONFIG)
     if args.format == "json":
-        emit(render_json(doc), args.out)
+        emit(render_json({"config": config, "report": report_json}), args.out)
     else:
         emit(_tsv_from_report_json(report_json), args.out)
-    if report_json["asserted"] and not report_json["assertion_passed"]:
-        return EXIT_ASSERTION
-    return EXIT_OK
+    violated = report_json["asserted"] and not report_json["assertion_passed"]
+    return EXIT_ASSERTION if stability and violated else EXIT_OK
 
 
 def _tsv_from_report_json(rj):
@@ -359,11 +337,7 @@ def cmd_degree(args):
             raise UsageError("degree needs either --system or --group/--class")
         group = parse_group(args.group)
         classes = parse_class(args.class_spec, group)
-        g_hat = (
-            _element_by_name(group, args.stabiliser)
-            if args.stabiliser
-            else classes.elements[0]
-        )
+        g_hat = stabiliser_of(group, classes, args.stabiliser)
         system = cs.build_hurwitz_system(group, classes, g_hat, args.kmax)
     report = cs.degree(system, args.cutoff)
     if args.format == "tsv":
@@ -595,35 +569,28 @@ def build_parser():
         p.add_argument("--mem-limit", type=int, default=10_000_000,
                        help="size bound on enumerated state (tuples/chain dims)")
         p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("orbits", help="Hurwitz orbit counts")
     common(p)
     p.add_argument("--k", required=True, help="single k or range a..b")
     p.set_defaults(fn=cmd_orbits)
 
-    p = sub.add_parser("homology", help="homology grid without cache")
-    common(p)
-    p.add_argument("--stabiliser", default=None)
-    p.add_argument("--kmax", type=int, default=None,
-                   help="default: 9 when |c| = 1, 6 when |c| <= 3")
-    p.add_argument("--imax", type=int, default=None,
-                   help="default: 2 when |c| = 1, 1 when |c| <= 3")
-    p.add_argument("--coeff", default="Z", help="Z | Q | Fp:<p>")
-    p.set_defaults(fn=cmd_homology)
-
-    p = sub.add_parser("stability", help="stability report with assertions")
-    common(p)
-    p.add_argument("--stabiliser", default=None)
-    p.add_argument("--kmax", type=int, default=None,
-                   help="default: 9 when |c| = 1, 6 when |c| <= 3")
-    p.add_argument("--imax", type=int, default=None,
-                   help="default: 2 when |c| = 1, 1 when |c| <= 3")
-    p.add_argument("--coeff", default="Z", help="Z | Q | Fp:<p>")
-    p.add_argument("--cache", dest="cache", action="store_true", default=True)
-    p.add_argument("--no-cache", dest="cache", action="store_false")
-    p.add_argument("--cache-dir", default=None)
-    p.set_defaults(fn=cmd_stability)
+    for name, text in (("homology", "homology grid without cache"),
+                       ("stability", "stability report with assertions")):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--stabiliser", default=None)
+        p.add_argument("--kmax", type=int, default=None,
+                       help="default: 9 when |c| = 1, 6 when |c| <= 3")
+        p.add_argument("--imax", type=int, default=None,
+                       help="default: 2 when |c| = 1, 1 when |c| <= 3")
+        p.add_argument("--coeff", default="Z", help="Z | Q | Fp:<p>")
+        p.set_defaults(fn=cmd_grid)
+        if name == "stability":
+            p.add_argument("--cache", dest="cache", action="store_true",
+                           default=True)
+            p.add_argument("--no-cache", dest="cache", action="store_false")
+            p.add_argument("--cache-dir", default=None)
 
     p = sub.add_parser("degree", help="degree of a coefficient system")
     p.add_argument("--config", default=None)
@@ -695,8 +662,8 @@ def run(argv):
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (GroupError, BraidError, hm.HomologyError, cs.CoeffSystemError,
-            md.MonodromyError) as e:
+    except (GroupError, BraidError, ResolutionError, hm.HomologyError,
+            cs.CoeffSystemError, md.MonodromyError) as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except (xp.ResourceRefusal, OrbitSizeError) as e:

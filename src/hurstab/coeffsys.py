@@ -66,10 +66,6 @@ def cols_compose(outer, inner):
     return [cols_apply(outer, col) for col in inner]
 
 
-def cols_equal(a, b):
-    return a == b
-
-
 def cols_to_dense(cols, rows):
     A = intmat.zeros(rows, len(cols))
     for j, col in enumerate(cols):

@@ -70,21 +70,6 @@ class StabilityReport:
             "assertion_passed": self.assertion_passed,
         }
 
-    def to_tsv(self):
-        lines = ["k\ti\thomology\tmap_iso\tmap_surj\tmap_inj\tmap_split"]
-        for (k, i), g in sorted(self.cells.items()):
-            m = self.maps.get((k, i))
-            flags = (
-                [str(m.is_iso), str(m.is_surjective), str(m.is_injective),
-                 str(m.is_split_injective)]
-                if m is not None
-                else ["-", "-", "-", "-"]
-            )
-            lines.append(
-                "\t".join([str(k), str(i), cell_str(g, self.coeff)] + flags)
-            )
-        return "\n".join(lines) + "\n"
-
 
 def cell_str(group, coeff):
     """Render a homology group for a TSV cell; field cells show the

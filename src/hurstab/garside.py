@@ -117,9 +117,6 @@ class GarsideForm:
     def is_identity(self):
         return self.infimum == 0 and not self.factors
 
-    def canonical_length(self):
-        return len(self.factors)
-
     def underlying_permutation(self):
         k = self.strands
         p = half_twist(k) if self.infimum % 2 else perm_id(k)
@@ -148,11 +145,6 @@ def _tau(p):
     w0 * p * w0 (w0 is an involution)."""
     w0 = half_twist(len(p))
     return perm_mul(w0, perm_mul(p, w0))
-
-
-def _left_weighted(a, b):
-    """Pair (a, b) of simples is left-weighted: S(b) subset of F(a)."""
-    return left_descents(b) <= right_descents(a)
 
 
 def _normalize_pair(a, b):
@@ -219,13 +211,6 @@ def normal_form(strands, letters):
         simples.pop(0)
         power += 1
     return GarsideForm(k, power, simples)
-
-
-def form_mul(a, b):
-    """Product of two normal forms (same strand count)."""
-    if a.strands != b.strands:
-        raise BraidError("strand count mismatch")
-    return normal_form(a.strands, a.to_word_letters() + b.to_word_letters())
 
 
 def form_from_positive_permutation(k, p, check_matsumoto=False):

@@ -131,11 +131,6 @@ class FiniteGroup:
                 classes.append(tuple(sorted(cl)))
         return classes
 
-    def describe(self, g):
-        if self.element_names:
-            return self.element_names[g]
-        return str(g)
-
     def to_json(self):
         return {"table": [list(row) for row in self.table], "name": self.name}
 

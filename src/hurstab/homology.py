@@ -50,7 +50,11 @@ class Coeff:
         if text == "Q":
             return Coeff("Q")
         if text.startswith("Fp:"):
-            p = int(text[3:])
+            try:
+                p = int(text[3:])
+            except ValueError:
+                raise HomologyError(
+                    f"cannot parse coefficient spec {text!r}") from None
             if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
                 raise HomologyError(f"{p} is not prime")
             return Coeff("Fp", p)

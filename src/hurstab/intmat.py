@@ -77,10 +77,6 @@ def transpose(A):
     return [list(col) for col in zip(*A)] if A else []
 
 
-def is_zero_matrix(A):
-    return all(not x for row in A for x in row)
-
-
 class SNF:
     """Smith normal form U*A*V = S with S diagonal and d1 | d2 | ...
 
@@ -107,9 +103,6 @@ class SNF:
     @property
     def invariant_factors(self):
         return [d for d in self.diag if d]
-
-    def nontrivial_factors(self):
-        return [d for d in self.diag if d > 1]
 
 
 def smith_normal_form(A):
@@ -506,10 +499,6 @@ def _diagonal_to_invariant_factors(diag):
                     changed = True
         vals.sort()
     return sorted(vals)
-
-
-def sparse_rank(rows):
-    return len(sparse_invariant_factors(rows))
 
 
 # ---------------------------------------------------------------------------

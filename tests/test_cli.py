@@ -52,6 +52,23 @@ def test_usage_and_validation_errors(tmp_path):
     assert cli.run(["orbits", "--group", "sym:3",
                     "--class", "elems:[2]", "--k", "1"]) == cli.EXIT_VALIDATION
     assert cli.run(["nonsense"]) == cli.EXIT_USAGE
+    assert cli.run(["orbits", "--group", "sym:3", "--class", "rep:1",
+                    "--k", "abc"]) == cli.EXIT_USAGE
+    assert cli.run(["orbits", "--group", "sym:x", "--class", "rep:1",
+                    "--k", "1"]) == cli.EXIT_USAGE
+    assert cli.run(["orbits", "--group", "sym:3", "--class", "rep:1",
+                    "--k", "1..y"]) == cli.EXIT_USAGE
+    grid = ["stability", "--group", "cyclic:2", "--class", "elems:[1]",
+            "--no-cache"]
+    assert cli.run(grid + ["--imax", "-1", "--kmax", "3"]) == cli.EXIT_USAGE
+    assert cli.run(grid + ["--imax", "1", "--kmax", "0"]) == cli.EXIT_USAGE
+    assert cli.run(grid + ["--kmax", "2", "--coeff", "Fp:x"]) \
+        == cli.EXIT_VALIDATION
+    # --seed belongs to monodromy-check alone
+    for argv in (["orbits", "--group", "sym:3", "--class", "rep:1", "--k", "1"],
+                 ["homology", "--group", "cyclic:2", "--class", "elems:[1]"],
+                 grid):
+        assert cli.run(argv + ["--seed", "1"]) == cli.EXIT_USAGE
 
 
 def test_stability_command_and_cache_determinism(tmp_path):
@@ -197,3 +214,32 @@ def test_stabiliser_flag(tmp_path):
     assert code == cli.EXIT_OK
     doc = json.loads(body)
     assert doc["report"]["stabiliser"] == 5  # index of (1 3) in sym:3
+
+
+SMALL_GRID = ["--group", "sym:3", "--class", "rep:transposition",
+              "--imax", "1", "--kmax", "3"]
+
+
+def test_homology_is_stability_without_cache(tmp_path):
+    for coeff in ("Z", "Fp:2"):
+        grid = SMALL_GRID + ["--coeff", coeff]
+        bodies = {}
+        for fmt in ("tsv", "json"):
+            for cmd, extra in (("homology", []), ("stability", ["--no-cache"])):
+                code, bodies[cmd, fmt] = run_to_file(
+                    tmp_path, f"{cmd}.{fmt}",
+                    [cmd] + grid + ["--format", fmt] + extra)
+                assert code == cli.EXIT_OK
+        assert bodies["homology", "tsv"] == bodies["stability", "tsv"]
+        assert json.loads(bodies["homology", "json"])["report"] \
+            == json.loads(bodies["stability", "json"])["report"]
+
+
+def test_homology_ignores_config_cache(tmp_path):
+    cache_dir = tmp_path / "cache"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cache": True, "cache_dir": str(cache_dir)}))
+    code, _ = run_to_file(tmp_path, "h.tsv",
+                          ["homology", "--config", str(cfg)] + SMALL_GRID)
+    assert code == cli.EXIT_OK
+    assert not cache_dir.exists() or not os.listdir(cache_dir)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hurstab import cli
 from hurstab import experiments as xp
 from hurstab import homology as hm
 from hurstab.groups import FiniteGroup, conjugacy_closure
@@ -133,7 +134,7 @@ def test_resource_refusal():
 
 
 def test_tsv_rendering(z2_grid):
-    tsv = z2_grid.to_tsv()
+    tsv = cli._tsv_from_report_json(z2_grid.to_json())
     lines = tsv.strip().split("\n")
     assert lines[0].startswith("k\ti")
     assert len(lines) == 1 + 7 * 3
