@@ -51,13 +51,20 @@ def _int(text, what):
         raise UsageError(f"{what} must be an integer, got {text!r}") from None
 
 
+def _json(text, what):
+    try:
+        return json.loads(text)
+    except ValueError as e:
+        raise UsageError(f"{what} is not valid JSON: {e}") from None
+
+
 def parse_group(spec):
     """sym:N | cyclic:N | dihedral:N | quaternion | @file.json | JSON."""
     if spec.startswith("@"):
         with open(spec[1:], encoding="utf-8") as fh:
-            return FiniteGroup.from_json(json.load(fh))
+            return FiniteGroup.from_json(_json(fh.read(), "group file"))
     if spec.startswith("{"):
-        return FiniteGroup.from_json(spec)
+        return FiniteGroup.from_json(_json(spec, "group spec"))
     if spec == "quaternion":
         return FiniteGroup.quaternion()
     if ":" in spec:
@@ -99,11 +106,11 @@ def stabiliser_of(group, classes, name):
 def parse_class(spec, group):
     """rep:<element> | elems:[i,...] | JSON per the groups schema."""
     if spec.startswith("{"):
-        return ClassSet.from_json(spec, group)
+        return ClassSet.from_json(_json(spec, "class spec"), group)
     if spec.startswith("rep:"):
         return conjugacy_closure({_element_by_name(group, spec[4:])}, group)
     if spec.startswith("elems:"):
-        elems = json.loads(spec[6:])
+        elems = _json(spec[6:], "class spec")
         return ClassSet(group, tuple(sorted(set(int(x) for x in elems))))
     raise UsageError(f"cannot parse class spec {spec!r}")
 

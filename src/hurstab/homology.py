@@ -2,8 +2,12 @@
 
 Homology groups over Z are computed from ranks and invariant factors
 (sparse engine, no transforms).  Induced maps additionally need explicit
-homology bases, which are extracted from dense Smith normal forms with
-transforms; those are used at desk scale only.
+homology bases.  Over Z these come from two dense Smith normal forms
+per degree, with row transforms only: the SNF of the boundary D_i gives
+the cycle basis and, through the inverse row transform, the coordinates
+of any cycle in it (one vector-matrix product, no linear solve); the
+SNF of the boundaries written in those coordinates gives the generators
+and their orders.  Dense bases are used at desk scale only.
 
 Coefficient rings are Z, Q, or F_p, selected by a ``Coeff`` value.
 A map of finitely generated abelian groups is presented by the orders
@@ -176,6 +180,12 @@ def homology(C, i, coeff=Z):
 class _ZHomologyBasis:
     """Kernel basis + presentation data for H_i(C; Z).
 
+    For i >= 1 the SNF U*D_i*V = S of the boundary D_i gives the cycle
+    lattice as the rows U[r:], r = rank D_i.  A chain x has the unique
+    expansion x = w*U with w = x*uinv, and x*D_i = w*S*vinv, so x is a
+    cycle exactly when w[:r] == 0, and then w[r:] are its coordinates
+    in the cycle basis.  Neither SNF here reads V, so neither tracks it.
+
     Generator orders list torsion orders first (the SNF diagonal entries
     bigger than 1, in divisibility order) and then zeros for the free
     generators.
@@ -186,40 +196,37 @@ class _ZHomologyBasis:
         self.trivial_beyond = i > C.top_degree
         if self.trivial_beyond:
             self.orders = []
-            self.kernel = []
             return
-        n_i = C.dims[i]
         if i >= 1:
             D_i = intmat.sparse_to_dense(C.mats[i], C.dims[i], C.dims[i - 1])
-            self.kernel = intmat.left_kernel(D_i)
+            snf = smith_normal_form(D_i, track_cols=False)
+            self.rank = snf.rank
+            self.kernel = snf.U[self.rank:]
+            self.uinv = snf.uinv
         else:
-            self.kernel = [row[:] for row in intmat.identity(n_i)]
+            self.rank = 0
+            self.kernel = intmat.identity(C.dims[0])
+            self.uinv = None
         z = len(self.kernel)
-        self.kernel_t = intmat.transpose(self.kernel) if z else []
         if i + 1 <= C.top_degree:
             upper = intmat.sparse_to_dense(C.mats[i + 1], C.dims[i + 1], C.dims[i])
         else:
             upper = []
-        cols = []
-        for b in upper:
-            y = self._kernel_coords(b)
-            cols.append(y)
+        cols = [self._kernel_coords(b) for b in upper]
         P = [[cols[t][s] for t in range(len(cols))] for s in range(z)]
-        self.snf = smith_normal_form(P) if z else None
+        self.snf = smith_normal_form(P, track_cols=False) if z else None
         diag = list(self.snf.diag) if self.snf else []
         diag += [0] * (z - len(diag))
         self.kept = [j for j in range(z) if diag[j] != 1]
         self.orders = [diag[j] for j in self.kept]
 
     def _kernel_coords(self, vec):
-        if not self.kernel:
-            if any(vec):
-                raise HomologyError("vector outside the cycle lattice")
-            return []
-        y = intmat.solve_int(self.kernel_t, list(vec))
-        if y is None:
-            raise HomologyError("vector is not an integral cycle combination")
-        return y
+        if self.uinv is None:
+            return list(vec)
+        w = intmat.vec_mat(vec, self.uinv)
+        if any(w[: self.rank]):
+            raise HomologyError("vector is not a cycle")
+        return w[self.rank:]
 
     def group(self):
         free = sum(1 for d in self.orders if d == 0)
@@ -241,12 +248,8 @@ class _ZHomologyBasis:
     def generator_chain(self, idx):
         """A cycle vector representing the idx-th kept generator."""
         j = self.kept[idx]
-        y = [self.snf.uinv[t][j] for t in range(len(self.kernel))]
-        n = len(self.kernel_t)
-        return [
-            sum(y[t] * self.kernel[t][s] for t in range(len(self.kernel)))
-            for s in range(n)
-        ]
+        y = [row[j] for row in self.snf.uinv]
+        return intmat.vec_mat(y, self.kernel)
 
 
 class _FieldHomologyBasis:

@@ -3,10 +3,11 @@
 Everything here works with arbitrary-precision Python ints; no floating
 point anywhere.  Two tiers are provided:
 
-* dense matrices (lists of lists) with a full Smith normal form that
-  tracks the unimodular transforms and their inverses.  Used wherever
-  explicit bases are needed (homology generators, induced maps,
-  retraction systems).  Intended for desk-scale matrices.
+* dense matrices (lists of lists) with a Smith normal form that tracks
+  the unimodular row transform and its inverse, and the column transform
+  and its inverse unless the caller opts out.  Used wherever explicit
+  bases are needed (homology generators, induced maps, retraction
+  systems).  Intended for desk-scale matrices.
 
 * a sparse elimination engine (dict-of-dict rows) that computes only the
   rank and invariant factors.  Used for the large specialised boundary
@@ -73,6 +74,17 @@ def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v) if a and x) for row in A]
 
 
+def vec_mat(v, A):
+    """The row vector v*A."""
+    out = [0] * (len(A[0]) if A else 0)
+    for x, row in zip(v, A):
+        if x:
+            for j, a in enumerate(row):
+                if a:
+                    out[j] += x * a
+    return out
+
+
 def transpose(A):
     return [list(col) for col in zip(*A)] if A else []
 
@@ -82,7 +94,9 @@ class SNF:
 
     ``diag`` lists the diagonal of S including trailing zeros (length
     min(m, n)); all entries are >= 0.  U (m x m) and V (n x n) are
-    unimodular; ``uinv`` and ``vinv`` are their exact inverses.
+    unimodular; ``uinv`` and ``vinv`` are their exact inverses.  U and
+    ``uinv`` are always present; V and ``vinv`` are None when the form
+    was computed with ``track_cols=False``.
     """
 
     __slots__ = ("m", "n", "diag", "U", "V", "uinv", "vinv")
@@ -105,20 +119,22 @@ class SNF:
         return [d for d in self.diag if d]
 
 
-def smith_normal_form(A):
+def smith_normal_form(A, track_cols=True):
     """Smith normal form of an integer matrix, with transforms.
 
     Returns an :class:`SNF`.  Row and column operations pivot on entries
     of minimal absolute value, which keeps coefficient growth tame at
-    the matrix sizes this is used for.
+    the matrix sizes this is used for.  With ``track_cols=False`` the
+    column operations touch only S, and V and ``vinv`` are None; the
+    diagonal, U and ``uinv`` are the same as with full tracking.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     S = [list(row) for row in A]
     U = identity(m)
     uinv = identity(m)
-    V = identity(n)
-    vinv = identity(n)
+    V = identity(n) if track_cols else None
+    vinv = identity(n) if track_cols else None
 
     def row_swap(i, j):
         S[i], S[j] = S[j], S[i]
@@ -129,9 +145,10 @@ def smith_normal_form(A):
     def col_swap(i, j):
         for r in S:
             r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
+        if track_cols:
+            for r in V:
+                r[i], r[j] = r[j], r[i]
+            vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def row_add(i, j, q):
         # row_i += q * row_j ; U likewise, uinv gets the inverse column op
@@ -152,13 +169,14 @@ def smith_normal_form(A):
         for r in S:
             if r[j]:
                 r[i] += q * r[j]
-        for r in V:
-            if r[j]:
-                r[i] += q * r[j]
-        vi, vj = vinv[i], vinv[j]
-        for t in range(n):
-            if vi[t]:
-                vj[t] -= q * vi[t]
+        if track_cols:
+            for r in V:
+                if r[j]:
+                    r[i] += q * r[j]
+            vi, vj = vinv[i], vinv[j]
+            for t in range(n):
+                if vi[t]:
+                    vj[t] -= q * vi[t]
 
     def row_negate(i):
         S[i] = [-x for x in S[i]]

@@ -58,6 +58,11 @@ def test_usage_and_validation_errors(tmp_path):
                     "--k", "1"]) == cli.EXIT_USAGE
     assert cli.run(["orbits", "--group", "sym:3", "--class", "rep:1",
                     "--k", "1..y"]) == cli.EXIT_USAGE
+    # malformed JSON in a group or class spec
+    for group, cls in (("{bad", "rep:0"), ("sym:3", "{bad"),
+                       ("sym:3", "elems:[1,")):
+        assert cli.run(["orbits", "--group", group, "--class", cls,
+                        "--k", "1"]) == cli.EXIT_USAGE
     grid = ["stability", "--group", "cyclic:2", "--class", "elems:[1]",
             "--no-cache"]
     assert cli.run(grid + ["--imax", "-1", "--kmax", "3"]) == cli.EXIT_USAGE

@@ -71,12 +71,18 @@ def test_report_determinism(z2_grid):
 
 
 def test_workers_do_not_change_output():
-    seq = xp.stability_table(Z2, CENTRAL, 1, i_max=1, k_max=5, coeff=hm.Z)
-    par = xp.stability_table(Z2, CENTRAL, 1, i_max=1, k_max=5, coeff=hm.Z,
-                             workers=2)
-    assert json.dumps(seq.to_json(), sort_keys=True) == json.dumps(
-        par.to_json(), sort_keys=True
-    )
+    for group, classes, g_hat, k_max, coeff in (
+        (Z2, CENTRAL, 1, 5, hm.Z),
+        (Z2, CENTRAL, 1, 5, hm.Coeff("Fp", 2)),
+        (S3, TRANSPOSITIONS, TRANSPOSITIONS.elements[0], 4, hm.Z),
+    ):
+        seq = xp.stability_table(group, classes, g_hat, i_max=1, k_max=k_max,
+                                 coeff=coeff)
+        par = xp.stability_table(group, classes, g_hat, i_max=1, k_max=k_max,
+                                 coeff=coeff, workers=2)
+        assert json.dumps(seq.to_json(), sort_keys=True) == json.dumps(
+            par.to_json(), sort_keys=True
+        )
 
 
 def test_field_grids_and_universal_coefficients(z2_grid):

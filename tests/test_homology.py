@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hurstab import homology as hm
 from hurstab import intmat
@@ -189,3 +190,92 @@ def test_field_induced_maps():
         m0 = hm.induced_map(cm, 0, coeff)
         assert m0.source.free_rank == 5  # orbit count at k=2
         assert m0.is_split_injective == m0.is_injective
+
+
+# ---------------------------------------------------------------------------
+# cycle coordinates read from the boundary's SNF, against a linear solve
+
+boundaries = st.integers(1, 5).flatmap(
+    lambda m: st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+            min_size=m, max_size=m,
+        )
+    )
+)
+
+
+def one_boundary_complex(D):
+    """0 -> Z^m --D--> Z^n -> 0 with D acting on row vectors."""
+    m, n = len(D), len(D[0])
+    return R.IntegerComplex(
+        dims=[n, m], mats={1: intmat.dense_to_sparse(D)}, complete=True,
+        cell_labels=[[()] * n, [(1,)] * m], module_dim=1,
+    )
+
+
+@given(boundaries, st.lists(st.integers(-5, 5), min_size=5, max_size=5),
+       st.lists(st.integers(-5, 5), min_size=5, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_kernel_coords_match_solve(D, coeffs, chain):
+    hb = hm._ZHomologyBasis(one_boundary_complex(D), 1)
+    kernel = hb.kernel
+    if kernel:
+        x = intmat.vec_mat(coeffs[: len(kernel)], kernel)
+        assert hb._kernel_coords(x) == intmat.solve_int(
+            intmat.transpose(kernel), x)
+    x = chain[: len(D)]
+    if any(intmat.vec_mat(x, D)):
+        with pytest.raises(hm.HomologyError):
+            hb._kernel_coords(x)
+
+
+class SolveBasis(hm._ZHomologyBasis):
+    """The cycle basis as a left kernel, with coordinates found by one
+    integer linear solve per vector: the slow path the SNF read replaces."""
+
+    def __init__(self, C, i):
+        hm._trusted_degree(C, i)
+        self.trivial_beyond = i > C.top_degree
+        if self.trivial_beyond:
+            self.orders = []
+            return
+        if i >= 1:
+            D_i = intmat.sparse_to_dense(C.mats[i], C.dims[i], C.dims[i - 1])
+            self.kernel = intmat.left_kernel(D_i)
+        else:
+            self.kernel = intmat.identity(C.dims[0])
+        z = len(self.kernel)
+        upper = (intmat.sparse_to_dense(C.mats[i + 1], C.dims[i + 1], C.dims[i])
+                 if i + 1 <= C.top_degree else [])
+        cols = [self._kernel_coords(b) for b in upper]
+        P = [[col[s] for col in cols] for s in range(z)]
+        self.snf = intmat.smith_normal_form(P) if z else None
+        diag = list(self.snf.diag) if self.snf else []
+        diag += [0] * (z - len(diag))
+        self.kept = [j for j in range(z) if diag[j] != 1]
+        self.orders = [diag[j] for j in self.kept]
+
+    def _kernel_coords(self, vec):
+        if not self.kernel:
+            if any(vec):
+                raise hm.HomologyError("vector is not a cycle")
+            return []
+        y = intmat.solve_int(intmat.transpose(self.kernel), list(vec))
+        if y is None:
+            raise hm.HomologyError("vector is not a cycle")
+        return y
+
+
+def test_induced_maps_match_solve_basis(monkeypatch):
+    from hurstab import experiments as xp
+
+    g = TRANSPOSITIONS.elements[0]
+    fast = xp.stability_table(S3, TRANSPOSITIONS, g, i_max=1, k_max=3,
+                              coeff=hm.Z)
+    monkeypatch.setattr(hm, "_ZHomologyBasis", SolveBasis)
+    slow = xp.stability_table(S3, TRANSPOSITIONS, g, i_max=1, k_max=3,
+                              coeff=hm.Z)
+    assert fast.to_json() == slow.to_json()
+    for key, m in fast.maps.items():
+        assert m.matrix == slow.maps[key].matrix

@@ -34,6 +34,20 @@ def test_snf_round_trip(A):
 
 @given(small_matrices)
 @settings(max_examples=200, deadline=None)
+def test_snf_without_column_transforms(A):
+    full = intmat.smith_normal_form(A)
+    rows_only = intmat.smith_normal_form(A, track_cols=False)
+    assert rows_only.V is None and rows_only.vinv is None
+    assert rows_only.diag == full.diag
+    assert rows_only.U == full.U and rows_only.uinv == full.uinv
+    # U*A = S*vinv: the row transform alone carries A to S up to columns
+    S = [[d if i == j else 0 for j in range(full.n)]
+         for i, d in enumerate(full.diag + [0] * (full.m - len(full.diag)))]
+    assert intmat.mat_mul(full.U, A) == intmat.mat_mul(S, full.vinv)
+
+
+@given(small_matrices)
+@settings(max_examples=200, deadline=None)
 def test_sparse_factors_agree_with_dense(A):
     dense = intmat.smith_normal_form(A).invariant_factors
     sparse = intmat.sparse_invariant_factors(intmat.dense_to_sparse(A))
