@@ -111,7 +111,13 @@ def parse_class(spec, group):
         return conjugacy_closure({_element_by_name(group, spec[4:])}, group)
     if spec.startswith("elems:"):
         elems = _json(spec[6:], "class spec")
-        return ClassSet(group, tuple(sorted(set(int(x) for x in elems))))
+        try:
+            elems = {int(x) for x in elems}
+        except (TypeError, ValueError):
+            raise UsageError(
+                f"elems: needs a JSON list of integers, got {spec[6:]!r}"
+            ) from None
+        return ClassSet(group, tuple(sorted(elems)))
     raise UsageError(f"cannot parse class spec {spec!r}")
 
 
@@ -337,7 +343,7 @@ def _tsv_from_report_json(rj):
 def cmd_degree(args):
     if args.system:
         with open(args.system, encoding="utf-8") as fh:
-            spec = json.load(fh)
+            spec = _json(fh.read(), "system file")
         system = _system_from_json(spec, args.kmax)
     else:
         if not args.group or not args.class_spec:
@@ -368,16 +374,22 @@ def cmd_degree(args):
 def _system_from_json(spec, k_max):
     """Synthetic Kunneth system from JSON graded ranks and optional
     automorphism matrices."""
-    HY = cs.GradedModule.from_rank_list(spec.get("HY", [1]))
-    HZ = cs.GradedModule.from_rank_list(spec["HZ"])
-    cZ = {int(d): M for d, M in spec.get("cZ", {}).items()}
-    return cs.build_kunneth_system(HY, HZ, spec["i"], k_max, cZ=cZ or None)
+    try:
+        HY = cs.GradedModule.from_rank_list(spec.get("HY", [1]))
+        HZ = cs.GradedModule.from_rank_list(spec["HZ"])
+        cZ = {int(d): M for d, M in spec.get("cZ", {}).items()}
+        i = spec["i"]
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise cs.CoeffSystemError(f"malformed system spec: {e!r}") from None
+    return cs.build_kunneth_system(HY, HZ, i, k_max, cZ=cZ or None)
 
 
 def cmd_monodromy_check(args):
     if args.model:
         with open(args.model, encoding="utf-8") as fh:
-            spec = json.load(fh)
+            spec = _json(fh.read(), "model file")
+        if not isinstance(spec, dict) or "group" not in spec:
+            raise md.MonodromyError("model spec needs a 'group'")
         group = FiniteGroup.from_json(spec["group"])
         model = md.MonodromyModel.from_json(spec, group)
     else:

@@ -251,23 +251,31 @@ class FiniteGroup:
 
     @staticmethod
     def from_json(spec):
-        """JSON spec: {"builtin": {"family": ..., "n": ...}} or {"table": [[...]]}."""
-        if isinstance(spec, str):
-            spec = json.loads(spec)
-        if "builtin" in spec:
-            b = spec["builtin"]
-            family = b["family"]
-            if family == "cyclic":
-                return FiniteGroup.cyclic(int(b["n"]))
-            if family == "dihedral":
-                return FiniteGroup.dihedral(int(b["n"]))
-            if family == "symmetric":
-                return FiniteGroup.symmetric(int(b["n"]))
-            if family == "quaternion":
-                return FiniteGroup.quaternion()
-            raise GroupError(f"unknown builtin family {family!r}")
-        if "table" in spec:
-            return FiniteGroup.from_table(spec["table"], spec.get("name", "group"))
+        """JSON spec: {"builtin": {"family": ..., "n": ...}} or {"table": [[...]]}.
+
+        Content of the wrong shape raises GroupError."""
+        try:
+            if isinstance(spec, str):
+                spec = json.loads(spec)
+            if "builtin" in spec:
+                b = spec["builtin"]
+                family = b["family"]
+                if family == "cyclic":
+                    return FiniteGroup.cyclic(int(b["n"]))
+                if family == "dihedral":
+                    return FiniteGroup.dihedral(int(b["n"]))
+                if family == "symmetric":
+                    return FiniteGroup.symmetric(int(b["n"]))
+                if family == "quaternion":
+                    return FiniteGroup.quaternion()
+                raise GroupError(f"unknown builtin family {family!r}")
+            if "table" in spec:
+                return FiniteGroup.from_table(spec["table"],
+                                              spec.get("name", "group"))
+        except GroupError:
+            raise
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
+            raise GroupError(f"malformed group spec: {e!r}") from None
         raise GroupError("group spec needs 'builtin' or 'table'")
 
 
@@ -364,11 +372,19 @@ class ClassSet:
 
     @staticmethod
     def from_json(spec, group):
-        """JSON spec: {"representative": i} or {"elements": [...]}."""
-        if isinstance(spec, str):
-            spec = json.loads(spec)
-        if "representative" in spec:
-            return conjugacy_closure({int(spec["representative"])}, group)
-        if "elements" in spec:
-            return ClassSet(group, tuple(sorted(set(int(x) for x in spec["elements"]))))
+        """JSON spec: {"representative": i} or {"elements": [...]}.
+
+        Content of the wrong shape raises GroupError."""
+        try:
+            if isinstance(spec, str):
+                spec = json.loads(spec)
+            if "representative" in spec:
+                return conjugacy_closure({int(spec["representative"])}, group)
+            if "elements" in spec:
+                return ClassSet(group,
+                                tuple(sorted({int(x) for x in spec["elements"]})))
+        except GroupError:
+            raise
+        except (TypeError, ValueError) as e:
+            raise GroupError(f"malformed class spec: {e!r}") from None
         raise GroupError("class spec needs 'representative' or 'elements'")

@@ -1,13 +1,17 @@
 """Exact homology of integer complexes and classification of induced maps.
 
-Homology groups over Z are computed from ranks and invariant factors
-(sparse engine, no transforms).  Induced maps additionally need explicit
-homology bases.  Over Z these come from two dense Smith normal forms
-per degree, with row transforms only: the SNF of the boundary D_i gives
-the cycle basis and, through the inverse row transform, the coordinates
-of any cycle in it (one vector-matrix product, no linear solve); the
-SNF of the boundaries written in those coordinates gives the generators
-and their orders.  Dense bases are used at desk scale only.
+Homology groups over Z and Q are computed from ranks and invariant
+factors (sparse engine, no transforms); over F_p from ranks mod p.
+Induced maps additionally need explicit homology bases.  Over Z these
+come from two dense Smith normal forms per degree, with row transforms
+only: the SNF of the boundary D_i gives the cycle basis and, through
+the inverse row transform, the coordinates of any cycle in it (one
+vector-matrix product, no linear solve); the SNF of the boundaries
+written in those coordinates gives the generators and their orders.
+Maps over Q read the same Z basis, since H_i(C; Q) = H_i(C; Z) (x) Q:
+the torsion generators vanish and the free ones span.  Over F_p the
+basis is a kernel and quotient computed mod p.  Dense bases are used
+at desk scale only.
 
 Coefficient rings are Z, Q, or F_p, selected by a ``Coeff`` value.
 A map of finitely generated abelian groups is presented by the orders
@@ -22,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intmat
-from .intmat import GFp, QQ, smith_normal_form  # re-exported surface
+from .intmat import smith_normal_form  # re-exported surface
 
 __all__ = [
     "Coeff",
@@ -66,13 +70,6 @@ class Coeff:
 
     def __str__(self):
         return self.kind if self.kind != "Fp" else f"Fp:{self.p}"
-
-    def field(self):
-        if self.kind == "Q":
-            return QQ
-        if self.kind == "Fp":
-            return GFp(self.p)
-        raise HomologyError("Z is not a field")
 
 
 Z = Coeff("Z")
@@ -139,11 +136,8 @@ def _boundary_factors(C, j):
 def _boundary_field_rank(C, j, coeff):
     key = (j, str(coeff))
     if key not in C.snf_cache:
-        F = coeff.field()
         dense = intmat.sparse_to_dense(C.mats[j], C.dims[j], C.dims[j - 1])
-        C.snf_cache[key] = intmat.field_rank(
-            F, [[F.of_int(x) for x in row] for row in dense]
-        )
+        C.snf_cache[key] = intmat.field_rank(coeff.p, dense)
     return C.snf_cache[key]
 
 
@@ -228,11 +222,6 @@ class _ZHomologyBasis:
             raise HomologyError("vector is not a cycle")
         return w[self.rank:]
 
-    def group(self):
-        free = sum(1 for d in self.orders if d == 0)
-        torsion = tuple(d for d in self.orders if d > 1)
-        return HomologyGroup(free, torsion)
-
     def class_of(self, chain_vec):
         """Coordinates of a cycle's homology class in the kept generators."""
         if self.trivial_beyond:
@@ -253,22 +242,25 @@ class _ZHomologyBasis:
 
 
 class _FieldHomologyBasis:
-    def __init__(self, C, i, F):
+    """Kernel basis + quotient coordinates for H_i(C; F_p).
+
+    Exposes the same surface as ``_ZHomologyBasis``: ``orders`` (all 0,
+    one per basis vector), ``class_of`` on integer chains (reduced mod p
+    here) and ``generator_chain``.
+    """
+
+    def __init__(self, C, i, p):
         _trusted_degree(C, i)
-        self.F = F
+        self.p = p
         self.trivial_beyond = i > C.top_degree
         if self.trivial_beyond:
-            self.dim = 0
+            self.orders = []
             return
-        n_i = C.dims[i]
         if i >= 1:
             D_i = intmat.sparse_to_dense(C.mats[i], C.dims[i], C.dims[i - 1])
-            Df = [[F.of_int(x) for x in row] for row in D_i]
-            self.kernel = intmat.field_left_kernel(F, Df)
+            self.kernel = intmat.field_left_kernel(p, D_i)
         else:
-            self.kernel = [
-                [F.one if s == t else F.zero for s in range(n_i)] for t in range(n_i)
-            ]
+            self.kernel = intmat.identity(C.dims[0])
         z = len(self.kernel)
         if i + 1 <= C.top_degree:
             upper = intmat.sparse_to_dense(C.mats[i + 1], C.dims[i + 1], C.dims[i])
@@ -276,30 +268,25 @@ class _FieldHomologyBasis:
             upper = []
         img_coords = []
         for b in upper:
-            bf = [F.of_int(x) for x in b]
-            y = intmat.field_solve_in_rowspace(F, self.kernel, bf)
+            y = intmat.field_solve_in_rowspace(p, self.kernel, b)
             if y is None:
                 raise HomologyError("boundary escaped the cycle space")
             img_coords.append(y)
-        self.img_rref, self.img_pivots = intmat.field_rref(F, img_coords) if (
-            img_coords
-        ) else ([], [])
+        self.img_rref, self.img_pivots = intmat.field_rref(p, img_coords)
         self.quotient_coords = [j for j in range(z) if j not in self.img_pivots]
-        self.dim = len(self.quotient_coords)
+        self.orders = [0] * len(self.quotient_coords)
 
     def class_of(self, chain_vec):
         if self.trivial_beyond:
             return []
-        F = self.F
-        vf = [F.of_int(x) if isinstance(x, int) else x for x in chain_vec]
-        y = intmat.field_solve_in_rowspace(F, self.kernel, vf)
+        p = self.p
+        y = intmat.field_solve_in_rowspace(p, self.kernel, chain_vec)
         if y is None:
             raise HomologyError("vector is not a cycle")
-        y = list(y)
         for row, piv in zip(self.img_rref, self.img_pivots):
             c = y[piv]
-            if c != F.zero:
-                y = [F.sub(a, F.mul(c, b)) for a, b in zip(y, row)]
+            if c:
+                y = [(a - c * b) % p for a, b in zip(y, row)]
         return [y[j] for j in self.quotient_coords]
 
     def generator_chain(self, idx):
@@ -442,61 +429,62 @@ class InducedHomologyMap:
         }
 
 
+def _presented_group(orders):
+    """The group presented by generators of these orders (0 = free)."""
+    free = sum(1 for d in orders if d == 0)
+    return HomologyGroup(free, tuple(d for d in orders if d > 1))
+
+
 def induced_map(chain_map, i, coeff=Z):
     """The induced map on degree-i homology, with exact property flags.
 
     Commutation of the chain map with both boundaries is verified
-    first (memoized); over fields split-injectivity equals injectivity.
+    first (memoized).  Z and Q read the Z homology basis, F_p its own
+    basis mod p; one integer push assembles the matrix for all three.
+    Over Q and F_p the flags come from a rank, and split-injectivity
+    equals injectivity.
     """
     chain_map.verify()
     src, tgt = chain_map.source, chain_map.target
-    if coeff.kind == "Z":
+    if coeff.kind == "Fp":
+        hb_s = _FieldHomologyBasis(src, i, coeff.p)
+        hb_t = _FieldHomologyBasis(tgt, i, coeff.p)
+    else:
         hb_s = _ZHomologyBasis(src, i)
         hb_t = _ZHomologyBasis(tgt, i)
-        F_i = chain_map.mats.get(i, {})
-        a = len(hb_s.orders)
-        cols = []
-        for idx in range(a):
-            chain = hb_s.generator_chain(idx)
-            pushed = _push_row(chain, F_i, tgt.dims[i] if i <= tgt.top_degree else 0)
-            cols.append(hb_t.class_of(pushed))
-        b = len(hb_t.orders)
-        M = [[cols[j][t] for j in range(a)] for t in range(b)]
-        inj = map_is_injective(hb_s.orders, hb_t.orders, M)
-        surj = map_is_surjective(hb_s.orders, hb_t.orders, M)
-        split = is_split_injective(hb_s.orders, hb_t.orders, M)
-        return InducedHomologyMap(
-            source=hb_s.group(),
-            target=hb_t.group(),
-            src_orders=list(hb_s.orders),
-            tgt_orders=list(hb_t.orders),
-            matrix=M,
-            is_injective=inj,
-            is_surjective=surj,
-            is_split_injective=split,
-        )
-    F = coeff.field()
-    hb_s = _FieldHomologyBasis(src, i, F)
-    hb_t = _FieldHomologyBasis(tgt, i, F)
     F_i = chain_map.mats.get(i, {})
-    cols = []
-    for idx in range(hb_s.dim):
-        chain = hb_s.generator_chain(idx)
-        pushed = _push_row_field(F, chain, F_i, tgt.dims[i] if i <= tgt.top_degree else 0)
-        cols.append(hb_t.class_of(pushed))
-    M = [[cols[j][t] for j in range(hb_s.dim)] for t in range(hb_t.dim)]
-    rank = intmat.field_rank(F, M) if M and M[0] else 0
-    inj = rank == hb_s.dim
-    surj = rank == hb_t.dim
+    width = tgt.dims[i] if i <= tgt.top_degree else 0
+    cols = [
+        hb_t.class_of(_push_row(hb_s.generator_chain(j), F_i, width))
+        for j in range(len(hb_s.orders))
+    ]
+    src_orders, tgt_orders = hb_s.orders, hb_t.orders
+    M = [[col[t] for col in cols] for t in range(len(tgt_orders))]
+    if coeff.kind == "Z":
+        inj = map_is_injective(src_orders, tgt_orders, M)
+        surj = map_is_surjective(src_orders, tgt_orders, M)
+        split = is_split_injective(src_orders, tgt_orders, M)
+    else:
+        if coeff.kind == "Q":
+            # torsion generators vanish over Q; the free ones are a basis
+            fs = [j for j, d in enumerate(src_orders) if d == 0]
+            ft = [t for t, d in enumerate(tgt_orders) if d == 0]
+            M = [[M[t][j] for j in fs] for t in ft]
+            src_orders, tgt_orders = [0] * len(fs), [0] * len(ft)
+            rank = len(intmat.sparse_invariant_factors(intmat.dense_to_sparse(M)))
+        else:
+            rank = intmat.field_rank(coeff.p, M)
+        inj = split = rank == len(src_orders)
+        surj = rank == len(tgt_orders)
     return InducedHomologyMap(
-        source=HomologyGroup(hb_s.dim),
-        target=HomologyGroup(hb_t.dim),
-        src_orders=[0] * hb_s.dim,
-        tgt_orders=[0] * hb_t.dim,
+        source=_presented_group(src_orders),
+        target=_presented_group(tgt_orders),
+        src_orders=list(src_orders),
+        tgt_orders=list(tgt_orders),
         matrix=M,
         is_injective=inj,
         is_surjective=surj,
-        is_split_injective=inj,
+        is_split_injective=split,
     )
 
 
@@ -508,15 +496,4 @@ def _push_row(vec, sparse_rows, width):
             if row:
                 for j, v in row.items():
                     out[j] += x * v
-    return out
-
-
-def _push_row_field(F, vec, sparse_rows, width):
-    out = [F.zero] * width
-    for i, x in enumerate(vec):
-        if x != F.zero:
-            row = sparse_rows.get(i)
-            if row:
-                for j, v in row.items():
-                    out[j] = F.add(out[j], F.mul(x, F.of_int(v)))
     return out

@@ -1,7 +1,7 @@
 """Exact integer and small-field linear algebra.
 
 Everything here works with arbitrary-precision Python ints; no floating
-point anywhere.  Two tiers are provided:
+point anywhere.  Three tiers are provided:
 
 * dense matrices (lists of lists) with a Smith normal form that tracks
   the unimodular row transform and its inverse, and the column transform
@@ -13,13 +13,14 @@ point anywhere.  Two tiers are provided:
   rank and invariant factors.  Used for the large specialised boundary
   matrices, where transforms would be prohibitively big.
 
+* a dense GF(p) tier (row reduction, rank, kernels, row-space solves
+  mod a prime p) on plain ints, for F_p-coefficient homology.
+
 Conventions: a "rows" sparse matrix is ``{i: {j: v}}`` with no zero
 values stored and no empty rows.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def xgcd(a, b):
@@ -520,67 +521,15 @@ def _diagonal_to_invariant_factors(diag):
 
 
 # ---------------------------------------------------------------------------
-# field tier (GF(p) and Q), for field-coefficient homology
+# field tier (GF(p)), for field-coefficient homology
+#
+# Every function takes the prime p first, reduces its input mod p, and
+# returns entries in 0..p-1.
 
 
-class GFp:
-    def __init__(self, p):
-        self.p = p
-
-    def of_int(self, x):
-        return x % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        return pow(a, self.p - 2, self.p)
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    zero = 0
-    one = 1
-
-
-class QQ:
-    @staticmethod
-    def of_int(x):
-        return Fraction(x)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def inv(a):
-        return 1 / a
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-
-def field_rref(F, A):
-    """Reduced row echelon form over field F.  Returns (R, pivot_cols)."""
-    R = [list(row) for row in A]
+def field_rref(p, A):
+    """Reduced row echelon form over GF(p).  Returns (R, pivot_cols)."""
+    R = [[x % p for x in row] for row in A]
     m = len(R)
     n = len(R[0]) if m else 0
     pivots = []
@@ -588,18 +537,18 @@ def field_rref(F, A):
     for j in range(n):
         piv = None
         for i in range(r, m):
-            if R[i][j] != F.zero:
+            if R[i][j]:
                 piv = i
                 break
         if piv is None:
             continue
         R[r], R[piv] = R[piv], R[r]
-        inv = F.inv(R[r][j])
-        R[r] = [F.mul(inv, x) for x in R[r]]
+        inv = pow(R[r][j], p - 2, p)
+        R[r] = [inv * x % p for x in R[r]]
         for i in range(m):
-            if i != r and R[i][j] != F.zero:
+            if i != r and R[i][j]:
                 c = R[i][j]
-                R[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(R[i], R[r])]
+                R[i] = [(x - c * y) % p for x, y in zip(R[i], R[r])]
         pivots.append(j)
         r += 1
         if r == m:
@@ -607,12 +556,12 @@ def field_rref(F, A):
     return R, pivots
 
 
-def field_rank(F, A):
-    return len(field_rref(F, A)[1])
+def field_rank(p, A):
+    return len(field_rref(p, A)[1])
 
 
-def field_left_kernel(F, A):
-    """Rows spanning {x : x A = 0} over the field F."""
+def field_left_kernel(p, A):
+    """Rows spanning {x : x A = 0} over GF(p)."""
     m = len(A)
     if m == 0:
         return []
@@ -620,30 +569,30 @@ def field_left_kernel(F, A):
     # solve via rref of transpose augmented with identity tracking
     # x A = 0  <=>  A^T x^T = 0
     AT = [[A[i][j] for i in range(m)] for j in range(n)]
-    R, pivots = field_rref(F, AT)
+    R, pivots = field_rref(p, AT)
     free = [j for j in range(m) if j not in pivots]
     basis = []
     for fcol in free:
-        x = [F.zero] * m
-        x[fcol] = F.one
-        for rihdx, pj in enumerate(pivots):
-            x[pj] = F.neg(R[rihdx][fcol])
+        x = [0] * m
+        x[fcol] = 1
+        for ridx, pj in enumerate(pivots):
+            x[pj] = -R[ridx][fcol] % p
         basis.append(x)
     return basis
 
 
-def field_solve_in_rowspace(F, rows, vec):
-    """Coefficients c with sum c_i rows_i = vec, or None."""
+def field_solve_in_rowspace(p, rows, vec):
+    """Coefficients c with sum c_i rows_i = vec over GF(p), or None."""
     if not rows:
-        return [] if all(x == F.zero for x in vec) else None
+        return [] if all(x % p == 0 for x in vec) else None
     m = len(rows)
     n = len(rows[0])
     # solve rows^T c = vec
     A = [[rows[i][j] for i in range(m)] + [vec[j]] for j in range(n)]
-    R, pivots = field_rref(F, A)
+    R, pivots = field_rref(p, A)
     if m in pivots:
         return None
-    c = [F.zero] * m
+    c = [0] * m
     for ridx, pj in enumerate(pivots):
         c[pj] = R[ridx][m]
     return c

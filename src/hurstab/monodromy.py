@@ -166,14 +166,20 @@ class MonodromyModel:
     @staticmethod
     def from_json(spec, group):
         """{"states": n, "action": [[...] per q], "sign": [...],
-        "reflection": [...]}."""
-        return MonodromyModel(
-            group=group,
-            states=int(spec["states"]),
-            action=tuple(tuple(row) for row in spec["action"]),
-            sign=tuple(int(s) for s in spec["sign"]),
-            reflection=tuple(spec["reflection"]),
-        )
+        "reflection": [...]}; content of the wrong shape raises
+        MonodromyError."""
+        try:
+            return MonodromyModel(
+                group=group,
+                states=int(spec["states"]),
+                action=tuple(tuple(row) for row in spec["action"]),
+                sign=tuple(int(s) for s in spec["sign"]),
+                reflection=tuple(spec["reflection"]),
+            )
+        except MonodromyError:
+            raise
+        except (IndexError, KeyError, TypeError, ValueError) as e:
+            raise MonodromyError(f"malformed model spec: {e!r}") from None
 
 
 def act(model, morphism, state):

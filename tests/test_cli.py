@@ -63,7 +63,27 @@ def test_usage_and_validation_errors(tmp_path):
                        ("sym:3", "elems:[1,")):
         assert cli.run(["orbits", "--group", group, "--class", cls,
                         "--k", "1"]) == cli.EXIT_USAGE
-    grid = ["stability", "--group", "cyclic:2", "--class", "elems:[1]",
+    # well-formed JSON of the wrong shape
+    for group, cls, code in (
+            ("sym:3", "elems:5", cli.EXIT_USAGE),
+            ("sym:3", 'elems:["a"]', cli.EXIT_USAGE),
+            ("sym:3", '{"elements": "x"}', cli.EXIT_VALIDATION),
+            ('{"builtin": 5}', "rep:0", cli.EXIT_VALIDATION),
+            ('{"table": 3}', "rep:0", cli.EXIT_VALIDATION)):
+        assert cli.run(["orbits", "--group", group, "--class", cls,
+                        "--k", "1"]) == code
+    for name, text in (("bad.json", "{bad"), ("nohz.json", '{"HY": [1]}'),
+                       ("g5.json", '{"group": 5}')):
+        (tmp_path / name).write_text(text)
+    assert cli.run(["degree", "--system", str(tmp_path / "bad.json"),
+                    "--kmax", "3"]) == cli.EXIT_USAGE
+    assert cli.run(["degree", "--system", str(tmp_path / "nohz.json"),
+                    "--kmax", "3"]) == cli.EXIT_VALIDATION
+    assert cli.run(["monodromy-check", "--model",
+                    str(tmp_path / "bad.json")]) == cli.EXIT_USAGE
+    assert cli.run(["monodromy-check", "--model",
+                    str(tmp_path / "g5.json")]) == cli.EXIT_VALIDATION
+    grid =["stability", "--group", "cyclic:2", "--class", "elems:[1]",
             "--no-cache"]
     assert cli.run(grid + ["--imax", "-1", "--kmax", "3"]) == cli.EXIT_USAGE
     assert cli.run(grid + ["--imax", "1", "--kmax", "0"]) == cli.EXIT_USAGE

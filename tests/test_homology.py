@@ -279,3 +279,111 @@ def test_induced_maps_match_solve_basis(monkeypatch):
     assert fast.to_json() == slow.to_json()
     for key, m in fast.maps.items():
         assert m.matrix == slow.maps[key].matrix
+
+
+# ---------------------------------------------------------------------------
+# induced-map flags over Q and F_p from chain-level ranks, with no bases
+
+
+def _rank_and_kernel(coeff):
+    if coeff.kind == "Q":
+        return (lambda A: len(intmat.sparse_invariant_factors(
+                    intmat.dense_to_sparse(A))),
+                intmat.left_kernel)
+    return (lambda A: intmat.field_rank(coeff.p, A),
+            lambda A: intmat.field_left_kernel(coeff.p, A))
+
+
+def _boundary(C, j):
+    if j < 1 or j > C.top_degree:
+        return []
+    return intmat.sparse_to_dense(C.mats[j], C.dims[j], C.dims[j - 1])
+
+
+def chain_rank_flags(cm, i, coeff):
+    """(dim H_i(src), dim H_i(tgt), inj, surj) of f_* from ranks alone:
+    rank f_* = rank [K F_i ; D^tgt_{i+1}] - rank D^tgt_{i+1}, where the
+    rows K span the cycles, the left kernel of D^src_i."""
+    rank, kernel = _rank_and_kernel(coeff)
+    src, tgt = cm.source, cm.target
+
+    def dim_h(C):
+        if i > C.top_degree:
+            return 0
+        return C.dims[i] - rank(_boundary(C, i)) - rank(_boundary(C, i + 1))
+
+    h_src, h_tgt = dim_h(src), dim_h(tgt)
+    if i > src.top_degree or i > tgt.top_degree:
+        r = 0
+    else:
+        K = (kernel(_boundary(src, i)) if i >= 1
+             else intmat.identity(src.dims[0]))
+        F = intmat.sparse_to_dense(cm.mats[i], src.dims[i], tgt.dims[i])
+        upper = _boundary(tgt, i + 1)
+        r = rank(intmat.mat_mul(K, F) + upper) - rank(upper)
+    return h_src, h_tgt, r == h_src, r == h_tgt
+
+
+FIELD_COEFFS = (hm.Q, hm.Coeff("Fp", 2), hm.Coeff("Fp", 3))
+
+
+def assert_flags_match_chain_ranks(cm, i):
+    for coeff in FIELD_COEFFS:
+        m = hm.induced_map(cm, i, coeff)
+        h_src, h_tgt, inj, surj = chain_rank_flags(cm, i, coeff)
+        assert (m.source, m.target) == (hm.HomologyGroup(h_src),
+                                        hm.HomologyGroup(h_tgt)), (coeff, i)
+        assert (m.is_injective, m.is_surjective, m.is_split_injective) \
+            == (inj, surj, inj), (coeff, i)
+
+
+@pytest.mark.parametrize("group, elems, i_max, k_max", [
+    (S3, TRANSPOSITIONS.elements, 1, 3),
+    (FiniteGroup.dihedral(4), (1, 3), 1, 3),
+    (FiniteGroup.cyclic(3), (1, 2), 2, 4),
+])
+def test_field_flags_match_chain_ranks(group, elems, i_max, k_max):
+    from hurstab import experiments as xp
+    from hurstab.groups import ClassSet
+
+    classes = ClassSet(group, tuple(elems))
+    built = {k: xp._complex_for(classes, classes.elements[0], k, i_max,
+                                10**6)
+             for k in range(1, k_max + 1)}
+    for k in range(1, k_max):
+        (mod_k, c_k), (mod_k1, c_k1) = built[k], built[k + 1]
+        cm = R.stabilisation_chain_map(c_k, c_k1, mod_k, mod_k1)
+        for i in range(i_max + 1):
+            assert_flags_match_chain_ranks(cm, i)
+
+
+def test_field_flags_where_z_differs():
+    # Z --2--> Z: a Q-iso that is not onto over Z, nor over F_2
+    C = R.IntegerComplex(dims=[1], mats={}, complete=True,
+                         cell_labels=[[()]], module_dim=1)
+    double = R.ChainMap(source=C, target=C, mats={0: {0: {0: 2}}})
+    assert hm.induced_map(double, 0, hm.Q).is_iso
+    assert not hm.induced_map(double, 0, hm.Coeff("Fp", 2)).is_surjective
+    assert_flags_match_chain_ranks(double, 0)
+    # Z -> Z + Z/2, 1 |-> (1, 1): the torsion coordinate vanishes over Q
+    tgt = R.IntegerComplex(dims=[2, 1], mats={1: {0: {1: 2}}}, complete=True,
+                           cell_labels=[[()], [(1,)]], module_dim=1)
+    into = R.ChainMap(source=C, target=tgt, mats={0: {0: {0: 1, 1: 1}}})
+    assert hm.induced_map(into, 0).tgt_orders == [2, 0]
+    m = hm.induced_map(into, 0, hm.Q)
+    assert m.is_iso and m.tgt_orders == [0] and m.matrix == [[1]]
+    assert_flags_match_chain_ranks(into, 0)
+    # the identity of Z + Z/2: a torsion source generator vanishes too
+    ident = identity_chain_map(tgt)
+    assert hm.induced_map(ident, 0, hm.Q).src_orders == [0]
+    assert_flags_match_chain_ranks(ident, 0)
+    # Z^2 --[[1, 2], [2, 1]]--> Z^2: determinant -3, so a Q-iso and an
+    # F_2-iso, but of rank 1 over F_3
+    C2 = R.IntegerComplex(dims=[2], mats={}, complete=True,
+                          cell_labels=[[()]], module_dim=2)
+    det3 = R.ChainMap(source=C2, target=C2,
+                      mats={0: {0: {0: 1, 1: 2}, 1: {0: 2, 1: 1}}})
+    assert hm.induced_map(det3, 0, hm.Q).is_iso
+    m = hm.induced_map(det3, 0, hm.Coeff("Fp", 3))
+    assert not m.is_injective and not m.is_surjective
+    assert_flags_match_chain_ranks(det3, 0)

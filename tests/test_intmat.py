@@ -124,21 +124,16 @@ def test_sparse_mul_matches_dense():
 
 
 def test_field_rank_and_kernel():
-    F2 = intmat.GFp(2)
     A = [[1, 1], [1, 1]]
-    assert intmat.field_rank(F2, A) == 1
-    ker = intmat.field_left_kernel(F2, A)
+    assert intmat.field_rank(2, A) == 1
+    ker = intmat.field_left_kernel(2, A)
     assert len(ker) == 1 and ker[0] == [1, 1]
-    Q = intmat.QQ
-    AQ = [[Q.of_int(2), Q.of_int(4)], [Q.of_int(1), Q.of_int(2)]]
-    assert intmat.field_rank(Q, AQ) == 1
 
 
 def test_field_solve_in_rowspace():
-    F5 = intmat.GFp(5)
     rows = [[1, 2, 0], [0, 1, 1]]
-    c = intmat.field_solve_in_rowspace(F5, rows, [1, 0, 3])
+    c = intmat.field_solve_in_rowspace(5, rows, [1, 0, 3])
     assert c is not None
     got = [(c[0] * rows[0][j] + c[1] * rows[1][j]) % 5 for j in range(3)]
     assert got == [1, 0, 3]
-    assert intmat.field_solve_in_rowspace(F5, rows, [0, 0, 1]) is None
+    assert intmat.field_solve_in_rowspace(5, rows, [0, 0, 1]) is None
