@@ -19,13 +19,10 @@ from array import array
 from dataclasses import dataclass
 
 from . import garside
+from .garside import BraidError
 from .groups import ClassSet
 
 DEFAULT_ORBIT_BOUND = 10_000_000
-
-
-class BraidError(ValueError):
-    pass
 
 
 class OrbitSizeError(RuntimeError):

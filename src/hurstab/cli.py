@@ -28,6 +28,7 @@ from . import homology as hm
 from . import monodromy as md
 from .braid import BraidError, OrbitSizeError, orbits
 from .groups import ClassSet, FiniteGroup, GroupError, conjugacy_closure
+from .intmat import is_int
 from .resolution import ResolutionError
 
 EXIT_OK = 0
@@ -111,13 +112,10 @@ def parse_class(spec, group):
         return conjugacy_closure({_element_by_name(group, spec[4:])}, group)
     if spec.startswith("elems:"):
         elems = _json(spec[6:], "class spec")
-        try:
-            elems = {int(x) for x in elems}
-        except (TypeError, ValueError):
+        if not isinstance(elems, list) or not all(map(is_int, elems)):
             raise UsageError(
-                f"elems: needs a JSON list of integers, got {spec[6:]!r}"
-            ) from None
-        return ClassSet(group, tuple(sorted(elems)))
+                f"elems: needs a JSON list of integers, got {spec[6:]!r}")
+        return ClassSet(group, tuple(sorted(set(elems))))
     raise UsageError(f"cannot parse class spec {spec!r}")
 
 
@@ -282,6 +280,8 @@ def cmd_grid(args):
     g_hat = stabiliser_of(group, classes, args.stabiliser)
     coeff = hm.Coeff.parse(args.coeff)
     resolve_grid(args, classes)
+    if args.workers < 1:
+        raise UsageError("need --workers >= 1")
     if stability:
         cache = ResultCache(args.cache_dir or ResultCache.default_root(),
                             enabled=args.cache)
@@ -575,14 +575,13 @@ def build_parser():
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_group=True):
+    def common(p):
         p.add_argument("--config", default=None,
                        help="JSON file of flag defaults; explicit flags win")
-        if needs_group:
-            p.add_argument("--group", default=None,
-                           help="sym:N | cyclic:N | dihedral:N | quaternion | JSON")
-            p.add_argument("--class", dest="class_spec", default=None,
-                           help="rep:<elt> | elems:[...] | JSON")
+        p.add_argument("--group", default=None,
+                       help="sym:N | cyclic:N | dihedral:N | quaternion | JSON")
+        p.add_argument("--class", dest="class_spec", default=None,
+                       help="rep:<elt> | elems:[...] | JSON")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
         p.add_argument("--mem-limit", type=int, default=10_000_000,

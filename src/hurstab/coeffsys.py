@@ -8,9 +8,16 @@ the column convention (columns are images of basis vectors, stored as
 sparse column dicts), and braid words act with the rightmost letter
 first, matching the Hurwitz action convention.
 
+Every system, Hurwitz or Kunneth, is made by :meth:`CoeffSystem.build`
+from its forward generators and structure maps; ``build`` derives the
+inverse generators and checks the braid relations.
+
 The difference operator takes objectwise cokernels of the structure
 maps; the induced structure maps descend along s(iota_k), which is the
-(k+1)-st generator of B_{k+2} composed with I_{k+1}.  The degree of a
+(k+1)-st generator of B_{k+2} composed with I_{k+1}.  A cokernel drops
+the image rows when every column of I_k is a distinct unit column and
+goes through the Smith form otherwise, and one routine induces both
+the generators and the structure maps on cokernels.  The degree of a
 system is the number of difference steps to reach the zero system,
 minus one, with split-injectivity of the structure maps checked at
 every stage.  Functor-category splitness is approximated soundly: the
@@ -325,7 +332,7 @@ def check_extension(system, ell_max=3, samples=50, seed=0):
 # difference operator and degree
 
 
-def _unit_column_rows(cols, dim):
+def _unit_column_rows(cols):
     """If every column is a distinct single +1 entry, return the image
     rows, else None.  This is the fast path for basis-inclusion
     structure maps (Hurwitz, Kunneth, and their sums/tensors)."""
@@ -343,23 +350,31 @@ def _unit_column_rows(cols, dim):
 
 
 class _CokernelData:
-    """Projection/section data for coker(I_k) in one object degree."""
+    """Projection/section data for coker(I_k) in one object degree.
+
+    Fast path, when every column of I_k is a distinct unit column: the
+    cokernel basis is the rows ``keep`` that I_k misses, each row its
+    own representative.  Generic path: with U I_k V = [I; 0] the Smith
+    form, the projection is ``proj_rows = U[n_small:]`` and the
+    representatives ``reps`` are the matching columns of U^-1.  Either
+    way ``split_cols`` is the canonical splitting rho (rho I_k = id),
+    and :meth:`images` feeds :func:`_induced`, which builds every matrix
+    induced on cokernels.
+    """
 
     def __init__(self, cols, n_small, n_big):
-        image_rows = _unit_column_rows(cols, n_big)
+        image_rows = _unit_column_rows(cols)
         if image_rows is not None:
-            keep = [r for r in range(n_big) if r not in set(image_rows)]
-            self.keep = keep
-            self.pos = {r: t for t, r in enumerate(keep)}
-            self.rank = len(keep)
-            self.U = None
+            image = set(image_rows)
+            self.keep = [r for r in range(n_big) if r not in image]
+            self.pos = {r: t for t, r in enumerate(self.keep)}
+            self.rank = len(self.keep)
             # canonical splitting: send image row back to its source
             self.split_cols = [dict() for _ in range(n_big)]
             for src, r in enumerate(image_rows):
                 self.split_cols[r] = {src: 1}
             return
-        dense = cols_to_dense(cols, n_big)
-        snf = intmat.smith_normal_form(dense)
+        snf = intmat.smith_normal_form(cols_to_dense(cols, n_big))
         if snf.rank != n_small or any(d != 1 for d in snf.diag if d):
             raise DeltaUndefined(
                 "structure map is not split injective objectwise "
@@ -367,15 +382,10 @@ class _CokernelData:
             )
         self.keep = None
         self.rank = n_big - n_small
-        self.U = snf.U
-        self.uinv = snf.uinv
-        self.n_small = n_small
-        self.n_big = n_big
+        self.proj_rows = snf.U[n_small:]
+        self.reps = dense_to_cols([row[n_small:] for row in snf.uinv])
         # canonical splitting rho = V [I 0] U
-        proj = [
-            [snf.U[i][j] for j in range(n_big)] for i in range(n_small)
-        ]
-        self.split_cols = dense_to_cols(intmat.mat_mul(snf.V, proj))
+        self.split_cols = dense_to_cols(intmat.mat_mul(snf.V, snf.U[:n_small]))
 
     def project_vec(self, vec):
         if self.keep is not None:
@@ -383,32 +393,23 @@ class _CokernelData:
                 self.pos[r]: v for r, v in vec.items() if r in self.pos
             }
         out = {}
-        for i in range(self.n_small, self.n_big):
-            acc = 0
-            row = self.U[i]
-            for r, v in vec.items():
-                if row[r]:
-                    acc += row[r] * v
+        for t, row in enumerate(self.proj_rows):
+            acc = sum(row[r] * v for r, v in vec.items())
             if acc:
-                out[i - self.n_small] = acc
+                out[t] = acc
         return out
 
-    def induce(self, cols_big):
-        """Matrix induced on the cokernel by an image-preserving map."""
+    def images(self, cols):
+        """Images of the cokernel representatives under a map."""
         if self.keep is not None:
-            return [
-                self.project_vec(cols_big[r]) for r in self.keep
-            ]
-        reps = []
-        for t in range(self.rank):
-            # representative of cokernel basis vector t: Uinv column
-            col = {
-                r: self.uinv[r][self.n_small + t]
-                for r in range(self.n_big)
-                if self.uinv[r][self.n_small + t]
-            }
-            reps.append(col)
-        return [self.project_vec(cols_apply(cols_big, rep)) for rep in reps]
+            return [cols[r] for r in self.keep]
+        return [cols_apply(cols, rep) for rep in self.reps]
+
+
+def _induced(src, tgt, cols):
+    """Matrix induced from coker ``src`` to coker ``tgt`` by a map that
+    carries the image of src's structure map into tgt's."""
+    return [tgt.project_vec(c) for c in src.images(cols)]
 
 
 @dataclass
@@ -418,7 +419,7 @@ class DeltaResult:
     naturally_split: bool
 
 
-def delta(system, check_naturality=True):
+def delta(system):
     """The difference operator: objectwise cokernels of the structure
     maps, with induced generator actions and structure maps.
 
@@ -434,13 +435,16 @@ def delta(system, check_naturality=True):
         _CokernelData(system.structs[k], system.dims[k], system.dims[k + 1])
         for k in range(K)
     ]
-    new_dims = [coks[k].rank for k in range(K)]
+    naturally_split = True
     new_gens = []
     for k in range(K):
+        rho = coks[k].split_cols
         mats = []
         for i in range(1, k):
             big = system.gens[k + 1][i - 1]
-            mats.append(coks[k].induce(big))
+            mats.append(_induced(coks[k], coks[k], big))
+            if cols_compose(system.gens[k][i - 1], rho) != cols_compose(rho, big):
+                naturally_split = False
         new_gens.append(mats)
     new_structs = []
     for k in range(K - 1):
@@ -448,37 +452,10 @@ def delta(system, check_naturality=True):
         comp = cols_compose(
             system.generator(k + 2, k + 1), system.structs[k + 1]
         )
-        # columns indexed by cokernel reps at k: induced map on cokernels
-        if coks[k].keep is not None:
-            cols = [coks[k + 1].project_vec(comp[r]) for r in coks[k].keep]
-        else:
-            cols = []
-            for t in range(coks[k].rank):
-                rep = {
-                    r: coks[k].uinv[r][coks[k].n_small + t]
-                    for r in range(coks[k].n_big)
-                    if coks[k].uinv[r][coks[k].n_small + t]
-                }
-                cols.append(coks[k + 1].project_vec(cols_apply(comp, rep)))
-        new_structs.append(cols)
-
-    naturally_split = True
-    if check_naturality:
-        for k in range(K):
-            rho = coks[k].split_cols
-            for i in range(1, k):
-                lhs = cols_compose(system.gens[k][i - 1], rho)
-                rhs = cols_compose(rho, system.gens[k + 1][i - 1])
-                if lhs != rhs:
-                    naturally_split = False
-        for k in range(K - 1):
-            comp = cols_compose(
-                system.generator(k + 2, k + 1), system.structs[k + 1]
-            )
-            lhs = cols_compose(system.structs[k], coks[k].split_cols)
-            rhs = cols_compose(coks[k + 1].split_cols, comp)
-            if lhs != rhs:
-                naturally_split = False
+        new_structs.append(_induced(coks[k], coks[k + 1], comp))
+        lhs = cols_compose(system.structs[k], coks[k].split_cols)
+        if lhs != cols_compose(coks[k + 1].split_cols, comp):
+            naturally_split = False
 
     new_gradings = {}
     for k in range(K):
@@ -487,7 +464,7 @@ def delta(system, check_naturality=True):
             new_gradings[k] = tuple(grading[r] for r in coks[k].keep)
     out = CoeffSystem.build(
         K - 1,
-        new_dims,
+        [cok.rank for cok in coks],
         new_gens,
         new_structs,
         gradings=new_gradings,
@@ -592,6 +569,9 @@ class GradedModule:
     @staticmethod
     def from_rank_list(ranks):
         """[r0, r1, ...] -> GradedModule."""
+        if not all(intmat.is_int(r) and r >= 0 for r in ranks):
+            raise CoeffSystemError(
+                f"graded ranks must be integers >= 0, got {ranks!r}")
         return GradedModule(tuple((d, r) for d, r in enumerate(ranks) if r))
 
     @staticmethod
@@ -612,6 +592,8 @@ def build_kunneth_system(HY, HZ, i, K_max, cZ=None):
     degree-0 unit of HZ in the last slot.  HZ must have rank 1 in
     degree 0 (connectedness hypothesis) and cZ must fix the unit.
     """
+    if not intmat.is_int(i):
+        raise CoeffSystemError(f"degree i must be an integer, got {i!r}")
     if HY.torsion or HZ.torsion:
         raise CoeffSystemError("Kunneth systems need torsion-free input")
     if HZ.rank(0) != 1:
@@ -619,11 +601,12 @@ def build_kunneth_system(HY, HZ, i, K_max, cZ=None):
             "HZ must have rank 1 in degree 0 (connected fibre factor)"
         )
     cZ = dict(cZ or {})
+    for d, M in cZ.items():
+        _check_automorphism(d, M, HZ.rank(d))
     for d, r in HZ.ranks:
         cZ.setdefault(d, intmat.identity(r))
     if cZ[0] != [[1]]:
         raise CoeffSystemError("cZ must restrict to the identity in degree 0")
-    cZ_inv = {d: intmat.invert_unimodular(M) for d, M in cZ.items()}
 
     z_degs = HZ.degrees()
     y_parts = [(d, idx) for d, r in HY.ranks for idx in range(r)]
@@ -647,36 +630,24 @@ def build_kunneth_system(HY, HZ, i, K_max, cZ=None):
     dims = [len(bs) for bs in bases]
     gradings = {k: tuple(i for _ in bases[k]) for k in range(K_max + 1)}
 
-    def gen_matrix(k, gi, invert=False):
+    def gen_matrix(k, gi):
+        # x (x) y -> sign * cZ(y) (x) x
         cols = []
         for (y, slots) in bases[k]:
             a = slots[gi - 1]
             b = slots[gi]
             sign = -1 if (a[0] * b[0]) % 2 else 1
+            mat = cZ[b[0]]
             col = {}
-            if not invert:
-                # x (x) y -> sign * cZ(y) (x) x
-                mat = cZ[b[0]]
-                for t in range(len(mat)):
-                    v = mat[t][b[1]]
-                    if v:
-                        new = slots[: gi - 1] + ((b[0], t), a) + slots[gi + 1:]
-                        col[index[k][(y, new)]] = sign * v
-            else:
-                mat = cZ_inv[a[0]]
-                for t in range(len(mat)):
-                    v = mat[t][a[1]]
-                    if v:
-                        new = slots[: gi - 1] + (b, (a[0], t)) + slots[gi + 1:]
-                        col[index[k][(y, new)]] = sign * v
+            for t in range(len(mat)):
+                v = mat[t][b[1]]
+                if v:
+                    new = slots[: gi - 1] + ((b[0], t), a) + slots[gi + 1:]
+                    col[index[k][(y, new)]] = sign * v
             cols.append(col)
         return cols
 
-    gens = []
-    gen_invs = []
-    for k in range(K_max + 1):
-        gens.append([gen_matrix(k, gi) for gi in range(1, k)])
-        gen_invs.append([gen_matrix(k, gi, invert=True) for gi in range(1, k)])
+    gens = [[gen_matrix(k, gi) for gi in range(1, k)] for k in range(K_max + 1)]
     structs = []
     unit = (0, 0)
     for k in range(K_max):
@@ -684,17 +655,21 @@ def build_kunneth_system(HY, HZ, i, K_max, cZ=None):
         for (y, slots) in bases[k]:
             cols.append({index[k + 1][(y, slots + (unit,))]: 1})
         structs.append(cols)
-    sys = CoeffSystem(
-        K_max=K_max,
-        dims=dims,
-        gens=gens,
-        gen_invs=gen_invs,
-        structs=structs,
-        gradings=gradings,
-        name=f"kunneth(i={i})",
-    )
-    sys.check_braid_relations()
-    return sys
+    return CoeffSystem.build(K_max, dims, gens, structs, gradings=gradings,
+                             name=f"kunneth(i={i})")
+
+
+def _check_automorphism(d, M, n):
+    """cZ[d] must be an integer unimodular n x n matrix, n = rank HZ_d > 0."""
+    if n == 0:
+        raise CoeffSystemError(f"cZ is given in degree {d}, where HZ has rank 0")
+    if not (isinstance(M, list) and len(M) == n and all(
+            isinstance(row, list) and len(row) == n
+            and all(intmat.is_int(x) for x in row) for row in M)):
+        raise CoeffSystemError(
+            f"cZ in degree {d} must be a {n}x{n} integer matrix, got {M!r}")
+    if intmat.sparse_invariant_factors(intmat.dense_to_sparse(M)) != [1] * n:
+        raise CoeffSystemError(f"cZ in degree {d} is not unimodular")
 
 
 def _degree_tuples(degs, k, total):

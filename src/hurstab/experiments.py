@@ -173,7 +173,7 @@ def stability_table(
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_grid_job, jobs))
     else:
         results = [_grid_job(j) for j in jobs]

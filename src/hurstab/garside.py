@@ -213,15 +213,13 @@ def normal_form(strands, letters):
     return GarsideForm(k, power, simples)
 
 
-def form_from_positive_permutation(k, p, check_matsumoto=False):
+def form_from_positive_permutation(k, p):
     """The simple braid lifting permutation p, as a normal form.
 
-    With ``check_matsumoto`` the lift is recomputed from an independent
-    reduced word and the two forms are asserted equal.
+    The lift is recomputed from an independent reduced word and the two
+    forms are asserted equal (Matsumoto's theorem).
     """
-    letters = [(i, 1) for i in reduced_word(p)]
-    nf = normal_form(k, letters)
-    if check_matsumoto:
-        alt = normal_form(k, [(i, 1) for i in reduced_word(p, prefer_max=True)])
-        assert nf == alt, "positive lift depends on reduced word choice"
+    nf = normal_form(k, [(i, 1) for i in reduced_word(p)])
+    alt = normal_form(k, [(i, 1) for i in reduced_word(p, prefer_max=True)])
+    assert nf == alt, "positive lift depends on reduced word choice"
     return nf

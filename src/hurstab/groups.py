@@ -11,6 +11,8 @@ import itertools
 import json
 from dataclasses import dataclass
 
+from .intmat import is_int
+
 ASSOC_CHECK_BOUND = 64
 SUBGROUP_ORDER_BOUND = 48
 SUBGROUP_3GEN_BOUND = 24
@@ -260,18 +262,22 @@ class FiniteGroup:
             if "builtin" in spec:
                 b = spec["builtin"]
                 family = b["family"]
-                if family == "cyclic":
-                    return FiniteGroup.cyclic(int(b["n"]))
-                if family == "dihedral":
-                    return FiniteGroup.dihedral(int(b["n"]))
-                if family == "symmetric":
-                    return FiniteGroup.symmetric(int(b["n"]))
                 if family == "quaternion":
                     return FiniteGroup.quaternion()
-                raise GroupError(f"unknown builtin family {family!r}")
+                builders = {"cyclic": FiniteGroup.cyclic,
+                            "dihedral": FiniteGroup.dihedral,
+                            "symmetric": FiniteGroup.symmetric}
+                if family not in builders:
+                    raise GroupError(f"unknown builtin family {family!r}")
+                if not is_int(b["n"]):
+                    raise GroupError(f"builtin n must be an integer, got {b['n']!r}")
+                return builders[family](b["n"])
             if "table" in spec:
-                return FiniteGroup.from_table(spec["table"],
-                                              spec.get("name", "group"))
+                rows = spec["table"]
+                if not all(isinstance(r, list) and all(map(is_int, r))
+                           for r in rows):
+                    raise GroupError("table entries must be integers")
+                return FiniteGroup.from_table(rows, spec.get("name", "group"))
         except GroupError:
             raise
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
@@ -379,10 +385,16 @@ class ClassSet:
             if isinstance(spec, str):
                 spec = json.loads(spec)
             if "representative" in spec:
-                return conjugacy_closure({int(spec["representative"])}, group)
+                rep = spec["representative"]
+                if not is_int(rep):
+                    raise GroupError(f"representative must be an integer, got {rep!r}")
+                return conjugacy_closure({rep}, group)
             if "elements" in spec:
-                return ClassSet(group,
-                                tuple(sorted({int(x) for x in spec["elements"]})))
+                elems = spec["elements"]
+                if not isinstance(elems, list) or not all(map(is_int, elems)):
+                    raise GroupError(
+                        f"elements must be a list of integers, got {elems!r}")
+                return ClassSet(group, tuple(sorted(set(elems))))
         except GroupError:
             raise
         except (TypeError, ValueError) as e:

@@ -38,6 +38,11 @@ def xgcd(a, b):
     return x, y, g
 
 
+def is_int(x):
+    """True for an exact integer: not a bool, float or string."""
+    return type(x) is int
+
+
 # ---------------------------------------------------------------------------
 # dense helpers
 
@@ -360,7 +365,7 @@ def dense_to_sparse(A):
     )
 
 
-def sparse_invariant_factors(rows, clone=True):
+def sparse_invariant_factors(rows):
     """Invariant factors (no transforms) of a sparse integer matrix.
 
     Destructive fraction-free elimination with Markowitz-style pivoting
@@ -368,8 +373,7 @@ def sparse_invariant_factors(rows, clone=True):
     of invariant factors d1 | d2 | ... (1s included), so the rank is the
     list length.
     """
-    if clone:
-        rows = {i: dict(r) for i, r in rows.items()}
+    rows = {i: dict(r) for i, r in rows.items()}
     cols = {}
     unit_queue = []
     for i, r in rows.items():

@@ -15,8 +15,7 @@ the label has sign -1; positions with no strand are filled with the
 basepoint.  Applying the inverse of the label (pulling the state
 backwards along the strand) is what makes the action strictly
 functorial with the chosen label-composition order, provided the
-reflection commutes with the action; an ``op_labels`` flag exposes the
-opposite composition convention for experiments.
+reflection commutes with the action.
 """
 
 from __future__ import annotations
@@ -76,11 +75,10 @@ class LabeledInjection:
         return len(self.pairs) == self.m
 
 
-def compose(psi, phi, group, op_labels=False):
+def compose(psi, phi, group):
     """psi o phi for phi: m -> l and psi: l -> n.
 
-    The composed strand keeps label(psi at phi(i)) * label(phi at i);
-    ``op_labels`` flips the order (the opposite-category convention).
+    The composed strand keeps label(psi at phi(i)) * label(phi at i).
     """
     if phi.n != psi.m:
         raise MonodromyError(
@@ -93,10 +91,7 @@ def compose(psi, phi, group, op_labels=False):
     for (i, j), (_, q) in zip(phi.pairs, phi.labels):
         if j in psi_map:
             mapping[i] = psi_map[j]
-            if op_labels:
-                labels[i] = group.mul(q, psi_lab[j])
-            else:
-                labels[i] = group.mul(psi_lab[j], q)
+            labels[i] = group.mul(psi_lab[j], q)
     return LabeledInjection.make(phi.m, psi.n, mapping, labels)
 
 

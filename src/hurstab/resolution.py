@@ -209,9 +209,7 @@ def salvetti_complex(k, d_max):
                 col = index_below[sub]
                 entry = GroupRingElement.zero(k)
                 for beta in _min_coset_reps(k, gamma, sub):
-                    lift = garside.form_from_positive_permutation(
-                        k, beta, check_matsumoto=True
-                    )
+                    lift = garside.form_from_positive_permutation(k, beta)
                     sign = -1 if (garside.perm_length(beta) + pos) % 2 else 1
                     entry = entry + GroupRingElement(k, {lift: sign})
                 if not entry.is_zero():

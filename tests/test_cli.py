@@ -2,6 +2,7 @@ import json
 import os
 
 from hurstab import cli
+from hurstab import experiments as xp
 
 
 def run_to_file(tmp_path, name, argv):
@@ -72,6 +73,36 @@ def test_usage_and_validation_errors(tmp_path):
             ('{"table": 3}', "rep:0", cli.EXIT_VALIDATION)):
         assert cli.run(["orbits", "--group", group, "--class", cls,
                         "--k", "1"]) == code
+    # a number must be a JSON integer: not a float, bool or string
+    for group, cls, code in (
+            ("cyclic:2", 'elems:"1"', cli.EXIT_USAGE),
+            ("cyclic:2", "elems:[1.5]", cli.EXIT_USAGE),
+            ("cyclic:2", "elems:[true]", cli.EXIT_USAGE),
+            ("cyclic:2", 'elems:{"1": 2}', cli.EXIT_USAGE),
+            ("cyclic:2", '{"elements": [1.5]}', cli.EXIT_VALIDATION),
+            ("cyclic:2", '{"representative": true}', cli.EXIT_VALIDATION),
+            ("cyclic:2", '{"representative": 1.9}', cli.EXIT_VALIDATION),
+            ('{"builtin": {"family": "cyclic", "n": 2.7}}', "rep:1",
+             cli.EXIT_VALIDATION),
+            ('{"builtin": {"family": "cyclic", "n": "2"}}', "rep:1",
+             cli.EXIT_VALIDATION),
+            ('{"table": [[0, true], [true, 0]]}', "rep:1",
+             cli.EXIT_VALIDATION)):
+        assert cli.run(["orbits", "--group", group, "--class", cls,
+                        "--k", "1"]) == code, (group, cls)
+    for n, system in enumerate((
+            {"HZ": [1, 1], "i": "x"},
+            {"HZ": [1, 1], "i": 1, "cZ": {"1": 5}},
+            {"HZ": [1, 1], "i": 1, "cZ": {"1": [[2]]}},
+            {"HZ": [1, 1], "i": 1, "cZ": {"1": [[1, 0]]}},
+            {"HZ": [1, 1], "i": 1, "cZ": {"2": [[1]]}},
+            {"HZ": [1, 1], "i": 1, "cZ": {"1": [[1.0]]}},
+            {"HZ": [1, -1], "i": 1},
+            {"HZ": [1, 1.5], "i": 1})):
+        path = tmp_path / f"system{n}.json"
+        path.write_text(json.dumps(system))
+        assert cli.run(["degree", "--system", str(path), "--kmax", "3"]) \
+            == cli.EXIT_VALIDATION, system
     for name, text in (("bad.json", "{bad"), ("nohz.json", '{"HY": [1]}'),
                        ("g5.json", '{"group": 5}')):
         (tmp_path / name).write_text(text)
@@ -94,6 +125,36 @@ def test_usage_and_validation_errors(tmp_path):
                  ["homology", "--group", "cyclic:2", "--class", "elems:[1]"],
                  grid):
         assert cli.run(argv + ["--seed", "1"]) == cli.EXIT_USAGE
+
+
+def test_io_errors_exit_74(tmp_path):
+    grid = ["stability", "--group", "cyclic:2", "--class", "elems:[1]",
+            "--imax", "0", "--kmax", "2"]
+    assert cli.run(grid + ["--no-cache", "--out",
+                           str(tmp_path / "missing" / "r.tsv")]) == cli.EXIT_IO
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.run(grid + ["--cache-dir", str(blocker / "cache"),
+                           "--out", str(tmp_path / "r.tsv")]) == cli.EXIT_IO
+
+
+def test_violated_range_exits_2_from_stability_only(tmp_path, monkeypatch):
+    real = xp.stability_table
+
+    def violated(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.range_violations.append({"k": 2, "i": 0, "expected": "iso"})
+        return report
+
+    monkeypatch.setattr(xp, "stability_table", violated)
+    grid = ["--group", "cyclic:2", "--class", "elems:[1]",
+            "--imax", "0", "--kmax", "2"]
+    for cmd, extra, code in (("stability", ["--no-cache"], cli.EXIT_ASSERTION),
+                             ("homology", [], cli.EXIT_OK)):
+        rc, body = run_to_file(tmp_path, f"{cmd}.json",
+                               [cmd] + grid + extra + ["--format", "json"])
+        assert rc == code, cmd
+        assert json.loads(body)["report"]["assertion_passed"] is False
 
 
 def test_stability_command_and_cache_determinism(tmp_path):

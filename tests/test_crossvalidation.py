@@ -153,9 +153,11 @@ def test_generic_delta_path_matches_fast_path():
     scrambled = conjugated_system(base, rng)
     # at least one structure map must have left the fast path
     assert any(
-        cs._unit_column_rows(cols, scrambled.dims[k + 1]) is None
-        for k, cols in enumerate(scrambled.structs)
+        cs._unit_column_rows(cols) is None for cols in scrambled.structs
     )
+    # the scrambled bases move the canonical splitting off naturality
+    assert cs.delta(scrambled).naturally_split is False
+    assert cs.delta(base).naturally_split is True
     assert cs.check_extension(scrambled, ell_max=2, samples=15, seed=0).passed
     rep_fast = cs.degree(base, 3)
     rep_generic = cs.degree(scrambled, 3)
@@ -169,6 +171,8 @@ def test_generic_delta_path_on_kunneth():
     )
     rng = random.Random(5)
     scrambled = conjugated_system(F2, rng)
+    assert cs.delta(scrambled).naturally_split is False
+    assert cs.delta(F2).naturally_split is True
     rep = cs.degree(scrambled, 5)
     assert rep.value == 2
     assert rep.delta_ranks == cs.degree(F2, 5).delta_ranks

@@ -85,6 +85,40 @@ def test_workers_do_not_change_output():
         )
 
 
+def test_workers_capped_by_grid_columns(monkeypatch):
+    import concurrent.futures
+
+    seen = []
+
+    class RecordingPool:
+        """Records max_workers and maps in this process, so no worker
+        process is started."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    for workers in (64, 3):
+        xp.stability_table(Z2, CENTRAL, 1, i_max=1, k_max=4, coeff=hm.Z,
+                           workers=workers)
+    assert seen == [4, 3]
+    grid = ["homology", "--group", "cyclic:2", "--class", "elems:[1]",
+            "--imax", "1", "--kmax", "2"]
+    for workers in ("0", "-1"):
+        assert cli.run(grid + ["--workers", workers]) == cli.EXIT_USAGE
+    assert seen == [4, 3]
+
+
 def test_field_grids_and_universal_coefficients(z2_grid):
     for p in (2, 3):
         fp = xp.stability_table(Z2, CENTRAL, 1, i_max=2, k_max=7,

@@ -113,4 +113,4 @@ def test_positive_lift_matsumoto():
 
     for k in (3, 4):
         for p in itertools.permutations(range(k)):
-            garside.form_from_positive_permutation(k, p, check_matsumoto=True)
+            garside.form_from_positive_permutation(k, p)
