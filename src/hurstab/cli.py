@@ -124,6 +124,13 @@ def require_group_class(args):
         raise UsageError("--group and --class are required (flags or --config)")
 
 
+def require_counts(args, *names):
+    """Refuse a negative value of a count flag with exit 64."""
+    for name in names:
+        if getattr(args, name) < 0:
+            raise UsageError(f"need --{name.replace('_', '-')} >= 0")
+
+
 def resolve_grid(args, classes):
     """Fill in the desk-scale default grid when flags are omitted:
     i_max = 2, k_max = 9 for a singleton class; i_max = 1, k_max = 6 for
@@ -249,6 +256,7 @@ def cmd_orbits(args):
     group = parse_group(args.group)
     classes = parse_class(args.class_spec, group)
     ks = parse_k_range(args.k)
+    require_counts(args, "mem_limit")
     rows = ["k\torbits\tsizes"]
     payload = {}
     for k in ks:
@@ -280,6 +288,7 @@ def cmd_grid(args):
     g_hat = stabiliser_of(group, classes, args.stabiliser)
     coeff = hm.Coeff.parse(args.coeff)
     resolve_grid(args, classes)
+    require_counts(args, "mem_limit")
     if args.workers < 1:
         raise UsageError("need --workers >= 1")
     if stability:
@@ -341,6 +350,7 @@ def _tsv_from_report_json(rj):
 
 
 def cmd_degree(args):
+    require_counts(args, "kmax", "cutoff")
     if args.system:
         with open(args.system, encoding="utf-8") as fh:
             spec = _json(fh.read(), "system file")
@@ -385,6 +395,7 @@ def _system_from_json(spec, k_max):
 
 
 def cmd_monodromy_check(args):
+    require_counts(args, "samples")
     if args.model:
         with open(args.model, encoding="utf-8") as fh:
             spec = _json(fh.read(), "model file")

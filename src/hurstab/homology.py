@@ -1,13 +1,15 @@
 """Exact homology of integer complexes and classification of induced maps.
 
 Homology groups over Z and Q are computed from ranks and invariant
-factors (sparse engine, no transforms); over F_p from ranks mod p.
-Induced maps additionally need explicit homology bases.  Over Z these
-come from two dense Smith normal forms per degree, with row transforms
-only: the SNF of the boundary D_i gives the cycle basis and, through
-the inverse row transform, the coordinates of any cycle in it (one
-vector-matrix product, no linear solve); the SNF of the boundaries
-written in those coordinates gives the generators and their orders.
+factors (the integer elimination engine, no transforms); over F_p from
+ranks mod p.  Induced maps additionally need explicit homology bases.
+Over Z these come from two Smith normal forms per degree, both run by
+the same engine tracking the row transforms only: the form of the
+boundary D_i gives the cycle basis and, through the inverse row
+transform, the coordinates of any cycle in it (one vector-matrix
+product, no linear solve); the form of the boundaries D_{i+1}, read
+row by row from the sparse matrix and written in those coordinates,
+gives the generators and their orders.
 Maps over Q read the same Z basis, since H_i(C; Q) = H_i(C; Z) (x) Q:
 the torsion generators vanish and the free ones span.  Over F_p the
 basis is a kernel and quotient computed mod p.  Dense bases are used
@@ -168,7 +170,7 @@ def homology(C, i, coeff=Z):
 
 
 # ---------------------------------------------------------------------------
-# explicit homology bases (dense tier)
+# explicit homology bases
 
 
 class _ZHomologyBasis:
@@ -202,22 +204,30 @@ class _ZHomologyBasis:
             self.kernel = intmat.identity(C.dims[0])
             self.uinv = None
         z = len(self.kernel)
-        if i + 1 <= C.top_degree:
-            upper = intmat.sparse_to_dense(C.mats[i + 1], C.dims[i + 1], C.dims[i])
-        else:
-            upper = []
-        cols = [self._kernel_coords(b) for b in upper]
-        P = [[cols[t][s] for t in range(len(cols))] for s in range(z)]
+        n_upper = C.dims[i + 1] if i < C.top_degree else 0
+        cols = [self._kernel_coords(C.mats[i + 1].get(t, {}).items())
+                for t in range(n_upper)]
+        P = [[col[s] for col in cols] for s in range(z)]
         self.snf = smith_normal_form(P, track_cols=False) if z else None
         diag = list(self.snf.diag) if self.snf else []
         diag += [0] * (z - len(diag))
         self.kept = [j for j in range(z) if diag[j] != 1]
         self.orders = [diag[j] for j in self.kept]
 
-    def _kernel_coords(self, vec):
+    def _kernel_coords(self, entries):
+        """Cycle-basis coordinates of the chain given by its (index, value)
+        pairs; raises HomologyError on a non-cycle."""
         if self.uinv is None:
-            return list(vec)
-        w = intmat.vec_mat(vec, self.uinv)
+            w = [0] * len(self.kernel)
+            for j, v in entries:
+                w[j] += v
+            return w
+        w = [0] * len(self.uinv)
+        for j, v in entries:
+            if v:
+                for t, a in enumerate(self.uinv[j]):
+                    if a:
+                        w[t] += v * a
         if any(w[: self.rank]):
             raise HomologyError("vector is not a cycle")
         return w[self.rank:]
@@ -226,7 +236,7 @@ class _ZHomologyBasis:
         """Coordinates of a cycle's homology class in the kept generators."""
         if self.trivial_beyond:
             return []
-        y = self._kernel_coords(chain_vec)
+        y = self._kernel_coords(enumerate(chain_vec))
         w = intmat.mat_vec(self.snf.U, y) if self.snf else []
         out = []
         for j, d in zip(self.kept, self.orders):

@@ -1,17 +1,16 @@
 """Exact integer and small-field linear algebra.
 
 Everything here works with arbitrary-precision Python ints; no floating
-point anywhere.  Three tiers are provided:
+point anywhere.  Two tiers are provided:
 
-* dense matrices (lists of lists) with a Smith normal form that tracks
-  the unimodular row transform and its inverse, and the column transform
-  and its inverse unless the caller opts out.  Used wherever explicit
-  bases are needed (homology generators, induced maps, retraction
-  systems).  Intended for desk-scale matrices.
-
-* a sparse elimination engine (dict-of-dict rows) that computes only the
-  rank and invariant factors.  Used for the large specialised boundary
-  matrices, where transforms would be prohibitively big.
+* one integer Smith elimination engine on sparse dict-of-dict rows
+  (:func:`_smith`), with two entry points.  ``sparse_invariant_factors``
+  asks it for the invariant factors only, as the large specialised
+  boundary matrices need.  ``smith_normal_form`` gives it a dense matrix
+  and asks it to track the row transform and its inverse, and the column
+  transform and its inverse unless the caller opts out; it returns them
+  as dense matrices, for wherever explicit bases are needed (homology
+  generators, induced maps, retraction systems).
 
 * a dense GF(p) tier (row reduction, rank, kernels, row-space solves
   mod a prime p) on plain ints, for F_p-coefficient homology.
@@ -100,9 +99,10 @@ class SNF:
 
     ``diag`` lists the diagonal of S including trailing zeros (length
     min(m, n)); all entries are >= 0.  U (m x m) and V (n x n) are
-    unimodular; ``uinv`` and ``vinv`` are their exact inverses.  U and
-    ``uinv`` are always present; V and ``vinv`` are None when the form
-    was computed with ``track_cols=False``.
+    unimodular dense matrices; ``uinv`` and ``vinv`` are their exact
+    inverses.  U and ``uinv`` are always present; V and ``vinv`` are None
+    when the form was computed with ``track_cols=False``.  The first
+    ``rank`` rows of U are the pivot rows; the rest span the left kernel.
     """
 
     __slots__ = ("m", "n", "diag", "U", "V", "uinv", "vinv")
@@ -126,142 +126,38 @@ class SNF:
 
 
 def smith_normal_form(A, track_cols=True):
-    """Smith normal form of an integer matrix, with transforms.
+    """Smith normal form of a dense integer matrix, with transforms.
 
-    Returns an :class:`SNF`.  Row and column operations pivot on entries
-    of minimal absolute value, which keeps coefficient growth tame at
-    the matrix sizes this is used for.  With ``track_cols=False`` the
-    column operations touch only S, and V and ``vinv`` are None; the
-    diagonal, U and ``uinv`` are the same as with full tracking.
+    Returns an :class:`SNF`.  The elimination engine (:func:`_smith`) runs
+    on a sparse copy of A, tracking U and ``uinv``, and V and ``vinv``
+    unless ``track_cols`` is False.  Its pivots do not depend on what it
+    tracks, so the diagonal, U and ``uinv`` are the same either way.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    S = [list(row) for row in A]
-    U = identity(m)
-    uinv = identity(m)
-    V = identity(n) if track_cols else None
-    vinv = identity(n) if track_cols else None
+    pivots, U, uinv, V, vinv = _smith(dense_to_sparse(A), m,
+                                      n if track_cols else None)
+    rows = _pivots_first([i for i, _, _ in pivots], m)
+    diag = [d for _, _, d in pivots] + [0] * (min(m, n) - len(pivots))
+    if track_cols:
+        cols = _pivots_first([j for _, j, _ in pivots], n)
+        V, vinv = _dense(V, cols, by_cols=True), _dense(vinv, cols)
+    return SNF(m, n, diag, _dense(U, rows), V,
+               _dense(uinv, rows, by_cols=True), vinv)
 
-    def row_swap(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
 
-    def col_swap(i, j):
-        for r in S:
-            r[i], r[j] = r[j], r[i]
-        if track_cols:
-            for r in V:
-                r[i], r[j] = r[j], r[i]
-            vinv[i], vinv[j] = vinv[j], vinv[i]
+def _pivots_first(pivots, size):
+    return pivots + sorted(set(range(size)).difference(pivots))
 
-    def row_add(i, j, q):
-        # row_i += q * row_j ; U likewise, uinv gets the inverse column op
-        Si, Sj = S[i], S[j]
-        for t in range(n):
-            if Sj[t]:
-                Si[t] += q * Sj[t]
-        Ui, Uj = U[i], U[j]
-        for t in range(m):
-            if Uj[t]:
-                Ui[t] += q * Uj[t]
-        for r in uinv:
-            if r[i]:
-                r[j] -= q * r[i]
 
-    def col_add(i, j, q):
-        # col_i += q * col_j
-        for r in S:
-            if r[j]:
-                r[i] += q * r[j]
-        if track_cols:
-            for r in V:
-                if r[j]:
-                    r[i] += q * r[j]
-            vi, vj = vinv[i], vinv[j]
-            for t in range(n):
-                if vi[t]:
-                    vj[t] -= q * vi[t]
-
-    def row_negate(i):
-        S[i] = [-x for x in S[i]]
-        U[i] = [-x for x in U[i]]
-        for r in uinv:
-            r[i] = -r[i]
-
-    def find_pivot(t):
-        best = None
-        best_val = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(S[i][j])
-                if v and (best_val is None or v < best_val):
-                    best, best_val = (i, j), v
-                    if v == 1:
-                        return best
-        return best
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        if find_pivot(t) is None:
-            break
-        # re-select the globally minimal pivot after every clearing pass;
-        # continuing with a stale local pivot makes coefficients explode
-        while True:
-            pi, pj = find_pivot(t)
-            if pi != t:
-                row_swap(t, pi)
-            if pj != t:
-                col_swap(t, pj)
-            for i in range(t + 1, m):
-                if S[i][t]:
-                    q = S[i][t] // S[t][t]
-                    row_add(i, t, -q)
-            for j in range(t + 1, n):
-                if S[t][j]:
-                    q = S[t][j] // S[t][t]
-                    col_add(j, t, -q)
-            if all(S[i][t] == 0 for i in range(t + 1, m)) and all(
-                S[t][j] == 0 for j in range(t + 1, n)
-            ):
-                break
-        if S[t][t] < 0:
-            row_negate(t)
-        t += 1
-
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t - 1):
-            a, b = S[i][i], S[i + 1][i + 1]
-            if b % a:
-                # gcd into position i, lcm into i+1
-                col_add(i, i + 1, 1)
-                while True:
-                    if S[i + 1][i]:
-                        q = S[i + 1][i] // S[i][i]
-                        row_add(i + 1, i, -q)
-                        if S[i + 1][i]:
-                            row_swap(i, i + 1)
-                            continue
-                    if S[i][i + 1]:
-                        q = S[i][i + 1] // S[i][i]
-                        col_add(i + 1, i, -q)
-                        if S[i][i + 1]:
-                            col_swap(i, i + 1)
-                            continue
-                    break
-                if S[i][i] < 0:
-                    row_negate(i)
-                if S[i + 1][i + 1] < 0:
-                    row_negate(i + 1)
-                changed = True
-
-    diag = [S[i][i] for i in range(limit)]
-    return SNF(m, n, diag, U, V, uinv, vinv)
+def _dense(T, order, by_cols=False):
+    """The matrix whose k-th row (column) is the sparse vector T[order[k]]."""
+    out = zeros(len(order), len(order))
+    for k, a in enumerate(order):
+        for t, w in T[a].items():
+            i, j = (t, k) if by_cols else (k, t)
+            out[i][j] = w
+    return out
 
 
 def solve_int(A, b):
@@ -360,20 +256,40 @@ def sparse_to_dense(rows, m, n):
 
 
 def dense_to_sparse(A):
-    return sparse_from_entries(
-        (i, j, v) for i, row in enumerate(A) for j, v in enumerate(row) if v
-    )
+    rows = ({j: v for j, v in enumerate(row) if v} for row in A)
+    return {i: row for i, row in enumerate(rows) if row}
 
 
 def sparse_invariant_factors(rows):
     """Invariant factors (no transforms) of a sparse integer matrix.
 
-    Destructive fraction-free elimination with Markowitz-style pivoting
-    on entries of minimal absolute value.  Returns the full sorted list
-    of invariant factors d1 | d2 | ... (1s included), so the rank is the
-    list length.
+    Runs the elimination engine (:func:`_smith`) on a copy of ``rows``
+    and returns the full sorted list of invariant factors d1 | d2 | ...
+    (1s included), so the rank is the list length.
     """
-    rows = {i: dict(r) for i, r in rows.items()}
+    pivots = _smith({i: dict(r) for i, r in rows.items()})[0]
+    return [d for _, _, d in pivots]
+
+
+def _smith(rows, row_dim=None, col_dim=None):
+    """Sparse Smith elimination of ``rows``, which it consumes.
+
+    Pivots on a +-1 entry when there is one (the least Markowitz fill in
+    a small batch), else on an entry of least absolute value.  xgcd
+    combinations of two rows or two columns make the pivot divide its
+    column and row; then the column is cleared and the pivot's row and
+    column are dropped.  One gcd/lcm pass over the non-unit pivots makes
+    the divisibility chain.
+
+    Returns ``(pivots, U, uinv, V, vinv)``.  ``pivots`` lists
+    ``(row, col, d)`` with d > 0 and d1 | d2 | ..., and U*A*V is zero
+    except d at each (row, col).  U (by rows) and ``uinv`` (by columns)
+    are tracked as ``{index: {index: value}}`` when ``row_dim`` is given,
+    V (by columns) and ``vinv`` (by rows) when ``col_dim`` is; untracked
+    ones are None.  The pivots do not depend on what is tracked.
+    """
+    U, uinv = _identity_pair(row_dim)
+    V, vinv = _identity_pair(col_dim)
     cols = {}
     unit_queue = []
     for i, r in rows.items():
@@ -415,8 +331,6 @@ def sparse_invariant_factors(rows):
             cur = rows.get(i, {}).get(j, 0)
             set_entry(i, j, cur + q * v)
 
-    diagonal = []
-
     def pick_unit_pivot():
         # lazily validated queue of entries that were +-1 when enqueued;
         # among a small batch of still-valid ones, pick the least fill
@@ -452,13 +366,13 @@ def sparse_invariant_factors(rows):
                         return best
         return best
 
+    pivots = []
     while cols:
         pi, pj = pick_pivot()
         # make the pivot divide its column and row via xgcd combinations
         while True:
             pval = rows[pi][pj]
-            col_rows = [i for i in cols[pj] if i != pi]
-            bad = [i for i in col_rows if rows[i][pj] % pval]
+            bad = [i for i in cols[pj] if i != pi and rows[i][pj] % pval]
             if bad:
                 i = bad[0]
                 a, b = pval, rows[i][pj]
@@ -473,9 +387,11 @@ def sparse_invariant_factors(rows):
                     v = irow.get(j, 0)
                     set_entry(pi, j, x * u + y * v)
                     set_entry(i, j, -bg * u + ag * v)
+                if U is not None:
+                    _combine(U, uinv, pi, i, x, y, -bg, ag)
                 continue
-            row_cols = [j for j in rows.get(pi, {}) if j != pj]
-            badc = [j for j in row_cols if rows[pi][j] % pval]
+            badc = [j for j in rows.get(pi, {})
+                    if j != pj and rows[pi][j] % pval]
             if badc:
                 j = badc[0]
                 a, b = pval, rows[pi][j]
@@ -489,9 +405,12 @@ def sparse_invariant_factors(rows):
                     v = rows.get(i, {}).get(j, 0)
                     set_entry(i, pj, x * u + y * v)
                     set_entry(i, j, -bg * u + ag * v)
+                if V is not None:
+                    _combine(V, vinv, pj, j, x, y, -bg, ag)
                 continue
             break
-        # eliminate the pivot column, then drop pivot row and column
+        # eliminate the pivot column, then drop pivot row and column; the
+        # pivot divides its row, so column operations would clear the row
         pval = rows[pi][pj]
         for i in list(cols[pj]):
             if i == pi:
@@ -499,29 +418,78 @@ def sparse_invariant_factors(rows):
             q = -(rows[i][pj] // pval)
             add_multiple_of_row(i, pi, q, pj)
             set_entry(i, pj, 0)
-        for j in list(rows.get(pi, {})):
+            if U is not None:
+                _add(U, uinv, i, pi, q)
+        for j, v in rows.pop(pi).items():
             discard(pi, j)
-        rows.pop(pi, None)
-        diagonal.append(abs(pval))
+            if V is not None and j != pj:
+                _add(V, vinv, j, pj, -(v // pval))
+        if pval < 0:
+            pval = -pval
+            for T in (V, vinv) if V is not None else ():
+                T[pj] = {t: -w for t, w in T[pj].items()}
+        pivots.append((pi, pj, pval))
 
-    return _diagonal_to_invariant_factors(diagonal)
+    # units first; one pairwise gcd/lcm pass leaves d_k | d_l for k < l
+    pivots.sort(key=lambda p: p[2] != 1)
+    diag = [d for _, _, d in pivots]
+    for k in range(diag.count(1), len(pivots)):
+        rk, ck, _ = pivots[k]
+        for l in range(k + 1, len(pivots)):
+            a, b = diag[k], diag[l]
+            if b % a:
+                x, y, g = xgcd(a, b)
+                rl, cl, _ = pivots[l]
+                # diag(a, b) -> diag(g, lcm) by [[x, y], [-b/g, a/g]] on the
+                # rows and [[1, -yb/g], [1, xa/g]] on the columns
+                if U is not None:
+                    _combine(U, uinv, rk, rl, x, y, -(b // g), a // g)
+                if V is not None:
+                    _combine(V, vinv, ck, cl, 1, 1, -(y * b // g), x * a // g)
+                diag[k], diag[l] = g, a // g * b
+    return ([(i, j, d) for (i, j, _), d in zip(pivots, diag)],
+            U, uinv, V, vinv)
 
 
-def _diagonal_to_invariant_factors(diag):
-    """Invariant factors of a diagonal matrix: pairwise gcd/lcm closure."""
-    vals = [abs(d) for d in diag if d]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                a, b = vals[i], vals[j]
-                if b % a:
-                    _, _, g = xgcd(a, b)
-                    vals[i], vals[j] = g, a * b // g
-                    changed = True
-        vals.sort()
-    return sorted(vals)
+def _identity_pair(n):
+    """A transform and its inverse, both the n x n identity; or Nones."""
+    if n is None:
+        return None, None
+    return ({a: {a: 1} for a in range(n)} for _ in range(2))
+
+
+def _axpy(u, v, q):
+    """u += q*v in place, for sparse vectors {index: value}."""
+    for t, w in v.items():
+        s = u.get(t, 0) + q * w
+        if s:
+            u[t] = s
+        else:
+            del u[t]
+
+
+def _lin(x, u, y, v):
+    """The sparse vector x*u + y*v."""
+    out = {t: x * w for t, w in u.items()} if x else {}
+    if y:
+        _axpy(out, v, y)
+    return out
+
+
+def _combine(T, Tinv, a, b, p, q, r, s):
+    """(T_a, T_b) <- (p*T_a + q*T_b, r*T_a + s*T_b), ps - qr = 1, on the
+    vectors of a transform T, and the inverse operation on those of Tinv
+    (T by rows and Tinv by columns, or the other way round)."""
+    u, v = T[a], T[b]
+    T[a], T[b] = _lin(p, u, q, v), _lin(r, u, s, v)
+    u, v = Tinv[a], Tinv[b]
+    Tinv[a], Tinv[b] = _lin(s, u, -r, v), _lin(-q, u, p, v)
+
+
+def _add(T, Tinv, a, b, q):
+    """The :func:`_combine` of (p, q, r, s) = (1, q, 0, 1), in place."""
+    _axpy(T[a], T[b], q)
+    _axpy(Tinv[b], Tinv[a], -q)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,16 @@ def test_usage_and_validation_errors(tmp_path):
     assert cli.run(grid + ["--imax", "1", "--kmax", "0"]) == cli.EXIT_USAGE
     assert cli.run(grid + ["--kmax", "2", "--coeff", "Fp:x"]) \
         == cli.EXIT_VALIDATION
+    # a negative count is a usage error
+    for argv in (["degree", "--group", "sym:3", "--class", "rep:transposition",
+                  "--kmax", "3", "--cutoff", "-1"],
+                 ["degree", "--group", "sym:3", "--class", "rep:transposition",
+                  "--kmax", "-1"],
+                 ["monodromy-check", "--samples", "-3"],
+                 ["orbits", "--group", "sym:3", "--class", "rep:1", "--k", "2",
+                  "--mem-limit", "-5"],
+                 grid + ["--imax", "0", "--kmax", "2", "--mem-limit", "-5"]):
+        assert cli.run(argv) == cli.EXIT_USAGE, argv
     # --seed belongs to monodromy-check alone
     for argv in (["orbits", "--group", "sym:3", "--class", "rep:1", "--k", "1"],
                  ["homology", "--group", "cyclic:2", "--class", "elems:[1]"],

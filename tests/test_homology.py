@@ -222,12 +222,12 @@ def test_kernel_coords_match_solve(D, coeffs, chain):
     kernel = hb.kernel
     if kernel:
         x = intmat.vec_mat(coeffs[: len(kernel)], kernel)
-        assert hb._kernel_coords(x) == intmat.solve_int(
+        assert hb._kernel_coords(enumerate(x)) == intmat.solve_int(
             intmat.transpose(kernel), x)
     x = chain[: len(D)]
     if any(intmat.vec_mat(x, D)):
         with pytest.raises(hm.HomologyError):
-            hb._kernel_coords(x)
+            hb._kernel_coords(enumerate(x))
 
 
 class SolveBasis(hm._ZHomologyBasis):
@@ -246,9 +246,10 @@ class SolveBasis(hm._ZHomologyBasis):
         else:
             self.kernel = intmat.identity(C.dims[0])
         z = len(self.kernel)
+        self.width = C.dims[i]
         upper = (intmat.sparse_to_dense(C.mats[i + 1], C.dims[i + 1], C.dims[i])
                  if i + 1 <= C.top_degree else [])
-        cols = [self._kernel_coords(b) for b in upper]
+        cols = [self._kernel_coords(enumerate(b)) for b in upper]
         P = [[col[s] for col in cols] for s in range(z)]
         self.snf = intmat.smith_normal_form(P) if z else None
         diag = list(self.snf.diag) if self.snf else []
@@ -256,7 +257,10 @@ class SolveBasis(hm._ZHomologyBasis):
         self.kept = [j for j in range(z) if diag[j] != 1]
         self.orders = [diag[j] for j in self.kept]
 
-    def _kernel_coords(self, vec):
+    def _kernel_coords(self, entries):
+        vec = [0] * self.width
+        for j, v in entries:
+            vec[j] += v
         if not self.kernel:
             if any(vec):
                 raise hm.HomologyError("vector is not a cycle")

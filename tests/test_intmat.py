@@ -1,4 +1,6 @@
 import random
+from itertools import combinations
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -46,18 +48,62 @@ def test_snf_without_column_transforms(A):
     assert intmat.mat_mul(full.U, A) == intmat.mat_mul(S, full.vinv)
 
 
-@given(small_matrices)
+def _det(M):
+    """Exact determinant by cofactor expansion along the first row."""
+    if not M:
+        return 1
+    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in M[1:]])
+               for j, a in enumerate(M[0]) if a)
+
+
+def determinantal_factors(A):
+    """Invariant factors as d_k = D_k / D_(k-1), with D_k the gcd of the
+    k x k minors: an oracle that shares no code with the elimination."""
+    m, n = len(A), len(A[0])
+    factors, prev = [], 1
+    for k in range(1, min(m, n) + 1):
+        D = 0
+        for rs in combinations(range(m), k):
+            for cs in combinations(range(n), k):
+                D = gcd(D, _det([[A[i][j] for j in cs] for i in rs]))
+        if D == 0:
+            break
+        factors.append(D // prev)
+        prev = D
+    return factors
+
+
+# up to 4 x 4, so the minors stay cheap; scaled rows and columns give
+# non-unit invariant factors that are not already a divisibility chain
+oracle_matrices = st.integers(1, 4).flatmap(
+    lambda m: st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                     min_size=m, max_size=m),
+            st.lists(st.sampled_from([1, 2, 3, 4, 6]), min_size=m, max_size=m),
+            st.lists(st.sampled_from([1, 2, 3, 5]), min_size=n, max_size=n),
+        ).map(lambda t: [[a * t[1][i] * t[2][j] for j, a in enumerate(row)]
+                         for i, row in enumerate(t[0])])
+    )
+)
+
+
+@given(oracle_matrices)
 @settings(max_examples=200, deadline=None)
 def test_sparse_factors_agree_with_dense(A):
-    dense = intmat.smith_normal_form(A).invariant_factors
-    sparse = intmat.sparse_invariant_factors(intmat.dense_to_sparse(A))
-    assert dense == sparse
+    expected = determinantal_factors(A)
+    assert intmat.smith_normal_form(A).invariant_factors == expected
+    assert intmat.sparse_invariant_factors(intmat.dense_to_sparse(A)) == expected
 
 
 def test_snf_examples():
     assert intmat.smith_normal_form([[2, 4], [6, 8]]).invariant_factors == [2, 4]
     assert intmat.smith_normal_form([[1, 0], [0, 1]]).invariant_factors == [1, 1]
     assert intmat.smith_normal_form([[0]]).invariant_factors == []
+    A = [[2, 0], [0, 3]]
+    snf = intmat.smith_normal_form(A)
+    assert snf.diag == [1, 6]
+    assert intmat.mat_mul(intmat.mat_mul(snf.U, A), snf.V) == [[1, 0], [0, 6]]
 
 
 def test_solve_int():
