@@ -12,8 +12,10 @@ row by row from the sparse matrix and written in those coordinates,
 gives the generators and their orders.
 Maps over Q read the same Z basis, since H_i(C; Q) = H_i(C; Z) (x) Q:
 the torsion generators vanish and the free ones span.  Over F_p the
-basis is a kernel and quotient computed mod p.  Dense bases are used
-at desk scale only.
+basis is a kernel and quotient computed mod p, with one batched
+elimination per basis for the coordinates of all boundaries and one per
+map for the classes of all pushed generators.  Dense bases are used at
+desk scale only.
 
 Coefficient rings are Z, Q, or F_p, selected by a ``Coeff`` value.
 A map of finitely generated abelian groups is presented by the orders
@@ -232,16 +234,17 @@ class _ZHomologyBasis:
             raise HomologyError("vector is not a cycle")
         return w[self.rank:]
 
-    def class_of(self, chain_vec):
-        """Coordinates of a cycle's homology class in the kept generators."""
+    def classes_of(self, chains):
+        """Coordinates of each cycle's homology class in the kept
+        generators; raises HomologyError on a non-cycle."""
         if self.trivial_beyond:
-            return []
-        y = self._kernel_coords(enumerate(chain_vec))
-        w = intmat.mat_vec(self.snf.U, y) if self.snf else []
+            return [[] for _ in chains]
+        rows = [self.snf.U[j] for j in self.kept]
         out = []
-        for j, d in zip(self.kept, self.orders):
-            v = w[j]
-            out.append(v % d if d > 1 else v)
+        for chain in chains:
+            y = self._kernel_coords(enumerate(chain))
+            w = [sum(a * b for a, b in zip(row, y) if a) for row in rows]
+            out.append([v % d if d > 1 else v for v, d in zip(w, self.orders)])
         return out
 
     def generator_chain(self, idx):
@@ -255,8 +258,11 @@ class _FieldHomologyBasis:
     """Kernel basis + quotient coordinates for H_i(C; F_p).
 
     Exposes the same surface as ``_ZHomologyBasis``: ``orders`` (all 0,
-    one per basis vector), ``class_of`` on integer chains (reduced mod p
-    here) and ``generator_chain``.
+    one per basis vector), ``classes_of`` on integer chains (reduced mod
+    p here) and ``generator_chain``.  Kernel coordinates come from
+    batched ``field_solve_in_rowspace`` calls, one elimination each: one
+    for all rows of D_{i+1}, read from the sparse matrix, when the basis
+    is built, and one per ``classes_of`` call.
     """
 
     def __init__(self, C, i, p):
@@ -271,33 +277,36 @@ class _FieldHomologyBasis:
             self.kernel = intmat.field_left_kernel(p, D_i)
         else:
             self.kernel = intmat.identity(C.dims[0])
+        self.width = C.dims[i]
         z = len(self.kernel)
-        if i + 1 <= C.top_degree:
-            upper = intmat.sparse_to_dense(C.mats[i + 1], C.dims[i + 1], C.dims[i])
-        else:
-            upper = []
-        img_coords = []
-        for b in upper:
-            y = intmat.field_solve_in_rowspace(p, self.kernel, b)
-            if y is None:
-                raise HomologyError("boundary escaped the cycle space")
-            img_coords.append(y)
+        n_upper = C.dims[i + 1] if i < C.top_degree else 0
+        img_coords = intmat.field_solve_in_rowspace(
+            p, self.kernel,
+            [C.mats[i + 1].get(t, {}).items() for t in range(n_upper)],
+            self.width)
+        if None in img_coords:
+            raise HomologyError("boundary escaped the cycle space")
         self.img_rref, self.img_pivots = intmat.field_rref(p, img_coords)
         self.quotient_coords = [j for j in range(z) if j not in self.img_pivots]
         self.orders = [0] * len(self.quotient_coords)
 
-    def class_of(self, chain_vec):
+    def classes_of(self, chains):
+        """Quotient coordinates of each cycle's class; raises
+        HomologyError on a non-cycle."""
         if self.trivial_beyond:
-            return []
+            return [[] for _ in chains]
         p = self.p
-        y = intmat.field_solve_in_rowspace(p, self.kernel, chain_vec)
-        if y is None:
-            raise HomologyError("vector is not a cycle")
-        for row, piv in zip(self.img_rref, self.img_pivots):
-            c = y[piv]
-            if c:
-                y = [(a - c * b) % p for a, b in zip(y, row)]
-        return [y[j] for j in self.quotient_coords]
+        out = []
+        for y in intmat.field_solve_in_rowspace(
+                p, self.kernel, [enumerate(c) for c in chains], self.width):
+            if y is None:
+                raise HomologyError("vector is not a cycle")
+            for row, piv in zip(self.img_rref, self.img_pivots):
+                c = y[piv]
+                if c:
+                    y = [(a - c * b) % p for a, b in zip(y, row)]
+            out.append([y[j] for j in self.quotient_coords])
+        return out
 
     def generator_chain(self, idx):
         j = self.quotient_coords[idx]
@@ -464,10 +473,10 @@ def induced_map(chain_map, i, coeff=Z):
         hb_t = _ZHomologyBasis(tgt, i)
     F_i = chain_map.mats.get(i, {})
     width = tgt.dims[i] if i <= tgt.top_degree else 0
-    cols = [
-        hb_t.class_of(_push_row(hb_s.generator_chain(j), F_i, width))
+    cols = hb_t.classes_of([
+        _push_row(hb_s.generator_chain(j), F_i, width)
         for j in range(len(hb_s.orders))
-    ]
+    ])
     src_orders, tgt_orders = hb_s.orders, hb_t.orders
     M = [[col[t] for col in cols] for t in range(len(tgt_orders))]
     if coeff.kind == "Z":

@@ -499,14 +499,17 @@ def _add(T, Tinv, a, b, q):
 # returns entries in 0..p-1.
 
 
-def field_rref(p, A):
-    """Reduced row echelon form over GF(p).  Returns (R, pivot_cols)."""
-    R = [[x % p for x in row] for row in A]
+def _field_eliminate(p, R, ncols):
+    """Row-reduce R over GF(p) in place, with pivots in its first ncols
+    columns only; entries must already lie in 0..p-1.  Row r ends up
+    holding the r-th pivot, scaled to 1 and cleared from every other
+    row; returns the pivot columns."""
     m = len(R)
-    n = len(R[0]) if m else 0
     pivots = []
     r = 0
-    for j in range(n):
+    for j in range(ncols):
+        if r == m:
+            break
         piv = None
         for i in range(r, m):
             if R[i][j]:
@@ -523,9 +526,13 @@ def field_rref(p, A):
                 R[i] = [(x - c * y) % p for x, y in zip(R[i], R[r])]
         pivots.append(j)
         r += 1
-        if r == m:
-            break
-    return R, pivots
+    return pivots
+
+
+def field_rref(p, A):
+    """Reduced row echelon form over GF(p).  Returns (R, pivot_cols)."""
+    R = [[x % p for x in row] for row in A]
+    return R, _field_eliminate(p, R, len(R[0]) if R else 0)
 
 
 def field_rank(p, A):
@@ -553,18 +560,32 @@ def field_left_kernel(p, A):
     return basis
 
 
-def field_solve_in_rowspace(p, rows, vec):
-    """Coefficients c with sum c_i rows_i = vec over GF(p), or None."""
-    if not rows:
-        return [] if all(x % p == 0 for x in vec) else None
+def field_solve_in_rowspace(p, rows, vecs, width):
+    """For each vector of the batch vecs, each given by (index, value)
+    pairs with indices in range(width), the coefficients c with
+    sum c_i rows_i = vec over GF(p), or None if it is not in the row
+    space.
+
+    One elimination of the width x (len(rows) + len(vecs)) matrix
+    [rows^T | vecs^T] serves the whole batch: pivots are taken in the
+    rows^T block only, so a vector lies in the row space exactly when its
+    column is zero below the pivot rows, and then its column above them
+    holds the coefficients of the pivot rows (the others are 0).
+    """
     m = len(rows)
-    n = len(rows[0])
-    # solve rows^T c = vec
-    A = [[rows[i][j] for i in range(m)] + [vec[j]] for j in range(n)]
-    R, pivots = field_rref(p, A)
-    if m in pivots:
-        return None
-    c = [0] * m
-    for ridx, pj in enumerate(pivots):
-        c[pj] = R[ridx][m]
-    return c
+    A = [[row[j] % p for row in rows] + [0] * len(vecs) for j in range(width)]
+    for t, vec in enumerate(vecs, m):
+        for j, v in vec:
+            A[j][t] = (A[j][t] + v) % p
+    pivots = _field_eliminate(p, A, m)
+    r = len(pivots)
+    out = []
+    for t in range(m, m + len(vecs)):
+        if any(A[i][t] for i in range(r, width)):
+            out.append(None)
+            continue
+        c = [0] * m
+        for ridx, pj in enumerate(pivots):
+            c[pj] = A[ridx][t]
+        out.append(c)
+    return out

@@ -230,6 +230,19 @@ def test_kernel_coords_match_solve(D, coeffs, chain):
             hb._kernel_coords(enumerate(x))
 
 
+@pytest.mark.parametrize("basis", [
+    lambda C: hm._ZHomologyBasis(C, 1),
+    lambda C: hm._FieldHomologyBasis(C, 1, 2),
+    lambda C: hm._FieldHomologyBasis(C, 1, 3),
+], ids=["Z", "Fp:2", "Fp:3"])
+def test_non_cycle_anywhere_in_a_batch_raises(basis):
+    # x D = 0 for x = (1, -1) over every ring; (1, 0) is never a cycle
+    hb = basis(one_boundary_complex([[1, 1], [1, 1]]))
+    assert len(hb.classes_of([[1, -1], [0, 0]])) == 2
+    with pytest.raises(hm.HomologyError, match="not a cycle"):
+        hb.classes_of([[1, -1], [0, 0], [1, 0]])
+
+
 class SolveBasis(hm._ZHomologyBasis):
     """The cycle basis as a left kernel, with coordinates found by one
     integer linear solve per vector: the slow path the SNF read replaces."""
@@ -345,6 +358,7 @@ def assert_flags_match_chain_ranks(cm, i):
     (S3, TRANSPOSITIONS.elements, 1, 3),
     (FiniteGroup.dihedral(4), (1, 3), 1, 3),
     (FiniteGroup.cyclic(3), (1, 2), 2, 4),
+    (S3, TRANSPOSITIONS.elements, 1, 4),  # the dense-fp2 benchmark grid
 ])
 def test_field_flags_match_chain_ranks(group, elems, i_max, k_max):
     from hurstab import experiments as xp

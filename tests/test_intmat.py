@@ -178,8 +178,72 @@ def test_field_rank_and_kernel():
 
 def test_field_solve_in_rowspace():
     rows = [[1, 2, 0], [0, 1, 1]]
-    c = intmat.field_solve_in_rowspace(5, rows, [1, 0, 3])
+    c, missing = intmat.field_solve_in_rowspace(
+        5, rows, [enumerate([1, 0, 3]), [(2, 1)]], 3)
     assert c is not None
     got = [(c[0] * rows[0][j] + c[1] * rows[1][j]) % 5 for j in range(3)]
     assert got == [1, 0, 3]
-    assert intmat.field_solve_in_rowspace(5, rows, [0, 0, 1]) is None
+    assert missing is None
+    # the second of two equal non-members gets no pivot of its own
+    assert intmat.field_solve_in_rowspace(
+        5, rows, [[(2, 1)], [(2, 1)], []], 3) == [None, None, [0, 0]]
+    # with no rows only vectors that vanish mod p are in the span
+    assert intmat.field_solve_in_rowspace(
+        3, [], [[], [(1, 3)], [(0, 1)]], 2) == [[], [], None]
+
+
+def one_vector_solve(p, rows, vec):
+    """The one-vector solver the batched one replaced: the full reduced
+    row echelon form of [rows^T | vec] over GF(p), then a read of its
+    last column."""
+    if not rows:
+        return [] if all(x % p == 0 for x in vec) else None
+    m = len(rows)
+    R = [[rows[i][j] % p for i in range(m)] + [vec[j] % p]
+         for j in range(len(vec))]
+    pivots = []
+    for j in range(m + 1):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(R)) if R[i][j]), None)
+        if piv is None:
+            continue
+        R[r], R[piv] = R[piv], R[r]
+        inv = pow(R[r][j], p - 2, p)
+        R[r] = [inv * x % p for x in R[r]]
+        for i in range(len(R)):
+            c = R[i][j]
+            if i != r and c:
+                R[i] = [(x - c * y) % p for x, y in zip(R[i], R[r])]
+        pivots.append(j)
+    if m in pivots:
+        return None
+    c = [0] * m
+    for ridx, pj in enumerate(pivots):
+        c[pj] = R[ridx][m]
+    return c
+
+
+@st.composite
+def solve_batches(draw):
+    """A prime, a width, up to four rows, and a batch holding random
+    vectors, combinations of the rows and a zero vector, each twice."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 5))
+    entries = st.integers(-6, 6)
+    vectors = st.lists(st.lists(entries, min_size=n, max_size=n), max_size=4)
+    rows = draw(vectors)
+    vecs = draw(vectors)
+    combos = draw(st.lists(st.lists(entries, min_size=len(rows),
+                                    max_size=len(rows)), max_size=3))
+    vecs += [intmat.vec_mat(c, rows) if rows else [0] * n for c in combos]
+    vecs += [[0] * n]
+    return p, n, rows, vecs + vecs
+
+
+@given(solve_batches())
+@settings(max_examples=300, deadline=None)
+def test_batched_solve_matches_one_vector_solver(case):
+    p, n, rows, vecs = case
+    pairs = [[(j, x) for j, x in enumerate(v) if x] for v in vecs]
+    assert intmat.field_solve_in_rowspace(p, rows, pairs, n) == [
+        one_vector_solve(p, rows, v) for v in vecs]
