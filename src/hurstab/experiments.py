@@ -113,7 +113,9 @@ def _complex_for(classes, g_hat, k, i_max, max_dim):
 
 def _grid_job(args):
     """One worker job: homology cells at k, and the induced maps
-    k -> k+1 when the successor data is supplied."""
+    k -> k+1 when the successor data is supplied.  Cells and maps read
+    the homology bases cached on the complexes; in one process the jobs
+    share the complexes, so the bases of k+1 built here serve job k+1."""
     k, i_max, coeff, complex_k, complex_k1, module_k, module_k1 = args
     cells = {}
     for i in range(0, i_max + 1):

@@ -1,12 +1,14 @@
 """Exact homology of integer complexes and classification of induced maps.
 
-Homology groups over Z and Q are computed from ranks and invariant
-factors (the integer elimination engine, no transforms); over F_p from
-ranks mod p.  Induced maps additionally need explicit homology bases.
-Over Z these come from two Smith normal forms per degree, both run by
-the same engine tracking the row transforms only: the form of the
+Homology groups and induced maps are both read from one explicit
+homology basis per complex, degree and ring, built on first use and
+kept on the complex, so that a grid builds each basis once.  A group
+is read from the basis' generator orders: over Z the group they
+present, over Q the number of free generators, over F_p their number.
+Over Z the basis comes from two Smith normal forms per degree, both run
+by the same engine tracking the row transforms only: the form of the
 boundary D_i gives the cycle basis and, through the inverse row
-transform, the coordinates of any cycle in it (one vector-matrix
+transform, the coordinates of any cycle in it (one sparse vector-matrix
 product, no linear solve); the form of the boundaries D_{i+1}, read
 row by row from the sparse matrix and written in those coordinates,
 gives the generators and their orders.
@@ -128,47 +130,29 @@ def _trusted_degree(C, i):
         )
 
 
-def _boundary_factors(C, j):
-    """Invariant factors of the degree-j boundary, read through the
-    complex's cache (idempotent writes)."""
-    key = (j, "Z")
-    if key not in C.snf_cache:
-        C.snf_cache[key] = intmat.sparse_invariant_factors(C.mats[j])
-    return C.snf_cache[key]
-
-
-def _boundary_field_rank(C, j, coeff):
-    key = (j, str(coeff))
-    if key not in C.snf_cache:
-        dense = intmat.sparse_to_dense(C.mats[j], C.dims[j], C.dims[j - 1])
-        C.snf_cache[key] = intmat.field_rank(coeff.p, dense)
-    return C.snf_cache[key]
-
-
 def homology(C, i, coeff=Z):
-    """Homology of an integer complex in one degree.
+    """Homology of an integer complex in one degree, read from the
+    generator orders of its homology basis (:func:`_basis`): over Z the
+    group they present, over Q the number of free generators, over F_p
+    the dimension.
 
     Degrees above a truncation are refused unless the complex is a
     complete resolution, in which case they are zero.
     """
-    _trusted_degree(C, i)
-    if i > C.top_degree:
-        return HomologyGroup(0)
-    n_i = C.dims[i]
-    if coeff.kind in ("Z", "Q"):
-        r_i = len(_boundary_factors(C, i)) if i >= 1 else 0
-        upper = _boundary_factors(C, i + 1) if i + 1 <= C.top_degree else []
-        free = n_i - r_i - len(upper)
-        if coeff.kind == "Q":
-            return HomologyGroup(free)
-        return HomologyGroup(free, tuple(d for d in upper if d > 1))
-    r_i = _boundary_field_rank(C, i, coeff) if i >= 1 else 0
-    r_up = (
-        _boundary_field_rank(C, i + 1, coeff)
-        if i + 1 <= C.top_degree
-        else 0
-    )
-    return HomologyGroup(n_i - r_i - r_up)
+    orders = _basis(C, i, coeff).orders
+    if coeff.kind == "Q":
+        return HomologyGroup(orders.count(0))
+    return _presented_group(orders)
+
+
+def _basis(C, i, coeff):
+    """The degree-i homology basis of C, built once per complex and ring
+    and kept in ``C.bases``: Z and Q share the Z basis, F_p has its own."""
+    key = (i, str(coeff) if coeff.kind == "Fp" else "Z")
+    if key not in C.bases:
+        C.bases[key] = (_FieldHomologyBasis(C, i, coeff.p)
+                        if coeff.kind == "Fp" else _ZHomologyBasis(C, i))
+    return C.bases[key]
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +166,8 @@ class _ZHomologyBasis:
     lattice as the rows U[r:], r = rank D_i.  A chain x has the unique
     expansion x = w*U with w = x*uinv, and x*D_i = w*S*vinv, so x is a
     cycle exactly when w[:r] == 0, and then w[r:] are its coordinates
-    in the cycle basis.  Neither SNF here reads V, so neither tracks it.
+    in the cycle basis.  Neither SNF here reads V, so neither tracks it,
+    and ``uinv`` is kept as one ``{t: a}`` dict of nonzeros per row.
 
     Generator orders list torsion orders first (the SNF diagonal entries
     bigger than 1, in divisibility order) and then zeros for the free
@@ -200,7 +185,8 @@ class _ZHomologyBasis:
             snf = smith_normal_form(D_i, track_cols=False)
             self.rank = snf.rank
             self.kernel = snf.U[self.rank:]
-            self.uinv = snf.uinv
+            self.uinv = [{t: a for t, a in enumerate(row) if a}
+                         for row in snf.uinv]
         else:
             self.rank = 0
             self.kernel = intmat.identity(C.dims[0])
@@ -209,12 +195,20 @@ class _ZHomologyBasis:
         n_upper = C.dims[i + 1] if i < C.top_degree else 0
         cols = [self._kernel_coords(C.mats[i + 1].get(t, {}).items())
                 for t in range(n_upper)]
-        P = [[col[s] for col in cols] for s in range(z)]
-        self.snf = smith_normal_form(P, track_cols=False) if z else None
-        diag = list(self.snf.diag) if self.snf else []
+        self._present([[col[s] for col in cols] for s in range(z)])
+
+    def _present(self, P):
+        """Generators and orders of Z^z modulo the columns of P, z = len(P).
+        Of the SNF's transforms only the kept generators' rows of U and
+        columns of ``uinv`` are read, so only those are kept."""
+        z = len(P)
+        snf = smith_normal_form(P, track_cols=False) if z else None
+        diag = list(snf.diag) if snf else []
         diag += [0] * (z - len(diag))
         self.kept = [j for j in range(z) if diag[j] != 1]
         self.orders = [diag[j] for j in self.kept]
+        self.class_rows = [snf.U[j] for j in self.kept]
+        self.gen_coords = [[row[j] for row in snf.uinv] for j in self.kept]
 
     def _kernel_coords(self, entries):
         """Cycle-basis coordinates of the chain given by its (index, value)
@@ -227,9 +221,8 @@ class _ZHomologyBasis:
         w = [0] * len(self.uinv)
         for j, v in entries:
             if v:
-                for t, a in enumerate(self.uinv[j]):
-                    if a:
-                        w[t] += v * a
+                for t, a in self.uinv[j].items():
+                    w[t] += v * a
         if any(w[: self.rank]):
             raise HomologyError("vector is not a cycle")
         return w[self.rank:]
@@ -239,19 +232,17 @@ class _ZHomologyBasis:
         generators; raises HomologyError on a non-cycle."""
         if self.trivial_beyond:
             return [[] for _ in chains]
-        rows = [self.snf.U[j] for j in self.kept]
         out = []
         for chain in chains:
             y = self._kernel_coords(enumerate(chain))
-            w = [sum(a * b for a, b in zip(row, y) if a) for row in rows]
+            w = [sum(a * b for a, b in zip(row, y) if a)
+                 for row in self.class_rows]
             out.append([v % d if d > 1 else v for v, d in zip(w, self.orders)])
         return out
 
     def generator_chain(self, idx):
         """A cycle vector representing the idx-th kept generator."""
-        j = self.kept[idx]
-        y = [row[j] for row in self.snf.uinv]
-        return intmat.vec_mat(y, self.kernel)
+        return intmat.vec_mat(self.gen_coords[idx], self.kernel)
 
 
 class _FieldHomologyBasis:
@@ -459,18 +450,14 @@ def induced_map(chain_map, i, coeff=Z):
 
     Commutation of the chain map with both boundaries is verified
     first (memoized).  Z and Q read the Z homology basis, F_p its own
-    basis mod p; one integer push assembles the matrix for all three.
+    basis mod p, both through the complexes' caches (:func:`_basis`);
+    one integer push assembles the matrix for all three.
     Over Q and F_p the flags come from a rank, and split-injectivity
     equals injectivity.
     """
     chain_map.verify()
     src, tgt = chain_map.source, chain_map.target
-    if coeff.kind == "Fp":
-        hb_s = _FieldHomologyBasis(src, i, coeff.p)
-        hb_t = _FieldHomologyBasis(tgt, i, coeff.p)
-    else:
-        hb_s = _ZHomologyBasis(src, i)
-        hb_t = _ZHomologyBasis(tgt, i)
+    hb_s, hb_t = _basis(src, i, coeff), _basis(tgt, i, coeff)
     F_i = chain_map.mats.get(i, {})
     width = tgt.dims[i] if i <= tgt.top_degree else 0
     cols = hb_t.classes_of([

@@ -5,12 +5,14 @@ point anywhere.  Two tiers are provided:
 
 * one integer Smith elimination engine on sparse dict-of-dict rows
   (:func:`_smith`), with two entry points.  ``sparse_invariant_factors``
-  asks it for the invariant factors only, as the large specialised
-  boundary matrices need.  ``smith_normal_form`` gives it a dense matrix
-  and asks it to track the row transform and its inverse, and the column
-  transform and its inverse unless the caller opts out; it returns them
-  as dense matrices, for wherever explicit bases are needed (homology
-  generators, induced maps, retraction systems).
+  asks it for the invariant factors only, for the small matrices whose
+  rank or unimodularity is all that is read (presented maps, structure
+  maps of coefficient systems).  ``smith_normal_form`` gives it a dense
+  matrix and asks it to track the row transform and its inverse, and the
+  column transform and its inverse unless the caller opts out; it
+  returns them as dense matrices, for wherever explicit bases are needed
+  (homology groups and their generators, induced maps, retraction
+  systems).
 
 * a dense GF(p) tier (row reduction, rank, kernels, row-space solves
   mod a prime p) on plain ints, for F_p-coefficient homology.
@@ -237,10 +239,6 @@ def sparse_mul(rows_a, rows_b):
         if acc:
             out[i] = acc
     return out
-
-
-def sparse_is_zero(rows):
-    return not rows
 
 
 def sparse_nnz(rows):

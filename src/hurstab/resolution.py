@@ -367,9 +367,9 @@ class IntegerComplex:
     strands: int = 0
     cell_labels: list = field(default_factory=list)
     module_dim: int = 1
-    # read-through cache of boundary invariant factors / field ranks,
-    # keyed by (degree, coefficient tag); writes are idempotent
-    snf_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # homology bases, built on first use by ``homology._basis`` and kept
+    # for the complex's lifetime; keyed by (degree, "Z" or "Fp:p")
+    bases: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def top_degree(self):
@@ -378,7 +378,7 @@ class IntegerComplex:
     def verify_chain(self):
         for j in range(1, self.top_degree):
             prod = intmat.sparse_mul(self.mats[j + 1], self.mats[j])
-            if not intmat.sparse_is_zero(prod):
+            if prod:
                 raise ResolutionError(
                     f"boundary composite in degrees {j + 1},{j} is nonzero; "
                     "sign convention or action bug"

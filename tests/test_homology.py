@@ -263,12 +263,7 @@ class SolveBasis(hm._ZHomologyBasis):
         upper = (intmat.sparse_to_dense(C.mats[i + 1], C.dims[i + 1], C.dims[i])
                  if i + 1 <= C.top_degree else [])
         cols = [self._kernel_coords(enumerate(b)) for b in upper]
-        P = [[col[s] for col in cols] for s in range(z)]
-        self.snf = intmat.smith_normal_form(P) if z else None
-        diag = list(self.snf.diag) if self.snf else []
-        diag += [0] * (z - len(diag))
-        self.kept = [j for j in range(z) if diag[j] != 1]
-        self.orders = [diag[j] for j in self.kept]
+        self._present([[col[s] for col in cols] for s in range(z)])
 
     def _kernel_coords(self, entries):
         vec = [0] * self.width
@@ -296,6 +291,89 @@ def test_induced_maps_match_solve_basis(monkeypatch):
     assert fast.to_json() == slow.to_json()
     for key, m in fast.maps.items():
         assert m.matrix == slow.maps[key].matrix
+
+
+# ---------------------------------------------------------------------------
+# homology groups from boundary ranks and invariant factors, with no bases
+
+
+def invariant_factor_homology(C, i, coeff):
+    """H_i from the boundaries alone: invariant factors of the sparse D_i
+    and D_{i+1} over Z and Q, ranks mod p of the dense ones over F_p.
+    No homology basis is built, so over F_p this stays independent of
+    the Z computation that the universal-coefficient check compares."""
+    hm._trusted_degree(C, i)
+    if i > C.top_degree:
+        return hm.HomologyGroup(0)
+    if coeff.kind == "Fp":
+        ranks = [intmat.field_rank(coeff.p, _boundary(C, j)) for j in (i, i + 1)]
+        return hm.HomologyGroup(C.dims[i] - sum(ranks))
+    lower = len(intmat.sparse_invariant_factors(C.mats[i])) if i >= 1 else 0
+    upper = (intmat.sparse_invariant_factors(C.mats[i + 1])
+             if i + 1 <= C.top_degree else [])
+    free = C.dims[i] - lower - len(upper)
+    if coeff.kind == "Q":
+        return hm.HomologyGroup(free)
+    return hm.HomologyGroup(free, tuple(d for d in upper if d > 1))
+
+
+ALL_COEFFS = (hm.Z, hm.Q, hm.Coeff("Fp", 2), hm.Coeff("Fp", 3))
+
+
+def grid_complexes(group, elems, i_max, k_max):
+    from hurstab import experiments as xp
+    from hurstab.groups import ClassSet
+
+    classes = ClassSet(group, tuple(elems))
+    return {k: xp._complex_for(classes, classes.elements[0], k, i_max, 10**6)
+            for k in range(1, k_max + 1)}
+
+
+GRIDS = [
+    (S3, TRANSPOSITIONS.elements, 1, 3),
+    (FiniteGroup.dihedral(4), (1, 3), 1, 3),
+    (FiniteGroup.cyclic(3), (1, 2), 2, 4),
+    (S3, TRANSPOSITIONS.elements, 1, 4),  # the dense-fp2 benchmark grid
+]
+
+
+@pytest.mark.parametrize("group, elems, i_max, k_max",
+                         GRIDS + [(FiniteGroup.cyclic(2), (1,), 2, 9)])
+def test_homology_matches_invariant_factors(group, elems, i_max, k_max):
+    for k, (_, C) in grid_complexes(group, elems, i_max, k_max).items():
+        for coeff in ALL_COEFFS:
+            for i in range(i_max + 1):
+                assert hm.homology(C, i, coeff) \
+                    == invariant_factor_homology(C, i, coeff), (k, i, coeff)
+
+
+@pytest.mark.parametrize("coeff, basis_cls", [
+    (hm.Z, "_ZHomologyBasis"),
+    (hm.Q, "_ZHomologyBasis"),
+    (hm.Coeff("Fp", 2), "_FieldHomologyBasis"),
+], ids=["Z", "Q", "Fp:2"])
+def test_grid_builds_each_basis_once(monkeypatch, coeff, basis_cls):
+    from hurstab import experiments as xp
+
+    cls = getattr(hm, basis_cls)
+    built = []
+    init = cls.__init__
+
+    def counting_init(self, C, i, *args):
+        built.append((id(C), i))
+        init(self, C, i, *args)
+
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    i_max, k_max = 1, 4
+    rep = xp.stability_table(S3, TRANSPOSITIONS, TRANSPOSITIONS.elements[0],
+                             i_max=i_max, k_max=k_max, coeff=coeff, workers=1)
+    # one build per grid cell (k, i), shared by the cell and both maps
+    assert len(built) == len(set(built)) == k_max * (i_max + 1)
+    for (k, i), group in rep.cells.items():
+        if k < k_max:
+            assert group == rep.maps[(k, i)].source, (k, i)
+        if k >= 2:
+            assert group == rep.maps[(k - 1, i)].target, (k, i)
 
 
 # ---------------------------------------------------------------------------
@@ -354,20 +432,9 @@ def assert_flags_match_chain_ranks(cm, i):
             == (inj, surj, inj), (coeff, i)
 
 
-@pytest.mark.parametrize("group, elems, i_max, k_max", [
-    (S3, TRANSPOSITIONS.elements, 1, 3),
-    (FiniteGroup.dihedral(4), (1, 3), 1, 3),
-    (FiniteGroup.cyclic(3), (1, 2), 2, 4),
-    (S3, TRANSPOSITIONS.elements, 1, 4),  # the dense-fp2 benchmark grid
-])
+@pytest.mark.parametrize("group, elems, i_max, k_max", GRIDS)
 def test_field_flags_match_chain_ranks(group, elems, i_max, k_max):
-    from hurstab import experiments as xp
-    from hurstab.groups import ClassSet
-
-    classes = ClassSet(group, tuple(elems))
-    built = {k: xp._complex_for(classes, classes.elements[0], k, i_max,
-                                10**6)
-             for k in range(1, k_max + 1)}
+    built = grid_complexes(group, elems, i_max, k_max)
     for k in range(1, k_max):
         (mod_k, c_k), (mod_k1, c_k1) = built[k], built[k + 1]
         cm = R.stabilisation_chain_map(c_k, c_k1, mod_k, mod_k1)
