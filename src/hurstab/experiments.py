@@ -115,7 +115,8 @@ def _grid_job(args):
     """One worker job: homology cells at k, and the induced maps
     k -> k+1 when the successor data is supplied.  Cells and maps read
     the homology bases cached on the complexes; in one process the jobs
-    share the complexes, so the bases of k+1 built here serve job k+1."""
+    share the complexes, so the bases of k+1 built here serve job k+1.
+    Job k is the last reader of complex k, so its cache is cleared."""
     k, i_max, coeff, complex_k, complex_k1, module_k, module_k1 = args
     cells = {}
     for i in range(0, i_max + 1):
@@ -125,6 +126,7 @@ def _grid_job(args):
         cm = rs.stabilisation_chain_map(complex_k, complex_k1, module_k, module_k1)
         for i in range(0, i_max + 1):
             maps[(k, i)] = hm.induced_map(cm, i, coeff)
+    complex_k.bases.clear()
     return k, cells, maps
 
 

@@ -5,19 +5,26 @@ homology basis per complex, degree and ring, built on first use and
 kept on the complex, so that a grid builds each basis once.  A group
 is read from the basis' generator orders: over Z the group they
 present, over Q the number of free generators, over F_p their number.
-Over Z the basis comes from two Smith normal forms per degree, both run
-by the same engine tracking the row transforms only: the form of the
-boundary D_i gives the cycle basis and, through the inverse row
-transform, the coordinates of any cycle in it (one sparse vector-matrix
-product, no linear solve); the form of the boundaries D_{i+1}, read
-row by row from the sparse matrix and written in those coordinates,
-gives the generators and their orders.
-Maps over Q read the same Z basis, since H_i(C; Q) = H_i(C; Z) (x) Q:
-the torsion generators vanish and the free ones span.  Over F_p the
-basis is a kernel and quotient computed mod p, with one batched
-elimination per basis for the coordinates of all boundaries and one per
-map for the classes of all pushed generators.  Dense bases are used at
-desk scale only.
+
+Each basis is built on a core a few cells wide.  Once per complex and
+ring, the complex is reduced by cancelling unit boundary entries
+(:func:`intmat.reduce_complex`: +-1 over Z, anything nonzero mod p over
+F_p, which reads the input mod p, so F_p never reads the Z core).  The
+core is chain-homotopy equivalent to the complex through the projection
+pi and the inclusion iota, both chain maps with pi o iota = id; a cycle
+is checked on the unreduced boundary and classified through pi, and a
+generator is lifted through iota, as in Harker, Mischaikow, Mrozek and
+Nanda (FoCM 2014).  Over Z the core basis comes from two Smith normal
+forms per degree, both run by the same engine tracking the row
+transforms only: the form of the boundary D_i gives the cycle basis and,
+through the inverse row transform, the coordinates of any cycle in it
+(one sparse vector-matrix product, no linear solve); the form of the
+boundaries D_{i+1}, read row by row and written in those coordinates,
+gives the generators and their orders.  Maps over Q read the same Z
+basis, since H_i(C; Q) = H_i(C; Z) (x) Q: the torsion generators vanish
+and the free ones span.  Over F_p the core's boundaries are zero, and
+its basis is a kernel and quotient computed mod p, with one batched
+elimination per basis and one per map.
 
 Coefficient rings are Z, Q, or F_p, selected by a ``Coeff`` value.
 A map of finitely generated abelian groups is presented by the orders
@@ -33,6 +40,7 @@ from dataclasses import dataclass
 
 from . import intmat
 from .intmat import smith_normal_form  # re-exported surface
+from .resolution import IntegerComplex
 
 __all__ = [
     "Coeff",
@@ -148,15 +156,76 @@ def homology(C, i, coeff=Z):
 def _basis(C, i, coeff):
     """The degree-i homology basis of C, built once per complex and ring
     and kept in ``C.bases``: Z and Q share the Z basis, F_p has its own."""
-    key = (i, str(coeff) if coeff.kind == "Fp" else "Z")
+    key = (i, _ring(coeff))
     if key not in C.bases:
-        C.bases[key] = (_FieldHomologyBasis(C, i, coeff.p)
-                        if coeff.kind == "Fp" else _ZHomologyBasis(C, i))
+        C.bases[key] = _ReducedBasis(C, i, coeff)
+    return C.bases[key]
+
+
+def _ring(coeff):
+    return str(coeff) if coeff.p else "Z"
+
+
+def _reduction(C, coeff):
+    """The unit-pivot reduction of C over Z (for Z and Q) or F_p, and its
+    core as a complex; built once per complex and ring and kept in
+    ``C.bases`` beside the bases read from it."""
+    key = ("reduction", _ring(coeff))
+    if key not in C.bases:
+        red = intmat.reduce_complex(C.mats, C.dims, coeff.p,
+                                    lift_top=C.complete)
+        C.bases[key] = red, IntegerComplex(dims=red.dims, mats=red.mats,
+                                           complete=C.complete)
     return C.bases[key]
 
 
 # ---------------------------------------------------------------------------
 # explicit homology bases
+
+
+class _ReducedBasis:
+    """The homology basis of C in degree i, read on the core of C's
+    reduction (:func:`_reduction`): a :class:`_ZHomologyBasis` of the
+    core over Z and Q, a :class:`_FieldHomologyBasis` over F_p.  Chains
+    of C reach the core through the projection pi and come back through
+    the inclusion iota, chain maps that induce inverse isomorphisms on
+    homology.  Exposes the surface of the core basis.
+    """
+
+    def __init__(self, C, i, coeff):
+        _trusted_degree(C, i)
+        self.i, self.p = i, coeff.p
+        self.width = C.dims[i] if i <= C.top_degree else 0
+        self.boundary = C.mats[i] if 1 <= i <= C.top_degree else {}
+        self.reduction, core = _reduction(C, coeff)
+        self.core = (_FieldHomologyBasis(core, i, coeff.p) if coeff.p
+                     else _ZHomologyBasis(core, i))
+        self.orders = self.core.orders
+
+    def classes_of(self, chains):
+        """Coordinates of each cycle's class in the kept generators: the
+        cycle condition is checked on the unreduced boundary D_i, and the
+        class is read from the cycle's projection to the core; raises
+        HomologyError on a non-cycle."""
+        if self.core.trivial_beyond:
+            return [[] for _ in chains]
+        p, projected = self.p, []
+        for chain in chains:
+            entries = {a: x for a, x in enumerate(chain) if x}
+            image = intmat.sparse_mul({0: entries}, self.boundary).get(0, {})
+            if any(w % p for w in image.values()) if p else image:
+                raise HomologyError("vector is not a cycle")
+            projected.append(self.reduction.project(self.i, entries.items()))
+        return self.core.classes_of(projected)
+
+    def generator_chain(self, idx):
+        """A cycle of C representing the idx-th kept generator: the
+        inclusion of the core generator."""
+        out = [0] * self.width
+        lifted = self.reduction.lift(self.i, self.core.generator_chain(idx))
+        for a, x in lifted.items():
+            out[a] = x
+        return out
 
 
 class _ZHomologyBasis:
@@ -171,7 +240,7 @@ class _ZHomologyBasis:
 
     Generator orders list torsion orders first (the SNF diagonal entries
     bigger than 1, in divisibility order) and then zeros for the free
-    generators.
+    generators.  :class:`_ReducedBasis` builds it on a reduced core.
     """
 
     def __init__(self, C, i):
@@ -253,7 +322,8 @@ class _FieldHomologyBasis:
     p here) and ``generator_chain``.  Kernel coordinates come from
     batched ``field_solve_in_rowspace`` calls, one elimination each: one
     for all rows of D_{i+1}, read from the sparse matrix, when the basis
-    is built, and one per ``classes_of`` call.
+    is built, and one per ``classes_of`` call.  :class:`_ReducedBasis`
+    builds it on a reduced core, whose boundaries are zero mod p.
     """
 
     def __init__(self, C, i, p):

@@ -1,7 +1,7 @@
 """Exact integer and small-field linear algebra.
 
 Everything here works with arbitrary-precision Python ints; no floating
-point anywhere.  Two tiers are provided:
+point anywhere.  Three parts are provided:
 
 * one integer Smith elimination engine on sparse dict-of-dict rows
   (:func:`_smith`), with two entry points.  ``sparse_invariant_factors``
@@ -11,17 +11,24 @@ point anywhere.  Two tiers are provided:
   matrix and asks it to track the row transform and its inverse, and the
   column transform and its inverse unless the caller opts out; it
   returns them as dense matrices, for wherever explicit bases are needed
-  (homology groups and their generators, induced maps, retraction
-  systems).
+  (homology bases of reduced cores, retraction systems).
+
+* one unit-pivot reduction of chain complexes (:func:`reduce_complex`)
+  on sparse rows, over Z or mod a prime p: it cancels every unit
+  boundary entry and returns a chain-homotopy equivalent core complex,
+  with the projection onto it and the inclusion back, so that homology
+  bases, built with the other two parts, only ever see the core.
 
 * a dense GF(p) tier (row reduction, rank, kernels, row-space solves
-  mod a prime p) on plain ints, for F_p-coefficient homology.
+  mod a prime p) on plain ints, for F_p-coefficient homology of cores.
 
 Conventions: a "rows" sparse matrix is ``{i: {j: v}}`` with no zero
 values stored and no empty rows.
 """
 
 from __future__ import annotations
+
+import heapq
 
 
 def xgcd(a, b):
@@ -449,6 +456,179 @@ def _smith(rows, row_dim=None, col_dim=None):
             U, uinv, V, vinv)
 
 
+class ChainReduction:
+    """A chain complex reduced by unit-pivot cancellation (see
+    :func:`reduce_complex`), with the chain maps between it and the
+    complex it came from.
+
+    ``dims`` and ``mats`` are the core complex, in the conventions of
+    the input; ``cells[i]`` lists the input's degree-i cells that
+    survive, in increasing order, and core cell n of degree i is
+    ``cells[i][n]``.  Over F_p (``p`` > 0) every entry lies in 0..p-1.
+    """
+
+    __slots__ = ("p", "dims", "mats", "cells", "_logs", "_lifts")
+
+    def __init__(self, p, dims, mats, cells, logs, lifts):
+        self.p = p
+        self.dims = dims
+        self.mats = mats
+        self.cells = cells
+        self._logs = logs
+        self._lifts = lifts
+
+    def project(self, i, entries):
+        """The projection pi_i of the degree-i chain given by its
+        (index, value) pairs, as a dense core vector."""
+        p = self.p
+        v = {}
+        for a, x in entries:
+            if x:
+                v[a] = v.get(a, 0) + x
+        for t, img in self._logs[i]:
+            c = v.pop(t, 0)
+            if c:
+                _axpy(v, img, c, p)
+        if p:
+            return [v.get(a, 0) % p for a in self.cells[i]]
+        return [v.get(a, 0) for a in self.cells[i]]
+
+    def lift(self, i, vec):
+        """The inclusion iota_i of the core chain vec: a chain of the
+        input complex, as ``{index: value}``.  Refused in the top degree
+        when the reduction was asked not to track it."""
+        lifts = self._lifts[i]
+        if lifts is None:
+            raise ValueError(f"degree {i} inclusion was not tracked")
+        out = {}
+        for a, x in zip(self.cells[i], vec):
+            if x:
+                _axpy(out, lifts.get(a) or {a: 1}, x, self.p)
+        return out
+
+
+def reduce_complex(mats, dims, p=0, lift_top=True):
+    """Reduce a chain complex by cancelling unit boundary entries.
+
+    ``mats[j]`` (j = 1..len(dims)-1) are sparse ``{i: {j: v}}``
+    boundaries acting on row vectors, with mats[j+1] * mats[j] = 0.  An
+    entry u = D_j[s, t] is a unit when it is +-1 (``p`` = 0, over Z) or
+    nonzero mod p (over F_p, where the input is read mod p).  Cancelling
+    the pair (s, t) replaces D_j by its Schur complement
+    D_j[a, b] - D_j[a, t] u^-1 D_j[s, b], drops column s of D_{j+1} and
+    row t of D_{j-1}; the result is chain-homotopy equivalent to the
+    input (Kaczynski, Mrozek and Slusarek, "Homology computation by
+    reduction of chain complexes", 1998).  Degrees are reduced from 1
+    upwards, each to a fixed point, so cancellations in D_{j+1} never
+    create units in D_j again; within a degree each pivot is a unit of
+    least Markowitz fill.  Over F_p the core's boundaries are zero.
+
+    Returns a :class:`ChainReduction` with the projection pi, a chain
+    map onto the core, kept as a log of substitutions t -> pi(t) per
+    degree, and the inclusion iota, a chain map back whose images of the
+    core cells are kept as sparse rows, in every degree but the top one
+    when ``lift_top`` is False.  pi o iota is the identity of the core.
+    """
+    top = len(dims) - 1
+    alive = [set(range(n)) for n in dims]
+    logs = [[] for _ in dims]
+    lifts = [{} for _ in dims]
+    if not lift_top:
+        lifts[top] = None
+    reduced = {}
+    for j in range(1, top + 1):
+        lower = alive[j - 1]
+        rows = {}
+        for a, r in mats.get(j, {}).items():
+            r = {b: v % p if p else v for b, v in r.items() if b in lower}
+            r = {b: v for b, v in r.items() if v}
+            if r:
+                rows[a] = r
+        reduced[j] = rows
+        _cancel_units(rows, p, alive[j], lower, lifts[j], logs[j - 1])
+        if j > 1:
+            reduced[j - 1] = {a: r for a, r in reduced[j - 1].items()
+                              if a in lower}
+        for a in [a for a in lifts[j - 1] if a not in lower]:
+            del lifts[j - 1][a]
+    cells = [sorted(s) for s in alive]
+    index = [{a: n for n, a in enumerate(c)} for c in cells]
+    core = {j: {index[j][a]: {index[j - 1][b]: v for b, v in rows[a].items()}
+                for a in cells[j] if a in rows}
+            for j, rows in reduced.items()}
+    return ChainReduction(p, [len(c) for c in cells], core, cells, logs, lifts)
+
+
+def _cancel_units(rows, p, upper, lower, lift, log):
+    """Cancel unit entries of the boundary ``rows`` until none is left,
+    in place: the pivot pair leaves ``upper`` and ``lower``, ``lift``
+    (``{cell: iota(cell)}``, identity rows implicit, or None) takes the
+    row operations, and ``log`` the substitution t -> pi(t).  Over F_p
+    (p > 0) every stored entry is a unit.
+
+    The pivot is a unit of least Markowitz fill (len(row) - 1) *
+    (len(col) - 1), taken from a heap keyed by the fill an entry had
+    when it was pushed: a popped entry whose fill has grown past the
+    next key goes back with its new key, and units made by the Schur
+    update are pushed with key 0, to be keyed when first popped.
+    """
+    cols = {}
+    for a, r in rows.items():
+        for b in r:
+            cols.setdefault(b, set()).add(a)
+
+    def fill(a, b):
+        return (len(rows[a]) - 1) * (len(cols[b]) - 1)
+
+    heap = [(fill(a, b), a, b) for a, r in rows.items()
+            for b, v in r.items() if p or v == 1 or v == -1]
+    heapq.heapify(heap)
+    while heap:
+        _, s, t = heapq.heappop(heap)
+        prow = rows.get(s, {})
+        u = prow.get(t)
+        if u is None or not (p or u in (1, -1)):
+            continue
+        f = fill(s, t)
+        if heap and f > heap[0][0]:
+            heapq.heappush(heap, (f, s, t))
+            continue
+        del rows[s], prow[t]
+        inv = pow(u, p - 2, p) if p else u
+        for b in prow:
+            cols[b].discard(s)
+        col = cols.pop(t)
+        col.discard(s)
+        if lift is not None:
+            lift_s = lift.pop(s, None) or {s: 1}
+        for a in col:
+            row = rows[a]
+            q = -row.pop(t) * inv
+            if p:
+                q %= p
+            for b, v in prow.items():
+                w = row.get(b, 0) + q * v
+                if p:
+                    w %= p
+                if w:
+                    if b not in row:
+                        cols[b].add(a)
+                    row[b] = w
+                    if p or w == 1 or w == -1:
+                        heapq.heappush(heap, (0, a, b))
+                elif b in row:
+                    del row[b]
+                    cols[b].discard(a)
+            if not row:
+                del rows[a]
+            if lift is not None:
+                _axpy(lift.setdefault(a, {a: 1}), lift_s, q, p)
+        log.append((t, {b: (-inv * v) % p if p else -inv * v
+                        for b, v in prow.items()}))
+        upper.discard(s)
+        lower.discard(t)
+
+
 def _identity_pair(n):
     """A transform and its inverse, both the n x n identity; or Nones."""
     if n is None:
@@ -456,14 +636,17 @@ def _identity_pair(n):
     return ({a: {a: 1} for a in range(n)} for _ in range(2))
 
 
-def _axpy(u, v, q):
-    """u += q*v in place, for sparse vectors {index: value}."""
+def _axpy(u, v, q, p=0):
+    """u += q*v in place, for sparse vectors {index: value}; mod p when
+    p > 0."""
     for t, w in v.items():
         s = u.get(t, 0) + q * w
+        if p:
+            s %= p
         if s:
             u[t] = s
         else:
-            del u[t]
+            u.pop(t, None)
 
 
 def _lin(x, u, y, v):

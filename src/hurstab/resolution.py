@@ -368,7 +368,9 @@ class IntegerComplex:
     cell_labels: list = field(default_factory=list)
     module_dim: int = 1
     # homology bases, built on first use by ``homology._basis`` and kept
-    # for the complex's lifetime; keyed by (degree, "Z" or "Fp:p")
+    # until cleared (a grid clears them after the complex's last job);
+    # keyed by (degree, "Z" or "Fp:p"), beside the ring's unit-pivot
+    # reduction under ("reduction", "Z" or "Fp:p")
     bases: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property

@@ -234,7 +234,10 @@ def test_kernel_coords_match_solve(D, coeffs, chain):
     lambda C: hm._ZHomologyBasis(C, 1),
     lambda C: hm._FieldHomologyBasis(C, 1, 2),
     lambda C: hm._FieldHomologyBasis(C, 1, 3),
-], ids=["Z", "Fp:2", "Fp:3"])
+    lambda C: hm._ReducedBasis(C, 1, hm.Z),
+    lambda C: hm._ReducedBasis(C, 1, hm.Coeff("Fp", 2)),
+    lambda C: hm._ReducedBasis(C, 1, hm.Coeff("Fp", 3)),
+], ids=["Z", "Fp:2", "Fp:3", "reduced-Z", "reduced-Fp:2", "reduced-Fp:3"])
 def test_non_cycle_anywhere_in_a_batch_raises(basis):
     # x D = 0 for x = (1, -1) over every ring; (1, 0) is never a cycle
     hb = basis(one_boundary_complex([[1, 1], [1, 1]]))
@@ -337,8 +340,10 @@ GRIDS = [
 ]
 
 
-@pytest.mark.parametrize("group, elems, i_max, k_max",
-                         GRIDS + [(FiniteGroup.cyclic(2), (1,), 2, 9)])
+ORACLE_GRIDS = GRIDS + [(FiniteGroup.cyclic(2), (1,), 2, 9)]
+
+
+@pytest.mark.parametrize("group, elems, i_max, k_max", ORACLE_GRIDS)
 def test_homology_matches_invariant_factors(group, elems, i_max, k_max):
     for k, (_, C) in grid_complexes(group, elems, i_max, k_max).items():
         for coeff in ALL_COEFFS:
@@ -347,33 +352,98 @@ def test_homology_matches_invariant_factors(group, elems, i_max, k_max):
                     == invariant_factor_homology(C, i, coeff), (k, i, coeff)
 
 
-@pytest.mark.parametrize("coeff, basis_cls", [
-    (hm.Z, "_ZHomologyBasis"),
-    (hm.Q, "_ZHomologyBasis"),
-    (hm.Coeff("Fp", 2), "_FieldHomologyBasis"),
-], ids=["Z", "Q", "Fp:2"])
-def test_grid_builds_each_basis_once(monkeypatch, coeff, basis_cls):
+def unreduced_bases():
+    """A stand-in for ``homology._basis`` that builds the bases directly
+    on the unreduced complexes, once per complex, degree and ring."""
+    cache = {}
+
+    def basis(C, i, coeff):
+        key = (id(C), i, hm._ring(coeff))
+        if key not in cache:
+            cache[key] = (hm._FieldHomologyBasis(C, i, coeff.p) if coeff.p
+                          else hm._ZHomologyBasis(C, i))
+        return cache[key]
+
+    return basis
+
+
+@pytest.mark.parametrize("group, elems, i_max, k_max", ORACLE_GRIDS)
+def test_reduced_bases_match_unreduced(monkeypatch, group, elems, i_max, k_max):
+    built = grid_complexes(group, elems, i_max, k_max)
+    maps = {k: R.stabilisation_chain_map(built[k][1], built[k + 1][1],
+                                         built[k][0], built[k + 1][0])
+            for k in range(1, k_max)}
+
+    def grid():
+        out = {}
+        for coeff in ALL_COEFFS:
+            for i in range(i_max + 1):
+                for k, (_, C) in built.items():
+                    out[("cell", k, i, str(coeff))] = hm._basis(C, i, coeff).orders
+                for k, cm in maps.items():
+                    m = hm.induced_map(cm, i, coeff)
+                    out[("map", k, i, str(coeff))] = (
+                        m.src_orders, m.tgt_orders, m.is_injective,
+                        m.is_surjective, m.is_split_injective, m.is_iso)
+        return out
+
+    reduced = grid()
+    monkeypatch.setattr(hm, "_basis", unreduced_bases())
+    assert reduced == grid()
+
+
+@pytest.mark.parametrize("coeff", [hm.Z, hm.Q, hm.Coeff("Fp", 2)],
+                         ids=["Z", "Q", "Fp:2"])
+def test_grid_builds_each_basis_once(monkeypatch, coeff):
     from hurstab import experiments as xp
 
-    cls = getattr(hm, basis_cls)
-    built = []
-    init = cls.__init__
+    built, reduced = [], []
+    init, reduce_complex = hm._ReducedBasis.__init__, intmat.reduce_complex
 
-    def counting_init(self, C, i, *args):
+    def counting_init(self, C, i, coeff):
         built.append((id(C), i))
-        init(self, C, i, *args)
+        init(self, C, i, coeff)
 
-    monkeypatch.setattr(cls, "__init__", counting_init)
+    def counting_reduce(mats, dims, p=0, **kwargs):
+        reduced.append((id(mats), p))
+        return reduce_complex(mats, dims, p, **kwargs)
+
+    monkeypatch.setattr(hm._ReducedBasis, "__init__", counting_init)
+    monkeypatch.setattr(intmat, "reduce_complex", counting_reduce)
     i_max, k_max = 1, 4
     rep = xp.stability_table(S3, TRANSPOSITIONS, TRANSPOSITIONS.elements[0],
                              i_max=i_max, k_max=k_max, coeff=coeff, workers=1)
-    # one build per grid cell (k, i), shared by the cell and both maps
+    # one build per grid cell (k, i), shared by the cell and both maps,
+    # and one reduction per complex, shared by its degrees
     assert len(built) == len(set(built)) == k_max * (i_max + 1)
+    assert len(reduced) == len(set(reduced)) == k_max
     for (k, i), group in rep.cells.items():
         if k < k_max:
             assert group == rep.maps[(k, i)].source, (k, i)
         if k >= 2:
             assert group == rep.maps[(k - 1, i)].target, (k, i)
+
+
+@pytest.mark.parametrize("coeff", [hm.Z, hm.Coeff("Fp", 2)], ids=["Z", "Fp:2"])
+def test_grid_clears_each_cache_after_its_last_job(monkeypatch, coeff):
+    from hurstab import experiments as xp
+
+    job, sizes = xp._grid_job, []
+
+    def watched_job(args):
+        out = job(args)
+        complex_k, complex_k1 = args[3], args[4]
+        sizes.append((len(complex_k.bases),
+                      None if complex_k1 is None else len(complex_k1.bases)))
+        return out
+
+    monkeypatch.setattr(xp, "_grid_job", watched_job)
+    xp.stability_table(S3, TRANSPOSITIONS, TRANSPOSITIONS.elements[0],
+                       i_max=1, k_max=4, coeff=coeff, workers=1)
+    # after job k nothing of complex k is kept, while complex k+1 keeps
+    # its reduction and the bases that job k+1 reads
+    assert [own for own, _ in sizes] == [0, 0, 0, 0]
+    assert all(n > 0 for _, n in sizes[:-1]) and sizes[-1][1] is None
 
 
 # ---------------------------------------------------------------------------
@@ -472,3 +542,146 @@ def test_field_flags_where_z_differs():
     m = hm.induced_map(det3, 0, hm.Coeff("Fp", 3))
     assert not m.is_injective and not m.is_surjective
     assert_flags_match_chain_ranks(det3, 0)
+
+
+# ---------------------------------------------------------------------------
+# unit-pivot reduction of random complexes
+
+
+@st.composite
+def random_complexes(draw, piece_orders, max_shear):
+    """(dims, mats) of a random complex: a direct sum of free cells and
+    pieces Z --d--> Z (d from piece_orders), written in a random basis
+    of each degree, reached by up to max_shear elementary row operations
+    with multipliers in [-2, 2], plus a signed permutation."""
+    top = draw(st.integers(1, 3))
+    free = draw(st.lists(st.integers(0, 2), min_size=top + 1, max_size=top + 1))
+    pieces = {j: draw(st.lists(st.sampled_from(piece_orders), max_size=3))
+              for j in range(1, top + 1)}
+    dims = [free[j] + len(pieces.get(j, [])) + len(pieces.get(j + 1, []))
+            for j in range(top + 1)]
+    # cells of degree j: free ones, then the lower ends of the degree-(j+1)
+    # pieces, then the upper ends of the degree-j pieces
+    mats = {}
+    for j in range(1, top + 1):
+        lo = free[j - 1]
+        hi = free[j] + len(pieces.get(j + 1, []))
+        mats[j] = [[0] * dims[j - 1] for _ in range(dims[j])]
+        for n, d in enumerate(pieces[j]):
+            mats[j][hi + n][lo + n] = d
+    bases = []
+    for n in dims:
+        A, Ainv = intmat.identity(n), intmat.identity(n)
+        for _ in range(draw(st.integers(0, max_shear)) if n > 1 else 0):
+            t, s = draw(st.sampled_from([(t, s) for t in range(n)
+                                         for s in range(n) if s != t]))
+            q = draw(st.sampled_from([-2, -1, 1, 2]))
+            A[t] = [x + q * y for x, y in zip(A[t], A[s])]
+            for row in Ainv:
+                row[s] -= q * row[t]
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        bases.append(([[signs[a] * x for x in A[perm[a]]] for a in range(n)],
+                      [[row[perm[a]] * signs[a] for a in range(n)]
+                       for row in Ainv]))
+    # in the new basis D_j becomes A_j D_j A_{j-1}^-1
+    sparse = {j: intmat.dense_to_sparse(intmat.mat_mul(
+        intmat.mat_mul(bases[j][0], D), bases[j - 1][1]) if D and D[0] else D)
+        for j, D in mats.items()}
+    for j in range(1, top):
+        assert not intmat.sparse_mul(sparse[j + 1], sparse[j])
+    return dims, sparse
+
+
+def as_complex(dims, mats):
+    return R.IntegerComplex(dims=list(dims), mats=mats, complete=True,
+                            cell_labels=[[()] * n for n in dims], module_dim=1)
+
+
+def push(entries, rows, p):
+    """The sparse product of a chain {cell: value} with boundary rows,
+    reduced mod p when p > 0."""
+    out = intmat.sparse_mul({0: entries}, rows).get(0, {})
+    return {b: v % p if p else v for b, v in out.items() if (v % p if p else v)}
+
+
+def check_reduction(dims, mats, p):
+    C = as_complex(dims, mats)
+    red = intmat.reduce_complex(mats, dims, p)
+    core = as_complex(red.dims, red.mats)
+    top = len(dims) - 1
+
+    def unit(n, a):
+        return [1 if b == a else 0 for b in range(n)]
+
+    for j in range(top + 1):
+        for n in range(red.dims[j]):
+            e = unit(red.dims[j], n)
+            lifted = red.lift(j, e)
+            # pi o iota is the identity of the core
+            assert red.project(j, lifted.items()) == e, (j, n)
+            if j >= 1:
+                # iota commutes with the boundaries
+                row = red.mats[j].get(n, {})
+                down = red.lift(j - 1, [row.get(b, 0)
+                                        for b in range(red.dims[j - 1])])
+                assert push(lifted, mats[j], p) == down, (j, n)
+        if j >= 1:
+            for a in range(dims[j]):
+                # pi commutes with the boundaries
+                image = red.project(j, [(a, 1)])
+                lhs = red.project(j - 1, mats[j].get(a, {}).items())
+                rhs = push({n: x for n, x in enumerate(image) if x},
+                           red.mats[j], p)
+                assert lhs == [rhs.get(b, 0) for b in range(red.dims[j - 1])], \
+                    (j, a)
+    coeff = hm.Coeff("Fp", p) if p else hm.Z
+    for i in range(top + 1):
+        assert invariant_factor_homology(core, i, coeff) \
+            == invariant_factor_homology(C, i, coeff), i
+    return red
+
+
+@given(random_complexes([1, -1, 1, 2, -3, 4, 6], 6), st.sampled_from([0, 2, 3]))
+@settings(max_examples=150, deadline=None)
+def test_reduction_is_a_homotopy_equivalence(complex_, p):
+    dims, mats = complex_
+    red = check_reduction(dims, mats, p)
+    if p:
+        # every entry nonzero mod p is a unit, so the core is the homology
+        assert not any(red.mats.values())
+
+
+@given(random_complexes([2, -2, 3, 4, 6], 6), st.sampled_from([2, 3]))
+@settings(max_examples=60, deadline=None)
+def test_reduction_without_units_keeps_the_complex(complex_, m):
+    dims, mats = complex_
+    scaled = {j: {a: {b: m * v for b, v in row.items()}
+                  for a, row in rows.items()} for j, rows in mats.items()}
+    # no entry is +-1, nor nonzero mod m: no pair is cancelled
+    for p in (0, m):
+        red = check_reduction(dims, scaled, p)
+        assert red.dims == dims and red.cells == [list(range(n)) for n in dims]
+        if not p:
+            assert red.mats == scaled
+
+
+@given(random_complexes([1, -1], 0))
+@settings(max_examples=60, deadline=None)
+def test_reduction_of_unit_pieces_is_the_homology(complex_):
+    dims, mats = complex_
+    # a signed permutation of pieces Z --+-1--> Z and free cells: every
+    # entry is a unit, and the core is the free homology
+    red = check_reduction(dims, mats, 0)
+    assert not any(red.mats.values())
+    assert red.dims == [invariant_factor_homology(as_complex(dims, mats), i,
+                                                  hm.Z).free_rank
+                        for i in range(len(dims))]
+
+
+def test_reduction_without_top_inclusion():
+    C = R.specialize(R.salvetti_complex(4, 2), R.TrivialModule(4, 1))
+    red = intmat.reduce_complex(C.mats, C.dims, lift_top=False)
+    assert red.lift(1, [1] * red.dims[1])
+    with pytest.raises(ValueError):
+        red.lift(2, [0] * red.dims[2])
