@@ -14,6 +14,7 @@ dictionaries, and the TSV/JSON writers iterate in sorted order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from . import homology as hm
 from . import resolution as rs
@@ -96,19 +97,26 @@ def hypothesis_flags(classes):
     return flags
 
 
-def _complex_for(classes, g_hat, k, i_max, max_dim):
+def _complex_for(classes, g_hat, k, i_max):
     """Specialised Salvetti complex for B_k at depth min(i_max+1, k-1)."""
     module = rs.HurwitzModule(classes, k, g_hat)
     if k == 1:
         return module, rs.point_complex(module)
-    d_max = min(i_max + 1, k - 1)
-    free = rs.salvetti_complex(k, d_max)
-    total = sum(r * module.dim for r in free.ranks)
-    if total > max_dim:
-        raise ResourceRefusal(
-            f"chain size {total} at k={k} exceeds the bound {max_dim}"
-        )
+    free = rs.salvetti_complex(k, min(i_max + 1, k - 1))
     return module, rs.specialize(free, module)
+
+
+def _refuse_oversized(classes, i_max, k_max, max_dim):
+    """Raise ResourceRefusal at the first k whose specialised complex
+    would have more than ``max_dim`` cells: C(k-1, j) Salvetti cells in
+    degree j <= min(i_max+1, k-1), each times |c|^k tuples."""
+    for k in range(2, k_max + 1):
+        cells = sum(comb(k - 1, j) for j in range(min(i_max + 1, k - 1) + 1))
+        total = cells * len(classes) ** k
+        if total > max_dim:
+            raise ResourceRefusal(
+                f"chain size {total} at k={k} exceeds the bound {max_dim}"
+            )
 
 
 def _grid_job(args):
@@ -154,10 +162,11 @@ def stability_table(
     if g_hat not in classes:
         raise GroupError("stabiliser must lie in the class set")
     flags = hypothesis_flags(classes)
+    _refuse_oversized(classes, i_max, k_max, max_dim)
     modules = {}
     complexes = {}
     for k in range(1, k_max + 1):
-        modules[k], complexes[k] = _complex_for(classes, g_hat, k, i_max, max_dim)
+        modules[k], complexes[k] = _complex_for(classes, g_hat, k, i_max)
         if progress:
             progress(f"built complex k={k}")
     jobs = [

@@ -30,8 +30,9 @@ Coefficient rings are Z, Q, or F_p, selected by a ``Coeff`` value.
 A map of finitely generated abelian groups is presented by the orders
 of its source/target generators (torsion orders first, 0 for free) and
 an integer matrix of generator images; injectivity, surjectivity and
-split-injectivity over Z are decided exactly, the last by solving an
-integer linear system for a retraction.
+split-injectivity over Z are decided exactly, the last by solving for a
+retraction one row at a time: the retraction system is the direct sum
+of one small integer system per source generator.
 """
 
 from __future__ import annotations
@@ -432,50 +433,25 @@ def map_is_injective(src_orders, tgt_orders, M):
 
 def is_split_injective(src_orders, tgt_orders, M):
     """Whether the presented map admits an integer retraction r with
-    r o f = id; decided by solving the linear system for r exactly."""
+    r o f = id, decided exactly one source generator at a time.
+
+    Row i of r is an x in Z^b with (x M)_j = delta_ij for every source
+    generator j and e x_k = 0 for every target generator k of order
+    e > 1, all taken modulo the order d_i of generator i (through one
+    slack unknown per equation when d_i > 1).  These blocks are
+    independent, so r exists exactly when every block has an integer
+    solution; the first block without one decides.
+    """
     a = len(src_orders)
-    if a == 0:
-        return True
-    b = len(tgt_orders)
-    rel_a = _relation_columns(src_orders)
-    rel_b = _relation_columns(tgt_orders)
-    ta = len(rel_a)
-    tb = len(rel_b)
-    # unknowns: X (a x b), V (ta x a), W (ta x tb)
-    n_unknowns = a * b + ta * a + ta * tb
-
-    def xi(i, k):
-        return i * b + k
-
-    def vi(t, j):
-        return a * b + t * a + j
-
-    def wi(t, l):
-        return a * b + ta * a + t * tb + l
-
-    rows = []
-    rhs = []
-    # X M - R_A V = I_a   (a x a equations)
-    for i in range(a):
-        for j in range(a):
-            row = [0] * n_unknowns
-            for k in range(b):
-                row[xi(i, k)] = M[k][j]
-            for t in range(ta):
-                row[vi(t, j)] = -rel_a[t][i]
-            rows.append(row)
-            rhs.append(1 if i == j else 0)
-    # X R_B - R_A W = 0    (a x tb equations)
-    for i in range(a):
-        for l in range(tb):
-            row = [0] * n_unknowns
-            for k in range(b):
-                row[xi(i, k)] = rel_b[l][k]
-            for t in range(ta):
-                row[wi(t, l)] = -rel_a[t][i]
-            rows.append(row)
-            rhs.append(0)
-    return intmat.solve_int(rows, rhs) is not None
+    coeffs = ([[M[k][j] for k in range(len(tgt_orders))] for j in range(a)]
+              + _relation_columns(tgt_orders))
+    n = len(coeffs)
+    for i, d in enumerate(src_orders):
+        rows = [row + [-d if s == r else 0 for s in range(n)] if d > 1 else row
+                for r, row in enumerate(coeffs)]
+        if intmat.solve_int(rows, [int(r == i) for r in range(n)]) is None:
+            return False
+    return True
 
 
 @dataclass

@@ -198,7 +198,7 @@ def invert_unimodular(A):
 def left_kernel(A):
     """Rows spanning {x : x A = 0}, a basis of a saturated lattice."""
     m = len(A)
-    snf = smith_normal_form(A)
+    snf = smith_normal_form(A, track_cols=False)
     r = snf.rank
     return [list(snf.U[i]) for i in range(r, m)]
 

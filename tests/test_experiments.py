@@ -173,6 +173,18 @@ def test_resource_refusal():
                            i_max=2, k_max=8, coeff=hm.Z, max_dim=1000)
 
 
+def test_refusal_comes_before_any_complex(monkeypatch):
+    built = []
+    monkeypatch.setattr(xp.rs, "salvetti_complex",
+                        lambda *args: built.append(args))
+    # k = 9: (1 + 8 + 28) Salvetti cells times 3^9 tuples
+    with pytest.raises(xp.ResourceRefusal,
+                       match="chain size 728271 at k=9 exceeds the bound 500000"):
+        xp.stability_table(S3, TRANSPOSITIONS, TRANSPOSITIONS.elements[0],
+                           i_max=1, k_max=9, coeff=hm.Z, max_dim=500_000)
+    assert built == []
+
+
 def test_tsv_rendering(z2_grid):
     tsv = cli._tsv_from_report_json(z2_grid.to_json())
     lines = tsv.strip().split("\n")
