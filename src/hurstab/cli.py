@@ -662,6 +662,8 @@ def _config_defaults(argv):
             continue
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise UsageError(f"--config {path} must hold a JSON object")
         out = {}
         for key, value in raw.items():
             key = key.replace("-", "_")

@@ -26,17 +26,24 @@ and the free ones span.  Over F_p the core's boundaries are zero, and
 its basis is a kernel and quotient computed mod p, with one batched
 elimination per basis and one per map.
 
-Coefficient rings are Z, Q, or F_p, selected by a ``Coeff`` value.
-A map of finitely generated abelian groups is presented by the orders
-of its source/target generators (torsion orders first, 0 for free) and
-an integer matrix of generator images; injectivity, surjectivity and
-split-injectivity over Z are decided exactly, the last by solving for a
-retraction one row at a time: the retraction system is the direct sum
-of one small integer system per source generator.
+Every chain, of a complex or of its core, is a sparse ``{cell: value}``
+dict, as in :class:`intmat.ChainReduction`, from the projection to the
+induced map's one sparse push of all generators.  D_0 is the dims[0] x 0
+zero matrix, so degree 0 is built like any other degree.
+
+Coefficient rings are Z, Q, or F_p (p < 2**31), selected by a
+``Coeff`` value.  A map of finitely generated abelian groups is
+presented by the orders of its source/target generators (torsion
+orders first, 0 for free) and an integer matrix of generator images;
+injectivity, surjectivity and split-injectivity over Z are decided
+exactly, the last by solving for a retraction one row at a time: the
+retraction system is the direct sum of one small integer system per
+source generator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import intmat
@@ -61,7 +68,7 @@ class HomologyError(ValueError):
 
 @dataclass(frozen=True)
 class Coeff:
-    """Coefficient ring: Z, Q, or F_p."""
+    """Coefficient ring: Z, Q, or F_p for a prime p < 2**31."""
 
     kind: str
     p: int = 0
@@ -78,8 +85,9 @@ class Coeff:
             except ValueError:
                 raise HomologyError(
                     f"cannot parse coefficient spec {text!r}") from None
-            if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-                raise HomologyError(f"{p} is not prime")
+            if not 2 <= p < 2**31 or any(
+                    p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+                raise HomologyError(f"{text}: need a prime p < 2**31")
             return Coeff("Fp", p)
         raise HomologyError(f"cannot parse coefficient spec {text!r}")
 
@@ -190,54 +198,57 @@ class _ReducedBasis:
     core over Z and Q, a :class:`_FieldHomologyBasis` over F_p.  Chains
     of C reach the core through the projection pi and come back through
     the inclusion iota, chain maps that induce inverse isomorphisms on
-    homology.  Exposes the surface of the core basis.
+    homology.  Exposes the surface of the core basis, on chains of C.
     """
 
     def __init__(self, C, i, coeff):
         _trusted_degree(C, i)
         self.i, self.p = i, coeff.p
-        self.width = C.dims[i] if i <= C.top_degree else 0
-        self.boundary = C.mats[i] if 1 <= i <= C.top_degree else {}
+        self.boundary = C.mats.get(i, {})
         self.reduction, core = _reduction(C, coeff)
         self.core = (_FieldHomologyBasis(core, i, coeff.p) if coeff.p
                      else _ZHomologyBasis(core, i))
         self.orders = self.core.orders
 
     def classes_of(self, chains):
-        """Coordinates of each cycle's class in the kept generators: the
-        cycle condition is checked on the unreduced boundary D_i, and the
-        class is read from the cycle's projection to the core; raises
-        HomologyError on a non-cycle."""
+        """Coordinates of the class of each cycle ``{cell: value}`` of C
+        in the kept generators: the whole batch is checked for cycles on
+        the unreduced boundary D_i, and each class is read from the
+        cycle's projection to the core; raises HomologyError on a
+        non-cycle."""
         if self.core.trivial_beyond:
             return [[] for _ in chains]
-        p, projected = self.p, []
-        for chain in chains:
-            entries = {a: x for a, x in enumerate(chain) if x}
-            image = intmat.sparse_mul({0: entries}, self.boundary).get(0, {})
-            if any(w % p for w in image.values()) if p else image:
-                raise HomologyError("vector is not a cycle")
-            projected.append(self.reduction.project(self.i, entries.items()))
-        return self.core.classes_of(projected)
+        p = self.p
+        image = intmat.sparse_mul(dict(enumerate(chains)), self.boundary)
+        if any(w % p if p else w
+               for row in image.values() for w in row.values()):
+            raise HomologyError("vector is not a cycle")
+        return self.core.classes_of(
+            [self.reduction.project(self.i, chain) for chain in chains])
 
     def generator_chain(self, idx):
-        """A cycle of C representing the idx-th kept generator: the
-        inclusion of the core generator."""
-        out = [0] * self.width
-        lifted = self.reduction.lift(self.i, self.core.generator_chain(idx))
-        for a, x in lifted.items():
-            out[a] = x
-        return out
+        """A cycle ``{cell: value}`` of C representing the idx-th kept
+        generator: the inclusion of the core generator."""
+        return self.reduction.lift(self.i, self.core.generator_chain(idx))
+
+
+def _boundary(C, i):
+    """The boundary D_i of C as a dense dims[i] x dims[i-1] matrix, and
+    D_0 as the dims[0] x 0 zero matrix, whose left kernel is everything."""
+    return intmat.sparse_to_dense(C.mats.get(i, {}), C.dims[i],
+                                  C.dims[i - 1] if i else 0)
 
 
 class _ZHomologyBasis:
     """Kernel basis + presentation data for H_i(C; Z).
 
-    For i >= 1 the SNF U*D_i*V = S of the boundary D_i gives the cycle
-    lattice as the rows U[r:], r = rank D_i.  A chain x has the unique
-    expansion x = w*U with w = x*uinv, and x*D_i = w*S*vinv, so x is a
-    cycle exactly when w[:r] == 0, and then w[r:] are its coordinates
-    in the cycle basis.  Neither SNF here reads V, so neither tracks it,
-    and ``uinv`` is kept as one ``{t: a}`` dict of nonzeros per row.
+    The SNF U*D_i*V = S of the boundary D_i (:func:`_boundary`, so also
+    in degree 0) gives the cycle lattice as the rows U[r:], r = rank D_i.
+    A chain x has the unique expansion x = w*U with w = x*uinv, and
+    x*D_i = w*S*vinv, so x is a cycle exactly when w[:r] == 0, and then
+    w[r:] are its coordinates in the cycle basis.  Neither SNF here
+    reads V, so neither tracks it; ``uinv``, the cycle basis ``kernel``
+    and the generators' cycle coordinates are kept as sparse rows.
 
     Generator orders list torsion orders first (the SNF diagonal entries
     bigger than 1, in divisibility order) and then zeros for the free
@@ -250,20 +261,14 @@ class _ZHomologyBasis:
         if self.trivial_beyond:
             self.orders = []
             return
-        if i >= 1:
-            D_i = intmat.sparse_to_dense(C.mats[i], C.dims[i], C.dims[i - 1])
-            snf = smith_normal_form(D_i, track_cols=False)
-            self.rank = snf.rank
-            self.kernel = snf.U[self.rank:]
-            self.uinv = [{t: a for t, a in enumerate(row) if a}
-                         for row in snf.uinv]
-        else:
-            self.rank = 0
-            self.kernel = intmat.identity(C.dims[0])
-            self.uinv = None
+        snf = smith_normal_form(_boundary(C, i), track_cols=False)
+        self.rank = snf.rank
+        self.kernel = intmat.dense_to_sparse(snf.U[self.rank:])
+        self.uinv = [{t: a for t, a in enumerate(row) if a}
+                     for row in snf.uinv]
         z = len(self.kernel)
         n_upper = C.dims[i + 1] if i < C.top_degree else 0
-        cols = [self._kernel_coords(C.mats[i + 1].get(t, {}).items())
+        cols = [self._kernel_coords(C.mats[i + 1].get(t, {}))
                 for t in range(n_upper)]
         self._present([[col[s] for col in cols] for s in range(z)])
 
@@ -278,52 +283,51 @@ class _ZHomologyBasis:
         self.kept = [j for j in range(z) if diag[j] != 1]
         self.orders = [diag[j] for j in self.kept]
         self.class_rows = [snf.U[j] for j in self.kept]
-        self.gen_coords = [[row[j] for row in snf.uinv] for j in self.kept]
+        self.gen_coords = [{s: row[j] for s, row in enumerate(snf.uinv)
+                            if row[j]} for j in self.kept]
 
-    def _kernel_coords(self, entries):
-        """Cycle-basis coordinates of the chain given by its (index, value)
-        pairs; raises HomologyError on a non-cycle."""
-        if self.uinv is None:
-            w = [0] * len(self.kernel)
-            for j, v in entries:
-                w[j] += v
-            return w
+    def _kernel_coords(self, chain):
+        """Cycle-basis coordinates of the chain ``{cell: value}``; raises
+        HomologyError on a non-cycle."""
         w = [0] * len(self.uinv)
-        for j, v in entries:
-            if v:
-                for t, a in self.uinv[j].items():
-                    w[t] += v * a
+        for j, v in chain.items():
+            for t, a in self.uinv[j].items():
+                w[t] += v * a
         if any(w[: self.rank]):
             raise HomologyError("vector is not a cycle")
         return w[self.rank:]
 
     def classes_of(self, chains):
-        """Coordinates of each cycle's homology class in the kept
-        generators; raises HomologyError on a non-cycle."""
+        """Coordinates of the homology class of each cycle
+        ``{cell: value}`` in the kept generators; raises HomologyError
+        on a non-cycle."""
         if self.trivial_beyond:
             return [[] for _ in chains]
         out = []
         for chain in chains:
-            y = self._kernel_coords(enumerate(chain))
+            y = self._kernel_coords(chain)
             w = [sum(a * b for a, b in zip(row, y) if a)
                  for row in self.class_rows]
             out.append([v % d if d > 1 else v for v, d in zip(w, self.orders)])
         return out
 
     def generator_chain(self, idx):
-        """A cycle vector representing the idx-th kept generator."""
-        return intmat.vec_mat(self.gen_coords[idx], self.kernel)
+        """A cycle ``{cell: value}`` for the idx-th kept generator."""
+        return intmat.sparse_mul({0: self.gen_coords[idx]},
+                                 self.kernel).get(0, {})
 
 
 class _FieldHomologyBasis:
     """Kernel basis + quotient coordinates for H_i(C; F_p).
 
     Exposes the same surface as ``_ZHomologyBasis``: ``orders`` (all 0,
-    one per basis vector), ``classes_of`` on integer chains (reduced mod
-    p here) and ``generator_chain``.  Kernel coordinates come from
-    batched ``field_solve_in_rowspace`` calls, one elimination each: one
-    for all rows of D_{i+1}, read from the sparse matrix, when the basis
-    is built, and one per ``classes_of`` call.  :class:`_ReducedBasis`
+    one per basis vector), ``classes_of`` on integer chains
+    ``{cell: value}`` (reduced mod p here) and ``generator_chain``.  The
+    kernel is the left kernel of :func:`_boundary` mod p, so also in
+    degree 0.  Kernel coordinates come from batched
+    ``field_solve_in_rowspace`` calls, one elimination each: one for all
+    rows of D_{i+1}, read from the sparse matrix, when the basis is
+    built, and one per ``classes_of`` call.  :class:`_ReducedBasis`
     builds it on a reduced core, whose boundaries are zero mod p.
     """
 
@@ -334,11 +338,7 @@ class _FieldHomologyBasis:
         if self.trivial_beyond:
             self.orders = []
             return
-        if i >= 1:
-            D_i = intmat.sparse_to_dense(C.mats[i], C.dims[i], C.dims[i - 1])
-            self.kernel = intmat.field_left_kernel(p, D_i)
-        else:
-            self.kernel = intmat.identity(C.dims[0])
+        self.kernel = intmat.field_left_kernel(p, _boundary(C, i))
         self.width = C.dims[i]
         z = len(self.kernel)
         n_upper = C.dims[i + 1] if i < C.top_degree else 0
@@ -353,14 +353,14 @@ class _FieldHomologyBasis:
         self.orders = [0] * len(self.quotient_coords)
 
     def classes_of(self, chains):
-        """Quotient coordinates of each cycle's class; raises
-        HomologyError on a non-cycle."""
+        """Quotient coordinates of the class of each cycle
+        ``{cell: value}``; raises HomologyError on a non-cycle."""
         if self.trivial_beyond:
             return [[] for _ in chains]
         p = self.p
         out = []
         for y in intmat.field_solve_in_rowspace(
-                p, self.kernel, [enumerate(c) for c in chains], self.width):
+                p, self.kernel, [c.items() for c in chains], self.width):
             if y is None:
                 raise HomologyError("vector is not a cycle")
             for row, piv in zip(self.img_rref, self.img_pivots):
@@ -371,8 +371,9 @@ class _FieldHomologyBasis:
         return out
 
     def generator_chain(self, idx):
-        j = self.quotient_coords[idx]
-        return list(self.kernel[j])
+        """A cycle ``{cell: value}`` for the idx-th basis vector."""
+        row = self.kernel[self.quotient_coords[idx]]
+        return {a: x for a, x in enumerate(row) if x}
 
 
 # ---------------------------------------------------------------------------
@@ -497,19 +498,19 @@ def induced_map(chain_map, i, coeff=Z):
     Commutation of the chain map with both boundaries is verified
     first (memoized).  Z and Q read the Z homology basis, F_p its own
     basis mod p, both through the complexes' caches (:func:`_basis`);
-    one integer push assembles the matrix for all three.
+    one sparse product of every source generator chain with F_i
+    assembles the matrix for all three.
     Over Q and F_p the flags come from a rank, and split-injectivity
     equals injectivity.
     """
     chain_map.verify()
     src, tgt = chain_map.source, chain_map.target
     hb_s, hb_t = _basis(src, i, coeff), _basis(tgt, i, coeff)
-    F_i = chain_map.mats.get(i, {})
-    width = tgt.dims[i] if i <= tgt.top_degree else 0
-    cols = hb_t.classes_of([
-        _push_row(hb_s.generator_chain(j), F_i, width)
-        for j in range(len(hb_s.orders))
-    ])
+    n = len(hb_s.orders)
+    pushed = intmat.sparse_mul(
+        {j: hb_s.generator_chain(j) for j in range(n)},
+        chain_map.mats.get(i, {}))
+    cols = hb_t.classes_of([pushed.get(j, {}) for j in range(n)])
     src_orders, tgt_orders = hb_s.orders, hb_t.orders
     M = [[col[t] for col in cols] for t in range(len(tgt_orders))]
     if coeff.kind == "Z":
@@ -539,13 +540,3 @@ def induced_map(chain_map, i, coeff=Z):
         is_split_injective=split,
     )
 
-
-def _push_row(vec, sparse_rows, width):
-    out = [0] * width
-    for i, x in enumerate(vec):
-        if x:
-            row = sparse_rows.get(i)
-            if row:
-                for j, v in row.items():
-                    out[j] += x * v
-    return out

@@ -88,17 +88,6 @@ def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v) if a and x) for row in A]
 
 
-def vec_mat(v, A):
-    """The row vector v*A."""
-    out = [0] * (len(A[0]) if A else 0)
-    for x, row in zip(v, A):
-        if x:
-            for j, a in enumerate(row):
-                if a:
-                    out[j] += x * a
-    return out
-
-
 def transpose(A):
     return [list(col) for col in zip(*A)] if A else []
 
@@ -465,45 +454,44 @@ class ChainReduction:
     the input; ``cells[i]`` lists the input's degree-i cells that
     survive, in increasing order, and core cell n of degree i is
     ``cells[i][n]``.  Over F_p (``p`` > 0) every entry lies in 0..p-1.
+    A chain, of the input or of the core, is a sparse ``{cell: value}``
+    dict; the chains returned here store no zeros.
     """
 
-    __slots__ = ("p", "dims", "mats", "cells", "_logs", "_lifts")
+    __slots__ = ("p", "dims", "mats", "cells", "_index", "_logs", "_lifts")
 
-    def __init__(self, p, dims, mats, cells, logs, lifts):
+    def __init__(self, p, mats, cells, index, logs, lifts):
         self.p = p
-        self.dims = dims
+        self.dims = [len(c) for c in cells]
         self.mats = mats
         self.cells = cells
+        self._index = index
         self._logs = logs
         self._lifts = lifts
 
-    def project(self, i, entries):
-        """The projection pi_i of the degree-i chain given by its
-        (index, value) pairs, as a dense core vector."""
-        p = self.p
-        v = {}
-        for a, x in entries:
-            if x:
-                v[a] = v.get(a, 0) + x
+    def project(self, i, chain):
+        """The projection pi_i of the degree-i chain ``{cell: value}``:
+        a core chain ``{core cell: value}``, with values mod p over
+        F_p."""
+        p, index = self.p, self._index[i]
+        v = {a: x % p if p else x for a, x in chain.items()}
         for t, img in self._logs[i]:
             c = v.pop(t, 0)
             if c:
                 _axpy(v, img, c, p)
-        if p:
-            return [v.get(a, 0) % p for a in self.cells[i]]
-        return [v.get(a, 0) for a in self.cells[i]]
+        return {index[a]: x for a, x in v.items() if x and a in index}
 
-    def lift(self, i, vec):
-        """The inclusion iota_i of the core chain vec: a chain of the
-        input complex, as ``{index: value}``.  Refused in the top degree
-        when the reduction was asked not to track it."""
+    def lift(self, i, chain):
+        """The inclusion iota_i of the core chain ``{core cell: value}``:
+        a chain ``{cell: value}`` of the input complex.  Refused in the
+        top degree when the reduction was asked not to track it."""
         lifts = self._lifts[i]
         if lifts is None:
             raise ValueError(f"degree {i} inclusion was not tracked")
         out = {}
-        for a, x in zip(self.cells[i], vec):
-            if x:
-                _axpy(out, lifts.get(a) or {a: 1}, x, self.p)
+        for n, x in chain.items():
+            a = self.cells[i][n]
+            _axpy(out, lifts.get(a) or {a: 1}, x, self.p)
         return out
 
 
@@ -556,7 +544,7 @@ def reduce_complex(mats, dims, p=0, lift_top=True):
     core = {j: {index[j][a]: {index[j - 1][b]: v for b, v in rows[a].items()}
                 for a in cells[j] if a in rows}
             for j, rows in reduced.items()}
-    return ChainReduction(p, [len(c) for c in cells], core, cells, logs, lifts)
+    return ChainReduction(p, core, cells, index, logs, lifts)
 
 
 def _cancel_units(rows, p, upper, lower, lift, log):

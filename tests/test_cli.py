@@ -118,8 +118,14 @@ def test_usage_and_validation_errors(tmp_path):
             "--no-cache"]
     assert cli.run(grid + ["--imax", "-1", "--kmax", "3"]) == cli.EXIT_USAGE
     assert cli.run(grid + ["--imax", "1", "--kmax", "0"]) == cli.EXIT_USAGE
-    assert cli.run(grid + ["--kmax", "2", "--coeff", "Fp:x"]) \
-        == cli.EXIT_VALIDATION
+    for coeff in ("Fp:x", "Fp:" + "9" * 400,
+                  "Fp:1000000000000000000000000000057"):
+        assert cli.run(grid + ["--kmax", "2", "--coeff", coeff]) \
+            == cli.EXIT_VALIDATION, coeff
+    # a config file must hold a JSON object
+    (tmp_path / "list.json").write_text("[1, 2]")
+    assert cli.run(grid + ["--kmax", "2", "--config",
+                           str(tmp_path / "list.json")]) == cli.EXIT_USAGE
     # a negative count is a usage error
     for argv in (["degree", "--group", "sym:3", "--class", "rep:transposition",
                   "--kmax", "3", "--cutoff", "-1"],

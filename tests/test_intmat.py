@@ -235,7 +235,7 @@ def solve_batches(draw):
     vecs = draw(vectors)
     combos = draw(st.lists(st.lists(entries, min_size=len(rows),
                                     max_size=len(rows)), max_size=3))
-    vecs += [intmat.vec_mat(c, rows) if rows else [0] * n for c in combos]
+    vecs += [intmat.mat_mul([c], rows)[0] if rows else [0] * n for c in combos]
     vecs += [[0] * n]
     return p, n, rows, vecs + vecs
 
