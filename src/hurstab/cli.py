@@ -412,40 +412,7 @@ def cmd_monodromy_check(args):
             sign=(1, -1),
             reflection=(0, 2, 1),
         )
-    import random
-
-    rng = random.Random(args.seed)
-    checks = {"composition_identity": 0, "composition_assoc": 0,
-              "act_functorial": 0, "blank_fill": 0}
-    failures = []
-    morphs = _all_labeled_injections(group, 2)
-    for psi in morphs:
-        ident_l = md.LabeledInjection.identity(psi.n)
-        ident_r = md.LabeledInjection.identity(psi.m)
-        if md.compose(ident_l, psi, group) != psi or \
-                md.compose(psi, ident_r, group) != psi:
-            failures.append({"kind": "identity", "psi": str(psi)})
-        checks["composition_identity"] += 1
-    for _ in range(args.samples):
-        chi, psi, phi = _random_composable_triple(rng, group, 3)
-        lhs = md.compose(md.compose(chi, psi, group), phi, group)
-        rhs = md.compose(chi, md.compose(psi, phi, group), group)
-        if lhs != rhs:
-            failures.append({"kind": "assoc"})
-        checks["composition_assoc"] += 1
-        state = tuple(rng.randrange(model.states) for _ in range(chi.n))
-        one = md.act(model, md.compose(chi, psi, group), state)
-        two = md.act(model, psi, md.act(model, chi, state))
-        if one != two:
-            failures.append({"kind": "functoriality"})
-        checks["act_functorial"] += 1
-    for n in range(0, 4):
-        for m in range(0, 4):
-            mu = md.LabeledInjection.make(m, n, {})
-            for state in _all_states(model, n):
-                if md.act(model, mu, state) != (model.basepoint,) * m:
-                    failures.append({"kind": "blank_fill", "m": m, "n": n})
-                checks["blank_fill"] += 1
+    checks, failures = md.check_model(model, args.samples, args.seed)
     doc = {
         "config": resolved_config(args, ["model", "seed", "samples"]),
         "checks": checks,
@@ -454,51 +421,6 @@ def cmd_monodromy_check(args):
     }
     emit(render_json(doc), args.out)
     return EXIT_OK if not failures else EXIT_ASSERTION
-
-
-def _all_states(model, n):
-    import itertools
-
-    return itertools.product(range(model.states), repeat=n)
-
-
-def _all_labeled_injections(group, max_n):
-    import itertools
-
-    out = []
-    for m in range(0, max_n + 1):
-        for n in range(0, max_n + 1):
-            for dom_size in range(0, min(m, n) + 1):
-                for dom in itertools.combinations(range(1, m + 1), dom_size):
-                    for img in itertools.permutations(range(1, n + 1), dom_size):
-                        for labels in itertools.product(
-                            range(group.order), repeat=dom_size
-                        ):
-                            out.append(
-                                md.LabeledInjection.make(
-                                    m,
-                                    n,
-                                    dict(zip(dom, img)),
-                                    dict(zip(dom, labels)),
-                                )
-                            )
-    return out
-
-
-def _random_labeled_injection(rng, group, m, n):
-    dom_size = rng.randint(0, min(m, n))
-    dom = sorted(rng.sample(range(1, m + 1), dom_size))
-    img = rng.sample(range(1, n + 1), dom_size)
-    labels = {i: rng.randrange(group.order) for i in dom}
-    return md.LabeledInjection.make(m, n, dict(zip(dom, img)), labels)
-
-
-def _random_composable_triple(rng, group, max_n):
-    a, b, c, d = (rng.randint(0, max_n) for _ in range(4))
-    phi = _random_labeled_injection(rng, group, a, b)
-    psi = _random_labeled_injection(rng, group, b, c)
-    chi = _random_labeled_injection(rng, group, c, d)
-    return chi, psi, phi
 
 
 def cmd_selftest(args):

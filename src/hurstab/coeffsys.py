@@ -10,7 +10,8 @@ first, matching the Hurwitz action convention.
 
 Every system, Hurwitz or Kunneth, is made by :meth:`CoeffSystem.build`
 from its forward generators and structure maps; ``build`` derives the
-inverse generators and checks the braid relations.
+inverse generators and checks the braid relations, on the permutations
+themselves when every generator is a signed permutation.
 
 The difference operator takes objectwise cokernels of the structure
 maps; the induced structure maps descend along s(iota_k), which is the
@@ -30,6 +31,7 @@ only".
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -89,17 +91,63 @@ def dense_to_cols(A):
     ]
 
 
-def _signed_perm_inverse(cols):
-    """Inverse of a signed permutation matrix, or None if not one."""
+def _signed_perm(cols):
+    """``(perm, sign)`` of a signed permutation matrix, whose column j
+    is ``sign[j] * e_perm[j]``, or None if ``cols`` is not one."""
+    if set(map(len, cols)) - {1}:
+        return None
+    perm = list(itertools.chain.from_iterable(cols))
+    sign = list(itertools.chain.from_iterable(map(dict.values, cols)))
+    # compared with range() lazily: a list of n fresh ints would raise
+    # the peak memory of delta, which inverts its generators here
+    if not all(map(operator.eq, sorted(perm), range(len(cols)))) \
+            or not set(sign) <= {1, -1}:
+        return None
+    return perm, sign
+
+
+def _perm_compose(outer, inner):
+    """``(perm, sign)`` of outer o inner."""
+    (po, so), (pi, si) = outer, inner
+    return [po[t] for t in pi], [so[t] * s for t, s in zip(pi, si)]
+
+
+def _inverse_cols(cols, n):
+    """Columns of the inverse of an invertible n x n matrix, read off
+    the permutation when it is a signed permutation."""
+    ps = _signed_perm(cols)
+    if ps is None:
+        return dense_to_cols(intmat.invert_unimodular(cols_to_dense(cols, n)))
     inv = [None] * len(cols)
-    for j, col in enumerate(cols):
-        if len(col) != 1:
-            return None
-        (r, v), = col.items()
-        if v not in (1, -1) or r >= len(cols) or inv[r] is not None:
-            return None
+    for j, (r, v) in enumerate(zip(*ps)):
         inv[r] = {j: v}
-    return inv if all(c is not None for c in inv) else None
+    return inv
+
+
+def _perm_identity(n):
+    return list(range(n)), [1] * n
+
+
+def _check_relations(dims, gens, gen_invs, compose, identity):
+    """Braid, commuting and inverse relations of the generators
+    ``gens[k]`` of B_k acting on rank ``dims[k]``, with their inverses
+    ``gen_invs[k]``; ``compose(a, b)`` is a o b and ``identity(n)`` the
+    rank-n identity, in whatever form the generators take."""
+    for k in range(2, len(dims)):
+        for i in range(1, k - 1):
+            a, b = gens[k][i - 1], gens[k][i]
+            if compose(a, compose(b, a)) != compose(b, compose(a, b)):
+                raise CoeffSystemError(f"braid relation fails at k={k}, i={i}")
+        for i, j in itertools.combinations(range(1, k), 2):
+            if j - i >= 2:
+                a, b = gens[k][i - 1], gens[k][j - 1]
+                if compose(a, b) != compose(b, a):
+                    raise CoeffSystemError(
+                        f"commuting relation fails at k={k}, ({i},{j})"
+                    )
+        for i in range(1, k):
+            if compose(gens[k][i - 1], gen_invs[k][i - 1]) != identity(dims[k]):
+                raise CoeffSystemError(f"inverse wrong at k={k}, i={i}")
 
 
 @dataclass
@@ -130,16 +178,10 @@ class CoeffSystem:
     @staticmethod
     def build(K_max, dims, gens, structs, gradings=None, name="system",
               validate=True):
-        gen_invs = []
-        for k, mats in enumerate(gens):
-            invs = []
-            for cols in mats:
-                inv = _signed_perm_inverse(cols)
-                if inv is None:
-                    dense = cols_to_dense(cols, dims[k])
-                    inv = dense_to_cols(intmat.invert_unimodular(dense))
-                invs.append(inv)
-            gen_invs.append(invs)
+        gen_invs = [
+            [_inverse_cols(cols, dims[k]) for cols in mats]
+            for k, mats in enumerate(gens)
+        ]
         sys = CoeffSystem(
             K_max=K_max,
             dims=list(dims),
@@ -183,27 +225,19 @@ class CoeffSystem:
         return out
 
     def check_braid_relations(self):
-        for k in range(2, self.K_max + 1):
-            n = self.dims[k]
-            for i in range(1, k - 1):
-                a, b = self.gens[k][i - 1], self.gens[k][i]
-                lhs = cols_compose(a, cols_compose(b, a))
-                rhs = cols_compose(b, cols_compose(a, b))
-                if lhs != rhs:
-                    raise CoeffSystemError(
-                        f"braid relation fails at k={k}, i={i}"
-                    )
-            for i, j in itertools.combinations(range(1, k), 2):
-                if j - i >= 2:
-                    a, b = self.gens[k][i - 1], self.gens[k][j - 1]
-                    if cols_compose(a, b) != cols_compose(b, a):
-                        raise CoeffSystemError(
-                            f"commuting relation fails at k={k}, ({i},{j})"
-                        )
-            for i in range(1, k):
-                a, ai = self.gens[k][i - 1], self.gen_invs[k][i - 1]
-                if cols_compose(a, ai) != cols_identity(n):
-                    raise CoeffSystemError(f"inverse wrong at k={k}, i={i}")
+        """Check the braid, commuting and inverse relations: on
+        ``(perm, sign)`` arrays when every generator and inverse is a
+        signed permutation, as Hurwitz generators are, and on the
+        sparse columns otherwise."""
+        perms = [[_signed_perm(cols) for cols in mats]
+                 for mats in self.gens + self.gen_invs]
+        if all(ps is not None for mats in perms for ps in mats):
+            half = len(self.gens)
+            _check_relations(self.dims, perms[:half], perms[half:],
+                             _perm_compose, _perm_identity)
+        else:
+            _check_relations(self.dims, self.gens, self.gen_invs,
+                             cols_compose, cols_identity)
 
     def to_json(self):
         return {

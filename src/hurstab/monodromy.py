@@ -20,7 +20,9 @@ reflection commutes with the action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import random
+from dataclasses import dataclass, field
 
 from .coeffsys import CoeffSystem
 
@@ -29,29 +31,42 @@ class MonodromyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LabeledInjection:
     """Partial injection {1..m} -> {1..n} with Q-labels on its domain.
 
     ``pairs`` maps domain positions to target positions; ``labels``
     maps the same domain positions to group element indices.
+    ``strands`` is derived: {domain position: (target, label)}.
     """
 
     m: int
     n: int
     pairs: tuple  # sorted ((i, j), ...)
     labels: tuple  # ((i, q), ...) aligned with pairs
+    strands: dict = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        dom = [i for i, _ in self.pairs]
-        img = [j for _, j in self.pairs]
-        if dom != sorted(set(dom)) or len(set(img)) != len(img):
-            raise MonodromyError("pairs must be injective with sorted domain")
-        for i, j in self.pairs:
-            if not (1 <= i <= self.m and 1 <= j <= self.n):
-                raise MonodromyError("strand endpoints out of range")
-        if tuple(i for i, _ in self.labels) != tuple(dom):
+    def __init__(self, m, n, pairs, labels):
+        # one pass over the arguments: compose builds one of these per
+        # call, so validation is the hot path of monodromy-check
+        if len(labels) != len(pairs):
             raise MonodromyError("labels must cover exactly the domain")
+        strands = {}
+        images = set()
+        prev = 0
+        for (i, j), (li, q) in zip(pairs, labels):
+            if not (1 <= i <= m and 1 <= j <= n):
+                raise MonodromyError("strand endpoints out of range")
+            if i <= prev or j in images:
+                raise MonodromyError("pairs must be injective with sorted domain")
+            if li != i:
+                raise MonodromyError("labels must cover exactly the domain")
+            prev = i
+            images.add(j)
+            strands[i] = (j, q)
+        # frozen: bypass the generated __setattr__, which refuses writes
+        vars(self).update(m=m, n=n, pairs=pairs, labels=labels,
+                          strands=strands)
 
     @staticmethod
     def make(m, n, mapping, labels=None):
@@ -84,15 +99,17 @@ def compose(psi, phi, group):
         raise MonodromyError(
             f"cannot compose {psi.m}->{psi.n} after {phi.m}->{phi.n}"
         )
-    psi_map = psi.mapping()
-    psi_lab = psi.label_map()
-    mapping = {}
-    labels = {}
+    strands = psi.strands
+    mul = group.mul
+    pairs = []
+    labels = []
+    # phi's domain is sorted, so the composite's needs no re-sort
     for (i, j), (_, q) in zip(phi.pairs, phi.labels):
-        if j in psi_map:
-            mapping[i] = psi_map[j]
-            labels[i] = group.mul(psi_lab[j], q)
-    return LabeledInjection.make(phi.m, psi.n, mapping, labels)
+        hit = strands.get(j)
+        if hit is not None:
+            pairs.append((i, hit[0]))
+            labels.append((i, mul(hit[1], q)))
+    return LabeledInjection(phi.m, psi.n, tuple(pairs), tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -103,6 +120,9 @@ class MonodromyModel:
     action[q1*q2] = action[q1] o action[q2]); ``sign`` maps each q to
     +-1 and must be a homomorphism; ``reflection`` is an involution.
     Both the action and the reflection fix the basepoint (state 0).
+    ``strand_operators[q]`` is derived: the state map used when pulling
+    back along a strand labeled q, action[q^-1] followed by the
+    reflection when sign[q] = -1.
     """
 
     group: object  # FiniteGroup for Q
@@ -110,6 +130,7 @@ class MonodromyModel:
     action: tuple  # tuple of permutations (tuples), one per q
     sign: tuple  # tuple of +-1 per q
     reflection: tuple
+    strand_operators: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.group
@@ -129,12 +150,18 @@ class MonodromyModel:
                 )
                 if lhs != self.action[g.mul(a, b)]:
                     raise MonodromyError("action must be a left group action")
-        if tuple(self.reflection[self.reflection[z]] for z in range(self.states)) \
-                != tuple(range(self.states)):
+        refl = self.reflection
+        if sorted(refl) != list(range(self.states)):
+            raise MonodromyError("reflection must be a permutation of the states")
+        if any(refl[refl[z]] != z for z in range(self.states)):
             raise MonodromyError("reflection must be an involution")
-        if self.reflection[0] != 0 or any(self.action[q][0] != 0
-                                          for q in range(self.group.order)):
+        if refl[0] != 0 or any(self.action[q][0] != 0 for q in range(g.order)):
             raise MonodromyError("action and reflection must fix the basepoint")
+        ops = []
+        for q in range(g.order):
+            act = self.action[g.inv(q)]
+            ops.append(tuple(refl[z] for z in act) if self.sign[q] == -1 else act)
+        object.__setattr__(self, "strand_operators", tuple(ops))
 
     @property
     def basepoint(self):
@@ -148,15 +175,6 @@ class MonodromyModel:
             == tuple(self.action[q][self.reflection[z]] for z in range(self.states))
             for q in range(self.group.order)
         )
-
-    def strand_operator(self, q):
-        """The state map used when pulling back along a strand labeled q."""
-        g_inv = self.group.inv(q)
-        act = self.action[g_inv]
-        if self.sign[q] == -1:
-            refl = self.reflection
-            return tuple(refl[act[z]] for z in range(self.states))
-        return act
 
     @staticmethod
     def from_json(spec, group):
@@ -186,11 +204,145 @@ def act(model, morphism, state):
             f"state tuple has length {len(state)}, expected {morphism.n}"
         )
     out = [model.basepoint] * morphism.m
-    lab = morphism.label_map()
-    for i, j in morphism.pairs:
-        op = model.strand_operator(lab[i])
-        out[i - 1] = op[state[j - 1]]
+    ops = model.strand_operators
+    for (i, j), (_, q) in zip(morphism.pairs, morphism.labels):
+        out[i - 1] = ops[q][state[j - 1]]
     return tuple(out)
+
+
+# monodromy-check samples and enumerates objects 0..MAX_OBJECT
+MAX_OBJECT = 3
+
+
+def _digits(code, base, length):
+    """The ``length`` base-``base`` digits of code, most significant
+    first (the order of ``itertools.product``)."""
+    out = [0] * length
+    for t in range(length - 1, -1, -1):
+        code, out[t] = divmod(code, base)
+    return out
+
+
+class InjectionSampler:
+    """Labeled injections m -> n between objects 0..MAX_OBJECT, drawn
+    at random or enumerated from per-(m, n) tables of shapes.
+
+    ``shapes[m, n][k]`` lists the unlabeled partial injections of size
+    k as (domain, image) pairs: domains in ``itertools.combinations``
+    order, each with its images in ``itertools.permutations`` order.
+    A label code in range(|Q|**k) lists the labels of the domain in
+    base |Q|, most significant first.  A draw picks k uniformly in
+    0..min(m, n), then a shape and its label code uniformly, so an
+    injection of size k has probability
+    1/(min(m, n)+1) * 1/C(m, k) * 1/P(n, k) * 1/|Q|**k.  Each distinct
+    injection is built, and validated, once and then reused.
+    """
+
+    def __init__(self, group, rng):
+        self.order = group.order
+        self.rng = rng
+        self.shapes = {}
+        self.sizes = {}
+        for m in range(MAX_OBJECT + 1):
+            for n in range(MAX_OBJECT + 1):
+                shapes = self.shapes[m, n] = tuple(
+                    tuple(
+                        (dom, img)
+                        for dom in itertools.combinations(range(1, m + 1), k)
+                        for img in itertools.permutations(range(1, n + 1), k)
+                    )
+                    for k in range(min(m, n) + 1)
+                )
+                self.sizes[m, n] = tuple(
+                    len(by_k) * self.order**k for k, by_k in enumerate(shapes)
+                )
+        self.built = {}
+
+    def injection(self, m, n, k, index):
+        """Labeled injection ``index`` of size k: shape
+        ``index // |Q|**k`` with label code ``index % |Q|**k``."""
+        key = (m, n, k, index)
+        phi = self.built.get(key)
+        if phi is None:
+            shape, code = divmod(index, self.order**k)
+            dom, img = self.shapes[m, n][k][shape]
+            labels = _digits(code, self.order, k)
+            phi = self.built[key] = LabeledInjection(
+                m, n, tuple(zip(dom, img)), tuple(zip(dom, labels))
+            )
+        return phi
+
+    def all_injections(self, m, n):
+        """Every labeled injection m -> n, by size, shape and label code."""
+        for k, size in enumerate(self.sizes[m, n]):
+            for index in range(size):
+                yield self.injection(m, n, k, index)
+
+    def draw(self, m, n):
+        sizes = self.sizes[m, n]
+        k = self.rng.randrange(len(sizes))
+        return self.injection(m, n, k, self.rng.randrange(sizes[k]))
+
+    def composable_triple(self):
+        """(chi, psi, phi) for phi: a -> b, psi: b -> c, chi: c -> d,
+        with a, b, c, d independent and uniform in 0..MAX_OBJECT."""
+        span = MAX_OBJECT + 1
+        a, b, c, d = _digits(self.rng.randrange(span**4), span, 4)
+        phi = self.draw(a, b)
+        psi = self.draw(b, c)
+        return self.draw(c, d), psi, phi
+
+
+def check_model(model, samples, seed):
+    """Check that the labeled injections form a category and that
+    ``act`` is a functor on it, for one model.
+
+    The identity laws are checked on every labeled injection between
+    objects <= 2.  Associativity and functoriality of the action are
+    checked on ``samples`` random composable triples between objects
+    <= MAX_OBJECT (see :class:`InjectionSampler`), each with a uniform
+    state tuple, and blank fill on every state between objects
+    <= MAX_OBJECT.  Returns ``(checks, failures)``: counts per check and
+    one dict per failure.
+    """
+    group = model.group
+    rng = random.Random(seed)
+    sampler = InjectionSampler(group, rng)
+    checks = {"composition_identity": 0, "composition_assoc": 0,
+              "act_functorial": 0, "blank_fill": 0}
+    failures = []
+    for m in range(3):
+        for n in range(3):
+            ident_l = LabeledInjection.identity(n)
+            ident_r = LabeledInjection.identity(m)
+            for psi in sampler.all_injections(m, n):
+                if compose(ident_l, psi, group) != psi or \
+                        compose(psi, ident_r, group) != psi:
+                    failures.append({"kind": "identity", "psi": str(psi)})
+                checks["composition_identity"] += 1
+    z = model.states
+    for _ in range(samples):
+        chi, psi, phi = sampler.composable_triple()
+        chi_psi = compose(chi, psi, group)
+        lhs = compose(chi_psi, phi, group)
+        rhs = compose(chi, compose(psi, phi, group), group)
+        if lhs != rhs:
+            failures.append({"kind": "assoc"})
+        checks["composition_assoc"] += 1
+        state = tuple(_digits(rng.randrange(z**chi.n), z, chi.n))
+        one = act(model, chi_psi, state)
+        two = act(model, psi, act(model, chi, state))
+        if one != two:
+            failures.append({"kind": "functoriality"})
+        checks["act_functorial"] += 1
+    for n in range(MAX_OBJECT + 1):
+        for m in range(MAX_OBJECT + 1):
+            mu = LabeledInjection.make(m, n, {})
+            for state in itertools.product(range(z), repeat=n):
+                if act(model, mu, state) != (model.basepoint,) * m:
+                    failures.append({"kind": "blank_fill", "m": m, "n": n})
+                checks["blank_fill"] += 1
+    return checks, failures
 
 
 def linearize(model, K_max):
@@ -205,8 +357,6 @@ def linearize(model, K_max):
         for v in tup:
             code = code * z + v
         return code
-
-    import itertools
 
     gens = []
     for k in range(K_max + 1):

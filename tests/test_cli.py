@@ -114,6 +114,13 @@ def test_usage_and_validation_errors(tmp_path):
                     str(tmp_path / "bad.json")]) == cli.EXIT_USAGE
     assert cli.run(["monodromy-check", "--model",
                     str(tmp_path / "g5.json")]) == cli.EXIT_VALIDATION
+    # a reflection that leaves range(states) is refused up front
+    (tmp_path / "refl.json").write_text(json.dumps(
+        {"group": {"builtin": {"family": "cyclic", "n": 2}}, "states": 2,
+         "action": [[0, 1], [0, 1]], "sign": [1, -1],
+         "reflection": [0, 2, 1]}))
+    assert cli.run(["monodromy-check", "--model",
+                    str(tmp_path / "refl.json")]) == cli.EXIT_VALIDATION
     grid =["stability", "--group", "cyclic:2", "--class", "elems:[1]",
             "--no-cache"]
     assert cli.run(grid + ["--imax", "-1", "--kmax", "3"]) == cli.EXIT_USAGE
@@ -304,6 +311,22 @@ def test_monodromy_check(tmp_path):
                               "--seed", "7"]
     )
     assert again == body
+    # a reflection that does not commute with the action breaks
+    # functoriality, and the sampled triples find it
+    model = tmp_path / "noncommuting.json"
+    model.write_text(json.dumps(
+        {"group": {"builtin": {"family": "cyclic", "n": 2}}, "states": 4,
+         "action": [[0, 1, 2, 3], [0, 2, 1, 3]], "sign": [1, -1],
+         "reflection": [0, 1, 3, 2]}))
+    code, body = run_to_file(
+        tmp_path, "m3.json", ["monodromy-check", "--model", str(model),
+                              "--samples", "1000", "--seed", "0"]
+    )
+    assert code == cli.EXIT_ASSERTION
+    doc = json.loads(body)
+    assert not doc["passed"]
+    assert {f["kind"] for f in doc["failures"]} == {"functoriality"}
+    assert doc["checks"]["act_functorial"] == 1000
 
 
 def test_stabiliser_flag(tmp_path):

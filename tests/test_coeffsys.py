@@ -45,6 +45,66 @@ def test_braid_relation_validation_catches_mutants(hurwitz_s3):
         )
 
 
+def _relations_on_columns(system):
+    """The oracle: every relation checked by composing sparse columns."""
+    cs._check_relations(system.dims, system.gens, system.gen_invs,
+                        cs.cols_compose, cs.cols_identity)
+
+
+def _relations_verdict(check, system):
+    try:
+        check(system)
+    except cs.CoeffSystemError as e:
+        return str(e)
+    return None
+
+
+def _perturbed(system, k, i, perturb):
+    """``system`` rebuilt, unvalidated, with generator i at object k
+    replaced by ``perturb`` of a copy of its columns."""
+    gens = [list(mats) for mats in system.gens]
+    cols = [dict(c) for c in gens[k][i - 1]]
+    perturb(cols)
+    gens[k][i - 1] = cols
+    return cs.CoeffSystem.build(system.K_max, system.dims, gens,
+                                system.structs, validate=False)
+
+
+def _swap_columns(cols):
+    cols[0], cols[1] = cols[1], cols[0]
+
+
+def _flip_sign(cols):
+    (r, v), = cols[0].items()
+    cols[0] = {r: -v}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_relations_on_permutations_match_columns(n):
+    # every system that `degree --group sym:n --kmax 5` builds, for each
+    # class: the Hurwitz system and its five difference systems
+    group = FiniteGroup.symmetric(n)
+    for cls in group.conjugacy_classes():
+        if 0 in cls:
+            continue
+        classes = conjugacy_closure(set(cls), group)
+        system = cs.build_hurwitz_system(group, classes, classes.elements[0], 5)
+        for i, perturb in ((1, _swap_columns), (2, _flip_sign)):
+            mutant = _perturbed(system, 3, i, perturb)
+            verdict = _relations_verdict(_relations_on_columns, mutant)
+            assert verdict is not None
+            assert _relations_verdict(
+                cs.CoeffSystem.check_braid_relations, mutant) == verdict
+        for step in range(6):
+            assert all(cs._signed_perm(cols) is not None
+                       for mats in system.gens + system.gen_invs
+                       for cols in mats)
+            assert _relations_verdict(_relations_on_columns, system) is None
+            system.check_braid_relations()
+            if step < 5:
+                system = cs.delta(system).system
+
+
 def test_check_extension_passes(hurwitz_s3, hurwitz_z2):
     assert cs.check_extension(hurwitz_z2, ell_max=3, samples=10, seed=0).passed
     rep = cs.check_extension(hurwitz_s3, ell_max=3, samples=25, seed=1)

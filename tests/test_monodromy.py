@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -37,6 +39,50 @@ def all_labeled_injections(group, m, n):
                     yield md.LabeledInjection.make(
                         m, n, dict(zip(dom, img)), dict(zip(dom, labels))
                     )
+
+
+def satisfies_injection_rules(m, n, pairs, labels):
+    """The rules a LabeledInjection enforces, stated one by one."""
+    dom = [i for i, _ in pairs]
+    img = [j for _, j in pairs]
+    return (dom == sorted(set(dom)) and len(set(img)) == len(img)
+            and all(1 <= i <= m and 1 <= j <= n for i, j in pairs)
+            and tuple(i for i, _ in labels) == tuple(dom))
+
+
+def test_labeled_injection_validation():
+    # random partial injections with at most one entry of the pairs or
+    # of the labels changed, checked against the rules stated one by one
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(4000):
+        m, n = rng.randint(0, 3), rng.randint(0, 3)
+        size = rng.randint(0, min(m, n))
+        dom = sorted(rng.sample(range(1, m + 1), size))
+        pairs = [list(p) for p in zip(dom, rng.sample(range(1, n + 1), size))]
+        labels = [[i, rng.randrange(2)] for i in dom]
+        entries = [(p, t) for p in pairs + labels for t in (0, 1)]
+        if entries and rng.random() < 0.6:
+            p, t = rng.choice(entries)
+            p[t] = rng.randint(0, 4)
+        if rng.random() < 0.1:
+            labels.append([4, 0])
+        if rng.random() < 0.1:
+            pairs.reverse()
+        if rng.random() < 0.5:
+            # labels that follow the pairs, so that only the pairs are wrong
+            labels = [[i, q] for (i, _), (_, q) in zip(pairs, labels)]
+        pairs = tuple(map(tuple, pairs))
+        labels = tuple(map(tuple, labels))
+        expect = satisfies_injection_rules(m, n, pairs, labels)
+        try:
+            md.LabeledInjection(m, n, pairs, labels)
+            valid = True
+        except md.MonodromyError:
+            valid = False
+        assert valid == expect, (m, n, pairs, labels)
+        outcomes.add((valid, len(pairs)))
+    assert outcomes == {(v, k) for v in (True, False) for k in range(4)}
 
 
 def test_identity_laws():
@@ -160,6 +206,83 @@ def test_appended_strand_commutes():
         lhs = md.act(SWAP_MODEL, appended, state + (extra,))
         rhs = md.act(SWAP_MODEL, phi, state) + (extra,)
         assert lhs == rhs
+
+
+class ScriptedRng:
+    """Answers ``randrange`` from a script of values and records every
+    range asked for; past the end of the script it answers 0."""
+
+    def __init__(self, script):
+        self.script = script
+        self.ranges = []
+
+    def randrange(self, n):
+        self.ranges.append(n)
+        pos = len(self.ranges) - 1
+        return self.script[pos] if pos < len(self.script) else 0
+
+
+def exact_distribution(draw):
+    """{outcome: probability} of ``draw(rng)`` over every sequence of
+    answers a uniform ``randrange`` can give."""
+    dist = {}
+    scripts = [()]
+    while scripts:
+        script = scripts.pop()
+        rng = ScriptedRng(script)
+        outcome = draw(rng)
+        if len(rng.ranges) > len(script):
+            scripts.extend(script + (v,) for v in range(rng.ranges[len(script)]))
+            continue
+        p = Fraction(1, math.prod(rng.ranges))
+        dist[outcome] = dist.get(outcome, 0) + p
+    return dist
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_sampler_distribution_is_exact(order):
+    group = FiniteGroup.cyclic(order)
+    for m in range(4):
+        for n in range(4):
+            def draw(rng):
+                return md.InjectionSampler(group, rng).draw(m, n)
+
+            dist = exact_distribution(draw)
+            K = min(m, n)
+            expect = {
+                phi: Fraction(1, (K + 1) * math.comb(m, len(phi.pairs))
+                              * math.perm(n, len(phi.pairs))
+                              * order ** len(phi.pairs))
+                for phi in all_labeled_injections(group, m, n)
+            }
+            assert dist == expect
+
+
+def test_sampler_objects_are_uniform():
+    # the first answer alone picks the objects a, b, c, d of the triple
+    seen = []
+    for first in range(4**4):
+        sampler = md.InjectionSampler(Z2, ScriptedRng((first,)))
+        chi, psi, phi = sampler.composable_triple()
+        assert (phi.n, psi.n) == (psi.m, chi.m)
+        seen.append((phi.m, phi.n, psi.n, chi.n))
+    assert sorted(seen) == list(itertools.product(range(4), repeat=4))
+
+
+def test_sampler_builds_what_make_builds():
+    sampler = md.InjectionSampler(FiniteGroup.cyclic(3), random.Random(4))
+    drawn = [sampler.draw(m, n) for _ in range(300)
+             for m in range(4) for n in range(4)]
+    for m in range(4):
+        for n in range(4):
+            listed = list(sampler.all_injections(m, n))
+            assert listed == list(
+                all_labeled_injections(FiniteGroup.cyclic(3), m, n))
+            drawn += listed
+    for phi in drawn:
+        made = md.LabeledInjection.make(phi.m, phi.n, phi.mapping(),
+                                        phi.label_map())
+        assert phi == made and phi.strands == made.strands
 
 
 def test_model_validation():
