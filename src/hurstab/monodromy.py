@@ -24,7 +24,9 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
+from .braid import DEFAULT_ORBIT_BOUND, OrbitSizeError
 from .coeffsys import CoeffSystem
+from .intmat import is_int
 
 
 class MonodromyError(ValueError):
@@ -179,15 +181,24 @@ class MonodromyModel:
     @staticmethod
     def from_json(spec, group):
         """{"states": n, "action": [[...] per q], "sign": [...],
-        "reflection": [...]}; content of the wrong shape raises
+        "reflection": [...]}; content of the wrong shape, or a number
+        that is not a JSON integer (a float, bool or string), raises
         MonodromyError."""
+
+        def ints(values, what):
+            if not isinstance(values, list) or not all(map(is_int, values)):
+                raise MonodromyError(f"{what} must be a list of integers")
+            return tuple(values)
+
         try:
+            if not is_int(spec["states"]):
+                raise MonodromyError("states must be an integer")
             return MonodromyModel(
                 group=group,
-                states=int(spec["states"]),
-                action=tuple(tuple(row) for row in spec["action"]),
-                sign=tuple(int(s) for s in spec["sign"]),
-                reflection=tuple(spec["reflection"]),
+                states=spec["states"],
+                action=tuple(ints(row, "action rows") for row in spec["action"]),
+                sign=ints(spec["sign"], "sign"),
+                reflection=ints(spec["reflection"], "reflection"),
             )
         except MonodromyError:
             raise
@@ -293,7 +304,7 @@ class InjectionSampler:
         return self.draw(c, d), psi, phi
 
 
-def check_model(model, samples, seed):
+def check_model(model, samples, seed, max_tuples=DEFAULT_ORBIT_BOUND):
     """Check that the labeled injections form a category and that
     ``act`` is a functor on it, for one model.
 
@@ -304,7 +315,17 @@ def check_model(model, samples, seed):
     state tuple, and blank fill on every state between objects
     <= MAX_OBJECT.  Returns ``(checks, failures)``: counts per check and
     one dict per failure.
+
+    Blank fill acts on (MAX_OBJECT+1) * sum_{n <= MAX_OBJECT} |Z|^n
+    state tuples; a model with more than ``max_tuples`` of them is
+    refused with OrbitSizeError before anything is checked.
     """
+    z = model.states
+    total = (MAX_OBJECT + 1) * sum(z**n for n in range(MAX_OBJECT + 1))
+    if total > max_tuples:
+        raise OrbitSizeError(
+            f"blank-fill tuples {total} at |Z|={z} exceed the bound {max_tuples}"
+        )
     group = model.group
     rng = random.Random(seed)
     sampler = InjectionSampler(group, rng)
@@ -320,7 +341,6 @@ def check_model(model, samples, seed):
                         compose(psi, ident_r, group) != psi:
                     failures.append({"kind": "identity", "psi": str(psi)})
                 checks["composition_identity"] += 1
-    z = model.states
     for _ in range(samples):
         chi, psi, phi = sampler.composable_triple()
         chi_psi = compose(chi, psi, group)

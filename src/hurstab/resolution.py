@@ -10,7 +10,12 @@ standard generators {s_1..s_{k-1}}, so rank_j = C(k-1, j), and
                (-1)^(l(beta) + position of tau in Gamma) lift(beta) (Gamma - tau)
 
 with lift(beta) the positive braid word of any reduced word of beta
-(well-defined; asserted against a second reduced word).  The sign
+(well-defined; asserted against a second reduced word).  W_Gamma is the
+direct product of the parabolics of Gamma's maximal runs of consecutive
+generators, so the sum over beta runs over W_B for the run B holding
+tau and depends only on (B, tau); ``salvetti_complex`` computes each
+such sum once per call and reuses it, with the sign of tau's position,
+for every Gamma that contains B as a run.  The sign
 convention is validated, not trusted: every specialisation checks the
 composite of consecutive boundaries is exactly zero, and the module
 homology is cross-checked against the Fox presentation complex in
@@ -185,11 +190,30 @@ def _min_coset_reps(k, gamma, sub):
     ]
 
 
+def _runs(gamma):
+    """The maximal runs of consecutive generators in a sorted subset."""
+    runs = []
+    for g in gamma:
+        if runs and runs[-1][-1] == g - 1:
+            runs[-1].append(g)
+        else:
+            runs.append([g])
+    return [tuple(r) for r in runs]
+
+
 def salvetti_complex(k, d_max):
     """The truncated type-A Salvetti free complex for B_k.
 
     Exact in degrees below d_max; the full complex (d_max = k-1) is a
     complete free resolution of the trivial module.
+
+    W_Gamma is the direct product of the parabolics of Gamma's maximal
+    runs of consecutive generators, so the minimal coset
+    representatives of W_{Gamma - tau} in W_Gamma are those of
+    W_{B - tau} in W_B for the run B holding tau.  The boundary sum
+    over them therefore depends only on (B, tau), with the sign of
+    tau's position in Gamma on top: each distinct sum is computed once
+    per call, and each distinct permutation is lifted once per call.
     """
     if not 1 <= d_max <= k - 1:
         raise ResolutionError(f"need 1 <= d_max <= k-1, got d_max={d_max}, k={k}")
@@ -199,22 +223,36 @@ def salvetti_complex(k, d_max):
         for j in range(d_max + 1)
     ]
     ranks = [len(b) for b in basis_labels]
+    lifts = {}
+    sums = {}
+
+    def run_sum(run, tau):
+        """sum over beta of (-1)^l(beta) lift(beta), beta a minimal
+        coset rep of W_{run - tau} in W_run."""
+        terms = {}
+        for beta in _min_coset_reps(k, run, [g for g in run if g != tau]):
+            lift = lifts.get(beta)
+            if lift is None:
+                lift = lifts[beta] = garside.form_from_positive_permutation(
+                    k, beta
+                )
+            terms[lift] = -1 if garside.perm_length(beta) % 2 else 1
+        return GroupRingElement(k, terms)
+
     boundaries = {}
     for j in range(1, d_max + 1):
         index_below = {label: i for i, label in enumerate(basis_labels[j - 1])}
         mat = {}
         for row, gamma in enumerate(basis_labels[j]):
-            for pos, tau in enumerate(gamma, start=1):
-                sub = tuple(g for g in gamma if g != tau)
-                col = index_below[sub]
-                entry = GroupRingElement.zero(k)
-                for beta in _min_coset_reps(k, gamma, sub):
-                    lift = garside.form_from_positive_permutation(k, beta)
-                    sign = -1 if (garside.perm_length(beta) + pos) % 2 else 1
-                    entry = entry + GroupRingElement(k, {lift: sign})
-                if not entry.is_zero():
-                    key = (row, col)
-                    mat[key] = mat.get(key, GroupRingElement.zero(k)) + entry
+            pos = 0
+            for run in _runs(gamma):
+                for tau in run:
+                    pos += 1
+                    entry = sums.get((run, tau))
+                    if entry is None:
+                        entry = sums[run, tau] = run_sum(run, tau)
+                    col = index_below[tuple(g for g in gamma if g != tau)]
+                    mat[row, col] = -entry if pos % 2 else entry
         boundaries[j] = mat
     return FreeComplex(
         strands=k,

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 from hurstab import cli
 from hurstab import experiments as xp
@@ -121,6 +122,24 @@ def test_usage_and_validation_errors(tmp_path):
          "reflection": [0, 2, 1]}))
     assert cli.run(["monodromy-check", "--model",
                     str(tmp_path / "refl.json")]) == cli.EXIT_VALIDATION
+    # a number in a model spec must be a JSON integer: not a float,
+    # bool or string
+    c2 = {"builtin": {"family": "cyclic", "n": 2}}
+    for n, model in enumerate((
+            {"group": c2, "states": 3.9, "action": [[0, 1, 2], [0, 2, 1]],
+             "sign": [1.0, -1.5], "reflection": [0, 2, 1]},
+            {"group": c2, "states": 3, "action": [[0, 1, 2], [0, 2, 1]],
+             "sign": [1.0, -1.5], "reflection": [0, 2, 1]},
+            {"group": c2, "states": True, "action": [[0, 1], [0, 1]],
+             "sign": [1, 1], "reflection": [0, 1]},
+            {"group": c2, "states": 3, "action": [[0, 1.0, 2], [0, 2, 1]],
+             "sign": [1, -1], "reflection": [0, 2, 1]},
+            {"group": c2, "states": 3, "action": [[0, 1, 2], [0, 2, 1]],
+             "sign": [1, -1], "reflection": [0, "2", 1]})):
+        path = tmp_path / f"model{n}.json"
+        path.write_text(json.dumps(model))
+        assert cli.run(["monodromy-check", "--model", str(path)]) \
+            == cli.EXIT_VALIDATION, model
     grid =["stability", "--group", "cyclic:2", "--class", "elems:[1]",
             "--no-cache"]
     assert cli.run(grid + ["--imax", "-1", "--kmax", "3"]) == cli.EXIT_USAGE
@@ -327,6 +346,21 @@ def test_monodromy_check(tmp_path):
     assert not doc["passed"]
     assert {f["kind"] for f in doc["failures"]} == {"functoriality"}
     assert doc["checks"]["act_functorial"] == 1000
+
+
+def test_monodromy_check_refuses_large_models(tmp_path):
+    # blank fill would act on about 10^8 state tuples; the refusal
+    # comes before any enumeration
+    model = tmp_path / "big.json"
+    model.write_text(json.dumps(
+        {"group": {"builtin": {"family": "cyclic", "n": 2}}, "states": 300,
+         "action": [list(range(300))] * 2, "sign": [1, 1],
+         "reflection": list(range(300))}))
+    start = time.perf_counter()
+    code = cli.run(["monodromy-check", "--model", str(model),
+                    "--samples", "10"])
+    assert code == cli.EXIT_RESOURCE
+    assert time.perf_counter() - start < 2.0
 
 
 def test_stabiliser_flag(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from hurstab import coeffsys as cs
 from hurstab import monodromy as md
+from hurstab.braid import OrbitSizeError
 from hurstab.groups import FiniteGroup
 
 Z2 = FiniteGroup.cyclic(2)
@@ -147,6 +148,14 @@ def test_blank_fill_all_empty_morphisms():
             mu = md.LabeledInjection.make(m, n, {})
             for state in itertools.product(range(3), repeat=n):
                 assert md.act(SWAP_MODEL, mu, state) == (0,) * m
+
+
+def test_check_model_refuses_above_the_tuple_bound():
+    # blank fill acts on 4 * (1 + 3 + 9 + 27) = 160 tuples of SWAP_MODEL
+    checks, failures = md.check_model(SWAP_MODEL, 5, 0, max_tuples=160)
+    assert checks["blank_fill"] == 160 and not failures
+    with pytest.raises(OrbitSizeError):
+        md.check_model(SWAP_MODEL, 5, 0, max_tuples=159)
 
 
 def test_act_functoriality_seeded():

@@ -1,7 +1,10 @@
+import collections
+import itertools
 import math
 
 import pytest
 
+from hurstab import garside
 from hurstab import homology as hm
 from hurstab import intmat
 from hurstab import resolution as R
@@ -32,6 +35,57 @@ def test_salvetti_d1_is_sigma_minus_one():
         entry = C.boundary_entry(1, row, 0)
         expected = R.GroupRingElement.from_word(3, [(i, 1)]) - R.GroupRingElement.one(3)
         assert entry == expected
+
+
+def _boundaries_per_face(k, d_max):
+    """The Salvetti boundaries summed afresh for every (Gamma, tau): the
+    minimal coset representatives of W_{Gamma - tau} in all of W_Gamma,
+    each lifted on its own.  The oracle for the per-run sums."""
+    gens = range(1, k)
+    boundaries = {}
+    for j in range(1, d_max + 1):
+        index_below = {
+            label: i for i, label in enumerate(itertools.combinations(gens, j - 1))
+        }
+        mat = {}
+        for row, gamma in enumerate(itertools.combinations(gens, j)):
+            for pos, tau in enumerate(gamma, start=1):
+                sub = tuple(g for g in gamma if g != tau)
+                terms = {}
+                for beta in R._min_coset_reps(k, gamma, sub):
+                    lift = garside.form_from_positive_permutation(k, beta)
+                    terms[lift] = -1 if (garside.perm_length(beta) + pos) % 2 else 1
+                mat[row, index_below[sub]] = R.GroupRingElement(k, terms)
+        boundaries[j] = mat
+    return boundaries
+
+
+def test_salvetti_boundaries_match_per_face_sums():
+    for k in range(2, 10):
+        for d in range(1, min(4, k - 1) + 1):
+            assert R.salvetti_complex(k, d).boundaries == \
+                _boundaries_per_face(k, d), (k, d)
+
+
+def test_salvetti_lifts_each_permutation_once(monkeypatch):
+    lift = garside.form_from_positive_permutation
+    needed = {
+        beta
+        for j in range(1, 4)
+        for gamma in itertools.combinations(range(1, 9), j)
+        for tau in gamma
+        for beta in R._min_coset_reps(9, gamma, [g for g in gamma if g != tau])
+    }
+    calls = collections.Counter()
+
+    def counted(k, p):
+        calls[k, p] += 1
+        return lift(k, p)
+
+    monkeypatch.setattr(garside, "form_from_positive_permutation", counted)
+    R.salvetti_complex(9, 3)
+    assert set(calls) == {(9, beta) for beta in needed}
+    assert set(calls.values()) == {1}
 
 
 def test_salvetti_ring_level_square_zero():
