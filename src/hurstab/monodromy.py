@@ -24,7 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .braid import DEFAULT_ORBIT_BOUND, OrbitSizeError
+from . import braid
 from .coeffsys import CoeffSystem
 from .intmat import is_int
 
@@ -246,7 +246,7 @@ class InjectionSampler:
     0..min(m, n), then a shape and its label code uniformly, so an
     injection of size k has probability
     1/(min(m, n)+1) * 1/C(m, k) * 1/P(n, k) * 1/|Q|**k.  Each distinct
-    injection is built, and validated, once and then reused.
+    injection drawn is built, and validated, once and then reused.
     """
 
     def __init__(self, group, rng):
@@ -284,10 +284,16 @@ class InjectionSampler:
         return phi
 
     def all_injections(self, m, n):
-        """Every labeled injection m -> n, by size, shape and label code."""
-        for k, size in enumerate(self.sizes[m, n]):
-            for index in range(size):
-                yield self.injection(m, n, k, index)
+        """Every labeled injection m -> n, by size, shape and label code.
+
+        Built afresh and not kept: an enumeration visits each once, and
+        keeping them would hold |Q|**k objects per shape.
+        """
+        for k, by_k in enumerate(self.shapes[m, n]):
+            for dom, img in by_k:
+                pairs = tuple(zip(dom, img))
+                for labels in itertools.product(range(self.order), repeat=k):
+                    yield LabeledInjection(m, n, pairs, tuple(zip(dom, labels)))
 
     def draw(self, m, n):
         sizes = self.sizes[m, n]
@@ -304,7 +310,7 @@ class InjectionSampler:
         return self.draw(c, d), psi, phi
 
 
-def check_model(model, samples, seed, max_tuples=DEFAULT_ORBIT_BOUND):
+def check_model(model, samples, seed):
     """Check that the labeled injections form a category and that
     ``act`` is a functor on it, for one model.
 
@@ -316,19 +322,24 @@ def check_model(model, samples, seed, max_tuples=DEFAULT_ORBIT_BOUND):
     <= MAX_OBJECT.  Returns ``(checks, failures)``: counts per check and
     one dict per failure.
 
-    Blank fill acts on (MAX_OBJECT+1) * sum_{n <= MAX_OBJECT} |Z|^n
-    state tuples; a model with more than ``max_tuples`` of them is
+    Besides the samples, the checks visit the labeled injections
+    between objects <= 2 (sum of C(m, k) P(n, k) |Q|^k) and
+    (MAX_OBJECT+1) * sum_{n <= MAX_OBJECT} |Z|^n state tuples; a model
+    with more of them together than ``braid.DEFAULT_ORBIT_BOUND`` is
     refused with OrbitSizeError before anything is checked.
     """
     z = model.states
-    total = (MAX_OBJECT + 1) * sum(z**n for n in range(MAX_OBJECT + 1))
-    if total > max_tuples:
-        raise OrbitSizeError(
-            f"blank-fill tuples {total} at |Z|={z} exceed the bound {max_tuples}"
-        )
     group = model.group
     rng = random.Random(seed)
     sampler = InjectionSampler(group, rng)
+    injections = sum(sum(sampler.sizes[m, n]) for m in range(3) for n in range(3))
+    tuples = (MAX_OBJECT + 1) * sum(z**n for n in range(MAX_OBJECT + 1))
+    bound = braid.DEFAULT_ORBIT_BOUND
+    if injections + tuples > bound:
+        raise braid.OrbitSizeError(
+            f"identity-check injections {injections} at |Q|={group.order} "
+            f"plus blank-fill tuples {tuples} at |Z|={z} exceed the bound {bound}"
+        )
     checks = {"composition_identity": 0, "composition_assoc": 0,
               "act_functorial": 0, "blank_fill": 0}
     failures = []

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from hurstab import braid
 from hurstab import coeffsys as cs
 from hurstab import monodromy as md
-from hurstab.braid import OrbitSizeError
 from hurstab.groups import FiniteGroup
 
 Z2 = FiniteGroup.cyclic(2)
@@ -150,12 +150,16 @@ def test_blank_fill_all_empty_morphisms():
                 assert md.act(SWAP_MODEL, mu, state) == (0,) * m
 
 
-def test_check_model_refuses_above_the_tuple_bound():
-    # blank fill acts on 4 * (1 + 3 + 9 + 27) = 160 tuples of SWAP_MODEL
-    checks, failures = md.check_model(SWAP_MODEL, 5, 0, max_tuples=160)
+def test_check_model_refuses_above_the_bound(monkeypatch):
+    # SWAP_MODEL: the identity laws visit 9 + 9*2 + 2*2**2 = 35 labeled
+    # injections and blank fill 4 * (1 + 3 + 9 + 27) = 160 state tuples
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 195)
+    checks, failures = md.check_model(SWAP_MODEL, 5, 0)
+    assert checks["composition_identity"] == 35
     assert checks["blank_fill"] == 160 and not failures
-    with pytest.raises(OrbitSizeError):
-        md.check_model(SWAP_MODEL, 5, 0, max_tuples=159)
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 194)
+    with pytest.raises(braid.OrbitSizeError):
+        md.check_model(SWAP_MODEL, 5, 0)
 
 
 def test_act_functoriality_seeded():
