@@ -194,14 +194,22 @@ class OrbitPartition:
         return [self.decode(r) for r in self.reps]
 
 
+def tuple_count(classes, k, max_tuples):
+    """|c|^k, or OrbitSizeError when it exceeds ``max_tuples``.  A class
+    of two or more elements is refused at any k past the bound's bit
+    length before the power is formed, so a huge k costs nothing."""
+    base = len(classes.elements)
+    if base > 1 and k > max_tuples.bit_length() or base**k > max_tuples:
+        raise OrbitSizeError(
+            f"|c|^k = {base}^{k} exceeds the orbit enumeration bound {max_tuples}"
+        )
+    return base**k
+
+
 def orbits(classes, k, max_tuples=DEFAULT_ORBIT_BOUND):
     """Orbit partition of c^k under sigma_1..sigma_{k-1}, via union-find."""
+    total = tuple_count(classes, k, max_tuples)
     base = len(classes.elements)
-    total = base**k
-    if total > max_tuples:
-        raise OrbitSizeError(
-            f"|c|^k = {total} exceeds the orbit enumeration bound {max_tuples}"
-        )
     group = classes.group
     elems = classes.elements
     digit_conj = [

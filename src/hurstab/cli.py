@@ -26,7 +26,8 @@ from . import coeffsys as cs
 from . import experiments as xp
 from . import homology as hm
 from . import monodromy as md
-from .braid import BraidError, OrbitSizeError, orbits
+from .braid import (DEFAULT_ORBIT_BOUND, BraidError, OrbitSizeError, orbits,
+                    tuple_count)
 from .groups import ClassSet, FiniteGroup, GroupError, conjugacy_closure
 from .intmat import is_int
 from .resolution import ResolutionError
@@ -131,6 +132,13 @@ def require_counts(args, *names):
             raise UsageError(f"need --{name.replace('_', '-')} >= 0")
 
 
+def require_one_worker(args):
+    """``--workers`` stays for scripts that pass it; every command runs
+    in one process, so any value but 1 is a usage error."""
+    if args.workers != 1:
+        raise UsageError(f"--workers accepts only 1, got {args.workers}")
+
+
 def resolve_grid(args, classes):
     """Fill in the desk-scale default grid when flags are omitted:
     i_max = 2, k_max = 9 for a singleton class; i_max = 1, k_max = 6 for
@@ -149,17 +157,17 @@ def resolve_grid(args, classes):
 
 
 def parse_k_range(spec):
-    """'3' -> [3]; '1..4' -> [1, 2, 3, 4]."""
+    """'3' -> range(3, 4); '1..4' -> range(1, 5)."""
     if ".." in spec:
         lo, _, hi = spec.partition("..")
         lo, hi = _int(lo, "k"), _int(hi, "k")
         if lo < 1 or hi < lo:
             raise UsageError(f"bad k range {spec!r}")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     k = _int(spec, "k")
     if k < 1:
         raise UsageError("k must be >= 1")
-    return [k]
+    return range(k, k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +265,9 @@ def cmd_orbits(args):
     classes = parse_class(args.class_spec, group)
     ks = parse_k_range(args.k)
     require_counts(args, "mem_limit")
+    require_one_worker(args)
+    # the largest k bounds the range, so refuse it before enumerating any
+    tuple_count(classes, ks[-1], args.mem_limit)
     rows = ["k\torbits\tsizes"]
     payload = {}
     for k in ks:
@@ -289,8 +300,7 @@ def cmd_grid(args):
     coeff = hm.Coeff.parse(args.coeff)
     resolve_grid(args, classes)
     require_counts(args, "mem_limit")
-    if args.workers < 1:
-        raise UsageError("need --workers >= 1")
+    require_one_worker(args)
     if stability:
         cache = ResultCache(args.cache_dir or ResultCache.default_root(),
                             enabled=args.cache)
@@ -318,7 +328,6 @@ def cmd_grid(args):
             k_max=args.kmax,
             coeff=coeff,
             max_dim=args.mem_limit,
-            workers=args.workers,
         ).to_json()
         cache.put(key, report_json)
     config = resolved_config(
@@ -517,9 +526,10 @@ def build_parser():
                        help="rep:<elt> | elems:[...] | JSON")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-        p.add_argument("--mem-limit", type=int, default=10_000_000,
+        p.add_argument("--mem-limit", type=int, default=DEFAULT_ORBIT_BOUND,
                        help="size bound on enumerated state (tuples/chain dims)")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="accepted for existing scripts; only 1")
 
     p = sub.add_parser("orbits", help="Hurwitz orbit counts")
     common(p)

@@ -35,7 +35,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 
-from . import intmat
+from . import braid, intmat
 from .braid import BraidWord, sigma_k, v_k_l
 from .resolution import HurwitzModule
 
@@ -249,9 +249,22 @@ class CoeffSystem:
 
 def build_hurwitz_system(group, classes, g_hat, K_max):
     """The Hurwitz coefficient system: F(k) = Z[c^k], generators acting
-    by the Hurwitz move, structure maps appending the stabiliser."""
+    by the Hurwitz move, structure maps appending the stabiliser.
+
+    The k-1 generators of B_k and their inverses hold |c|^k columns each;
+    a system with more of them up to K_max than ``braid.DEFAULT_ORBIT_BOUND``
+    is refused with OrbitSizeError before any module is built."""
     if g_hat not in classes:
         raise CoeffSystemError("stabiliser element must lie in the class set")
+    bound = braid.DEFAULT_ORBIT_BOUND
+    columns = 0
+    for k in range(2, K_max + 1):
+        columns += 2 * (k - 1) * len(classes) ** k
+        if columns > bound:
+            raise braid.OrbitSizeError(
+                f"generator and inverse columns {columns} up to k={k} "
+                f"exceed the bound {bound}"
+            )
     modules = [HurwitzModule(classes, k, g_hat) for k in range(K_max + 1)]
     dims = [m.dim for m in modules]
     gens = []

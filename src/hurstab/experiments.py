@@ -7,6 +7,9 @@ charge, |c| = 1) holds, and reports empirical iso onsets.  The asserted
 ranges are sufficient conditions only; earlier onset is reported, never
 treated as failure.
 
+Every map compares adjacent columns, so the grid is computed in one pass
+over k in one process, holding the complexes of k and k+1 only.
+
 Reports are deterministic: identical inputs produce identical report
 dictionaries, and the TSV/JSON writers iterate in sorted order.
 """
@@ -18,7 +21,7 @@ from math import comb
 
 from . import homology as hm
 from . import resolution as rs
-from .braid import orbits
+from .braid import DEFAULT_ORBIT_BOUND, orbits
 from .groups import GroupError
 
 # stability ranges: over Z isomorphisms from k >= 2i+4 and surjections from
@@ -119,25 +122,6 @@ def _refuse_oversized(classes, i_max, k_max, max_dim):
             )
 
 
-def _grid_job(args):
-    """One worker job: homology cells at k, and the induced maps
-    k -> k+1 when the successor data is supplied.  Cells and maps read
-    the homology bases cached on the complexes; in one process the jobs
-    share the complexes, so the bases of k+1 built here serve job k+1.
-    Job k is the last reader of complex k, so its cache is cleared."""
-    k, i_max, coeff, complex_k, complex_k1, module_k, module_k1 = args
-    cells = {}
-    for i in range(0, i_max + 1):
-        cells[(k, i)] = hm.homology(complex_k, i, coeff)
-    maps = {}
-    if complex_k1 is not None:
-        cm = rs.stabilisation_chain_map(complex_k, complex_k1, module_k, module_k1)
-        for i in range(0, i_max + 1):
-            maps[(k, i)] = hm.induced_map(cm, i, coeff)
-    complex_k.bases.clear()
-    return k, cells, maps
-
-
 def stability_table(
     group,
     classes,
@@ -145,56 +129,39 @@ def stability_table(
     i_max,
     k_max,
     coeff=hm.Z,
-    max_dim=2_000_000,
-    workers=1,
-    progress=None,
+    max_dim=DEFAULT_ORBIT_BOUND,
 ):
     """Compute the (k, i) homology grid and stabilisation maps, and
     evaluate the stability ranges.
 
-    When |c| = 1 the range predicate is asserted: over Z every map with
-    k >= 2i+4 must be an isomorphism and k >= 2i+2 surjective; over a
-    field the bounds improve to 2i+2 and 2i.  Violations are collected,
-    never silently dropped.  ``workers`` > 1 distributes grid columns
-    over a process pool; the assembled report does not depend on
-    scheduling.
+    The grid is one pass over k: complex k+1 is built, the cells of k
+    and the maps k -> k+1 are read, and complex k is dropped before the
+    next build, so at most two complexes (with their cached bases) are
+    alive at a time.  When |c| = 1 the range predicate is asserted:
+    over Z every map with k >= 2i+4 must be an isomorphism and
+    k >= 2i+2 surjective; over a field the bounds improve to 2i+2 and
+    2i.  Violations are collected, never silently dropped.
     """
     if g_hat not in classes:
         raise GroupError("stabiliser must lie in the class set")
     flags = hypothesis_flags(classes)
     _refuse_oversized(classes, i_max, k_max, max_dim)
-    modules = {}
-    complexes = {}
-    for k in range(1, k_max + 1):
-        modules[k], complexes[k] = _complex_for(classes, g_hat, k, i_max)
-        if progress:
-            progress(f"built complex k={k}")
-    jobs = [
-        (
-            k,
-            i_max,
-            coeff,
-            complexes[k],
-            complexes.get(k + 1),
-            modules[k],
-            modules.get(k + 1),
-        )
-        for k in range(1, k_max + 1)
-    ]
     cells = {}
     maps = {}
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            results = list(pool.map(_grid_job, jobs))
-    else:
-        results = [_grid_job(j) for j in jobs]
-    for k, job_cells, job_maps in sorted(results):
-        cells.update(job_cells)
-        maps.update(job_maps)
-        if progress:
-            progress(f"grid column k={k} done")
+    module, complex_ = _complex_for(classes, g_hat, 1, i_max)
+    for k in range(1, k_max + 1):
+        for i in range(i_max + 1):
+            cells[(k, i)] = hm.homology(complex_, i, coeff)
+        if k == k_max:
+            break
+        next_module, next_complex = _complex_for(classes, g_hat, k + 1, i_max)
+        cm = rs.stabilisation_chain_map(complex_, next_complex, module, next_module)
+        for i in range(i_max + 1):
+            maps[(k, i)] = hm.induced_map(cm, i, coeff)
+        # drop complex k: after the rebind the chain map holds its last
+        # reference
+        module, complex_ = next_module, next_complex
+        del cm
 
     regime = "Z" if coeff.kind == "Z" else "field"
     asserted = len(classes) == 1
@@ -266,7 +233,7 @@ class H0Table:
         return "\n".join(lines) + "\n"
 
 
-def h0_table(group, classes, g_hat, k_max, max_tuples=10_000_000):
+def h0_table(group, classes, g_hat, k_max, max_tuples=DEFAULT_ORBIT_BOUND):
     """Orbit counts (H_0 is free on the orbit set) and the flags of the
     append-induced orbit maps."""
     parts = {}

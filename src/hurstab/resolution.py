@@ -394,19 +394,17 @@ class IntegerComplex:
     ``mats[j]`` has shape dims[j] x dims[j-1] acting on row vectors;
     the chain condition is mats[j+1] * mats[j] = 0, verified exactly at
     construction.  ``complete`` marks a full (untruncated) resolution,
-    whose top homology is also trustworthy.  ``cell_labels`` and
-    ``module_dim`` remember the (cell, module-basis) block structure of
-    each degree; dims[j] = len(cell_labels[j]) * module_dim.
+    whose top homology is also trustworthy.  ``cell_labels`` names the
+    cells of each degree, whose (cell, module-basis) blocks make up the
+    basis; dims[j] = len(cell_labels[j]) * (module dimension).
     """
 
     dims: list
     mats: dict
     complete: bool = False
-    strands: int = 0
     cell_labels: list = field(default_factory=list)
-    module_dim: int = 1
     # homology bases, built on first use by ``homology._basis`` and kept
-    # until cleared (a grid clears them after the complex's last job);
+    # as long as the complex (a grid holds two complexes at a time);
     # keyed by (degree, "Z" or "Fp:p"), beside the ring's unit-pivot
     # reduction under ("reduction", "Z" or "Fp:p")
     bases: dict = field(default_factory=dict, repr=False, compare=False)
@@ -476,9 +474,7 @@ def specialize(complex_, module):
         dims=dims,
         mats=mats,
         complete=complex_.complete,
-        strands=k,
         cell_labels=[list(lbls) for lbls in complex_.basis_labels],
-        module_dim=m,
     )
     out.verify_chain()
     return out
@@ -491,9 +487,7 @@ def point_complex(module):
         dims=[module.dim],
         mats={},
         complete=True,
-        strands=1,
         cell_labels=[[()]],
-        module_dim=module.dim,
     )
 
 

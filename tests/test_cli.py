@@ -46,7 +46,19 @@ def test_orbit_resource_refusal(tmp_path):
     assert code == cli.EXIT_RESOURCE
 
 
-def test_usage_and_validation_errors(tmp_path):
+def test_degree_resource_refusal(monkeypatch):
+    # 2 * sum_{k=2..12} (k-1) 3^k = 16 740 396 generator and inverse
+    # columns, past the default bound: refused before any module is built
+    def no_module(*args, **kwargs):
+        raise AssertionError("module built before the size was checked")
+
+    monkeypatch.setattr(cli.cs, "HurwitzModule", no_module)
+    code = cli.run(["degree", "--group", "sym:3", "--class",
+                    "rep:transposition", "--kmax", "12", "--cutoff", "3"])
+    assert code == cli.EXIT_RESOURCE
+
+
+def test_usage_and_validation_errors(tmp_path, monkeypatch, capsys):
     assert cli.run(["orbits", "--group", "nope:3", "--class", "rep:0",
                     "--k", "1"]) == cli.EXIT_USAGE
     assert cli.run(["orbits", "--group", "sym:3", "--class", "rep:99",
@@ -167,6 +179,17 @@ def test_usage_and_validation_errors(tmp_path):
                  ["homology", "--group", "cyclic:2", "--class", "elems:[1]"],
                  grid):
         assert cli.run(argv + ["--seed", "1"]) == cli.EXIT_USAGE
+    # a k range is refused at its largest k before any k is enumerated,
+    # with one line on stderr
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("orbits enumerated before the range was checked")
+
+    monkeypatch.setattr(cli, "orbits", no_enumeration)
+    capsys.readouterr()
+    for k in ("1..15", "1..1000000000000000"):
+        assert cli.run(["orbits", "--group", "sym:3", "--class",
+                        "rep:transposition", "--k", k]) == cli.EXIT_RESOURCE, k
+        assert len(capsys.readouterr().err.splitlines()) == 1, k
 
 
 def test_io_errors_exit_74(tmp_path):

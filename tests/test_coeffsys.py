@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from hurstab import braid
 from hurstab import coeffsys as cs
 from hurstab.groups import FiniteGroup, conjugacy_closure
 
@@ -30,6 +31,19 @@ def test_hurwitz_system_shapes(hurwitz_s3, hurwitz_z2):
     assert all(len(col) == 1 and list(col.values()) == [1] for col in gen)
     image_rows = sorted(next(iter(col)) for col in gen)
     assert image_rows == list(range(9))
+
+
+def test_hurwitz_system_refuses_above_the_bound(monkeypatch):
+    # K_max = 3 on transpositions: the generators of B_2 and B_3 and
+    # their inverses hold 2 * (1 * 3**2 + 2 * 3**3) = 126 columns
+    g_hat = TRANSPOSITIONS.elements[0]
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 126)
+    system = cs.build_hurwitz_system(S3, TRANSPOSITIONS, g_hat, 3)
+    assert sum(len(m) for mats in system.gens + system.gen_invs
+               for m in mats) == 126
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 125)
+    with pytest.raises(braid.OrbitSizeError):
+        cs.build_hurwitz_system(S3, TRANSPOSITIONS, g_hat, 3)
 
 
 def test_braid_relation_validation_catches_mutants(hurwitz_s3):

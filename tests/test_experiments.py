@@ -70,53 +70,17 @@ def test_report_determinism(z2_grid):
     assert a == b
 
 
-def test_workers_do_not_change_output():
-    for group, classes, g_hat, k_max, coeff in (
-        (Z2, CENTRAL, 1, 5, hm.Z),
-        (Z2, CENTRAL, 1, 5, hm.Coeff("Fp", 2)),
-        (S3, TRANSPOSITIONS, TRANSPOSITIONS.elements[0], 4, hm.Z),
-    ):
-        seq = xp.stability_table(group, classes, g_hat, i_max=1, k_max=k_max,
-                                 coeff=coeff)
-        par = xp.stability_table(group, classes, g_hat, i_max=1, k_max=k_max,
-                                 coeff=coeff, workers=2)
-        assert json.dumps(seq.to_json(), sort_keys=True) == json.dumps(
-            par.to_json(), sort_keys=True
-        )
-
-
-def test_workers_capped_by_grid_columns(monkeypatch):
-    import concurrent.futures
-
-    seen = []
-
-    class RecordingPool:
-        """Records max_workers and maps in this process, so no worker
-        process is started."""
-
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
-    for workers in (64, 3):
-        xp.stability_table(Z2, CENTRAL, 1, i_max=1, k_max=4, coeff=hm.Z,
-                           workers=workers)
-    assert seen == [4, 3]
-    grid = ["homology", "--group", "cyclic:2", "--class", "elems:[1]",
+def test_workers_accepts_only_one(tmp_path):
+    grid = ["--group", "cyclic:2", "--class", "elems:[1]",
             "--imax", "1", "--kmax", "2"]
-    for workers in ("0", "-1"):
-        assert cli.run(grid + ["--workers", workers]) == cli.EXIT_USAGE
-    assert seen == [4, 3]
+    for argv in (["homology"] + grid, ["stability", "--no-cache"] + grid,
+                 ["orbits", "--group", "cyclic:2", "--class", "elems:[1]",
+                  "--k", "1..2"]):
+        for workers in ("0", "-1", "2"):
+            assert cli.run(argv + ["--workers", workers]) == cli.EXIT_USAGE, \
+                (argv, workers)
+        assert cli.run(argv + ["--workers", "1", "--out",
+                               str(tmp_path / "out")]) == cli.EXIT_OK, argv
 
 
 def test_field_grids_and_universal_coefficients(z2_grid):

@@ -1,4 +1,5 @@
 from math import gcd
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +17,8 @@ def two_term_complex(entry):
     """0 -> Z --entry--> Z -> 0 with the map in degree 1."""
     mats = {1: {0: {0: entry}}} if entry else {1: {}}
     return R.IntegerComplex(
-        dims=[1, 1], mats=mats, complete=True, strands=2,
-        cell_labels=[[()], [(1,)]], module_dim=1,
+        dims=[1, 1], mats=mats, complete=True,
+        cell_labels=[[()], [(1,)]],
     )
 
 
@@ -33,7 +34,7 @@ def test_homology_of_multiplication_by_two():
 
 def test_homology_of_zero_complex():
     C = R.IntegerComplex(dims=[0, 0], mats={1: {}}, complete=True,
-                         cell_labels=[[], []], module_dim=1)
+                         cell_labels=[[], []])
     assert hm.homology(C, 0).is_trivial()
     assert hm.homology(C, 1).is_trivial()
 
@@ -111,7 +112,7 @@ def test_non_chain_map_rejected():
 
 def test_induced_multiplication_by_two():
     C = R.IntegerComplex(dims=[1], mats={}, complete=True,
-                         cell_labels=[[()]], module_dim=1)
+                         cell_labels=[[()]])
     cm = R.ChainMap(source=C, target=C, mats={0: {0: {0: 2}}})
     m = hm.induced_map(cm, 0)
     assert m.is_injective and not m.is_surjective and not m.is_split_injective
@@ -119,9 +120,9 @@ def test_induced_multiplication_by_two():
 
 def test_induced_coordinate_inclusion_split():
     src = R.IntegerComplex(dims=[2], mats={}, complete=True,
-                           cell_labels=[[()]], module_dim=2)
+                           cell_labels=[[()]])
     tgt = R.IntegerComplex(dims=[3], mats={}, complete=True,
-                           cell_labels=[[()]], module_dim=3)
+                           cell_labels=[[()]])
     cm = R.ChainMap(source=src, target=tgt,
                     mats={0: {0: {0: 1}, 1: {1: 1}}})
     m = hm.induced_map(cm, 0)
@@ -316,7 +317,7 @@ def one_boundary_complex(D):
     m, n = len(D), len(D[0])
     return R.IntegerComplex(
         dims=[n, m], mats={1: intmat.dense_to_sparse(D)}, complete=True,
-        cell_labels=[[()] * n, [(1,)] * m], module_dim=1,
+        cell_labels=[[()] * n, [(1,)] * m],
     )
 
 
@@ -532,7 +533,7 @@ def test_grid_builds_each_basis_once(monkeypatch, coeff):
     monkeypatch.setattr(intmat, "reduce_complex", counting_reduce)
     i_max, k_max = 1, 4
     rep = xp.stability_table(S3, TRANSPOSITIONS, TRANSPOSITIONS.elements[0],
-                             i_max=i_max, k_max=k_max, coeff=coeff, workers=1)
+                             i_max=i_max, k_max=k_max, coeff=coeff)
     # one build per grid cell (k, i), shared by the cell and both maps,
     # and one reduction per complex, shared by its degrees
     assert len(built) == len(set(built)) == k_max * (i_max + 1)
@@ -545,25 +546,23 @@ def test_grid_builds_each_basis_once(monkeypatch, coeff):
 
 
 @pytest.mark.parametrize("coeff", [hm.Z, hm.Coeff("Fp", 2)], ids=["Z", "Fp:2"])
-def test_grid_clears_each_cache_after_its_last_job(monkeypatch, coeff):
+def test_grid_holds_two_complexes_at_a_time(monkeypatch, coeff):
     from hurstab import experiments as xp
 
-    job, sizes = xp._grid_job, []
+    build, built, alive = xp._complex_for, [], []
 
-    def watched_job(args):
-        out = job(args)
-        complex_k, complex_k1 = args[3], args[4]
-        sizes.append((len(complex_k.bases),
-                      None if complex_k1 is None else len(complex_k1.bases)))
-        return out
+    def watched_build(*args):
+        module, C = build(*args)
+        built.append(weakref.ref(C))
+        alive.append(sum(ref() is not None for ref in built))
+        return module, C
 
-    monkeypatch.setattr(xp, "_grid_job", watched_job)
+    monkeypatch.setattr(xp, "_complex_for", watched_build)
     xp.stability_table(S3, TRANSPOSITIONS, TRANSPOSITIONS.elements[0],
-                       i_max=1, k_max=4, coeff=coeff, workers=1)
-    # after job k nothing of complex k is kept, while complex k+1 keeps
-    # its reduction and the bases that job k+1 reads
-    assert [own for own, _ in sizes] == [0, 0, 0, 0]
-    assert all(n > 0 for _, n in sizes[:-1]) and sizes[-1][1] is None
+                       i_max=1, k_max=4, coeff=coeff)
+    # complex k+1 is built beside complex k alone: complex k-1, its
+    # bases and the chain map into complex k are gone
+    assert alive == [1, 2, 2, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -635,14 +634,14 @@ def test_field_flags_match_chain_ranks(group, elems, i_max, k_max):
 def test_field_flags_where_z_differs():
     # Z --2--> Z: a Q-iso that is not onto over Z, nor over F_2
     C = R.IntegerComplex(dims=[1], mats={}, complete=True,
-                         cell_labels=[[()]], module_dim=1)
+                         cell_labels=[[()]])
     double = R.ChainMap(source=C, target=C, mats={0: {0: {0: 2}}})
     assert hm.induced_map(double, 0, hm.Q).is_iso
     assert not hm.induced_map(double, 0, hm.Coeff("Fp", 2)).is_surjective
     assert_flags_match_chain_ranks(double, 0)
     # Z -> Z + Z/2, 1 |-> (1, 1): the torsion coordinate vanishes over Q
     tgt = R.IntegerComplex(dims=[2, 1], mats={1: {0: {1: 2}}}, complete=True,
-                           cell_labels=[[()], [(1,)]], module_dim=1)
+                           cell_labels=[[()], [(1,)]])
     into = R.ChainMap(source=C, target=tgt, mats={0: {0: {0: 1, 1: 1}}})
     assert hm.induced_map(into, 0).tgt_orders == [2, 0]
     m = hm.induced_map(into, 0, hm.Q)
@@ -655,7 +654,7 @@ def test_field_flags_where_z_differs():
     # Z^2 --[[1, 2], [2, 1]]--> Z^2: determinant -3, so a Q-iso and an
     # F_2-iso, but of rank 1 over F_3
     C2 = R.IntegerComplex(dims=[2], mats={}, complete=True,
-                          cell_labels=[[()]], module_dim=2)
+                          cell_labels=[[()]])
     det3 = R.ChainMap(source=C2, target=C2,
                       mats={0: {0: {0: 1, 1: 2}, 1: {0: 2, 1: 1}}})
     assert hm.induced_map(det3, 0, hm.Q).is_iso
@@ -715,7 +714,7 @@ def random_complexes(draw, piece_orders, max_shear):
 
 def as_complex(dims, mats):
     return R.IntegerComplex(dims=list(dims), mats=mats, complete=True,
-                            cell_labels=[[()] * n for n in dims], module_dim=1)
+                            cell_labels=[[()] * n for n in dims])
 
 
 def push(entries, rows, p):
