@@ -22,11 +22,19 @@ from . import garside
 from .garside import BraidError
 from .groups import ClassSet
 
+# the one resource bound: every size guard reads it at call time
 DEFAULT_ORBIT_BOUND = 10_000_000
 
 
 class OrbitSizeError(RuntimeError):
-    """Tuple space exceeds the configured memory bound."""
+    """An input's work exceeds DEFAULT_ORBIT_BOUND (exit 3 in the CLI)."""
+
+
+def refuse_above_bound(count, what):
+    """OrbitSizeError when ``count`` exceeds DEFAULT_ORBIT_BOUND; ``what``
+    names the count and ends with its verb."""
+    if count > DEFAULT_ORBIT_BOUND:
+        raise OrbitSizeError(f"{what} the bound {DEFAULT_ORBIT_BOUND}")
 
 
 @dataclass(frozen=True)
@@ -194,22 +202,26 @@ class OrbitPartition:
         return [self.decode(r) for r in self.reps]
 
 
-def tuple_count(classes, k, max_tuples):
-    """|c|^k, or OrbitSizeError when it exceeds ``max_tuples``.  A class
-    of two or more elements is refused at any k past the bound's bit
-    length before the power is formed, so a huge k costs nothing."""
-    base = len(classes.elements)
-    if base > 1 and k > max_tuples.bit_length() or base**k > max_tuples:
-        raise OrbitSizeError(
-            f"|c|^k = {base}^{k} exceeds the orbit enumeration bound {max_tuples}"
-        )
-    return base**k
+def refuse_orbit_range(classes, ks):
+    """Refuse the k range ``ks`` when the union-find work of ``orbits``,
+    k |c|^k per k (the parent array and k-1 generator passes), sums past
+    the bound.  The sum stops there, so a long range costs nothing."""
+    base, bound = len(classes.elements), DEFAULT_ORBIT_BOUND
+    work = 0
+    for k in ks:
+        # past the bound's bit length k 2^k exceeds it: skip the power
+        work += k * base**k if base == 1 or k <= bound.bit_length() else bound + 1
+        if work > bound:
+            break
+    span = f"{ks[0]}..{ks[-1]}" if len(ks) > 1 else ks[0]
+    refuse_above_bound(work, f"orbit work k |c|^k at |c|={base} over k={span} exceeds")
 
 
-def orbits(classes, k, max_tuples=DEFAULT_ORBIT_BOUND):
+def orbits(classes, k):
     """Orbit partition of c^k under sigma_1..sigma_{k-1}, via union-find."""
-    total = tuple_count(classes, k, max_tuples)
+    refuse_orbit_range(classes, range(k, k + 1))
     base = len(classes.elements)
+    total = base**k
     group = classes.group
     elems = classes.elements
     digit_conj = [

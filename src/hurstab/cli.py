@@ -26,8 +26,7 @@ from . import coeffsys as cs
 from . import experiments as xp
 from . import homology as hm
 from . import monodromy as md
-from .braid import (DEFAULT_ORBIT_BOUND, BraidError, OrbitSizeError, orbits,
-                    tuple_count)
+from .braid import BraidError, OrbitSizeError, orbits, refuse_orbit_range
 from .groups import ClassSet, FiniteGroup, GroupError, conjugacy_closure
 from .intmat import is_int
 from .resolution import ResolutionError
@@ -264,14 +263,13 @@ def cmd_orbits(args):
     group = parse_group(args.group)
     classes = parse_class(args.class_spec, group)
     ks = parse_k_range(args.k)
-    require_counts(args, "mem_limit")
     require_one_worker(args)
-    # the largest k bounds the range, so refuse it before enumerating any
-    tuple_count(classes, ks[-1], args.mem_limit)
+    # refuse the whole range before enumerating any k
+    refuse_orbit_range(classes, ks)
     rows = ["k\torbits\tsizes"]
     payload = {}
     for k in ks:
-        part = orbits(classes, k, max_tuples=args.mem_limit)
+        part = orbits(classes, k)
         rows.append(f"{k}\t{len(part)}\t{','.join(map(str, part.sizes))}")
         payload[str(k)] = {"count": len(part), "sizes": part.sizes}
     if args.format == "json":
@@ -299,7 +297,6 @@ def cmd_grid(args):
     g_hat = stabiliser_of(group, classes, args.stabiliser)
     coeff = hm.Coeff.parse(args.coeff)
     resolve_grid(args, classes)
-    require_counts(args, "mem_limit")
     require_one_worker(args)
     if stability:
         cache = ResultCache(args.cache_dir or ResultCache.default_root(),
@@ -327,7 +324,6 @@ def cmd_grid(args):
             i_max=args.imax,
             k_max=args.kmax,
             coeff=coeff,
-            max_dim=args.mem_limit,
         ).to_json()
         cache.put(key, report_json)
     config = resolved_config(
@@ -526,8 +522,6 @@ def build_parser():
                        help="rep:<elt> | elems:[...] | JSON")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-        p.add_argument("--mem-limit", type=int, default=DEFAULT_ORBIT_BOUND,
-                       help="size bound on enumerated state (tuples/chain dims)")
         p.add_argument("--workers", type=int, default=1,
                        help="accepted for existing scripts; only 1")
 
@@ -576,42 +570,50 @@ def build_parser():
     p = sub.add_parser("selftest", help="run the documented oracle checks")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_selftest)
-    # subparsers parse into a fresh namespace, so config-file defaults
-    # must be installed on each of them individually
-    ap._subcommand_parsers = list(sub.choices.values())
+    ap._subcommands = sub.choices
     return ap
 
 
-def _config_defaults(argv):
-    """Load the JSON config named by --config, if any; its entries act
-    as parser defaults, so explicit flags always win."""
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
-        else:
+PATH_KEYS = ("out", "cache_dir", "system")
+
+
+def _apply_config(path, parser):
+    """Install the JSON config at ``path`` as defaults of the subcommand's
+    parser (subparsers parse into a fresh namespace), so explicit flags
+    win.  A value is read as its text on the command line would be, a
+    number, list or object as its JSON text; ``cache`` takes a JSON
+    boolean and a file flag (PATH_KEYS) a string.  Null values and keys
+    the subcommand lacks are ignored."""
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise UsageError(f"--config {path} must hold a JSON object")
+    actions = {a.dest: a for a in parser._actions}
+    for key, value in raw.items():
+        action = actions.get({"class": "class_spec"}.get(key, key.replace("-", "_")))
+        if action is None or value is None:
             continue
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise UsageError(f"--config {path} must hold a JSON object")
-        out = {}
-        for key, value in raw.items():
-            key = key.replace("-", "_")
-            out["class_spec" if key == "class" else key] = value
-        return out
-    return {}
+        if action.nargs == 0 or action.dest in PATH_KEYS:
+            ok = isinstance(value, bool if action.nargs == 0 else str)
+        else:
+            try:
+                text = value if isinstance(value, str) else json.dumps(value)
+                value = (action.type or str)(text)
+                ok = not action.choices or value in action.choices
+            except ValueError:
+                ok = False
+        if not ok:
+            raise UsageError(f"--config {key}: invalid value {json.dumps(value)}")
+        parser.set_defaults(**{action.dest: value})
 
 
 def run(argv):
     ap = build_parser()
     try:
-        defaults = _config_defaults(argv)
-        if defaults:
-            for sp in ap._subcommand_parsers:
-                sp.set_defaults(**defaults)
         args = ap.parse_args(argv)
+        if getattr(args, "config", None) is not None:
+            _apply_config(args.config, ap._subcommands[args.command])
+            args = ap.parse_args(argv)
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO
@@ -629,7 +631,7 @@ def run(argv):
             cs.CoeffSystemError, md.MonodromyError) as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (xp.ResourceRefusal, OrbitSizeError) as e:
+    except OrbitSizeError as e:
         print(f"resource refusal: {e}", file=sys.stderr)
         return EXIT_RESOURCE
     except OSError as e:

@@ -256,15 +256,11 @@ def build_hurwitz_system(group, classes, g_hat, K_max):
     is refused with OrbitSizeError before any module is built."""
     if g_hat not in classes:
         raise CoeffSystemError("stabiliser element must lie in the class set")
-    bound = braid.DEFAULT_ORBIT_BOUND
     columns = 0
     for k in range(2, K_max + 1):
         columns += 2 * (k - 1) * len(classes) ** k
-        if columns > bound:
-            raise braid.OrbitSizeError(
-                f"generator and inverse columns {columns} up to k={k} "
-                f"exceed the bound {bound}"
-            )
+        braid.refuse_above_bound(
+            columns, f"generator and inverse columns {columns} up to k={k} exceed")
     modules = [HurwitzModule(classes, k, g_hat) for k in range(K_max + 1)]
     dims = [m.dim for m in modules]
     gens = []

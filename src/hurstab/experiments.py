@@ -21,17 +21,13 @@ from math import comb
 
 from . import homology as hm
 from . import resolution as rs
-from .braid import DEFAULT_ORBIT_BOUND, orbits
+from .braid import orbits, refuse_above_bound
 from .groups import GroupError
 
 # stability ranges: over Z isomorphisms from k >= 2i+4 and surjections from
 # k >= 2i+2; over a field both bounds improve by two
 ISO_OFFSET = {"Z": 4, "field": 2}
 SURJ_OFFSET = {"Z": 2, "field": 0}
-
-
-class ResourceRefusal(RuntimeError):
-    pass
 
 
 @dataclass
@@ -109,19 +105,6 @@ def _complex_for(classes, g_hat, k, i_max):
     return module, rs.specialize(free, module)
 
 
-def _refuse_oversized(classes, i_max, k_max, max_dim):
-    """Raise ResourceRefusal at the first k whose specialised complex
-    would have more than ``max_dim`` cells: C(k-1, j) Salvetti cells in
-    degree j <= min(i_max+1, k-1), each times |c|^k tuples."""
-    for k in range(2, k_max + 1):
-        cells = sum(comb(k - 1, j) for j in range(min(i_max + 1, k - 1) + 1))
-        total = cells * len(classes) ** k
-        if total > max_dim:
-            raise ResourceRefusal(
-                f"chain size {total} at k={k} exceeds the bound {max_dim}"
-            )
-
-
 def stability_table(
     group,
     classes,
@@ -129,7 +112,6 @@ def stability_table(
     i_max,
     k_max,
     coeff=hm.Z,
-    max_dim=DEFAULT_ORBIT_BOUND,
 ):
     """Compute the (k, i) homology grid and stabilisation maps, and
     evaluate the stability ranges.
@@ -145,7 +127,13 @@ def stability_table(
     if g_hat not in classes:
         raise GroupError("stabiliser must lie in the class set")
     flags = hypothesis_flags(classes)
-    _refuse_oversized(classes, i_max, k_max, max_dim)
+    # refuse, before any build, the first k whose specialised complex has
+    # more cells than the bound: C(k-1, j) Salvetti cells in degree
+    # j <= min(i_max+1, k-1), each times |c|^k tuples
+    for k in range(2, k_max + 1):
+        dim = sum(comb(k - 1, j) for j in range(min(i_max + 1, k - 1) + 1))
+        total = dim * len(classes) ** k
+        refuse_above_bound(total, f"chain size {total} at k={k} exceeds")
     cells = {}
     maps = {}
     module, complex_ = _complex_for(classes, g_hat, 1, i_max)
@@ -233,13 +221,13 @@ class H0Table:
         return "\n".join(lines) + "\n"
 
 
-def h0_table(group, classes, g_hat, k_max, max_tuples=DEFAULT_ORBIT_BOUND):
+def h0_table(group, classes, g_hat, k_max):
     """Orbit counts (H_0 is free on the orbit set) and the flags of the
     append-induced orbit maps."""
     parts = {}
     counts = {}
     for k in range(1, k_max + 1):
-        parts[k] = orbits(classes, k, max_tuples=max_tuples)
+        parts[k] = orbits(classes, k)
         counts[k] = len(parts[k])
     surj = {}
     inj = {}

@@ -124,7 +124,8 @@ class MonodromyModel:
     Both the action and the reflection fix the basepoint (state 0).
     ``strand_operators[q]`` is derived: the state map used when pulling
     back along a strand labeled q, action[q^-1] followed by the
-    reflection when sign[q] = -1.
+    reflection when sign[q] = -1.  Checking the action takes |Q|^2 |Z|
+    steps, refused past ``braid.DEFAULT_ORBIT_BOUND`` with OrbitSizeError.
     """
 
     group: object  # FiniteGroup for Q
@@ -138,6 +139,9 @@ class MonodromyModel:
         g = self.group
         if len(self.action) != g.order or len(self.sign) != g.order:
             raise MonodromyError("action and sign must cover the group")
+        n = g.order**2 * self.states
+        braid.refuse_above_bound(
+            n, f"action checks {n} at |Q|={g.order}, |Z|={self.states} exceed")
         for q in range(g.order):
             if sorted(self.action[q]) != list(range(self.states)):
                 raise MonodromyError("action entries must be permutations")
@@ -334,12 +338,9 @@ def check_model(model, samples, seed):
     sampler = InjectionSampler(group, rng)
     injections = sum(sum(sampler.sizes[m, n]) for m in range(3) for n in range(3))
     tuples = (MAX_OBJECT + 1) * sum(z**n for n in range(MAX_OBJECT + 1))
-    bound = braid.DEFAULT_ORBIT_BOUND
-    if injections + tuples > bound:
-        raise braid.OrbitSizeError(
-            f"identity-check injections {injections} at |Q|={group.order} "
-            f"plus blank-fill tuples {tuples} at |Z|={z} exceed the bound {bound}"
-        )
+    braid.refuse_above_bound(injections + tuples, (
+        f"identity-check injections {injections} at |Q|={group.order} "
+        f"plus blank-fill tuples {tuples} at |Z|={z} exceed"))
     checks = {"composition_identity": 0, "composition_assoc": 0,
               "act_functorial": 0, "blank_fill": 0}
     failures = []

@@ -182,9 +182,13 @@ def test_orbits_trivial_cases():
     assert len(orbits(TRANSPOSITIONS, 1)) == 3
 
 
-def test_orbit_size_bound():
-    with pytest.raises(OrbitSizeError):
-        orbits(TRANSPOSITIONS, 4, max_tuples=10)
+def test_orbit_size_bound(monkeypatch):
+    # the parent array of 3^4 tuples and its 3 generator passes: 4 * 81
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 324)
+    assert sum(orbits(TRANSPOSITIONS, 4).sizes) == 81
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 323)
+    with pytest.raises(OrbitSizeError, match="over k=4 exceeds the bound 323"):
+        orbits(TRANSPOSITIONS, 4)
 
 
 def test_entries_validated():

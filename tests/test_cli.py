@@ -2,7 +2,7 @@ import json
 import os
 import time
 
-from hurstab import cli
+from hurstab import braid, cli
 from hurstab import experiments as xp
 
 
@@ -38,12 +38,39 @@ def test_orbits_command(tmp_path):
     assert doc["orbits"]["2"]["count"] == 5
 
 
-def test_orbit_resource_refusal(tmp_path):
-    code = cli.run(
-        ["orbits", "--group", "sym:3", "--class", "rep:transposition",
-         "--k", "9", "--mem-limit", "100"]
-    )
-    assert code == cli.EXIT_RESOURCE
+def test_orbit_resource_refusal(tmp_path, monkeypatch):
+    # the range counts k 3^k per k: 3 + 18 + 81 + 324 = 426
+    argv = ["orbits", "--group", "sym:3", "--class", "rep:transposition",
+            "--k", "1..4", "--out", str(tmp_path / "o.tsv")]
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 426)
+    assert cli.run(argv) == cli.EXIT_OK
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 425)
+    assert cli.run(argv) == cli.EXIT_RESOURCE
+
+
+def test_orbit_range_refusal_on_a_singleton_class(monkeypatch, capsys):
+    # |c|^k = 1 at every k, but each k still costs k union passes: the
+    # range 1..100000 sums to 5 000 050 000 and is refused at once
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("orbits enumerated before the range was checked")
+
+    monkeypatch.setattr(cli, "orbits", no_enumeration)
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert cli.run(["orbits", "--group", "cyclic:2", "--class", "elems:[1]",
+                    "--k", "1..100000"]) == cli.EXIT_RESOURCE
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "resource refusal: orbit work k |c|^k at |c|=1 over k=1..100000 "
+        "exceeds the bound 10000000\n")
+    # exact threshold: 1 + 2 + 3 + 4 = 10
+    monkeypatch.undo()
+    argv = ["orbits", "--group", "cyclic:2", "--class", "elems:[1]",
+            "--k", "1..4", "--out", os.devnull]
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 10)
+    assert cli.run(argv) == cli.EXIT_OK
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 9)
+    assert cli.run(argv) == cli.EXIT_RESOURCE
 
 
 def test_degree_resource_refusal(monkeypatch):
@@ -170,10 +197,33 @@ def test_usage_and_validation_errors(tmp_path, monkeypatch, capsys):
                  ["degree", "--group", "sym:3", "--class", "rep:transposition",
                   "--kmax", "-1"],
                  ["monodromy-check", "--samples", "-3"],
+                 # --mem-limit is gone: an unknown flag
                  ["orbits", "--group", "sym:3", "--class", "rep:1", "--k", "2",
                   "--mem-limit", "-5"],
                  grid + ["--imax", "0", "--kmax", "2", "--mem-limit", "-5"]):
         assert cli.run(argv) == cli.EXIT_USAGE, argv
+    # a config value is read as the same text on the command line would
+    # be; a flag that names a file takes a string, --cache a boolean
+    capsys.readouterr()
+    for n, (config, code) in enumerate((
+            ({"kmax": 2.5}, cli.EXIT_USAGE),
+            ({"kmax": [3]}, cli.EXIT_USAGE),
+            ({"group": 5}, cli.EXIT_USAGE),
+            ({"coeff": 2}, cli.EXIT_VALIDATION),
+            ({"stabiliser": 1}, cli.EXIT_OK),
+            ({"class": {"elements": [1]}}, cli.EXIT_OK),
+            ({"cache-dir": 3}, cli.EXIT_USAGE),
+            ({"format": "xml"}, cli.EXIT_USAGE),
+            ({"cache": "no"}, cli.EXIT_USAGE))):
+        path = tmp_path / f"config{n}.json"
+        path.write_text(json.dumps(
+            {"group": "cyclic:2", "class": "elems:[1]", **config}))
+        start = time.perf_counter()
+        assert cli.run(["stability", "--config", str(path), "--kmax", "2",
+                        "--no-cache", "--out", os.devnull]) == code, config
+        assert time.perf_counter() - start < 2.0, config
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == (code != cli.EXIT_OK), (config, err)
     # --seed belongs to monodromy-check alone
     for argv in (["orbits", "--group", "sym:3", "--class", "rep:1", "--k", "1"],
                  ["homology", "--group", "cyclic:2", "--class", "elems:[1]"],
@@ -379,6 +429,21 @@ def test_monodromy_check_refuses_large_models(tmp_path):
         {"group": {"builtin": {"family": "cyclic", "n": 2}}, "states": 300,
          "action": [list(range(300))] * 2, "sign": [1, 1],
          "reflection": list(range(300))}))
+    start = time.perf_counter()
+    code = cli.run(["monodromy-check", "--model", str(model),
+                    "--samples", "10"])
+    assert code == cli.EXIT_RESOURCE
+    assert time.perf_counter() - start < 2.0
+
+
+def test_monodromy_check_refuses_large_group_actions(tmp_path):
+    # checking the action of cyclic:1500 on 100 states composes
+    # 1500^2 * 100 pairs on states; it is refused before that loop
+    model = tmp_path / "big-group.json"
+    model.write_text(json.dumps(
+        {"group": {"builtin": {"family": "cyclic", "n": 1500}}, "states": 100,
+         "action": [list(range(100))] * 1500, "sign": [1] * 1500,
+         "reflection": list(range(100))}))
     start = time.perf_counter()
     code = cli.run(["monodromy-check", "--model", str(model),
                     "--samples", "10"])

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hurstab import cli
+from hurstab import braid, cli
 from hurstab import experiments as xp
 from hurstab import homology as hm
 from hurstab.groups import FiniteGroup, conjugacy_closure
@@ -131,22 +131,43 @@ def test_split_audit(z2_grid):
         )
 
 
-def test_resource_refusal():
-    with pytest.raises(xp.ResourceRefusal):
-        xp.stability_table(S3, TRANSPOSITIONS, TRANSPOSITIONS.elements[0],
-                           i_max=2, k_max=8, coeff=hm.Z, max_dim=1000)
+def test_resource_refusal(monkeypatch):
+    # i1/k3: (1 + 2 + 1) Salvetti cells times 3^3 tuples at k = 3
+    g_hat = TRANSPOSITIONS.elements[0]
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 108)
+    xp.stability_table(S3, TRANSPOSITIONS, g_hat, i_max=1, k_max=3, coeff=hm.Z)
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 107)
+    with pytest.raises(braid.OrbitSizeError,
+                       match="chain size 108 at k=3 exceeds the bound 107"):
+        xp.stability_table(S3, TRANSPOSITIONS, g_hat, i_max=1, k_max=3,
+                           coeff=hm.Z)
+    # h0_table reaches the bound through orbits: 4 * 3^4 at k = 4
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 324)
+    assert xp.h0_table(S3, TRANSPOSITIONS, g_hat, 4).counts[4] == 6
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 323)
+    with pytest.raises(braid.OrbitSizeError):
+        xp.h0_table(S3, TRANSPOSITIONS, g_hat, 4)
 
 
 def test_refusal_comes_before_any_complex(monkeypatch):
-    built = []
-    monkeypatch.setattr(xp.rs, "salvetti_complex",
-                        lambda *args: built.append(args))
-    # k = 9: (1 + 8 + 28) Salvetti cells times 3^9 tuples
-    with pytest.raises(xp.ResourceRefusal,
+    class Built(Exception):
+        pass
+
+    def no_complex(*args):
+        raise Built
+
+    monkeypatch.setattr(xp.rs, "salvetti_complex", no_complex)
+    # k = 9: (1 + 8 + 28) Salvetti cells times 3^9 tuples; at that bound
+    # the grid passes the check and reaches its first Salvetti build
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 728_271)
+    with pytest.raises(Built):
+        xp.stability_table(S3, TRANSPOSITIONS, TRANSPOSITIONS.elements[0],
+                           i_max=1, k_max=9, coeff=hm.Z)
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 500_000)
+    with pytest.raises(braid.OrbitSizeError,
                        match="chain size 728271 at k=9 exceeds the bound 500000"):
         xp.stability_table(S3, TRANSPOSITIONS, TRANSPOSITIONS.elements[0],
-                           i_max=1, k_max=9, coeff=hm.Z, max_dim=500_000)
-    assert built == []
+                           i_max=1, k_max=9, coeff=hm.Z)
 
 
 def test_tsv_rendering(z2_grid):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -160,6 +161,17 @@ def test_check_model_refuses_above_the_bound(monkeypatch):
     monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 194)
     with pytest.raises(braid.OrbitSizeError):
         md.check_model(SWAP_MODEL, 5, 0)
+
+
+def test_model_refuses_above_the_bound(monkeypatch):
+    # the action check composes 2 * 2 group pairs on 3 states
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 12)
+    assert dataclasses.replace(SWAP_MODEL) == SWAP_MODEL
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 11)
+    with pytest.raises(braid.OrbitSizeError,
+                       match=r"action checks 12 at \|Q\|=2, \|Z\|=3 exceed "
+                             "the bound 11"):
+        dataclasses.replace(SWAP_MODEL)
 
 
 def test_act_functoriality_seeded():
