@@ -163,7 +163,9 @@ class OrbitPartition:
 
     Tuples are encoded as base-|c| integers, most significant digit
     first, so lexicographic order on tuples is numeric order on codes.
-    Orbit representatives are the least codes.
+    Orbit representatives are the least codes; ``orbits`` builds the
+    partition level by level, and ``_root`` maps every code to the least
+    code of its orbit.
     """
 
     __slots__ = ("classes", "k", "reps", "sizes", "_root", "_rep_index")
@@ -203,9 +205,10 @@ class OrbitPartition:
 
 
 def refuse_orbit_range(classes, ks):
-    """Refuse the k range ``ks`` when the union-find work of ``orbits``,
-    k |c|^k per k (the parent array and k-1 generator passes), sums past
-    the bound.  The sum stops there, so a long range costs nothing."""
+    """Refuse the k range ``ks`` when the work of ``orbits``, counted as
+    k |c|^k per k (a bound on the level-by-level build, which touches
+    sum_{m<=k} |c|^m codes), sums past the bound.  The sum stops there,
+    so a long range costs nothing."""
     base, bound = len(classes.elements), DEFAULT_ORBIT_BOUND
     work = 0
     for k in ks:
@@ -218,52 +221,41 @@ def refuse_orbit_range(classes, ks):
 
 
 def orbits(classes, k):
-    """Orbit partition of c^k under sigma_1..sigma_{k-1}, via union-find."""
+    """Orbit partition of c^k under sigma_1..sigma_{k-1}, built level by
+    level from the partition of c^(m-1), m = 1..k.
+
+    sigma_1..sigma_{m-2} fix the last entry, so the tuples with prefix
+    in the orbit of least code r and last entry l form one class inside
+    a B_m-orbit, with least code r |c| + l.  sigma_{m-1}, which maps
+    (..., d, l) to (..., d l d^-1, d), glues these classes into the
+    B_m-orbits; each orbit's least code is its least class code.
+    """
     refuse_orbit_range(classes, range(k, k + 1))
     base = len(classes.elements)
-    total = base**k
-    group = classes.group
-    elems = classes.elements
-    digit_conj = [
-        [elems.index(group.conj(elems[da], elems[db])) for db in range(base)]
-        for da in range(base)
-    ]
+    group, elems = classes.group, classes.elements
+    conj = [[elems.index(group.conj(a, b)) for b in elems] for a in elems]
+    root, sizes = array("q", [0]), {0: 1}  # the one empty tuple
+    for m in range(1, k + 1):
+        up = {}  # class code -> a smaller class code of the same orbit
 
-    parent = array("q", range(total))
+        def find(x):
+            while x in up:  # path halving
+                up[x] = x = up.get(up[x], up[x])
+            return x
 
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            if rx > ry:
-                rx, ry = ry, rx
-            parent[ry] = rx
-
-    # generator sigma_i rewrites the digit pair at positions (i-1, i)
-    for i in range(k - 1):
-        right_width = base ** (k - 2 - i)
-        pair_width = right_width * base * base
-        for code in range(total):
-            rest, low = divmod(code, pair_width)
-            pair, tail = divmod(low, right_width)
-            da, db = divmod(pair, base)
-            new_pair = digit_conj[da][db] * base + da
-            image = (rest * pair_width) + new_pair * right_width + tail
-            union(code, image)
-
-    # full path compression: parent becomes the root array, and with
-    # union-by-min each root is the lexicographically least orbit member
-    roots = {}
-    for code in range(total):
-        r = find(code)
-        roots[r] = roots.get(r, 0) + 1
-    reps = sorted(roots)
-    sizes = [roots[r] for r in reps]
-    return OrbitPartition(classes, k, reps, sizes, parent)
+        for d in range(base if m > 1 else 0):  # sigma_{m-1} needs m >= 2
+            ends = root[d::base]
+            for l in range(base):
+                for r, s in set(zip(ends, root[conj[d][l]::base])):
+                    x, y = find(r * base + l), find(s * base + d)
+                    if x != y:
+                        up[max(x, y)] = min(x, y)
+        new, new_sizes = array("q", [0]) * base**m, {}
+        for l in range(base):
+            canon = {r: find(r * base + l) for r in sizes}
+            new[l::base] = array("q", map(canon.__getitem__, root))
+            for r, c in canon.items():
+                new_sizes[c] = new_sizes.get(c, 0) + sizes[r]
+        root, sizes = new, new_sizes
+    reps = sorted(sizes)
+    return OrbitPartition(classes, k, reps, [sizes[r] for r in reps], root)

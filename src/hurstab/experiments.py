@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from . import braid
 from . import homology as hm
 from . import resolution as rs
 from .braid import orbits, refuse_above_bound
@@ -129,11 +130,23 @@ def stability_table(
     flags = hypothesis_flags(classes)
     # refuse, before any build, the first k whose specialised complex has
     # more cells than the bound: C(k-1, j) Salvetti cells in degree
-    # j <= min(i_max+1, k-1), each times |c|^k tuples
-    for k in range(2, k_max + 1):
+    # j <= min(i_max+1, k-1), each times |c|^k tuples.  The count never
+    # falls as k grows, so doubling then bisection finds that k in
+    # O(log k_max) counts.
+    def chain_size(k):
         dim = sum(comb(k - 1, j) for j in range(min(i_max + 1, k - 1) + 1))
-        total = dim * len(classes) ** k
-        refuse_above_bound(total, f"chain size {total} at k={k} exceeds")
+        return dim * len(classes) ** k
+
+    bound = braid.DEFAULT_ORBIT_BOUND
+    lo, hi = 1, 2  # k = 1 has no Salvetti cells to count
+    while hi < k_max and chain_size(hi) <= bound:
+        lo, hi = hi, min(2 * hi, k_max)
+    if k_max >= 2 and chain_size(hi) > bound:
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if chain_size(mid) > bound else (mid, hi)
+        total = chain_size(hi)
+        refuse_above_bound(total, f"chain size {total} at k={hi} exceeds")
     cells = {}
     maps = {}
     module, complex_ = _complex_for(classes, g_hat, 1, i_max)

@@ -22,6 +22,14 @@ class GroupError(ValueError):
     pass
 
 
+def _refuse_table(rows, name):
+    """OrbitSizeError before a table of rows^2 entries is built or checked
+    past the one resource bound (braid imports this module)."""
+    from .braid import refuse_above_bound
+
+    refuse_above_bound(rows * rows, f"{name} table of {rows * rows} entries exceeds")
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     order: int
@@ -143,6 +151,7 @@ class FiniteGroup:
     def cyclic(n):
         if n < 1:
             raise GroupError("cyclic order must be >= 1")
+        _refuse_table(n, f"cyclic:{n}")
         table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
         inverse = tuple((-i) % n for i in range(n))
         names = tuple("e" if i == 0 else f"r^{i}" if i > 1 else "r" for i in range(n))
@@ -153,6 +162,7 @@ class FiniteGroup:
         """Dihedral group of order 2n: rotations r^i, reflections r^i s."""
         if n < 1:
             raise GroupError("dihedral parameter must be >= 1")
+        _refuse_table(2 * n, f"dihedral:{n}")
         order = 2 * n
 
         def mul(a, b):
@@ -230,6 +240,7 @@ class FiniteGroup:
     def from_table(rows, name="group"):
         """Build from a raw Cayley table, re-indexing so identity = 0."""
         n = len(rows)
+        _refuse_table(n, name)
         rows = [list(r) for r in rows]
         ident = None
         for e in range(n):

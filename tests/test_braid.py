@@ -1,10 +1,13 @@
+from array import array
 import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from hurstab import braid
+from hurstab import experiments as xp
 from hurstab.braid import (
     BraidError,
     BraidWord,
@@ -183,12 +186,92 @@ def test_orbits_trivial_cases():
 
 
 def test_orbit_size_bound(monkeypatch):
-    # the parent array of 3^4 tuples and its 3 generator passes: 4 * 81
+    # the orbit work of k = 4 counts k |c|^k = 4 * 81
     monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 324)
     assert sum(orbits(TRANSPOSITIONS, 4).sizes) == 81
     monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 323)
     with pytest.raises(OrbitSizeError, match="over k=4 exceeds the bound 323"):
         orbits(TRANSPOSITIONS, 4)
+
+
+def _union_find_orbits(classes, k):
+    """Slow reference for ``orbits``: a union-find over every code of
+    c^k, one pass per generator, with the least code as each root."""
+    base = len(classes.elements)
+    total = base**k
+    group, elems = classes.group, classes.elements
+    digit_conj = [[elems.index(group.conj(a, b)) for b in elems] for a in elems]
+    parent = array("q", range(total))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    # sigma_i rewrites the digit pair at positions (i-1, i)
+    for i in range(k - 1):
+        right_width = base ** (k - 2 - i)
+        pair_width = right_width * base * base
+        for code in range(total):
+            rest, low = divmod(code, pair_width)
+            pair, tail = divmod(low, right_width)
+            da, db = divmod(pair, base)
+            image = (rest * pair_width + (digit_conj[da][db] * base + da)
+                     * right_width + tail)
+            rx, ry = sorted((find(code), find(image)))
+            parent[ry] = rx
+    roots = {}
+    for code in range(total):
+        parent[code] = r = find(code)
+        roots[r] = roots.get(r, 0) + 1
+    reps = sorted(roots)
+    return braid.OrbitPartition(classes, k, reps, [roots[r] for r in reps], parent)
+
+
+def assert_same_partition(part, ref):
+    assert part.k == ref.k
+    assert part.reps == ref.reps
+    assert part.sizes == ref.sizes
+    assert list(part._root) == list(ref._root)
+
+
+BUILTIN_GROUPS = ([FiniteGroup.cyclic(n) for n in range(1, 9)]
+                  + [FiniteGroup.dihedral(n) for n in range(1, 7)]
+                  + [S3, FiniteGroup.symmetric(4)])
+
+
+@st.composite
+def classes_and_k(draw):
+    group = draw(st.sampled_from(BUILTIN_GROUPS))
+    picks = draw(st.sets(st.integers(0, group.order - 1), min_size=1, max_size=3))
+    classes = conjugacy_closure(picks, group)
+    k_max = 10
+    while len(classes) ** k_max > 5000:
+        k_max -= 1
+    return classes, draw(st.integers(0, k_max))
+
+
+@seed(20200)
+@settings(max_examples=120, deadline=None)
+@given(classes_and_k())
+def test_level_build_matches_union_find(case):
+    classes, k = case
+    assert_same_partition(orbits(classes, k), _union_find_orbits(classes, k))
+
+
+def test_level_build_matches_union_find_on_sym4():
+    classes = conjugacy_closure({1}, FiniteGroup.symmetric(4))
+    for k in range(1, 7):
+        assert_same_partition(orbits(classes, k), _union_find_orbits(classes, k))
+    assert orbits(classes, 0).reps == [0] and orbits(classes, 0).sizes == [1]
+
+
+def test_h0_table_matches_union_find(monkeypatch):
+    sym4 = FiniteGroup.symmetric(4)
+    classes = conjugacy_closure({1}, sym4)
+    fast = xp.h0_table(sym4, classes, classes.elements[0], 5).to_json()
+    monkeypatch.setattr(xp, "orbits", _union_find_orbits)
+    assert xp.h0_table(sym4, classes, classes.elements[0], 5).to_json() == fast
 
 
 def test_entries_validated():

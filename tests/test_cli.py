@@ -49,7 +49,7 @@ def test_orbit_resource_refusal(tmp_path, monkeypatch):
 
 
 def test_orbit_range_refusal_on_a_singleton_class(monkeypatch, capsys):
-    # |c|^k = 1 at every k, but each k still costs k union passes: the
+    # |c|^k = 1 at every k, but each k still counts k |c|^k = k: the
     # range 1..100000 sums to 5 000 050 000 and is refused at once
     def no_enumeration(*args, **kwargs):
         raise AssertionError("orbits enumerated before the range was checked")
@@ -83,6 +83,31 @@ def test_degree_resource_refusal(monkeypatch):
     code = cli.run(["degree", "--group", "sym:3", "--class",
                     "rep:transposition", "--kmax", "12", "--cutoff", "3"])
     assert code == cli.EXIT_RESOURCE
+
+
+def test_grid_guard_finds_a_far_refusal_at_once(capsys):
+    # a singleton class at i_max 0 counts k cells at k, so the first k
+    # past the bound is 10^7 + 1; it is found without a loop over k
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert cli.run(["stability", "--group", "cyclic:2", "--class", "elems:[1]",
+                    "--imax", "0", "--kmax", "100000000", "--no-cache",
+                    "--out", os.devnull]) == cli.EXIT_RESOURCE
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err == (
+        "resource refusal: chain size 10000001 at k=10000001 exceeds the "
+        "bound 10000000\n")
+
+
+def test_large_group_table_refused_before_it_is_built(capsys):
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert cli.run(["orbits", "--group", "cyclic:20000", "--class", "rep:1",
+                    "--k", "1", "--out", os.devnull]) == cli.EXIT_RESOURCE
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "resource refusal: cyclic:20000 table of 400000000 entries exceeds "
+        "the bound 10000000\n")
 
 
 def test_usage_and_validation_errors(tmp_path, monkeypatch, capsys):

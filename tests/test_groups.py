@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hurstab import braid
 from hurstab.groups import (
     ClassSet,
     FiniteGroup,
@@ -163,3 +164,20 @@ def test_bad_tables_rejected():
     ]
     with pytest.raises(GroupError):
         FiniteGroup.from_table(bad)
+
+
+def test_group_tables_refused_above_the_bound(monkeypatch):
+    # cyclic:5 has 25 table entries, dihedral:3 has 6^2 = 36 and a raw
+    # table of 2 rows has 4; each passes at that bound and is refused one
+    # below, before the table is built
+    for build, entries, what in (
+            (lambda: FiniteGroup.cyclic(5), 25, "cyclic:5"),
+            (lambda: FiniteGroup.dihedral(3), 36, "dihedral:3"),
+            (lambda: FiniteGroup.from_table([[0, 1], [1, 0]], "z2"), 4, "z2")):
+        monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", entries)
+        assert build().order ** 2 == entries
+        monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", entries - 1)
+        with pytest.raises(braid.OrbitSizeError,
+                           match=f"{what} table of {entries} entries exceeds "
+                                 f"the bound {entries - 1}"):
+            build()
