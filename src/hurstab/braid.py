@@ -233,7 +233,8 @@ def orbits(classes, k):
     refuse_orbit_range(classes, range(k, k + 1))
     base = len(classes.elements)
     group, elems = classes.group, classes.elements
-    conj = [[elems.index(group.conj(a, b)) for b in elems] for a in elems]
+    pos = {x: t for t, x in enumerate(elems)}
+    conj = [[pos[group.conj(a, b)] for b in elems] for a in elems]
     root, sizes = array("q", [0]), {0: 1}  # the one empty tuple
     for m in range(1, k + 1):
         up = {}  # class code -> a smaller class code of the same orbit

@@ -481,11 +481,11 @@ def cmd_selftest(args):
     check("garside-distinct",
           garside.normal_form(3, [(1, 1), (2, 1)])
           != garside.normal_form(3, [(2, 1), (1, 1)]))
-    snf = hm.smith_normal_form([[2, 4], [6, 8]])
+    snf = hm.smith_normal_form({0: {0: 2, 1: 4}, 1: {0: 6, 1: 8}}, (2, 2))
     check("snf-example", snf.invariant_factors == [2, 4])
-    check("snf-identity",
-          hm.smith_normal_form([[1, 0], [0, 1]]).invariant_factors == [1, 1])
-    check("snf-zero", hm.smith_normal_form([[0]]).invariant_factors == [])
+    check("snf-identity", hm.smith_normal_form(
+        {0: {0: 1}, 1: {1: 1}}, (2, 2)).invariant_factors == [1, 1])
+    check("snf-zero", hm.smith_normal_form({}, (1, 1)).invariant_factors == [])
     check("split-z1z", hm.is_split_injective([0], [0], [[1]]))
     check("split-z2z", not hm.is_split_injective([0], [0], [[2]]))
     check("split-torsion", not hm.is_split_injective([2], [4], [[2]]))

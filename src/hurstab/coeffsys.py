@@ -75,22 +75,6 @@ def cols_compose(outer, inner):
     return [cols_apply(outer, col) for col in inner]
 
 
-def cols_to_dense(cols, rows):
-    A = intmat.zeros(rows, len(cols))
-    for j, col in enumerate(cols):
-        for r, v in col.items():
-            A[r][j] = v
-    return A
-
-
-def dense_to_cols(A):
-    m = len(A)
-    n = len(A[0]) if m else 0
-    return [
-        {i: A[i][j] for i in range(m) if A[i][j]} for j in range(n)
-    ]
-
-
 def _signed_perm(cols):
     """``(perm, sign)`` of a signed permutation matrix, whose column j
     is ``sign[j] * e_perm[j]``, or None if ``cols`` is not one."""
@@ -117,7 +101,10 @@ def _inverse_cols(cols, n):
     the permutation when it is a signed permutation."""
     ps = _signed_perm(cols)
     if ps is None:
-        return dense_to_cols(intmat.invert_unimodular(cols_to_dense(cols, n)))
+        # the columns are the rows of the transpose, and the rows of the
+        # transpose's inverse are the inverse's columns
+        inv = intmat.invert_unimodular(dict(enumerate(cols)), n)
+        return [inv[j] for j in range(n)]
     inv = [None] * len(cols)
     for j, (r, v) in enumerate(zip(*ps)):
         inv[r] = {j: v}
@@ -417,7 +404,8 @@ class _CokernelData:
             for src, r in enumerate(image_rows):
                 self.split_cols[r] = {src: 1}
             return
-        snf = intmat.smith_normal_form(cols_to_dense(cols, n_big))
+        snf = intmat.smith_normal_form(
+            intmat.sparse_transpose(dict(enumerate(cols))), (n_big, n_small))
         if snf.rank != n_small or any(d != 1 for d in snf.diag if d):
             raise DeltaUndefined(
                 "structure map is not split injective objectwise "
@@ -425,10 +413,15 @@ class _CokernelData:
             )
         self.keep = None
         self.rank = n_big - n_small
-        self.proj_rows = snf.U[n_small:]
-        self.reps = dense_to_cols([row[n_small:] for row in snf.uinv])
-        # canonical splitting rho = V [I 0] U
-        self.split_cols = dense_to_cols(intmat.mat_mul(snf.V, snf.U[:n_small]))
+        self.proj_rows = [snf.u_rows[k] for k in range(n_small, n_big)]
+        self.reps = [snf.uinv_cols[k] for k in range(n_small, n_big)]
+        # canonical splitting rho = V [I 0] U, column j from column j of
+        # the first n_small rows of U
+        head = intmat.sparse_transpose(
+            {k: snf.u_rows[k] for k in range(n_small)})
+        V = [snf.v_cols[k] for k in range(n_small)]
+        self.split_cols = [cols_apply(V, head.get(j, {}))
+                           for j in range(n_big)]
 
     def project_vec(self, vec):
         if self.keep is not None:
@@ -437,7 +430,7 @@ class _CokernelData:
             }
         out = {}
         for t, row in enumerate(self.proj_rows):
-            acc = sum(row[r] * v for r, v in vec.items())
+            acc = sum(row.get(r, 0) * v for r, v in vec.items())
             if acc:
                 out[t] = acc
         return out
@@ -647,7 +640,7 @@ def build_kunneth_system(HY, HZ, i, K_max, cZ=None):
     for d, M in cZ.items():
         _check_automorphism(d, M, HZ.rank(d))
     for d, r in HZ.ranks:
-        cZ.setdefault(d, intmat.identity(r))
+        cZ.setdefault(d, [[int(a == b) for b in range(r)] for a in range(r)])
     if cZ[0] != [[1]]:
         raise CoeffSystemError("cZ must restrict to the identity in degree 0")
 
@@ -703,7 +696,9 @@ def build_kunneth_system(HY, HZ, i, K_max, cZ=None):
 
 
 def _check_automorphism(d, M, n):
-    """cZ[d] must be an integer unimodular n x n matrix, n = rank HZ_d > 0."""
+    """cZ[d] must be an integer unimodular n x n matrix, n = rank HZ_d > 0:
+    |det| = 1, by fraction-free elimination, whose entries stay minors of
+    cZ[d], so their bit lengths grow linearly."""
     if n == 0:
         raise CoeffSystemError(f"cZ is given in degree {d}, where HZ has rank 0")
     if not (isinstance(M, list) and len(M) == n and all(
@@ -711,7 +706,7 @@ def _check_automorphism(d, M, n):
             and all(intmat.is_int(x) for x in row) for row in M)):
         raise CoeffSystemError(
             f"cZ in degree {d} must be a {n}x{n} integer matrix, got {M!r}")
-    if intmat.sparse_invariant_factors(intmat.dense_to_sparse(M)) != [1] * n:
+    if intmat.abs_determinant(intmat.dense_to_sparse(M), n) != 1:
         raise CoeffSystemError(f"cZ in degree {d} is not unimodular")
 
 

@@ -7,6 +7,7 @@ All values are immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -344,20 +345,25 @@ class ClassSet:
     def __post_init__(self):
         if not self.elements:
             raise GroupError("class set may not be empty")
-        if tuple(sorted(set(self.elements))) != self.elements:
+        if tuple(sorted(self._members)) != self.elements:
             raise GroupError("class elements must be sorted and distinct")
         for x in self.elements:
             if not 0 <= x < self.group.order:
                 raise GroupError("class element out of range")
             for a in self.group.elements():
-                if self.group.conj(a, x) not in set(self.elements):
+                if self.group.conj(a, x) not in self._members:
                     raise GroupError("class set is not closed under conjugation")
+
+    @functools.cached_property
+    def _members(self):
+        """The elements as a set, built once."""
+        return frozenset(self.elements)
 
     def __len__(self):
         return len(self.elements)
 
     def __contains__(self, g):
-        return g in set(self.elements)
+        return g in self._members
 
     def is_central(self):
         g = self.group
@@ -366,8 +372,7 @@ class ClassSet:
         )
 
     def is_inversion_closed(self):
-        els = set(self.elements)
-        return all(self.group.inv(x) in els for x in els)
+        return all(self.group.inv(x) in self._members for x in self._members)
 
     def generates(self):
         return len(self.group.closure(self.elements)) == self.group.order
@@ -375,10 +380,9 @@ class ClassSet:
     def is_non_splitting(self):
         """Whether every subgroup meets this set in at most one of its
         own conjugacy classes (empty intersections allowed)."""
-        els = set(self.elements)
         g = self.group
         for h in g.subgroups():
-            meet = els & h
+            meet = self._members & h
             if len(meet) <= 1:
                 continue
             rep = next(iter(meet))

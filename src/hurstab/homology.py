@@ -28,8 +28,9 @@ elimination per basis and one per map.
 
 Every chain, of a complex or of its core, is a sparse ``{cell: value}``
 dict, as in :class:`intmat.ChainReduction`, from the projection to the
-induced map's one sparse push of all generators.  D_0 is the dims[0] x 0
-zero matrix, so degree 0 is built like any other degree.
+induced map's one sparse push of all generators.  So is every matrix
+over Z, D_0 being the sparse dims[0] x 0 zero matrix, so that degree 0
+is built like any other degree; only the GF(p) tier reads dense ones.
 
 Coefficient rings are Z, Q, or F_p (p < 2**31), selected by a
 ``Coeff`` value.  A map of finitely generated abelian groups is
@@ -233,8 +234,8 @@ class _ReducedBasis:
 
 
 def _boundary(C, i):
-    """The boundary D_i of C as a dense dims[i] x dims[i-1] matrix, and
-    D_0 as the dims[0] x 0 zero matrix, whose left kernel is everything."""
+    """The boundary D_i of C as a dense matrix for the GF(p) tier, and D_0
+    as the dims[0] x 0 zero matrix, whose left kernel is everything."""
     return intmat.sparse_to_dense(C.mats.get(i, {}), C.dims[i],
                                   C.dims[i - 1] if i else 0)
 
@@ -242,13 +243,14 @@ def _boundary(C, i):
 class _ZHomologyBasis:
     """Kernel basis + presentation data for H_i(C; Z).
 
-    The SNF U*D_i*V = S of the boundary D_i (:func:`_boundary`, so also
-    in degree 0) gives the cycle lattice as the rows U[r:], r = rank D_i.
-    A chain x has the unique expansion x = w*U with w = x*uinv, and
-    x*D_i = w*S*vinv, so x is a cycle exactly when w[:r] == 0, and then
-    w[r:] are its coordinates in the cycle basis.  Neither SNF here
-    reads V, so neither tracks it; ``uinv``, the cycle basis ``kernel``
-    and the generators' cycle coordinates are kept as sparse rows.
+    The SNF U*D_i*V = S of the sparse boundary D_i, of shape dims[i] x
+    dims[i-1] (so D_0 is the dims[0] x 0 zero matrix), gives the cycle
+    lattice as the rows U[r:], r = rank D_i.  A chain x has the unique
+    expansion x = w*U with w = x*uinv, and x*D_i = w*S*vinv, so x is a
+    cycle exactly when w[:r] == 0, and then w[r:] are its coordinates
+    in the cycle basis.  Neither SNF here reads V, so neither tracks it;
+    the cycle basis ``kernel``, ``uinv`` and the generators' cycle
+    coordinates are the SNFs' sparse transforms, ``uinv`` turned to rows.
 
     Generator orders list torsion orders first (the SNF diagonal entries
     bigger than 1, in divisibility order) and then zeros for the free
@@ -261,41 +263,40 @@ class _ZHomologyBasis:
         if self.trivial_beyond:
             self.orders = []
             return
-        snf = smith_normal_form(_boundary(C, i), track_cols=False)
-        self.rank = snf.rank
-        self.kernel = intmat.dense_to_sparse(snf.U[self.rank:])
-        self.uinv = [{t: a for t, a in enumerate(row) if a}
-                     for row in snf.uinv]
-        z = len(self.kernel)
-        n_upper = C.dims[i + 1] if i < C.top_degree else 0
-        cols = [self._kernel_coords(C.mats[i + 1].get(t, {}))
-                for t in range(n_upper)]
-        self._present([[col[s] for col in cols] for s in range(z)])
+        m = C.dims[i]
+        snf = smith_normal_form(C.mats.get(i, {}),
+                                (m, C.dims[i - 1] if i else 0),
+                                track_cols=False)
+        self.rank = r = snf.rank
+        self.kernel = {s - r: snf.u_rows[s] for s in range(r, m)}
+        self.uinv = intmat.sparse_transpose(snf.uinv_cols)
+        # the kernel coordinates of each upper boundary are a column of P
+        P = intmat.sparse_transpose(
+            {t: self._kernel_coords(row)
+             for t, row in C.mats.get(i + 1, {}).items()})
+        self._present(P, (m - r, C.dims[i + 1] if i < C.top_degree else 0))
 
-    def _present(self, P):
-        """Generators and orders of Z^z modulo the columns of P, z = len(P).
-        Of the SNF's transforms only the kept generators' rows of U and
-        columns of ``uinv`` are read, so only those are kept."""
-        z = len(P)
-        snf = smith_normal_form(P, track_cols=False) if z else None
+    def _present(self, P, shape):
+        """Generators and orders of Z^z modulo the columns of the sparse
+        z x n matrix P, (z, n) = ``shape``.  Of the SNF's transforms only
+        the kept generators' rows of U and columns of ``uinv`` are read,
+        so only those are kept."""
+        z = shape[0]
+        snf = smith_normal_form(P, shape, track_cols=False) if z else None
         diag = list(snf.diag) if snf else []
         diag += [0] * (z - len(diag))
         self.kept = [j for j in range(z) if diag[j] != 1]
         self.orders = [diag[j] for j in self.kept]
-        self.class_rows = [snf.U[j] for j in self.kept]
-        self.gen_coords = [{s: row[j] for s, row in enumerate(snf.uinv)
-                            if row[j]} for j in self.kept]
+        self.class_rows = [snf.u_rows[j] for j in self.kept]
+        self.gen_coords = [snf.uinv_cols[j] for j in self.kept]
 
     def _kernel_coords(self, chain):
-        """Cycle-basis coordinates of the chain ``{cell: value}``; raises
-        HomologyError on a non-cycle."""
-        w = [0] * len(self.uinv)
-        for j, v in chain.items():
-            for t, a in self.uinv[j].items():
-                w[t] += v * a
-        if any(w[: self.rank]):
+        """Cycle-basis coordinates ``{index: value}`` of the chain
+        ``{cell: value}``; raises HomologyError on a non-cycle."""
+        w = intmat.sparse_mul({0: chain}, self.uinv).get(0, {})
+        if any(t < self.rank for t in w):
             raise HomologyError("vector is not a cycle")
-        return w[self.rank:]
+        return {t - self.rank: v for t, v in w.items()}
 
     def classes_of(self, chains):
         """Coordinates of the homology class of each cycle
@@ -306,7 +307,7 @@ class _ZHomologyBasis:
         out = []
         for chain in chains:
             y = self._kernel_coords(chain)
-            w = [sum(a * b for a, b in zip(row, y) if a)
+            w = [sum(v * row.get(s, 0) for s, v in y.items())
                  for row in self.class_rows]
             out.append([v % d if d > 1 else v for v, d in zip(w, self.orders)])
         return out
@@ -380,55 +381,45 @@ class _FieldHomologyBasis:
 # maps of presented abelian groups
 
 
-def _relation_columns(orders):
-    """Columns spanning the relation lattice of a presented group."""
-    cols = []
-    for j, d in enumerate(orders):
+def _map_system(M, a, tgt_orders, sign):
+    """Sparse rows and shape of the b x (a + r) matrix [M | sign*R], for
+    the dense b x a matrix M of a presented map (``[]`` when a = 0): R
+    has one relation column d*e_t per target generator t of order
+    d > 1, in order."""
+    rows = {}
+    width = a
+    for t, d in enumerate(tgt_orders):
+        row = {j: x for j, x in enumerate(M[t]) if x} if M else {}
         if d > 1:
-            col = [0] * len(orders)
-            col[j] = d
-            cols.append(col)
-    return cols
+            row[width] = sign * d
+            width += 1
+        if row:
+            rows[t] = row
+    return rows, (len(tgt_orders), width)
 
 
 def map_is_surjective(src_orders, tgt_orders, M):
     b = len(tgt_orders)
     if b == 0:
         return True
-    cols = [[M[i][j] for i in range(b)] for j in range(len(src_orders))]
-    cols += _relation_columns(tgt_orders)
-    if not cols:
+    rows, shape = _map_system(M, len(src_orders), tgt_orders, 1)
+    if not shape[1]:
         return False
-    A = [[col[i] for col in cols] for i in range(b)]
-    factors = intmat.sparse_invariant_factors(intmat.dense_to_sparse(A))
+    factors = intmat.sparse_invariant_factors(rows)
     return len(factors) == b and all(d == 1 for d in factors)
 
 
 def map_is_injective(src_orders, tgt_orders, M):
-    a = len(src_orders)
-    if a == 0:
+    if not src_orders:
         return True
-    b = len(tgt_orders)
-    rel_b = _relation_columns(tgt_orders)
-    # solutions (x, y) of M x = R_B y; project to x and test containment
-    # in the source relation lattice
-    if b == 0:
-        gens = intmat.identity(a)
-    else:
-        A = [
-            [M[i][j] for j in range(a)] + [-rel_b[t][i] for t in range(len(rel_b))]
-            for i in range(b)
-        ]
-        kern = intmat.right_kernel(A)
-        gens = [row[:a] for row in kern]
-    for v in gens:
+    # solutions (x, y) of M x = R_B y; test containment of x in the
+    # source relation lattice
+    for v in intmat.right_kernel(*_map_system(M, len(src_orders),
+                                              tgt_orders, -1)):
         for j, d in enumerate(src_orders):
-            if d > 1:
-                if v[j] % d:
-                    return False
-            elif d == 0:
-                if v[j]:
-                    return False
+            x = v.get(j, 0)
+            if d > 1 and x % d or d == 0 and x:
+                return False
     return True
 
 
@@ -443,14 +434,16 @@ def is_split_injective(src_orders, tgt_orders, M):
     independent, so r exists exactly when every block has an integer
     solution; the first block without one decides.
     """
-    a = len(src_orders)
-    coeffs = ([[M[k][j] for k in range(len(tgt_orders))] for j in range(a)]
-              + _relation_columns(tgt_orders))
-    n = len(coeffs)
+    a, b = len(src_orders), len(tgt_orders)
+    # the transpose of [M | R]: one equation per source generator, then
+    # one per relation of the target
+    rows, (_, n) = _map_system(M, a, tgt_orders, 1)
+    coeffs = intmat.sparse_transpose(rows)
     for i, d in enumerate(src_orders):
-        rows = [row + [-d if s == r else 0 for s in range(n)] if d > 1 else row
-                for r, row in enumerate(coeffs)]
-        if intmat.solve_int(rows, [int(r == i) for r in range(n)]) is None:
+        system = ({r: {**coeffs.get(r, {}), b + r: -d} for r in range(n)}
+                  if d > 1 else coeffs)
+        if intmat.solve_int(system, (n, b + n if d > 1 else b),
+                            {i: 1}) is None:
             return False
     return True
 

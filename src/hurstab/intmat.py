@@ -1,29 +1,32 @@
 """Exact integer and small-field linear algebra.
 
 Everything here works with arbitrary-precision Python ints; no floating
-point anywhere.  Three parts are provided:
+point anywhere.  Integer matrices have one format: sparse rows
+``{i: {j: v}}`` with no zero values stored and no empty rows, plus a
+shape (m, n) where it matters; a list of columns is read as the rows of
+the transpose, and a vector is ``{index: value}``.  Four parts:
 
-* one integer Smith elimination engine on sparse dict-of-dict rows
-  (:func:`_smith`), with two entry points.  ``sparse_invariant_factors``
-  asks it for the invariant factors only, for the small matrices whose
-  rank or unimodularity is all that is read (presented maps, structure
-  maps of coefficient systems).  ``smith_normal_form`` gives it a dense
-  matrix and asks it to track the row transform and its inverse, and the
-  column transform and its inverse unless the caller opts out; it
-  returns them as dense matrices, for wherever explicit bases are needed
-  (homology bases of reduced cores, retraction systems).
+* one integer Smith elimination engine on sparse rows (:func:`_smith`),
+  with two entry points.  ``sparse_invariant_factors`` asks it for the
+  invariant factors only, for the small matrices whose rank is all that
+  is read (presented maps).  ``smith_normal_form`` asks it to track the
+  row transform and its inverse, and the column transform and its
+  inverse unless the caller opts out, and returns them as sparse
+  vectors, for wherever explicit bases are needed (homology bases of
+  reduced cores, map flags, cokernels and inverses in coefficient
+  systems).
+
+* a fraction-free determinant (:func:`abs_determinant`) for
+  unimodularity checks of user matrices.
 
 * one unit-pivot reduction of chain complexes (:func:`reduce_complex`)
   on sparse rows, over Z or mod a prime p: it cancels every unit
   boundary entry and returns a chain-homotopy equivalent core complex,
   with the projection onto it and the inclusion back, so that homology
-  bases, built with the other two parts, only ever see the core.
+  bases only ever see the core.
 
 * a dense GF(p) tier (row reduction, rank, kernels, row-space solves
   mod a prime p) on plain ints, for F_p-coefficient homology of cores.
-
-Conventions: a "rows" sparse matrix is ``{i: {j: v}}`` with no zero
-values stored and no empty rows.
 """
 
 from __future__ import annotations
@@ -51,68 +54,26 @@ def is_int(x):
     return type(x) is int
 
 
-# ---------------------------------------------------------------------------
-# dense helpers
-
-
-def zeros(m, n):
-    return [[0] * n for _ in range(m)]
-
-
-def identity(n):
-    M = zeros(n, n)
-    for i in range(n):
-        M[i][i] = 1
-    return M
-
-
-def mat_mul(A, B):
-    m = len(A)
-    inner = len(B)
-    n = len(B[0]) if inner else 0
-    C = zeros(m, n)
-    for i in range(m):
-        Ai = A[i]
-        Ci = C[i]
-        for k in range(inner):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                for j in range(n):
-                    b = Bk[j]
-                    if b:
-                        Ci[j] += a * b
-    return C
-
-def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v) if a and x) for row in A]
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)] if A else []
-
-
 class SNF:
-    """Smith normal form U*A*V = S with S diagonal and d1 | d2 | ...
+    """Smith normal form U*A*V = S of an m x n integer matrix A, with S
+    diagonal and d1 | d2 | ...
 
     ``diag`` lists the diagonal of S including trailing zeros (length
     min(m, n)); all entries are >= 0.  U (m x m) and V (n x n) are
-    unimodular dense matrices; ``uinv`` and ``vinv`` are their exact
-    inverses.  U and ``uinv`` are always present; V and ``vinv`` are None
-    when the form was computed with ``track_cols=False``.  The first
-    ``rank`` rows of U are the pivot rows; the rest span the left kernel.
+    unimodular, kept sparse and in pivot order: ``u_rows[k]`` is row k
+    of U and ``uinv_cols[k]`` column k of its inverse, ``v_cols[k]``
+    column k of V and ``vinv_rows[k]`` row k of its inverse, each a
+    ``{index: value}`` dict.  V and its inverse are None when the form
+    was computed with ``track_cols=False``.  The first ``rank`` rows of
+    U are the pivot rows; the rest span the left kernel.
     """
 
-    __slots__ = ("m", "n", "diag", "U", "V", "uinv", "vinv")
+    __slots__ = ("m", "n", "diag", "u_rows", "uinv_cols", "v_cols",
+                 "vinv_rows")
 
-    def __init__(self, m, n, diag, U, V, uinv, vinv):
-        self.m = m
-        self.n = n
-        self.diag = diag
-        self.U = U
-        self.V = V
-        self.uinv = uinv
-        self.vinv = vinv
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            setattr(self, name, value)
 
     @property
     def rank(self):
@@ -122,79 +83,106 @@ class SNF:
     def invariant_factors(self):
         return [d for d in self.diag if d]
 
+    # dense views, built on each access; only the benchmark's tracer
+    # reads them
+    @property
+    def U(self):
+        return sparse_to_dense(self.u_rows, self.m, self.m)
 
-def smith_normal_form(A, track_cols=True):
-    """Smith normal form of a dense integer matrix, with transforms.
+    @property
+    def uinv(self):
+        return sparse_to_dense(sparse_transpose(self.uinv_cols),
+                               self.m, self.m)
 
-    Returns an :class:`SNF`.  The elimination engine (:func:`_smith`) runs
-    on a sparse copy of A, tracking U and ``uinv``, and V and ``vinv``
-    unless ``track_cols`` is False.  Its pivots do not depend on what it
-    tracks, so the diagonal, U and ``uinv`` are the same either way.
+
+def smith_normal_form(rows, shape, track_cols=True):
+    """Smith normal form of the integer matrix of the given ``shape``
+    (m, n) with sparse rows ``rows``, with transforms.
+
+    Returns an :class:`SNF`.  The elimination engine (:func:`_smith`)
+    runs on a copy of ``rows`` with rows and entries in increasing
+    index order and no zeros, so its pivots do not depend on the order
+    of ``rows``.
+    It tracks U and its inverse, and V and its inverse unless
+    ``track_cols`` is False; its pivots do not depend on what it
+    tracks, so the diagonal and U are the same either way.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    pivots, U, uinv, V, vinv = _smith(dense_to_sparse(A), m,
-                                      n if track_cols else None)
-    rows = _pivots_first([i for i, _, _ in pivots], m)
+    m, n = shape
+    rows = {i: {j: r[j] for j in sorted(r) if r[j]}
+            for i, r in sorted(rows.items())}
+    rows = {i: r for i, r in rows.items() if r}
+    pivots, U, uinv, V, vinv = _smith(rows, m, n if track_cols else None)
     diag = [d for _, _, d in pivots] + [0] * (min(m, n) - len(pivots))
+    order = _pivots_first([i for i, _, _ in pivots], m)
+    u_rows = {k: U[a] for k, a in enumerate(order)}
+    uinv_cols = {k: uinv[a] for k, a in enumerate(order)}
     if track_cols:
-        cols = _pivots_first([j for _, j, _ in pivots], n)
-        V, vinv = _dense(V, cols, by_cols=True), _dense(vinv, cols)
-    return SNF(m, n, diag, _dense(U, rows), V,
-               _dense(uinv, rows, by_cols=True), vinv)
+        order = _pivots_first([j for _, j, _ in pivots], n)
+        V = {k: V[a] for k, a in enumerate(order)}
+        vinv = {k: vinv[a] for k, a in enumerate(order)}
+    return SNF(m, n, diag, u_rows, uinv_cols, V, vinv)
 
 
 def _pivots_first(pivots, size):
     return pivots + sorted(set(range(size)).difference(pivots))
 
 
-def _dense(T, order, by_cols=False):
-    """The matrix whose k-th row (column) is the sparse vector T[order[k]]."""
-    out = zeros(len(order), len(order))
-    for k, a in enumerate(order):
-        for t, w in T[a].items():
-            i, j = (t, k) if by_cols else (k, t)
-            out[i][j] = w
-    return out
-
-
-def solve_int(A, b):
-    """One integer solution x of A x = b, or None if there is none."""
-    snf = smith_normal_form(A)
-    c = mat_vec(snf.U, b)
-    y = [0] * snf.n
-    for i in range(snf.m):
-        d = snf.diag[i] if i < len(snf.diag) else 0
-        if d:
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-        elif c[i]:
+def solve_int(rows, shape, b):
+    """One integer solution x of A x = b, for A given by its sparse rows
+    and shape and b by ``{index: value}``: a sparse ``{index: value}``,
+    or None if there is none."""
+    snf = smith_normal_form(rows, shape)
+    x = {}
+    for k, row in snf.u_rows.items():
+        c = sum(w * row.get(a, 0) for a, w in b.items())
+        d = snf.diag[k] if k < len(snf.diag) else 0
+        if c % d if d else c:
             return None
-    return mat_vec(snf.V, y)
+        if c:
+            _axpy(x, snf.v_cols[k], c // d)
+    return x
 
 
-def invert_unimodular(A):
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(A)
-    snf = smith_normal_form(A)
-    if snf.rank != n or any(d != 1 for d in snf.diag):
+def invert_unimodular(rows, n):
+    """Sparse rows of the inverse of the n x n integer matrix with sparse
+    rows ``rows`` and determinant +-1."""
+    snf = smith_normal_form(rows, (n, n))
+    if snf.diag != [1] * n:
         raise ValueError("matrix is not unimodular")
     # A = Uinv S Vinv with S = I, so A^-1 = V U
-    return mat_mul(snf.V, snf.U)
+    return sparse_mul(sparse_transpose(snf.v_cols), snf.u_rows)
 
 
-def left_kernel(A):
-    """Rows spanning {x : x A = 0}, a basis of a saturated lattice."""
-    m = len(A)
-    snf = smith_normal_form(A, track_cols=False)
-    r = snf.rank
-    return [list(snf.U[i]) for i in range(r, m)]
+def right_kernel(rows, shape):
+    """Sparse vectors ``{index: value}`` spanning {x : A x = 0}, a basis
+    of a saturated lattice: the columns of V past the rank."""
+    snf = smith_normal_form(rows, shape)
+    return [snf.v_cols[k] for k in range(snf.rank, shape[1])]
 
 
-def right_kernel(A):
-    """Columns (returned as rows) spanning {x : A x = 0}."""
-    return left_kernel(transpose(A))
+def abs_determinant(rows, n):
+    """|det A| of the n x n integer matrix with sparse rows ``rows``, by
+    fraction-free elimination (Bareiss, Math. Comp. 1968).  Each entry
+    of the remaining rows after step k is a (k+1) x (k+1) minor of A,
+    so bit lengths grow linearly, not exponentially as under xgcd
+    combinations; the divisions by the previous pivot are exact."""
+    rest = {i: dict(r) for i, r in rows.items() if r}
+    prev = 1
+    for k in range(n):
+        piv = min((i for i, r in rest.items() if k in r),
+                  key=lambda i: len(rest[i]), default=None)
+        if piv is None:
+            return 0
+        prow = rest.pop(piv)
+        pk = prow.pop(k)
+        for i, row in rest.items():
+            a = row.pop(k, 0)
+            new = {j: pk * v for j, v in row.items()}
+            if a:
+                _axpy(new, prow, -a)
+            rest[i] = {j: w // prev for j, w in new.items()}
+        prev = pk
+    return abs(prev)
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +225,21 @@ def sparse_mul(rows_a, rows_b):
     return out
 
 
+def sparse_transpose(rows):
+    """The transpose of a dict-of-dict sparse matrix."""
+    out = {}
+    for i, row in rows.items():
+        for j, v in row.items():
+            out.setdefault(j, {})[i] = v
+    return out
+
+
 def sparse_nnz(rows):
     return sum(len(r) for r in rows.values())
 
 
 def sparse_to_dense(rows, m, n):
-    A = zeros(m, n)
+    A = [[0] * n for _ in range(m)]
     for i, row in rows.items():
         for j, v in row.items():
             A[i][j] = v

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import time
 
 from hurstab import braid, cli
@@ -168,6 +169,37 @@ def test_usage_and_validation_errors(tmp_path, monkeypatch, capsys):
         path.write_text(json.dumps(system))
         assert cli.run(["degree", "--system", str(path), "--kmax", "3"]) \
             == cli.EXIT_VALIDATION, system
+    # unimodularity of cZ is decided by a fraction-free determinant: this
+    # singular 24 x 24 matrix ran the xgcd Smith elimination for minutes
+    rng = random.Random(3)
+    M = [[0] * 24 for _ in range(24)]
+    for pos in rng.sample(range(576), 62):
+        v = 0
+        while not v:
+            v = rng.randint(-40, 40)
+        M[pos // 24][pos % 24] = v
+    path = tmp_path / "singular24.json"
+    path.write_text(json.dumps({"HZ": [1, 24], "i": 1, "cZ": {"1": M}}))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert cli.run(["degree", "--system", str(path), "--kmax", "3",
+                    "--cutoff", "1"]) == cli.EXIT_VALIDATION
+    assert time.perf_counter() - start < 2.0
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    # a unimodular cZ that is not a signed permutation is accepted, and
+    # its report is the one the Smith-form check gave
+    path = tmp_path / "unimodular.json"
+    path.write_text(json.dumps(
+        {"HY": [1, 1], "HZ": [1, 2, 1], "i": 2, "cZ": {"1": [[2, 1], [1, 1]]}}))
+    code, body = run_to_file(tmp_path, "unimodular.out.json", [
+        "degree", "--system", str(path), "--kmax", "5", "--cutoff", "3",
+        "--format", "json"])
+    assert code == cli.EXIT_OK
+    assert json.loads(body)["degree"] == {
+        "degree": 2, "k_max_consulted": 5, "naturally_split": True,
+        "reason": "", "delta_ranks": [[0, 3, 10, 21, 36, 55],
+                                      [3, 7, 11, 15, 19], [4, 4, 4, 4],
+                                      [0, 0, 0]]}
     for name, text in (("bad.json", "{bad"), ("nohz.json", '{"HY": [1]}'),
                        ("g5.json", '{"group": 5}')):
         (tmp_path / name).write_text(text)

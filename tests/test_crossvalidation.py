@@ -11,7 +11,6 @@ import random
 
 from hurstab import coeffsys as cs
 from hurstab import garside
-from hurstab import intmat
 from hurstab.groups import FiniteGroup, conjugacy_closure
 
 # ---------------------------------------------------------------------------
@@ -109,9 +108,17 @@ def test_normal_form_agrees_with_burau_on_three_strands():
 # generic cokernel path of the difference operator
 
 
+def mat_mul(A, B):
+    n = len(B[0]) if B else 0
+    return [[sum(a * B[k][j] for k, a in enumerate(row)) for j in range(n)]
+            for row in A]
+
+
 def random_unimodular(rng, n):
-    """Product of elementary column shears; determinant +-1."""
-    U = intmat.identity(n)
+    """Product of elementary column shears, determinant +-1, and its
+    inverse, the product of the inverse shears in reverse order."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    U_inv = [list(row) for row in U]
     for _ in range(2 * n):
         a, b = rng.randrange(n), rng.randrange(n)
         if a == b:
@@ -119,20 +126,26 @@ def random_unimodular(rng, n):
         q = rng.randint(-2, 2)
         for row in U:
             row[a] += q * row[b]
-    return U
+        U_inv[b] = [x - q * y for x, y in zip(U_inv[b], U_inv[a])]
+    return U, U_inv
 
 
 def conjugated_system(system, rng):
     """An isomorphic system in scrambled bases: G -> U G U^-1,
     I_k -> U_{k+1} I_k U_k^-1.  Structure maps stop being unit columns,
-    forcing the generic Smith-form cokernel path."""
-    us = [random_unimodular(rng, n) for n in system.dims]
-    u_invs = [intmat.invert_unimodular(u) for u in us]
+    forcing the generic Smith-form cokernel path.  Dense products here
+    share no code with the sparse ones of intmat."""
+    pairs = [random_unimodular(rng, n) for n in system.dims]
+    for (u, u_inv), n in zip(pairs, system.dims):
+        assert mat_mul(u, u_inv) == [[int(i == j) for j in range(n)]
+                                     for i in range(n)]
 
     def conj(cols, k_src, k_tgt):
-        dense = cs.cols_to_dense(cols, system.dims[k_tgt])
-        out = intmat.mat_mul(us[k_tgt], intmat.mat_mul(dense, u_invs[k_src]))
-        return cs.dense_to_cols(out)
+        dense = [[col.get(r, 0) for col in cols]
+                 for r in range(system.dims[k_tgt])]
+        out = mat_mul(pairs[k_tgt][0], mat_mul(dense, pairs[k_src][1]))
+        return [{r: row[j] for r, row in enumerate(out) if row[j]}
+                for j in range(len(cols))]
 
     gens = []
     for k in range(system.K_max + 1):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -181,3 +182,12 @@ def test_group_tables_refused_above_the_bound(monkeypatch):
                            match=f"{what} table of {entries} entries exceeds "
                                  f"the bound {entries - 1}"):
             build()
+
+
+def test_class_validation_is_linear_in_the_class():
+    # every element of cyclic:1000: 10^6 conjugates, each looked up in
+    # one member set (a set per lookup made this 10^9 inserts)
+    start = time.perf_counter()
+    c = ClassSet(FiniteGroup.cyclic(1000), tuple(range(1000)))
+    assert 999 in c and 1000 not in c and c.is_inversion_closed()
+    assert time.perf_counter() - start < 5.0

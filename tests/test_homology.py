@@ -13,6 +13,52 @@ S3 = FiniteGroup.symmetric(3)
 TRANSPOSITIONS = conjugacy_closure({S3.element_names.index("(1 2)")}, S3)
 
 
+# ---------------------------------------------------------------------------
+# dense oracles, local to the tests: intmat works on sparse rows only
+
+
+def mat_mul(A, B):
+    n = len(B[0]) if B else 0
+    return [[sum(a * B[k][j] for k, a in enumerate(row)) for j in range(n)]
+            for row in A]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def transpose(A):
+    return [list(col) for col in zip(*A)]
+
+
+def relation_columns(orders):
+    """Columns d*e_j spanning the relations of a presented group."""
+    return [[d * (t == j) for t in range(len(orders))]
+            for j, d in enumerate(orders) if d > 1]
+
+
+def dense_solve(A, b):
+    """One integer solution x of A x = b for a dense A with at least one
+    row, as a dense list, or None."""
+    x = intmat.solve_int(intmat.dense_to_sparse(A), (len(A), len(A[0])),
+                         sparse_chain(b))
+    return None if x is None else [x.get(j, 0) for j in range(len(A[0]))]
+
+
+def left_kernel(A):
+    """Dense rows spanning {x : x A = 0}, a saturated lattice."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    vecs = intmat.right_kernel(
+        intmat.sparse_transpose(intmat.dense_to_sparse(A)), (n, m))
+    return [[v.get(a, 0) for a in range(m)] for v in vecs]
+
+
+def sparse_chain(vec):
+    """The chain {cell: value} of a dense vector."""
+    return {a: x for a, x in enumerate(vec) if x}
+
+
 def two_term_complex(entry):
     """0 -> Z --entry--> Z -> 0 with the map in degree 1."""
     mats = {1: {0: {0: entry}}} if entry else {1: {}}
@@ -149,8 +195,8 @@ def dense_split_oracle(src_orders, tgt_orders, M):
     if a == 0:
         return True
     b = len(tgt_orders)
-    rel_a = hm._relation_columns(src_orders)
-    rel_b = hm._relation_columns(tgt_orders)
+    rel_a = relation_columns(src_orders)
+    rel_b = relation_columns(tgt_orders)
     ta = len(rel_a)
     tb = len(rel_b)
     n_unknowns = a * b + ta * a + ta * tb
@@ -184,7 +230,7 @@ def dense_split_oracle(src_orders, tgt_orders, M):
                 row[wi(t, l)] = -rel_a[t][i]
             rows.append(row)
             rhs.append(0)
-    return intmat.solve_int(rows, rhs) is not None
+    return dense_solve(rows, rhs) is not None
 
 
 ORDERS = st.sampled_from([0, 2, 3, 4, 6, 12])
@@ -307,11 +353,6 @@ boundaries = st.integers(1, 5).flatmap(
 )
 
 
-def sparse_chain(vec):
-    """The chain {cell: value} of a dense vector."""
-    return {a: x for a, x in enumerate(vec) if x}
-
-
 def one_boundary_complex(D):
     """0 -> Z^m --D--> Z^n -> 0 with D acting on row vectors."""
     m, n = len(D), len(D[0])
@@ -328,11 +369,11 @@ def test_kernel_coords_match_solve(D, coeffs, chain):
     hb = hm._ZHomologyBasis(one_boundary_complex(D), 1)
     kernel = intmat.sparse_to_dense(hb.kernel, len(hb.kernel), len(D))
     if kernel:
-        x = intmat.mat_mul([coeffs[: len(kernel)]], kernel)[0]
-        assert hb._kernel_coords(sparse_chain(x)) == intmat.solve_int(
-            intmat.transpose(kernel), x)
+        x = mat_mul([coeffs[: len(kernel)]], kernel)[0]
+        assert hb._kernel_coords(sparse_chain(x)) == sparse_chain(
+            dense_solve(transpose(kernel), x))
     x = chain[: len(D)]
-    if any(intmat.mat_mul([x], D)[0]):
+    if any(mat_mul([x], D)[0]):
         with pytest.raises(hm.HomologyError):
             hb._kernel_coords(sparse_chain(x))
 
@@ -363,14 +404,15 @@ class SolveBasis(hm._ZHomologyBasis):
         if self.trivial_beyond:
             self.orders = []
             return
-        self.dense_kernel = intmat.left_kernel(hm._boundary(C, i))
+        self.dense_kernel = left_kernel(hm._boundary(C, i))
         self.kernel = intmat.dense_to_sparse(self.dense_kernel)
-        z = len(self.kernel)
+        z = len(self.dense_kernel)
         self.width = C.dims[i]
         n_upper = C.dims[i + 1] if i < C.top_degree else 0
         cols = [self._kernel_coords(C.mats[i + 1].get(t, {}))
                 for t in range(n_upper)]
-        self._present([[col[s] for col in cols] for s in range(z)])
+        self._present(intmat.sparse_transpose(dict(enumerate(cols))),
+                      (z, n_upper))
 
     def _kernel_coords(self, chain):
         vec = [0] * self.width
@@ -379,11 +421,11 @@ class SolveBasis(hm._ZHomologyBasis):
         if not self.kernel:
             if any(vec):
                 raise hm.HomologyError("vector is not a cycle")
-            return []
-        y = intmat.solve_int(intmat.transpose(self.dense_kernel), vec)
+            return {}
+        y = dense_solve(transpose(self.dense_kernel), vec)
         if y is None:
             raise hm.HomologyError("vector is not a cycle")
-        return y
+        return sparse_chain(y)
 
 
 def test_induced_maps_match_solve_basis(monkeypatch):
@@ -573,7 +615,7 @@ def _rank_and_kernel(coeff):
     if coeff.kind == "Q":
         return (lambda A: len(intmat.sparse_invariant_factors(
                     intmat.dense_to_sparse(A))),
-                intmat.left_kernel)
+                left_kernel)
     return (lambda A: intmat.field_rank(coeff.p, A),
             lambda A: intmat.field_left_kernel(coeff.p, A))
 
@@ -601,10 +643,10 @@ def chain_rank_flags(cm, i, coeff):
         r = 0
     else:
         K = (kernel(_boundary(src, i)) if i >= 1
-             else intmat.identity(src.dims[0]))
+             else identity(src.dims[0]))
         F = intmat.sparse_to_dense(cm.mats[i], src.dims[i], tgt.dims[i])
         upper = _boundary(tgt, i + 1)
-        r = rank(intmat.mat_mul(K, F) + upper) - rank(upper)
+        r = rank(mat_mul(K, F) + upper) - rank(upper)
     return h_src, h_tgt, r == h_src, r == h_tgt
 
 
@@ -690,7 +732,7 @@ def random_complexes(draw, piece_orders, max_shear):
             mats[j][hi + n][lo + n] = d
     bases = []
     for n in dims:
-        A, Ainv = intmat.identity(n), intmat.identity(n)
+        A, Ainv = identity(n), identity(n)
         for _ in range(draw(st.integers(0, max_shear)) if n > 1 else 0):
             t, s = draw(st.sampled_from([(t, s) for t in range(n)
                                          for s in range(n) if s != t]))
@@ -704,8 +746,8 @@ def random_complexes(draw, piece_orders, max_shear):
                       [[row[perm[a]] * signs[a] for a in range(n)]
                        for row in Ainv]))
     # in the new basis D_j becomes A_j D_j A_{j-1}^-1
-    sparse = {j: intmat.dense_to_sparse(intmat.mat_mul(
-        intmat.mat_mul(bases[j][0], D), bases[j - 1][1]) if D and D[0] else D)
+    sparse = {j: intmat.dense_to_sparse(mat_mul(
+        mat_mul(bases[j][0], D), bases[j - 1][1]) if D and D[0] else D)
         for j, D in mats.items()}
     for j in range(1, top):
         assert not intmat.sparse_mul(sparse[j + 1], sparse[j])

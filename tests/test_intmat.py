@@ -1,10 +1,43 @@
 import random
+import time
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from hurstab import intmat
+
+
+def mat_mul(A, B):
+    """Dense product, a test-local oracle for the sparse one."""
+    n = len(B[0]) if B else 0
+    return [[sum(a * B[k][j] for k, a in enumerate(row)) for j in range(n)]
+            for row in A]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def transpose(A):
+    return [list(col) for col in zip(*A)]
+
+
+def snf_of(A, track_cols=True):
+    """The Smith form of a dense matrix with at least one row."""
+    return intmat.smith_normal_form(intmat.dense_to_sparse(A),
+                                    (len(A), len(A[0])), track_cols)
+
+
+def dense_rows(rows, m):
+    """The dense matrix whose row k is the sparse vector rows[k]."""
+    return intmat.sparse_to_dense(rows, m, m)
+
+
+def dense_cols(cols, m):
+    """The dense matrix whose column k is the sparse vector cols[k]."""
+    return transpose(dense_rows(cols, m))
 
 
 small_matrices = st.integers(1, 6).flatmap(
@@ -21,13 +54,15 @@ small_matrices = st.integers(1, 6).flatmap(
 @given(small_matrices)
 @settings(max_examples=200, deadline=None)
 def test_snf_round_trip(A):
-    snf = intmat.smith_normal_form(A)
-    S = intmat.mat_mul(intmat.mat_mul(snf.U, A), snf.V)
+    snf = snf_of(A)
+    m, n = len(A), len(A[0])
+    U, V = dense_rows(snf.u_rows, m), dense_cols(snf.v_cols, n)
+    S = mat_mul(mat_mul(U, A), V)
     for i, row in enumerate(S):
         for j, v in enumerate(row):
             assert v == (snf.diag[i] if i == j and i < len(snf.diag) else 0)
-    assert intmat.mat_mul(snf.U, snf.uinv) == intmat.identity(len(A))
-    assert intmat.mat_mul(snf.V, snf.vinv) == intmat.identity(len(A[0]))
+    assert mat_mul(U, dense_cols(snf.uinv_cols, m)) == identity(m)
+    assert mat_mul(V, dense_rows(snf.vinv_rows, n)) == identity(n)
     factors = snf.invariant_factors
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
@@ -37,15 +72,61 @@ def test_snf_round_trip(A):
 @given(small_matrices)
 @settings(max_examples=200, deadline=None)
 def test_snf_without_column_transforms(A):
-    full = intmat.smith_normal_form(A)
-    rows_only = intmat.smith_normal_form(A, track_cols=False)
-    assert rows_only.V is None and rows_only.vinv is None
+    full = snf_of(A)
+    rows_only = snf_of(A, track_cols=False)
+    assert rows_only.v_cols is None and rows_only.vinv_rows is None
     assert rows_only.diag == full.diag
-    assert rows_only.U == full.U and rows_only.uinv == full.uinv
+    assert rows_only.u_rows == full.u_rows
+    assert rows_only.uinv_cols == full.uinv_cols
     # U*A = S*vinv: the row transform alone carries A to S up to columns
     S = [[d if i == j else 0 for j in range(full.n)]
          for i, d in enumerate(full.diag + [0] * (full.m - len(full.diag)))]
-    assert intmat.mat_mul(full.U, A) == intmat.mat_mul(S, full.vinv)
+    assert mat_mul(dense_rows(full.u_rows, full.m), A) == mat_mul(
+        S, dense_rows(full.vinv_rows, full.n))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse rows of an m x n integer matrix, 0 <= m, n <= 7, with up to
+    m*n nonzero entries."""
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entries = draw(st.dictionaries(
+        st.tuples(st.integers(0, max(m - 1, 0)), st.integers(0, max(n - 1, 0))),
+        st.integers(-30, 30).filter(bool), max_size=m * n)) if m and n else {}
+    rows = {}
+    for (i, j), v in entries.items():
+        rows.setdefault(i, {})[j] = v
+    return rows, (m, n)
+
+
+@seed(20261019)
+@given(sparse_matrices())
+@settings(max_examples=300, deadline=None)
+def test_sparse_transforms(case):
+    rows, (m, n) = case
+    snf = intmat.smith_normal_form(rows, (m, n))
+    eye = {k: {k: 1} for k in range(m)}
+    U, uinv = snf.u_rows, intmat.sparse_transpose(snf.uinv_cols)
+    V, vinv = intmat.sparse_transpose(snf.v_cols), snf.vinv_rows
+    S = {k: {k: d} for k, d in enumerate(snf.diag) if d}
+    assert intmat.sparse_mul(intmat.sparse_mul(U, rows), V) == S
+    assert intmat.sparse_mul(U, uinv) == eye
+    assert intmat.sparse_mul(V, vinv) == {k: {k: 1} for k in range(n)}
+    rows_only = intmat.smith_normal_form(rows, (m, n), track_cols=False)
+    assert (rows_only.diag, rows_only.u_rows, rows_only.uinv_cols) == (
+        snf.diag, snf.u_rows, snf.uinv_cols)
+    # the dense views hold the sparse transforms, so the benchmark
+    # tracer's entry count and bit count read the same matrices
+    assert snf.U == [[snf.u_rows[k].get(a, 0) for a in range(m)]
+                     for k in range(m)]
+    assert snf.uinv == [[snf.uinv_cols[k].get(a, 0) for k in range(m)]
+                        for a in range(m)]
+    dense_bits = max((abs(x).bit_length() for mat in (snf.U, snf.uinv)
+                      for row in mat for x in row), default=0)
+    sparse_bits = max((abs(x).bit_length() for vecs in (U, uinv)
+                       for vec in vecs.values() for x in vec.values()),
+                      default=0)
+    assert (snf.m, snf.n, dense_bits) == (m, n, sparse_bits)
 
 
 def _det(M):
@@ -92,64 +173,76 @@ oracle_matrices = st.integers(1, 4).flatmap(
 @settings(max_examples=200, deadline=None)
 def test_sparse_factors_agree_with_dense(A):
     expected = determinantal_factors(A)
-    assert intmat.smith_normal_form(A).invariant_factors == expected
+    assert snf_of(A).invariant_factors == expected
     assert intmat.sparse_invariant_factors(intmat.dense_to_sparse(A)) == expected
 
 
 def test_snf_examples():
-    assert intmat.smith_normal_form([[2, 4], [6, 8]]).invariant_factors == [2, 4]
-    assert intmat.smith_normal_form([[1, 0], [0, 1]]).invariant_factors == [1, 1]
-    assert intmat.smith_normal_form([[0]]).invariant_factors == []
+    assert snf_of([[2, 4], [6, 8]]).invariant_factors == [2, 4]
+    assert snf_of([[1, 0], [0, 1]]).invariant_factors == [1, 1]
+    assert snf_of([[0]]).invariant_factors == []
     A = [[2, 0], [0, 3]]
-    snf = intmat.smith_normal_form(A)
+    snf = snf_of(A)
     assert snf.diag == [1, 6]
-    assert intmat.mat_mul(intmat.mat_mul(snf.U, A), snf.V) == [[1, 0], [0, 6]]
+    assert mat_mul(mat_mul(snf.U, A), dense_cols(snf.v_cols, 2)) == [
+        [1, 0], [0, 6]]
 
 
 def test_solve_int():
-    A = [[2, 0], [0, 3]]
-    assert intmat.solve_int(A, [4, 9]) == [2, 3]
-    assert intmat.solve_int(A, [1, 0]) is None
-    A2 = [[1, 2], [2, 4]]
-    x = intmat.solve_int(A2, [3, 6])
-    assert x is not None and A2[0][0] * x[0] + A2[0][1] * x[1] == 3
+    A = {0: {0: 2}, 1: {1: 3}}
+    assert intmat.solve_int(A, (2, 2), {0: 4, 1: 9}) == {0: 2, 1: 3}
+    assert intmat.solve_int(A, (2, 2), {0: 1}) is None
+    A2 = {0: {0: 1, 1: 2}, 1: {0: 2, 1: 4}}
+    x = intmat.solve_int(A2, (2, 2), {0: 3, 1: 6})
+    assert x is not None and x.get(0, 0) + 2 * x.get(1, 0) == 3
+    # a zero row with a nonzero right-hand side, and a 2 x 0 system
+    assert intmat.solve_int({0: {0: 1}}, (2, 1), {1: 1}) is None
+    assert intmat.solve_int({}, (2, 0), {}) == {}
 
 
 def test_kernels():
     A = [[1, 2], [2, 4]]
-    left = intmat.left_kernel(A)
+    rows = intmat.dense_to_sparse(A)
+    left = intmat.right_kernel(intmat.sparse_transpose(rows), (2, 2))
     assert len(left) == 1
-    x = left[0]
+    x = [left[0].get(j, 0) for j in range(2)]
     assert x[0] * 1 + x[1] * 2 == 0 and x[0] * 2 + x[1] * 4 == 0
-    right = intmat.right_kernel(A)
+    right = intmat.right_kernel(rows, (2, 2))
     assert len(right) == 1
     v = right[0]
-    assert v[0] + 2 * v[1] == 0
+    assert v.get(0, 0) + 2 * v.get(1, 0) == 0
+    # the kernel of a map with no rows is everything
+    assert intmat.right_kernel({}, (0, 3)) == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_kernel_saturated():
-    # left kernel rows span a saturated lattice: solving against them is
-    # integral for any integer cycle
+    # kernel vectors span a saturated lattice: solving against them is
+    # integral for any integer combination of them
     rng = random.Random(2)
     for _ in range(50):
         m, n = rng.randint(2, 5), rng.randint(2, 5)
-        A = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-        K = intmat.left_kernel(A)
+        A = intmat.dense_to_sparse(
+            [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)])
+        K = intmat.right_kernel(A, (m, n))
         if not K:
             continue
         coeffs = [rng.randint(-3, 3) for _ in K]
-        vec = [sum(c * K[t][j] for t, c in enumerate(coeffs))
-               for j in range(m)]
-        sol = intmat.solve_int(intmat.transpose(K), vec)
+        vec = [sum(c * k.get(j, 0) for c, k in zip(coeffs, K))
+               for j in range(n)]
+        vec = {j: x for j, x in enumerate(vec) if x}
+        # the columns of the system are the kernel vectors
+        system = intmat.sparse_transpose(dict(enumerate(K)))
+        sol = intmat.solve_int(system, (n, len(K)), vec)
         assert sol is not None
+        assert intmat.sparse_mul(A, intmat.sparse_transpose({0: vec})) == {}
 
 
 def test_invert_unimodular():
-    A = [[1, 2], [0, 1]]
-    inv = intmat.invert_unimodular(A)
-    assert intmat.mat_mul(A, inv) == intmat.identity(2)
+    A = {0: {0: 1, 1: 2}, 1: {1: 1}}
+    inv = intmat.invert_unimodular(A, 2)
+    assert intmat.sparse_mul(A, inv) == {0: {0: 1}, 1: {1: 1}}
     try:
-        intmat.invert_unimodular([[2, 0], [0, 1]])
+        intmat.invert_unimodular({0: {0: 2}, 1: {1: 1}}, 2)
         raised = False
     except ValueError:
         raised = True
@@ -162,11 +255,66 @@ def test_sparse_mul_matches_dense():
         m, k, n = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
         A = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
         B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
-        dense = intmat.mat_mul(A, B)
+        dense = mat_mul(A, B)
         sparse = intmat.sparse_mul(
             intmat.dense_to_sparse(A), intmat.dense_to_sparse(B)
         )
         assert intmat.sparse_to_dense(sparse, m, n) == dense
+        assert intmat.sparse_to_dense(
+            intmat.sparse_transpose(intmat.dense_to_sparse(A)), k, m) == (
+            transpose(A))
+
+
+def fraction_abs_det(A):
+    """|det A| by Gaussian elimination over the rationals: an oracle that
+    shares no code with the fraction-free one."""
+    M = [[Fraction(x) for x in row] for row in A]
+    n, det = len(M), Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if M[i][k]), None)
+        if piv is None:
+            return 0
+        M[k], M[piv] = M[piv], M[k]
+        det *= M[k][k]
+        for i in range(k + 1, n):
+            q = M[i][k] / M[k][k]
+            M[i] = [a - q * b for a, b in zip(M[i], M[k])]
+    return abs(int(det))
+
+
+@seed(1968)
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+@settings(max_examples=300, deadline=None)
+def test_abs_determinant_matches_cofactors(A):
+    n = len(A)
+    assert intmat.abs_determinant(intmat.dense_to_sparse(A), n) == abs(_det(A))
+
+
+def test_abs_determinant_of_sparse_user_matrices_is_fast():
+    # the 24 x 24 matrices with 62 entries in [-40, 40] on which the
+    # xgcd elimination of the Smith engine ran for minutes
+    for s in range(1, 13):
+        rng = random.Random(s)
+        A = [[0] * 24 for _ in range(24)]
+        for pos in rng.sample(range(576), 62):
+            v = 0
+            while not v:
+                v = rng.randint(-40, 40)
+            A[pos // 24][pos % 24] = v
+        start = time.perf_counter()
+        got = intmat.abs_determinant(intmat.dense_to_sparse(A), 24)
+        assert time.perf_counter() - start < 1.0
+        assert got == fraction_abs_det(A)
+    # a unimodular matrix far from a permutation
+    rng = random.Random(7)
+    U = identity(12)
+    for _ in range(60):
+        a, b = rng.sample(range(12), 2)
+        q = rng.choice((-1, 1))
+        U[a] = [x + q * y for x, y in zip(U[a], U[b])]
+    assert intmat.abs_determinant(intmat.dense_to_sparse(U), 12) == 1
 
 
 def test_field_rank_and_kernel():
@@ -235,7 +383,7 @@ def solve_batches(draw):
     vecs = draw(vectors)
     combos = draw(st.lists(st.lists(entries, min_size=len(rows),
                                     max_size=len(rows)), max_size=3))
-    vecs += [intmat.mat_mul([c], rows)[0] if rows else [0] * n for c in combos]
+    vecs += [mat_mul([c], rows)[0] if rows else [0] * n for c in combos]
     vecs += [[0] * n]
     return p, n, rows, vecs + vecs
 
