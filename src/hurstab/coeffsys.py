@@ -96,6 +96,68 @@ def _perm_compose(outer, inner):
     return [po[t] for t in pi], [so[t] * s for t, s in zip(pi, si)]
 
 
+class _ColumnEntries:
+    """Sparse columns read as rows and values where each column holds at
+    most one entry (``single``), as those of the Hurwitz generators and
+    of the fast-path splittings do: the row of a column's entry and its
+    value, or -1 and 0 for an empty column.  :meth:`table` keeps them as
+    lists, each with one more -1 and 0 at the end for an empty inner
+    column to read (index -1); the lists hold the keys and values of the
+    columns, so no fresh ints.  :meth:`entries` reads the table once
+    there is one, and the columns otherwise."""
+
+    def __init__(self, cols):
+        self.cols = cols
+        lengths = set(map(len, cols))
+        self.single = lengths <= {0, 1}
+        self.full = 0 not in lengths
+        self._table = None
+
+    def entries(self):
+        """The rows and the values, as iterables."""
+        if self._table is not None:
+            return self._table
+        cols = self.cols
+        if self.full:
+            return (itertools.chain.from_iterable(cols),
+                    itertools.chain.from_iterable(map(dict.values, cols)))
+        # next(iter(col), default) per column, without a Python loop
+        return (map(next, map(iter, cols), itertools.repeat(-1)),
+                map(next, map(iter, map(dict.values, cols)),
+                    itertools.repeat(0)))
+
+    def table(self):
+        if self._table is None:
+            rows, values = map(list, self.entries())
+            rows.append(-1)
+            values.append(0)
+            self._table = rows, values
+        return self._table
+
+
+def _composites_equal(a, b, c, d):
+    """Whether a o b == c o d, for :class:`_ColumnEntries`.  When each
+    column of all four holds at most one entry, column j of a o b is row
+    ra[rb[j]] with value va[rb[j]] * vb[j] (-1 and 0 when empty; the
+    sparse format stores no zeros), and the rows and values of both
+    composites are compared entry by entry.  Only a and c are read as
+    tables: lists of b and d, and of the composites, would raise the
+    peak memory of delta.  Otherwise the sparse columns are compared."""
+    if not (a.single and b.single and c.single and d.single):
+        return cols_compose(a.cols, b.cols) == cols_compose(c.cols, d.cols)
+    if len(b.cols) != len(d.cols):
+        return False
+    (ra, va), (rc, vc) = a.table(), c.table()
+    eq, mul = operator.eq, operator.mul
+    (rb, _), (rd, _) = b.entries(), d.entries()
+    # map stops at the shorter input: a table's extra -1 and 0 go unread
+    if not all(map(eq, map(ra.__getitem__, rb), map(rc.__getitem__, rd))):
+        return False
+    (rb, vb), (rd, vd) = b.entries(), d.entries()
+    return all(map(eq, map(mul, map(va.__getitem__, rb), vb),
+                   map(mul, map(vc.__getitem__, rd), vd)))
+
+
 def _inverse_cols(cols, n):
     """Columns of the inverse of an invertible n x n matrix, read off
     the permutation when it is a signed permutation."""
@@ -472,14 +534,17 @@ def delta(system):
         for k in range(K)
     ]
     naturally_split = True
+    # the splittings are read at two objects each: their tables are kept
+    splits = [_ColumnEntries(cok.split_cols) for cok in coks]
     new_gens = []
     for k in range(K):
-        rho = coks[k].split_cols
+        rho = splits[k]
         mats = []
         for i in range(1, k):
             big = system.gens[k + 1][i - 1]
             mats.append(_induced(coks[k], coks[k], big))
-            if cols_compose(system.gens[k][i - 1], rho) != cols_compose(rho, big):
+            if not _composites_equal(_ColumnEntries(system.gens[k][i - 1]),
+                                     rho, rho, _ColumnEntries(big)):
                 naturally_split = False
         new_gens.append(mats)
     new_structs = []
@@ -489,8 +554,8 @@ def delta(system):
             system.generator(k + 2, k + 1), system.structs[k + 1]
         )
         new_structs.append(_induced(coks[k], coks[k + 1], comp))
-        lhs = cols_compose(system.structs[k], coks[k].split_cols)
-        if lhs != cols_compose(coks[k + 1].split_cols, comp):
+        if not _composites_equal(_ColumnEntries(system.structs[k]), splits[k],
+                                 splits[k + 1], _ColumnEntries(comp)):
             naturally_split = False
 
     new_gradings = {}

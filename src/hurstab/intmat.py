@@ -219,7 +219,8 @@ def sparse_mul(rows_a, rows_b):
                     if w:
                         acc[j] = w
                     else:
-                        del acc[j]
+                        # a stored zero can make w 0 on a key not set
+                        acc.pop(j, None)
         if acc:
             out[i] = acc
     return out
@@ -255,10 +256,11 @@ def sparse_invariant_factors(rows):
     """Invariant factors (no transforms) of a sparse integer matrix.
 
     Runs the elimination engine (:func:`_smith`) on a copy of ``rows``
-    and returns the full sorted list of invariant factors d1 | d2 | ...
-    (1s included), so the rank is the list length.
+    without stored zeros and returns the full sorted list of invariant
+    factors d1 | d2 | ... (1s included), so the rank is the list length.
     """
-    pivots = _smith({i: dict(r) for i, r in rows.items()})[0]
+    pivots = _smith({i: {j: v for j, v in r.items() if v}
+                     for i, r in rows.items()})[0]
     return [d for _, _, d in pivots]
 
 

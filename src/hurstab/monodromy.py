@@ -21,6 +21,7 @@ reflection commutes with the action.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -228,10 +229,14 @@ def act(model, morphism, state):
 # monodromy-check samples and enumerates objects 0..MAX_OBJECT
 MAX_OBJECT = 3
 
+# what one identity-check injection costs against the bound, in
+# blank-fill tuples: about 12 us against 1.3 us for a tuple (Python 3.11)
+IDENTITY_CHECK_WEIGHT = 9
+
 
 def _digits(code, base, length):
-    """The ``length`` base-``base`` digits of code, most significant
-    first (the order of ``itertools.product``)."""
+    """The ``length`` lowest base-``base`` digits of code, most
+    significant first (the order of ``itertools.product``)."""
     out = [0] * length
     for t in range(length - 1, -1, -1):
         code, out[t] = divmod(code, base)
@@ -239,25 +244,47 @@ def _digits(code, base, length):
 
 
 class InjectionSampler:
-    """Labeled injections m -> n between objects 0..MAX_OBJECT, drawn
-    at random or enumerated from per-(m, n) tables of shapes.
+    """Labeled injections m -> n between objects 0..MAX_OBJECT, decoded
+    from residues or enumerated from per-(m, n) tables of shapes.
 
     ``shapes[m, n][k]`` lists the unlabeled partial injections of size
     k as (domain, image) pairs: domains in ``itertools.combinations``
     order, each with its images in ``itertools.permutations`` order.
-    A label code in range(|Q|**k) lists the labels of the domain in
-    base |Q|, most significant first.  A draw picks k uniformly in
-    0..min(m, n), then a shape and its label code uniformly, so an
-    injection of size k has probability
-    1/(min(m, n)+1) * 1/C(m, k) * 1/P(n, k) * 1/|Q|**k.  Each distinct
-    injection drawn is built, and validated, once and then reused.
+    There are ``sizes[m, n][k]`` = len(shapes[m, n][k]) * |Q|**k labeled
+    ones, numbered by index = shape * |Q|**k + label code, where the
+    label code lists the labels of the domain in base |Q|, most
+    significant first.  With B the lcm of ``sizes[m, n]``, a residue x
+    mod L_mn = (min(m, n) + 1) * B picks k = x // B and then index
+    (x % B) % sizes[m, n][k].  Every k takes B residues and every index
+    of size k takes B / sizes[m, n][k] of them, so a uniform residue
+    picks k uniformly in 0..min(m, n), then a shape and its label code
+    uniformly: an injection of size k has probability
+    1/(min(m, n)+1) * 1/C(m, k) * 1/P(n, k) * 1/|Q|**k.
+
+    A composable triple is decoded from one residue mod ``triples`` =
+    (MAX_OBJECT+1)**4 * L**3, L the lcm of every L_mn: its residue mod
+    (MAX_OBJECT+1)**4 gives the objects a, b, c, d (independent and
+    uniform), then three residues mod L give phi: a -> b, psi: b -> c
+    and chi: c -> d in turn.  Python integers keep this exact at any |Q|.
+
+    ``built`` interns every injection the sampler hands out: a decoded
+    one under its key (m, n, k, index) and, like every composite that
+    :meth:`composite` makes, under its value (m, n, pairs, labels), so
+    equal injections are one object.  ``composed`` maps the addresses
+    id(psi), id(phi) of two interned injections to the interned psi o phi,
+    so ``compose`` builds, and validates, each distinct pair's composite
+    once.  Both grow only with new injections and new pairs, by at most
+    3 decoded injections (two keys each), 4 composites and 4 pairs per
+    sample.  Pairs repeat most where |Q| is small: 200000 samples leave
+    about 0.1 entries per sample over cyclic:2 and 1.2 over cyclic:50.
     """
 
-    def __init__(self, group, rng):
+    def __init__(self, group):
+        self.group = group
         self.order = group.order
-        self.rng = rng
         self.shapes = {}
         self.sizes = {}
+        self.residues = {}  # (m, n) -> (L_mn, B, sizes[m, n])
         for m in range(MAX_OBJECT + 1):
             for n in range(MAX_OBJECT + 1):
                 shapes = self.shapes[m, n] = tuple(
@@ -268,24 +295,60 @@ class InjectionSampler:
                     )
                     for k in range(min(m, n) + 1)
                 )
-                self.sizes[m, n] = tuple(
+                sizes = self.sizes[m, n] = tuple(
                     len(by_k) * self.order**k for k, by_k in enumerate(shapes)
                 )
+                block = math.lcm(*sizes)
+                self.residues[m, n] = (len(sizes) * block, block, sizes)
+        span = MAX_OBJECT + 1
+        self.objects = tuple(itertools.product(range(span), repeat=4))
+        self.modulus = math.lcm(*(r[0] for r in self.residues.values()))
+        self.triples = span**4 * self.modulus**3
         self.built = {}
+        self.composed = {}
 
-    def injection(self, m, n, k, index):
-        """Labeled injection ``index`` of size k: shape
-        ``index // |Q|**k`` with label code ``index % |Q|**k``."""
-        key = (m, n, k, index)
+    def injection(self, m, n, x):
+        """The labeled injection m -> n that the residue x mod L_mn
+        picks (see the class docstring)."""
+        modulus, block, sizes = self.residues[m, n]
+        k, x = divmod(x % modulus, block)
+        key = (m, n, k, x % sizes[k])
         phi = self.built.get(key)
         if phi is None:
-            shape, code = divmod(index, self.order**k)
+            shape, code = divmod(key[3], self.order**k)
             dom, img = self.shapes[m, n][k][shape]
             labels = _digits(code, self.order, k)
-            phi = self.built[key] = LabeledInjection(
-                m, n, tuple(zip(dom, img)), tuple(zip(dom, labels))
-            )
+            phi = LabeledInjection(
+                m, n, tuple(zip(dom, img)), tuple(zip(dom, labels)))
+            phi = self.built[key] = self.built.setdefault(
+                (m, n, phi.pairs, phi.labels), phi)
         return phi
+
+    def triple(self, code):
+        """``(chi, psi, phi, rest)`` decoded from one integer: phi: a -> b,
+        psi: b -> c and chi: c -> d from the residue of code mod
+        ``triples``, and rest = code // triples."""
+        code, objects = divmod(code, len(self.objects))
+        a, b, c, d = self.objects[objects]
+        modulus = self.modulus
+        code, x = divmod(code, modulus)
+        phi = self.injection(a, b, x)
+        code, x = divmod(code, modulus)
+        psi = self.injection(b, c, x)
+        code, x = divmod(code, modulus)
+        return self.injection(c, d, x), psi, phi, code
+
+    def composite(self, psi, phi):
+        """The interned psi o phi of two interned injections, built by
+        the module's ``compose`` the first time the pair is seen."""
+        # one int for the pair of addresses, smaller than a tuple of two
+        key = id(psi) << 64 | id(phi)
+        out = self.composed.get(key)
+        if out is None:
+            out = compose(psi, phi, self.group)
+            out = self.composed[key] = self.built.setdefault(
+                (out.m, out.n, out.pairs, out.labels), out)
+        return out
 
     def all_injections(self, m, n):
         """Every labeled injection m -> n, by size, shape and label code.
@@ -299,20 +362,6 @@ class InjectionSampler:
                 for labels in itertools.product(range(self.order), repeat=k):
                     yield LabeledInjection(m, n, pairs, tuple(zip(dom, labels)))
 
-    def draw(self, m, n):
-        sizes = self.sizes[m, n]
-        k = self.rng.randrange(len(sizes))
-        return self.injection(m, n, k, self.rng.randrange(sizes[k]))
-
-    def composable_triple(self):
-        """(chi, psi, phi) for phi: a -> b, psi: b -> c, chi: c -> d,
-        with a, b, c, d independent and uniform in 0..MAX_OBJECT."""
-        span = MAX_OBJECT + 1
-        a, b, c, d = _digits(self.rng.randrange(span**4), span, 4)
-        phi = self.draw(a, b)
-        psi = self.draw(b, c)
-        return self.draw(c, d), psi, phi
-
 
 def check_model(model, samples, seed):
     """Check that the labeled injections form a category and that
@@ -321,26 +370,34 @@ def check_model(model, samples, seed):
     The identity laws are checked on every labeled injection between
     objects <= 2.  Associativity and functoriality of the action are
     checked on ``samples`` random composable triples between objects
-    <= MAX_OBJECT (see :class:`InjectionSampler`), each with a uniform
-    state tuple, and blank fill on every state between objects
-    <= MAX_OBJECT.  Returns ``(checks, failures)``: counts per check and
-    one dict per failure.
+    <= MAX_OBJECT, each with a uniform state tuple, and blank fill on
+    every state between objects <= MAX_OBJECT.  Each sample is one
+    ``randrange`` over ``sampler.triples * |Z|**MAX_OBJECT``: the
+    triple comes from its residue mod ``sampler.triples`` (see
+    :class:`InjectionSampler`) and the state tuple from the low base-|Z|
+    digits of the rest.  Composites come from the sampler's cache, so
+    each distinct pair is composed once per run; ``act`` and both
+    comparisons run on every sample.  Returns ``(checks, failures)``:
+    counts per check and one dict per failure.
 
     Besides the samples, the checks visit the labeled injections
     between objects <= 2 (sum of C(m, k) P(n, k) |Q|^k) and
-    (MAX_OBJECT+1) * sum_{n <= MAX_OBJECT} |Z|^n state tuples; a model
-    with more of them together than ``braid.DEFAULT_ORBIT_BOUND`` is
-    refused with OrbitSizeError before anything is checked.
+    (MAX_OBJECT+1) * sum_{n <= MAX_OBJECT} |Z|^n state tuples.  An
+    injection costs about IDENTITY_CHECK_WEIGHT (9) times what a tuple
+    costs, so it counts 9 times; a model whose weighted count exceeds
+    ``braid.DEFAULT_ORBIT_BOUND`` is refused with OrbitSizeError before
+    anything is checked.
     """
     z = model.states
     group = model.group
     rng = random.Random(seed)
-    sampler = InjectionSampler(group, rng)
+    sampler = InjectionSampler(group)
     injections = sum(sum(sampler.sizes[m, n]) for m in range(3) for n in range(3))
     tuples = (MAX_OBJECT + 1) * sum(z**n for n in range(MAX_OBJECT + 1))
-    braid.refuse_above_bound(injections + tuples, (
-        f"identity-check injections {injections} at |Q|={group.order} "
-        f"plus blank-fill tuples {tuples} at |Z|={z} exceed"))
+    braid.refuse_above_bound(IDENTITY_CHECK_WEIGHT * injections + tuples, (
+        f"identity-check injections {injections} at |Q|={group.order}, "
+        f"weighing {IDENTITY_CHECK_WEIGHT} each, plus blank-fill tuples "
+        f"{tuples} at |Z|={z} exceed"))
     checks = {"composition_identity": 0, "composition_assoc": 0,
               "act_functorial": 0, "blank_fill": 0}
     failures = []
@@ -353,15 +410,16 @@ def check_model(model, samples, seed):
                         compose(psi, ident_r, group) != psi:
                     failures.append({"kind": "identity", "psi": str(psi)})
                 checks["composition_identity"] += 1
+    draws = sampler.triples * z**MAX_OBJECT
+    triple = sampler.triple
+    composite = sampler.composite
     for _ in range(samples):
-        chi, psi, phi = sampler.composable_triple()
-        chi_psi = compose(chi, psi, group)
-        lhs = compose(chi_psi, phi, group)
-        rhs = compose(chi, compose(psi, phi, group), group)
-        if lhs != rhs:
+        chi, psi, phi, code = triple(rng.randrange(draws))
+        chi_psi = composite(chi, psi)
+        if composite(chi_psi, phi) != composite(chi, composite(psi, phi)):
             failures.append({"kind": "assoc"})
         checks["composition_assoc"] += 1
-        state = tuple(_digits(rng.randrange(z**chi.n), z, chi.n))
+        state = tuple(_digits(code, z, chi.n))
         one = act(model, chi_psi, state)
         two = act(model, psi, act(model, chi, state))
         if one != two:

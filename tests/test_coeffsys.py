@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -117,6 +118,47 @@ def test_relations_on_permutations_match_columns(n):
             system.check_braid_relations()
             if step < 5:
                 system = cs.delta(system).system
+
+
+def _random_single_entries(rng, rows, cols):
+    """Columns each empty or one nonzero entry, not injective in general."""
+    return [{rng.randrange(rows): rng.choice((1, -1, 1, -1, 2, -3))}
+            if rows and rng.random() < 0.7 else {} for _ in range(cols)]
+
+
+def test_composites_of_single_entry_columns_match_sparse_columns():
+    # a o b == c o d on rows and values exactly when it holds on the
+    # sparse columns: random matrices, and pairs made equal on purpose
+    rng = random.Random(12)
+    agreed = set()
+    for _ in range(3000):
+        n, ell, m = (rng.randint(0, 5) for _ in range(3))
+        a = _random_single_entries(rng, n, ell)
+        b = _random_single_entries(rng, ell, m)
+        if rng.random() < 0.5:
+            # c differs from a only off the image of b
+            hit = {r for col in b for r in col}
+            c = [col if j in hit else _random_single_entries(rng, n, 1)[0]
+                 for j, col in enumerate(a)]
+            d = b
+        else:
+            c = _random_single_entries(rng, n, ell)
+            d = _random_single_entries(rng, ell, m)
+        expect = cs.cols_compose(a, b) == cs.cols_compose(c, d)
+        read = [cs._ColumnEntries(x) for x in (a, b, c, d)]
+        assert all(x.single for x in read)
+        assert cs._composites_equal(*read) == expect
+        # an inner matrix read from its table, as delta's splitting is
+        read[1].table()
+        assert cs._composites_equal(*read) == expect
+        agreed.add(expect)
+    assert agreed == {True, False}
+    assert not cs._ColumnEntries([{0: 1, 1: 1}, {}]).single
+    partial = cs._ColumnEntries([{1: -1}, {}])
+    assert list(map(list, partial.entries())) == [[1, -1], [-1, 0]]
+    assert partial.table() == ([1, -1, -1], [-1, 0, 0])
+    full = cs._ColumnEntries([{2: 1}, {0: -3}])
+    assert list(map(list, full.entries())) == [[2, 0], [1, -3]]
 
 
 def test_check_extension_passes(hurwitz_s3, hurwitz_z2):

@@ -265,6 +265,25 @@ def test_sparse_mul_matches_dense():
             transpose(A))
 
 
+def test_sparse_mul_tolerates_stored_zeros():
+    # the format forbids stored zeros, but no entry point checks for
+    # them: a zero product on a key not yet summed leaves no entry
+    assert intmat.sparse_mul({0: {1: 0}}, {1: {0: 1}}) == {}
+    assert intmat.sparse_mul({0: {0: 2, 1: 0}}, {0: {0: 1}, 1: {0: 5}}) == {
+        0: {0: 2}}
+    assert intmat.sparse_mul({0: {0: 1}}, {0: {0: 0, 1: 3}}) == {0: {1: 3}}
+
+
+def test_sparse_invariant_factors_ignore_stored_zeros():
+    assert intmat.sparse_invariant_factors({0: {0: 0, 1: 2}}) == [2]
+    assert intmat.sparse_invariant_factors({0: {0: 0}, 1: {1: 0}}) == []
+    rows = {0: {0: 0, 1: 2}, 1: {0: 4, 1: 0}, 2: {2: 0}}
+    stripped = {0: {1: 2}, 1: {0: 4}}
+    assert intmat.sparse_invariant_factors(rows) == (
+        intmat.sparse_invariant_factors(stripped)) == [2, 4]
+    assert rows[0] == {0: 0, 1: 2}  # the input is not changed
+
+
 def fraction_abs_det(A):
     """|det A| by Gaussian elimination over the rationals: an oracle that
     shares no code with the fraction-free one."""

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -153,13 +154,17 @@ def test_blank_fill_all_empty_morphisms():
 
 def test_check_model_refuses_above_the_bound(monkeypatch):
     # SWAP_MODEL: the identity laws visit 9 + 9*2 + 2*2**2 = 35 labeled
-    # injections and blank fill 4 * (1 + 3 + 9 + 27) = 160 state tuples
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 195)
+    # injections, weighing 9 tuples each, and blank fill
+    # 4 * (1 + 3 + 9 + 27) = 160 state tuples: 35 * 9 + 160 = 475
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 475)
     checks, failures = md.check_model(SWAP_MODEL, 5, 0)
     assert checks["composition_identity"] == 35
     assert checks["blank_fill"] == 160 and not failures
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 194)
-    with pytest.raises(braid.OrbitSizeError):
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 474)
+    with pytest.raises(braid.OrbitSizeError,
+                       match=r"injections 35 at \|Q\|=2, weighing 9 each, "
+                             r"plus blank-fill tuples 160 at \|Z\|=3 exceed "
+                             "the bound 474"):
         md.check_model(SWAP_MODEL, 5, 0)
 
 
@@ -233,46 +238,20 @@ def test_appended_strand_commutes():
         assert lhs == rhs
 
 
-class ScriptedRng:
-    """Answers ``randrange`` from a script of values and records every
-    range asked for; past the end of the script it answers 0."""
-
-    def __init__(self, script):
-        self.script = script
-        self.ranges = []
-
-    def randrange(self, n):
-        self.ranges.append(n)
-        pos = len(self.ranges) - 1
-        return self.script[pos] if pos < len(self.script) else 0
-
-
-def exact_distribution(draw):
-    """{outcome: probability} of ``draw(rng)`` over every sequence of
-    answers a uniform ``randrange`` can give."""
-    dist = {}
-    scripts = [()]
-    while scripts:
-        script = scripts.pop()
-        rng = ScriptedRng(script)
-        outcome = draw(rng)
-        if len(rng.ranges) > len(script):
-            scripts.extend(script + (v,) for v in range(rng.ranges[len(script)]))
-            continue
-        p = Fraction(1, math.prod(rng.ranges))
-        dist[outcome] = dist.get(outcome, 0) + p
-    return dist
-
-
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_sampler_distribution_is_exact(order):
+    # every residue mod L_mn once: each labeled injection comes out as
+    # often as its probability says, exactly
     group = FiniteGroup.cyclic(order)
+    sampler = md.InjectionSampler(group)
     for m in range(4):
         for n in range(4):
-            def draw(rng):
-                return md.InjectionSampler(group, rng).draw(m, n)
-
-            dist = exact_distribution(draw)
+            modulus = sampler.residues[m, n][0]
+            assert modulus == (min(m, n) + 1) * math.lcm(*sampler.sizes[m, n])
+            assert sampler.modulus % modulus == 0
+            counts = collections.Counter(
+                sampler.injection(m, n, x) for x in range(modulus))
+            dist = {phi: Fraction(c, modulus) for phi, c in counts.items()}
             K = min(m, n)
             expect = {
                 phi: Fraction(1, (K + 1) * math.comb(m, len(phi.pairs))
@@ -284,20 +263,33 @@ def test_sampler_distribution_is_exact(order):
 
 
 def test_sampler_objects_are_uniform():
-    # the first answer alone picks the objects a, b, c, d of the triple
+    # the residue mod 4**4 picks the objects a, b, c, d, the next three
+    # residues mod L the injections phi, psi and chi, and the rest is
+    # handed back for the state tuple
+    sampler = md.InjectionSampler(Z2)
+    L = sampler.modulus
+    assert sampler.triples == 4**4 * L**3
+    rng = random.Random(2)
     seen = []
     for first in range(4**4):
-        sampler = md.InjectionSampler(Z2, ScriptedRng((first,)))
-        chi, psi, phi = sampler.composable_triple()
-        assert (phi.n, psi.n) == (psi.m, chi.m)
-        seen.append((phi.m, phi.n, psi.n, chi.n))
+        x = [rng.randrange(L) for _ in range(3)]
+        rest = rng.randrange(10**6)
+        code = first + 4**4 * (x[0] + L * (x[1] + L * (x[2] + L * rest)))
+        chi, psi, phi, left = sampler.triple(code)
+        a, b, c, d = phi.m, phi.n, psi.n, chi.n
+        assert (psi.m, chi.m) == (b, c) and left == rest
+        assert phi is sampler.injection(a, b, x[0])
+        assert psi is sampler.injection(b, c, x[1])
+        assert chi is sampler.injection(c, d, x[2])
+        seen.append((a, b, c, d))
     assert sorted(seen) == list(itertools.product(range(4), repeat=4))
 
 
 def test_sampler_builds_what_make_builds():
-    sampler = md.InjectionSampler(FiniteGroup.cyclic(3), random.Random(4))
-    drawn = [sampler.draw(m, n) for _ in range(300)
-             for m in range(4) for n in range(4)]
+    sampler = md.InjectionSampler(FiniteGroup.cyclic(3))
+    rng = random.Random(4)
+    drawn = [sampler.injection(m, n, rng.randrange(sampler.modulus))
+             for _ in range(300) for m in range(4) for n in range(4)]
     for m in range(4):
         for n in range(4):
             listed = list(sampler.all_injections(m, n))
@@ -308,6 +300,117 @@ def test_sampler_builds_what_make_builds():
         made = md.LabeledInjection.make(phi.m, phi.n, phi.mapping(),
                                         phi.label_map())
         assert phi == made and phi.strands == made.strands
+
+
+def test_sampler_composes_each_pair_once(monkeypatch):
+    # composites are interned by value, so equal injections are one
+    # object, and compose runs once per distinct pair
+    group = FiniteGroup.cyclic(3)
+    sampler = md.InjectionSampler(group)
+    calls = []
+
+    def counted(psi, phi, group):
+        calls.append((psi, phi))
+        return compose(psi, phi, group)
+
+    compose = md.compose
+    monkeypatch.setattr(md, "compose", counted)
+    rng = random.Random(6)
+    for _ in range(3000):
+        chi, psi, phi, _ = sampler.triple(rng.randrange(sampler.triples))
+        for outer, inner in ((chi, psi), (psi, phi)):
+            out = sampler.composite(outer, inner)
+            assert out == compose(outer, inner, group)
+            assert out is sampler.composite(outer, inner)
+            assert out is sampler.built[out.m, out.n, out.pairs, out.labels]
+        lhs = sampler.composite(sampler.composite(chi, psi), phi)
+        assert lhs is sampler.composite(chi, sampler.composite(psi, phi))
+    pairs = [(psi.m, psi.n, psi.pairs, psi.labels, phi.m, phi.n, phi.pairs,
+              phi.labels) for psi, phi in calls]
+    assert len(pairs) == len(set(pairs)) == len(sampler.composed)
+    assert len(calls) < 3000
+
+
+def regular_model(group):
+    """Q acting on itself by left multiplication, plus a basepoint: an
+    action that is not abelian when Q is not."""
+    order = group.order
+    action = tuple((0,) + tuple(1 + group.mul(q, g) for g in range(order))
+                   for q in range(order))
+    return md.MonodromyModel(group=group, states=order + 1, action=action,
+                             sign=(1,) * order,
+                             reflection=tuple(range(order + 1)))
+
+
+NONCOMMUTING_MODEL = md.MonodromyModel(
+    group=Z2, states=4, action=((0, 1, 2, 3), (0, 2, 1, 3)), sign=(1, -1),
+    reflection=(0, 1, 3, 2))
+
+
+@pytest.mark.parametrize("model", [SWAP_MODEL, NONCOMMUTING_MODEL,
+                                   regular_model(FiniteGroup.symmetric(3))])
+def test_check_model_matches_a_direct_oracle(model, monkeypatch):
+    # the triples one seeded run draws, checked again by composing and
+    # acting directly: the same verdict on each triple, and the same
+    # counts and failures
+    log = []
+    triple = md.InjectionSampler.triple
+    act = md.act
+
+    def logged_triple(self, code):
+        out = triple(self, code)
+        log.append([out])
+        return out
+
+    def logged_act(model, morphism, state):
+        out = act(model, morphism, state)
+        log[-1].append(out)
+        return out
+
+    monkeypatch.setattr(md.InjectionSampler, "triple", logged_triple)
+    monkeypatch.setattr(md, "act", logged_act)
+    checks, failures = md.check_model(model, 2000, 5)
+    monkeypatch.undo()
+    assert len(log) == 2000
+    group, z = model.group, model.states
+    expect = []
+    # three act calls per triple; the last entry also holds blank fill's
+    for (chi, psi, phi, code), one, _, two, *_ in log:
+        lhs = md.compose(md.compose(chi, psi, group), phi, group)
+        rhs = md.compose(chi, md.compose(psi, phi, group), group)
+        if lhs != rhs:
+            expect.append({"kind": "assoc"})
+        state = tuple(code // z**t % z for t in reversed(range(chi.n)))
+        direct = md.act(model, md.compose(chi, psi, group), state)
+        verdict = direct == md.act(model, psi, md.act(model, chi, state))
+        assert (one == two) == verdict and one == direct
+        if not verdict:
+            expect.append({"kind": "functoriality"})
+    assert checks["composition_assoc"] == checks["act_functorial"] == 2000
+    # the identity and blank-fill checks pass on every model here
+    assert failures == expect
+    assert bool(failures) == (model is NONCOMMUTING_MODEL)
+
+
+def test_check_model_finds_a_wrong_label_order(monkeypatch):
+    # composing labels inner times outer is still associative, but over
+    # sym:3 acting on itself the action is no longer a functor
+    group = FiniteGroup.symmetric(3)
+    model = regular_model(group)
+    checks, failures = md.check_model(model, 500, 1)
+    assert not failures
+
+    def wrong_order(psi, phi, group):
+        out = compose(psi, phi, group)
+        labels = tuple((i, group.mul(q, psi.strands[phi.strands[i][0]][1]))
+                       for i, q in phi.labels if i in out.strands)
+        return md.LabeledInjection(out.m, out.n, out.pairs, labels)
+
+    compose = md.compose
+    monkeypatch.setattr(md, "compose", wrong_order)
+    checks, failures = md.check_model(model, 500, 1)
+    kinds = {f["kind"] for f in failures}
+    assert "functoriality" in kinds and "assoc" not in kinds
 
 
 def test_model_validation():
