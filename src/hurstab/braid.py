@@ -220,6 +220,20 @@ def refuse_orbit_range(classes, ks):
     refuse_above_bound(work, f"orbit work k |c|^k at |c|={base} over k={span} exceeds")
 
 
+def hurwitz_pairs(classes, sign=1):
+    """The move of sigma^sign on pairs of class entries, by digits: entry
+    a |c| + b is the digit code of the image of (c_a, c_b), which is
+    (c_a c_b c_a^-1, c_a) for sign 1 and (c_b, c_b^-1 c_a c_b) for -1."""
+    group, elems = classes.group, classes.elements
+    base = len(elems)
+    pos = {x: t for t, x in enumerate(elems)}
+    if sign == 1:
+        return [pos[group.conj(a, b)] * base + s
+                for s, a in enumerate(elems) for b in elems]
+    return [t * base + pos[group.conj(group.inv(b), a)]
+            for a in elems for t, b in enumerate(elems)]
+
+
 def orbits(classes, k):
     """Orbit partition of c^k under sigma_1..sigma_{k-1}, built level by
     level from the partition of c^(m-1), m = 1..k.
@@ -232,9 +246,7 @@ def orbits(classes, k):
     """
     refuse_orbit_range(classes, range(k, k + 1))
     base = len(classes.elements)
-    group, elems = classes.group, classes.elements
-    pos = {x: t for t, x in enumerate(elems)}
-    conj = [[pos[group.conj(a, b)] for b in elems] for a in elems]
+    pairs = hurwitz_pairs(classes)
     root, sizes = array("q", [0]), {0: 1}  # the one empty tuple
     for m in range(1, k + 1):
         up = {}  # class code -> a smaller class code of the same orbit
@@ -247,7 +259,8 @@ def orbits(classes, k):
         for d in range(base if m > 1 else 0):  # sigma_{m-1} needs m >= 2
             ends = root[d::base]
             for l in range(base):
-                for r, s in set(zip(ends, root[conj[d][l]::base])):
+                moved = root[pairs[d * base + l] // base::base]
+                for r, s in set(zip(ends, moved)):
                     x, y = find(r * base + l), find(s * base + d)
                     if x != y:
                         up[max(x, y)] = min(x, y)

@@ -4,21 +4,25 @@ degree recursion, and synthetic Kunneth systems.
 A :class:`CoeffSystem` stores, for each object k in 0..K_max, a free
 module F(k) with a chosen basis, an invertible integer matrix per braid
 generator of B_k, and a structure map I_k: F(k) -> F(k+1).  Matrices use
-the column convention (columns are images of basis vectors, stored as
-sparse column dicts), and braid words act with the rightmost letter
-first, matching the Hurwitz action convention.
+the column convention (columns are images of basis vectors), and braid
+words act with the rightmost letter first, matching the Hurwitz action
+convention.  A matrix is stored in one of two forms (see
+:class:`CoeffSystem`): :class:`UnitColumns`, flat ``rows`` and ``signs``
+lists, or sparse column dicts ``{row: value}``; :func:`as_matrix` picks
+the form, and :func:`compose` and :func:`apply` take either.
 
-Every system, Hurwitz or Kunneth, is made by :meth:`CoeffSystem.build`
-from its forward generators and structure maps; ``build`` derives the
-inverse generators and checks the braid relations, on the permutations
-themselves when every generator is a signed permutation.
+Every system is made by :meth:`CoeffSystem.build` from its forward
+generators and structure maps; ``build`` derives the inverse generators
+unless given them, as the Hurwitz builder gives the ones it reads off
+the inverse pair table, and checks the braid relations by composing.
 
 The difference operator takes objectwise cokernels of the structure
 maps; the induced structure maps descend along s(iota_k), which is the
 (k+1)-st generator of B_{k+2} composed with I_{k+1}.  A cokernel drops
-the image rows when every column of I_k is a distinct unit column and
-goes through the Smith form otherwise, and one routine induces both
-the generators and the structure maps on cokernels.  The degree of a
+the image rows when I_k is unit columns, each +1 in a row of its own,
+and goes through the Smith form otherwise, and one routine induces both
+the generators and the structure maps on cokernels: on unit columns by
+reading one list through another.  The degree of a
 system is the number of difference steps to reach the zero system,
 minus one, with split-injectivity of the structure maps checked at
 every stage.  Functor-category splitness is approximated soundly: the
@@ -37,7 +41,6 @@ from dataclasses import dataclass, field
 
 from . import braid, intmat
 from .braid import BraidWord, sigma_k, v_k_l
-from .resolution import HurwitzModule
 
 
 class CoeffSystemError(ValueError):
@@ -50,15 +53,58 @@ class DeltaUndefined(CoeffSystemError):
 
 
 # ---------------------------------------------------------------------------
-# sparse column matrices
+# matrices: unit columns or sparse columns
 
 
-def cols_identity(n):
-    return [{j: 1} for j in range(n)]
+class UnitColumns:
+    """A matrix whose column j is ``signs[j] * e_rows[j]``: each column
+    is empty (row -1, sign 0) or holds one entry, +1 or -1.  ``rows`` and
+    ``signs`` are flat lists, one item per column; they may be shared
+    between matrices, so they are never changed in place.  Equal
+    matrices have equal lists, so ``==`` compares the lists."""
+
+    __slots__ = ("rows", "signs")
+
+    def __init__(self, rows, signs):
+        self.rows = rows
+        self.signs = signs
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __eq__(self, other):
+        return (isinstance(other, UnitColumns) and self.rows == other.rows
+                and self.signs == other.signs)
+
+    def __repr__(self):
+        return f"UnitColumns({self.rows}, {self.signs})"
+
+
+def identity(n):
+    return UnitColumns(list(range(n)), [1] * n)
+
+
+def as_matrix(cols):
+    """The stored form of a matrix given as sparse columns ``{row:
+    value}`` or as :class:`UnitColumns`: unit columns when every column
+    is empty or one +1 or -1 entry, the sparse columns otherwise."""
+    if isinstance(cols, UnitColumns):
+        return cols
+    if any(len(col) > 1 or set(col.values()) - {1, -1} for col in cols):
+        return cols
+    return UnitColumns([next(iter(col), -1) for col in cols],
+                       [next(iter(col.values()), 0) for col in cols])
+
+
+def columns(mat):
+    """The sparse columns ``{row: value}`` of a matrix in either form."""
+    if not isinstance(mat, UnitColumns):
+        return mat
+    return [{r: v} if v else {} for r, v in zip(mat.rows, mat.signs)]
 
 
 def cols_apply(cols, vec):
-    """Matrix times sparse vector {index: value}."""
+    """Sparse columns times sparse vector {index: value}."""
     out = {}
     for j, x in vec.items():
         for r, v in cols[j].items():
@@ -70,133 +116,49 @@ def cols_apply(cols, vec):
     return out
 
 
-def cols_compose(outer, inner):
-    """Columns of outer o inner."""
-    return [cols_apply(outer, col) for col in inner]
+def apply(mat, vec):
+    """A matrix in either form times a sparse vector."""
+    if isinstance(mat, UnitColumns):
+        # only the columns that the vector reads
+        mat = {j: {mat.rows[j]: mat.signs[j]} if mat.signs[j] else {}
+               for j in vec}
+    return cols_apply(mat, vec)
 
 
-def _signed_perm(cols):
-    """``(perm, sign)`` of a signed permutation matrix, whose column j
-    is ``sign[j] * e_perm[j]``, or None if ``cols`` is not one."""
-    if set(map(len, cols)) - {1}:
-        return None
-    perm = list(itertools.chain.from_iterable(cols))
-    sign = list(itertools.chain.from_iterable(map(dict.values, cols)))
-    # compared with range() lazily: a list of n fresh ints would raise
-    # the peak memory of delta, which inverts its generators here
-    if not all(map(operator.eq, sorted(perm), range(len(cols)))) \
-            or not set(sign) <= {1, -1}:
-        return None
-    return perm, sign
+def compose(outer, inner):
+    """outer o inner, in the stored form (see :func:`as_matrix`).  On
+    unit columns, column j is row outer.rows[inner.rows[j]] with sign
+    outer.signs[inner.rows[j]] * inner.signs[j]; an empty inner column
+    reads the empty column appended to outer at index -1."""
+    if not (isinstance(outer, UnitColumns) and isinstance(inner, UnitColumns)):
+        cols = columns(outer)
+        return as_matrix([cols_apply(cols, col) for col in columns(inner)])
+    rows = list(map((outer.rows + [-1]).__getitem__, inner.rows))
+    if outer.signs.count(1) == len(outer.signs):
+        # all +1: the composite's signs are inner's, empty columns and all
+        return UnitColumns(rows, inner.signs)
+    signs = outer.signs + [0]
+    return UnitColumns(rows, list(map(
+        operator.mul, map(signs.__getitem__, inner.rows), inner.signs)))
 
 
-def _perm_compose(outer, inner):
-    """``(perm, sign)`` of outer o inner."""
-    (po, so), (pi, si) = outer, inner
-    return [po[t] for t in pi], [so[t] * s for t, s in zip(pi, si)]
-
-
-class _ColumnEntries:
-    """Sparse columns read as rows and values where each column holds at
-    most one entry (``single``), as those of the Hurwitz generators and
-    of the fast-path splittings do: the row of a column's entry and its
-    value, or -1 and 0 for an empty column.  :meth:`table` keeps them as
-    lists, each with one more -1 and 0 at the end for an empty inner
-    column to read (index -1); the lists hold the keys and values of the
-    columns, so no fresh ints.  :meth:`entries` reads the table once
-    there is one, and the columns otherwise."""
-
-    def __init__(self, cols):
-        self.cols = cols
-        lengths = set(map(len, cols))
-        self.single = lengths <= {0, 1}
-        self.full = 0 not in lengths
-        self._table = None
-
-    def entries(self):
-        """The rows and the values, as iterables."""
-        if self._table is not None:
-            return self._table
-        cols = self.cols
-        if self.full:
-            return (itertools.chain.from_iterable(cols),
-                    itertools.chain.from_iterable(map(dict.values, cols)))
-        # next(iter(col), default) per column, without a Python loop
-        return (map(next, map(iter, cols), itertools.repeat(-1)),
-                map(next, map(iter, map(dict.values, cols)),
-                    itertools.repeat(0)))
-
-    def table(self):
-        if self._table is None:
-            rows, values = map(list, self.entries())
-            rows.append(-1)
-            values.append(0)
-            self._table = rows, values
-        return self._table
-
-
-def _composites_equal(a, b, c, d):
-    """Whether a o b == c o d, for :class:`_ColumnEntries`.  When each
-    column of all four holds at most one entry, column j of a o b is row
-    ra[rb[j]] with value va[rb[j]] * vb[j] (-1 and 0 when empty; the
-    sparse format stores no zeros), and the rows and values of both
-    composites are compared entry by entry.  Only a and c are read as
-    tables: lists of b and d, and of the composites, would raise the
-    peak memory of delta.  Otherwise the sparse columns are compared."""
-    if not (a.single and b.single and c.single and d.single):
-        return cols_compose(a.cols, b.cols) == cols_compose(c.cols, d.cols)
-    if len(b.cols) != len(d.cols):
-        return False
-    (ra, va), (rc, vc) = a.table(), c.table()
-    eq, mul = operator.eq, operator.mul
-    (rb, _), (rd, _) = b.entries(), d.entries()
-    # map stops at the shorter input: a table's extra -1 and 0 go unread
-    if not all(map(eq, map(ra.__getitem__, rb), map(rc.__getitem__, rd))):
-        return False
-    (rb, vb), (rd, vd) = b.entries(), d.entries()
-    return all(map(eq, map(mul, map(va.__getitem__, rb), vb),
-                   map(mul, map(vc.__getitem__, rd), vd)))
-
-
-def _inverse_cols(cols, n):
-    """Columns of the inverse of an invertible n x n matrix, read off
-    the permutation when it is a signed permutation."""
-    ps = _signed_perm(cols)
-    if ps is None:
-        # the columns are the rows of the transpose, and the rows of the
-        # transpose's inverse are the inverse's columns
-        inv = intmat.invert_unimodular(dict(enumerate(cols)), n)
-        return [inv[j] for j in range(n)]
-    inv = [None] * len(cols)
-    for j, (r, v) in enumerate(zip(*ps)):
-        inv[r] = {j: v}
-    return inv
-
-
-def _perm_identity(n):
-    return list(range(n)), [1] * n
-
-
-def _check_relations(dims, gens, gen_invs, compose, identity):
-    """Braid, commuting and inverse relations of the generators
-    ``gens[k]`` of B_k acting on rank ``dims[k]``, with their inverses
-    ``gen_invs[k]``; ``compose(a, b)`` is a o b and ``identity(n)`` the
-    rank-n identity, in whatever form the generators take."""
-    for k in range(2, len(dims)):
-        for i in range(1, k - 1):
-            a, b = gens[k][i - 1], gens[k][i]
-            if compose(a, compose(b, a)) != compose(b, compose(a, b)):
-                raise CoeffSystemError(f"braid relation fails at k={k}, i={i}")
-        for i, j in itertools.combinations(range(1, k), 2):
-            if j - i >= 2:
-                a, b = gens[k][i - 1], gens[k][j - 1]
-                if compose(a, b) != compose(b, a):
-                    raise CoeffSystemError(
-                        f"commuting relation fails at k={k}, ({i},{j})"
-                    )
-        for i in range(1, k):
-            if compose(gens[k][i - 1], gen_invs[k][i - 1]) != identity(dims[k]):
-                raise CoeffSystemError(f"inverse wrong at k={k}, i={i}")
+def _inverse(mat, n):
+    """The inverse of an invertible n x n matrix, read off the
+    permutation when it is a signed permutation."""
+    if isinstance(mat, UnitColumns) and len(mat) == n \
+            and 0 not in mat.signs and max(mat.rows, default=-1) < n:
+        rows = [-1] * n
+        for j, r in enumerate(mat.rows):
+            rows[r] = j
+        if -1 not in rows:  # no row hit twice
+            # column r of the inverse is sign * e_j for column j = sign * e_r
+            signs = mat.signs if mat.signs.count(1) == n else \
+                list(map(mat.signs.__getitem__, rows))
+            return UnitColumns(rows, signs)
+    # the columns are the rows of the transpose, and the rows of the
+    # transpose's inverse are the inverse's columns
+    inv = intmat.invert_unimodular(dict(enumerate(columns(mat))), n)
+    return as_matrix([inv[j] for j in range(n)])
 
 
 @dataclass
@@ -207,7 +169,13 @@ class CoeffSystem:
     k <= 1); ``gen_invs`` their inverses; ``structs[k]`` is I_k for
     0 <= k <= K_max - 1.  ``dims[k]`` is the rank of F(k).
     ``gradings[k]``, when present, assigns a degree to each basis
-    element (Kunneth systems carry it).
+    element (Kunneth systems carry it).  A matrix is stored as
+    :class:`UnitColumns` when each of its columns is empty or one +1 or
+    -1 entry, as every matrix of a Hurwitz, ``linearize``, constant or
+    identity-cZ Kunneth system, their sums, tensors and differences is;
+    only a matrix with a column of two or more entries (or another
+    value) keeps sparse columns ``{row: value}``, as those of a
+    non-permutation cZ and of the generic Smith-form cokernel do.
     """
 
     K_max: int
@@ -226,17 +194,20 @@ class CoeffSystem:
 
     @staticmethod
     def build(K_max, dims, gens, structs, gradings=None, name="system",
-              validate=True):
-        gen_invs = [
-            [_inverse_cols(cols, dims[k]) for cols in mats]
-            for k, mats in enumerate(gens)
-        ]
+              validate=True, gen_invs=None):
+        """The system of the forward generators and structure maps, in
+        either form, stored by :func:`as_matrix`; the inverses are
+        derived unless ``gen_invs`` gives them."""
+        gens = [[as_matrix(mat) for mat in mats] for mats in gens]
+        if gen_invs is None:
+            gen_invs = [[_inverse(mat, dims[k]) for mat in mats]
+                        for k, mats in enumerate(gens)]
         sys = CoeffSystem(
             K_max=K_max,
             dims=list(dims),
             gens=gens,
             gen_invs=gen_invs,
-            structs=structs,
+            structs=[as_matrix(mat) for mat in structs],
             gradings=gradings or {},
             name=name,
         )
@@ -260,11 +231,11 @@ class CoeffSystem:
             raise CoeffSystemError("word strands must equal the object")
         out = dict(vec)
         for idx, sign in reversed(word.letters):
-            out = cols_apply(self.generator(k, idx, sign), out)
+            out = apply(self.generator(k, idx, sign), out)
         return out
 
     def struct_apply(self, k, vec):
-        return cols_apply(self.structs[k], vec)
+        return apply(self.structs[k], vec)
 
     def struct_iterated(self, k, ell, vec):
         """I_k^ell = I_{k+ell-1} o ... o I_k applied to a vector."""
@@ -274,19 +245,25 @@ class CoeffSystem:
         return out
 
     def check_braid_relations(self):
-        """Check the braid, commuting and inverse relations: on
-        ``(perm, sign)`` arrays when every generator and inverse is a
-        signed permutation, as Hurwitz generators are, and on the
-        sparse columns otherwise."""
-        perms = [[_signed_perm(cols) for cols in mats]
-                 for mats in self.gens + self.gen_invs]
-        if all(ps is not None for mats in perms for ps in mats):
-            half = len(self.gens)
-            _check_relations(self.dims, perms[:half], perms[half:],
-                             _perm_compose, _perm_identity)
-        else:
-            _check_relations(self.dims, self.gens, self.gen_invs,
-                             cols_compose, cols_identity)
+        """Check the braid, commuting and inverse relations of the
+        generators by :func:`compose`, on the lists of unit columns."""
+        gens, dims = self.gens, self.dims
+        for k in range(2, len(dims)):
+            for i in range(1, k - 1):
+                a, b = gens[k][i - 1], gens[k][i]
+                if compose(a, compose(b, a)) != compose(b, compose(a, b)):
+                    raise CoeffSystemError(f"braid relation fails at k={k}, i={i}")
+            for i, j in itertools.combinations(range(1, k), 2):
+                if j - i >= 2:
+                    a, b = gens[k][i - 1], gens[k][j - 1]
+                    if compose(a, b) != compose(b, a):
+                        raise CoeffSystemError(
+                            f"commuting relation fails at k={k}, ({i},{j})"
+                        )
+            one = identity(dims[k])
+            for i in range(1, k):
+                if compose(gens[k][i - 1], self.gen_invs[k][i - 1]) != one:
+                    raise CoeffSystemError(f"inverse wrong at k={k}, i={i}")
 
     def to_json(self):
         return {
@@ -296,36 +273,63 @@ class CoeffSystem:
         }
 
 
+def _pair_generator(pairs, base, codes, k, i, signs):
+    """sigma_i^{+-1} on Z[base^k] by the pair table ``pairs``, whose
+    entry a base + b is the code of the image of the pair (a, b).  A
+    tuple's code is hi base^2 w + p w + lo with p the code of its
+    entries at i, i+1 and w = base^(k-i-1), and goes to hi base^2 w +
+    pairs[p] w + lo: code plus (pairs[p] - p) w.  The rows are read from
+    ``codes`` = list(range(base^k)), so every matrix on base^k tuples
+    holds the same int objects."""
+    w = base ** (k - i - 1)
+    block = []
+    for p, q in enumerate(pairs):
+        block += [(q - p) * w] * w
+    shifts = block * base ** (i - 1)
+    return UnitColumns(
+        list(map(codes.__getitem__, map(operator.add, codes, shifts))), signs)
+
+
+def pair_table_system(tables, base, digit, K_max, name):
+    """F(k) = Z[base^k] on k-tuples of digits, coded in base ``base``,
+    most significant entry first: sigma_i and its inverse move the
+    entries i, i+1 by the pair tables ``tables`` = (forward, inverse) of
+    :func:`_pair_generator`, and I_k sends code x to x base + ``digit``
+    (appends that digit).  The braid relations are checked by ``build``."""
+    dims = [base**k for k in range(K_max + 1)]
+    codes = [list(range(n)) for n in dims]
+    ones = [[1] * n for n in dims]
+    gens, gen_invs = (
+        [[_pair_generator(pairs, base, codes[k], k, i, ones[k])
+          for i in range(1, k)] for k in range(K_max + 1)]
+        for pairs in tables)
+    structs = [UnitColumns(codes[k + 1][digit::base], ones[k])
+               for k in range(K_max)]
+    return CoeffSystem.build(K_max, dims, gens, structs, name=name,
+                             gen_invs=gen_invs)
+
+
 def build_hurwitz_system(group, classes, g_hat, K_max):
     """The Hurwitz coefficient system: F(k) = Z[c^k], generators acting
     by the Hurwitz move, structure maps appending the stabiliser.
 
-    The k-1 generators of B_k and their inverses hold |c|^k columns each;
-    a system with more of them up to K_max than ``braid.DEFAULT_ORBIT_BOUND``
-    is refused with OrbitSizeError before any module is built."""
+    Built by :func:`pair_table_system` from the Hurwitz pair tables of
+    sign +1 and -1 (:func:`braid.hurwitz_pairs`), a tuple coded by the
+    positions of its entries in the class set (the order of
+    ``HurwitzModule.basis``).  The k-1 generators of B_k and their
+    inverses hold |c|^k columns each; a system with more of them up to
+    K_max than ``braid.DEFAULT_ORBIT_BOUND`` is refused with
+    OrbitSizeError before any matrix is built."""
     if g_hat not in classes:
         raise CoeffSystemError("stabiliser element must lie in the class set")
-    columns = 0
+    count = 0
     for k in range(2, K_max + 1):
-        columns += 2 * (k - 1) * len(classes) ** k
+        count += 2 * (k - 1) * len(classes) ** k
         braid.refuse_above_bound(
-            columns, f"generator and inverse columns {columns} up to k={k} exceed")
-    modules = [HurwitzModule(classes, k, g_hat) for k in range(K_max + 1)]
-    dims = [m.dim for m in modules]
-    gens = []
-    for k in range(K_max + 1):
-        mats = []
-        for i in range(1, k):
-            word = [(i, 1)]
-            perm = modules[k].word_permutation(word)
-            mats.append([{perm[t]: 1} for t in range(dims[k])])
-        gens.append(mats)
-    structs = []
-    for k in range(K_max):
-        rows = modules[k].stabilisation_rows(modules[k + 1])
-        structs.append([{rows[t]: 1} for t in range(dims[k])])
-    return CoeffSystem.build(
-        K_max, dims, gens, structs,
+            count, f"generator and inverse columns {count} up to k={k} exceed")
+    return pair_table_system(
+        (braid.hurwitz_pairs(classes, 1), braid.hurwitz_pairs(classes, -1)),
+        len(classes.elements), classes.elements.index(g_hat), K_max,
         name=f"hurwitz({group.name}, |c|={len(classes)})",
     )
 
@@ -424,56 +428,45 @@ def check_extension(system, ell_max=3, samples=50, seed=0):
 # difference operator and degree
 
 
-def _unit_column_rows(cols):
-    """If every column is a distinct single +1 entry, return the image
-    rows, else None.  This is the fast path for basis-inclusion
-    structure maps (Hurwitz, Kunneth, and their sums/tensors)."""
-    rows = []
-    seen = set()
-    for col in cols:
-        if len(col) != 1:
-            return None
-        (r, v), = col.items()
-        if v != 1 or r in seen:
-            return None
-        seen.add(r)
-        rows.append(r)
-    return rows
-
-
 class _CokernelData:
     """Projection/section data for coker(I_k) in one object degree.
 
-    Fast path, when every column of I_k is a distinct unit column: the
-    cokernel basis is the rows ``keep`` that I_k misses, each row its
-    own representative.  Generic path: with U I_k V = [I; 0] the Smith
+    Fast path, when I_k is unit columns, each a +1 entry in a row of its
+    own: the cokernel basis is the rows ``keep`` that I_k misses, each
+    row its own representative; ``pos`` maps a row of F(k+1) to its
+    place in ``keep``, or -1 for an image row, and holds one more -1 at
+    the end for row -1.  Generic path: with U I_k V = [I; 0] the Smith
     form, the projection is ``proj_rows = U[n_small:]`` and the
     representatives ``reps`` are the matching columns of U^-1.  Either
-    way ``split_cols`` is the canonical splitting rho (rho I_k = id),
-    and :meth:`images` feeds :func:`_induced`, which builds every matrix
-    induced on cokernels.
+    way ``split`` is the canonical splitting rho (rho I_k = id): on the
+    fast path the unit columns sending each image row back to its
+    source.  :func:`_induced` builds every matrix induced on cokernels.
     """
 
-    def __init__(self, cols, n_small, n_big):
-        image_rows = _unit_column_rows(cols)
-        if image_rows is not None:
-            image = set(image_rows)
-            self.keep = [r for r in range(n_big) if r not in image]
-            self.pos = {r: t for t, r in enumerate(self.keep)}
-            self.rank = len(self.keep)
-            # canonical splitting: send image row back to its source
-            self.split_cols = [dict() for _ in range(n_big)]
-            for src, r in enumerate(image_rows):
-                self.split_cols[r] = {src: 1}
-            return
+    def __init__(self, struct, n_small, n_big):
+        self.keep = None
+        struct = as_matrix(struct)
+        if isinstance(struct, UnitColumns) and struct.signs.count(1) == n_small:
+            split, signs = [-1] * n_big, [0] * n_big
+            for src, r in enumerate(struct.rows):
+                split[r], signs[r] = src, 1
+            if signs.count(1) == n_small:  # no row hit twice
+                self.keep = list(itertools.compress(range(n_big), map(
+                    operator.not_, signs)))
+                self.pos = [-1] * (n_big + 1)
+                for t, r in enumerate(self.keep):
+                    self.pos[r] = t
+                self.rank = len(self.keep)
+                self.split = UnitColumns(split, signs)
+                return
         snf = intmat.smith_normal_form(
-            intmat.sparse_transpose(dict(enumerate(cols))), (n_big, n_small))
+            intmat.sparse_transpose(dict(enumerate(columns(struct)))),
+            (n_big, n_small))
         if snf.rank != n_small or any(d != 1 for d in snf.diag if d):
             raise DeltaUndefined(
                 "structure map is not split injective objectwise "
                 "(non-unit invariant factors); degree undefined at this stage"
             )
-        self.keep = None
         self.rank = n_big - n_small
         self.proj_rows = [snf.u_rows[k] for k in range(n_small, n_big)]
         self.reps = [snf.uinv_cols[k] for k in range(n_small, n_big)]
@@ -482,14 +475,12 @@ class _CokernelData:
         head = intmat.sparse_transpose(
             {k: snf.u_rows[k] for k in range(n_small)})
         V = [snf.v_cols[k] for k in range(n_small)]
-        self.split_cols = [cols_apply(V, head.get(j, {}))
-                           for j in range(n_big)]
+        self.split = as_matrix([cols_apply(V, head.get(j, {}))
+                                for j in range(n_big)])
 
     def project_vec(self, vec):
         if self.keep is not None:
-            return {
-                self.pos[r]: v for r, v in vec.items() if r in self.pos
-            }
+            return {self.pos[r]: v for r, v in vec.items() if self.pos[r] >= 0}
         out = {}
         for t, row in enumerate(self.proj_rows):
             acc = sum(row.get(r, 0) * v for r, v in vec.items())
@@ -497,17 +488,27 @@ class _CokernelData:
                 out[t] = acc
         return out
 
-    def images(self, cols):
+    def images(self, mat):
         """Images of the cokernel representatives under a map."""
         if self.keep is not None:
-            return [cols[r] for r in self.keep]
-        return [cols_apply(cols, rep) for rep in self.reps]
+            return [apply(mat, {r: 1}) for r in self.keep]
+        return [apply(mat, rep) for rep in self.reps]
 
 
-def _induced(src, tgt, cols):
+def _induced(src, tgt, mat):
     """Matrix induced from coker ``src`` to coker ``tgt`` by a map that
-    carries the image of src's structure map into tgt's."""
-    return [tgt.project_vec(c) for c in src.images(cols)]
+    carries the image of src's structure map into tgt's.  On the fast
+    path and unit columns, column t is the column of ``mat`` at row
+    src.keep[t], projected by tgt.pos: empty where it lands in the
+    image of tgt's structure map."""
+    if src.keep is None or tgt.keep is None or not isinstance(mat, UnitColumns):
+        return as_matrix([tgt.project_vec(c) for c in src.images(mat)])
+    rows = list(map(tgt.pos.__getitem__, map(mat.rows.__getitem__, src.keep)))
+    signs = list(map(mat.signs.__getitem__, src.keep))
+    if -1 in rows:
+        for t in itertools.compress(range(len(rows)), map((-1).__eq__, rows)):
+            signs[t] = 0
+    return UnitColumns(rows, signs)
 
 
 @dataclass
@@ -534,28 +535,23 @@ def delta(system):
         for k in range(K)
     ]
     naturally_split = True
-    # the splittings are read at two objects each: their tables are kept
-    splits = [_ColumnEntries(cok.split_cols) for cok in coks]
     new_gens = []
     for k in range(K):
-        rho = splits[k]
+        rho = coks[k].split
         mats = []
         for i in range(1, k):
             big = system.gens[k + 1][i - 1]
             mats.append(_induced(coks[k], coks[k], big))
-            if not _composites_equal(_ColumnEntries(system.gens[k][i - 1]),
-                                     rho, rho, _ColumnEntries(big)):
+            if compose(system.gens[k][i - 1], rho) != compose(rho, big):
                 naturally_split = False
         new_gens.append(mats)
     new_structs = []
     for k in range(K - 1):
         # Ts(iota_k) = T(v_k^2(tau_1)) o I_{k+1}: generator k+1 at object k+2
-        comp = cols_compose(
-            system.generator(k + 2, k + 1), system.structs[k + 1]
-        )
+        comp = compose(system.generator(k + 2, k + 1), system.structs[k + 1])
         new_structs.append(_induced(coks[k], coks[k + 1], comp))
-        if not _composites_equal(_ColumnEntries(system.structs[k]), splits[k],
-                                 splits[k + 1], _ColumnEntries(comp)):
+        if compose(system.structs[k], coks[k].split) \
+                != compose(coks[k + 1].split, comp):
             naturally_split = False
 
     new_gradings = {}
@@ -795,9 +791,9 @@ def direct_sum(a, b):
     K = min(a.K_max, b.K_max)
     dims = [a.dims[k] + b.dims[k] for k in range(K + 1)]
 
-    def stack(cols_a, cols_b, off):
-        out = [dict(c) for c in cols_a]
-        for c in cols_b:
+    def stack(mat_a, mat_b, off):
+        out = [dict(c) for c in columns(mat_a)]
+        for c in columns(mat_b):
             out.append({r + off: v for r, v in c.items()})
         return out
 
@@ -821,7 +817,8 @@ def tensor(a, b):
     K = min(a.K_max, b.K_max)
     dims = [a.dims[k] * b.dims[k] for k in range(K + 1)]
 
-    def kron(cols_a, cols_b, rows_b):
+    def kron(mat_a, mat_b, rows_b):
+        cols_a, cols_b = columns(mat_a), columns(mat_b)
         n_a, n_b = len(cols_a), len(cols_b)
         out = []
         for ja in range(n_a):
@@ -851,8 +848,8 @@ def tensor(a, b):
 
 def constant_system(K_max, rank=1, name="constant"):
     dims = [rank] * (K_max + 1)
-    gens = [[cols_identity(rank) for _ in range(max(k - 1, 0))]
+    gens = [[identity(rank) for _ in range(max(k - 1, 0))]
             for k in range(K_max + 1)]
-    structs = [cols_identity(rank) for _ in range(K_max)]
+    structs = [identity(rank) for _ in range(K_max)]
     return CoeffSystem.build(K_max, dims, gens, structs, name=name,
                              validate=False)

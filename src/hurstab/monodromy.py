@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import braid
-from .coeffsys import CoeffSystem
+from .coeffsys import pair_table_system
 from .intmat import is_int
 
 
@@ -363,6 +363,22 @@ class InjectionSampler:
                     yield LabeledInjection(m, n, pairs, tuple(zip(dom, labels)))
 
 
+def witness(kind, chi, psi, phi, state=None):
+    """A failure of a sampled triple phi: a -> b, psi: b -> c and
+    chi: c -> d, with what is needed to check it again: the objects
+    [a, b, c, d], each injection's ``pairs`` and ``labels`` as lists of
+    [i, j] and [i, q], and the state tuple on d when one was acted on.
+    ``LabeledInjection(m, n, pairs, labels)`` with the lists made tuples
+    rebuilds each injection."""
+    out = {"kind": kind, "objects": [phi.m, phi.n, psi.n, chi.n]}
+    for name, mu in (("phi", phi), ("psi", psi), ("chi", chi)):
+        out[name] = {"pairs": [list(p) for p in mu.pairs],
+                     "labels": [list(q) for q in mu.labels]}
+    if state is not None:
+        out["state"] = list(state)
+    return out
+
+
 def check_model(model, samples, seed):
     """Check that the labeled injections form a category and that
     ``act`` is a functor on it, for one model.
@@ -378,7 +394,8 @@ def check_model(model, samples, seed):
     digits of the rest.  Composites come from the sampler's cache, so
     each distinct pair is composed once per run; ``act`` and both
     comparisons run on every sample.  Returns ``(checks, failures)``:
-    counts per check and one dict per failure.
+    counts per check and one dict per failure, which for a sampled
+    triple is its :func:`witness`.
 
     Besides the samples, the checks visit the labeled injections
     between objects <= 2 (sum of C(m, k) P(n, k) |Q|^k) and
@@ -417,13 +434,13 @@ def check_model(model, samples, seed):
         chi, psi, phi, code = triple(rng.randrange(draws))
         chi_psi = composite(chi, psi)
         if composite(chi_psi, phi) != composite(chi, composite(psi, phi)):
-            failures.append({"kind": "assoc"})
+            failures.append(witness("assoc", chi, psi, phi))
         checks["composition_assoc"] += 1
         state = tuple(_digits(code, z, chi.n))
         one = act(model, chi_psi, state)
         two = act(model, psi, act(model, chi, state))
         if one != two:
-            failures.append({"kind": "functoriality"})
+            failures.append(witness("functoriality", chi, psi, phi, state))
         checks["act_functorial"] += 1
     for n in range(MAX_OBJECT + 1):
         for m in range(MAX_OBJECT + 1):
@@ -438,33 +455,9 @@ def check_model(model, samples, seed):
 def linearize(model, K_max):
     """The H_0 shadow: free modules on state tuples with the
     transposition action of total unlabeled injections, feeding the
-    degree machinery."""
+    degree machinery: sigma_i swaps the states at i and i+1, and the
+    structure map appends the basepoint."""
     z = model.states
-    dims = [z**k for k in range(K_max + 1)]
-
-    def idx(tup):
-        code = 0
-        for v in tup:
-            code = code * z + v
-        return code
-
-    gens = []
-    for k in range(K_max + 1):
-        mats = []
-        for i in range(1, k):
-            cols = []
-            for tup in itertools.product(range(z), repeat=k):
-                swapped = list(tup)
-                swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-                cols.append({idx(swapped): 1})
-            mats.append(cols)
-        gens.append(mats)
-    structs = []
-    for k in range(K_max):
-        cols = []
-        for code in range(dims[k]):
-            cols.append({code * z + model.basepoint: 1})
-        structs.append(cols)
-    return CoeffSystem.build(
-        K_max, dims, gens, structs, name=f"linearized(|Z|={z})"
-    )
+    swap = [b * z + a for a in range(z) for b in range(z)]
+    return pair_table_system((swap, swap), z, model.basepoint, K_max,
+                             name=f"linearized(|Z|={z})")

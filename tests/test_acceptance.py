@@ -166,13 +166,13 @@ def test_criterion_6_degree_machinery():
 def _mutant_transposed_generator(sys_):
     m = _clone(sys_)
     k = 3
-    cols = m.gens[k][0]
-    transposed = [dict() for _ in cols]
-    for j, col in enumerate(cols):
+    gen = m.gens[k][0]
+    transposed = [dict() for _ in range(len(gen))]
+    for j, col in enumerate(cs.columns(gen)):
         for r, v in col.items():
             transposed[r][j] = v
-    m.gens[k] = [transposed] + list(m.gens[k][1:])
-    m.gen_invs[k] = [cols] + list(m.gen_invs[k][1:])
+    m.gens[k] = [cs.as_matrix(transposed)] + list(m.gens[k][1:])
+    m.gen_invs[k] = [gen] + list(m.gen_invs[k][1:])
     return m
 
 
@@ -182,14 +182,14 @@ def _mutant_prepend_structure(sys_):
     m = _clone(sys_)
     base = sys_.dims[1]
     structs = []
-    for k, cols in enumerate(sys_.structs):
+    for k, cols in enumerate(map(cs.columns, sys_.structs)):
         size = sys_.dims[k]
         new_cols = []
         for code in range(size):
             (app_row,) = cols[code].keys()
             g_digit = app_row % base
             new_cols.append({g_digit * size + code: 1})
-        structs.append(new_cols)
+        structs.append(cs.as_matrix(new_cols))
     m.structs = structs
     return m
 
@@ -197,7 +197,7 @@ def _mutant_prepend_structure(sys_):
 def _mutant_doubled_structure(sys_):
     m = _clone(sys_)
     structs = []
-    for cols in sys_.structs:
+    for cols in map(cs.columns, sys_.structs):
         new_cols = []
         for col in cols:
             (r, v), = col.items()
@@ -212,17 +212,17 @@ def _mutant_identity_generator(sys_):
     m = _clone(sys_)
     k = 4
     n = sys_.dims[k]
-    ident = [{j: 1} for j in range(n)]
-    m.gens[k] = [list(sys_.gens[k][0]), ident] + list(sys_.gens[k][2:])
-    m.gen_invs[k] = [list(sys_.gen_invs[k][0]), ident] + list(sys_.gen_invs[k][2:])
+    ident = cs.identity(n)
+    m.gens[k] = [sys_.gens[k][0], ident] + list(sys_.gens[k][2:])
+    m.gen_invs[k] = [sys_.gen_invs[k][0], ident] + list(sys_.gen_invs[k][2:])
     return m
 
 
 def _mutant_scrambled_high_strand(sys_):
     m = _clone(sys_)
     k = 5
-    m.gens[k] = list(sys_.gens[k][:3]) + [list(sys_.gens[k][0])]
-    m.gen_invs[k] = list(sys_.gen_invs[k][:3]) + [list(sys_.gen_invs[k][0])]
+    m.gens[k] = list(sys_.gens[k][:3]) + [sys_.gens[k][0]]
+    m.gen_invs[k] = list(sys_.gen_invs[k][:3]) + [sys_.gen_invs[k][0]]
     return m
 
 

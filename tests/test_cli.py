@@ -5,6 +5,8 @@ import time
 
 from hurstab import braid, cli
 from hurstab import experiments as xp
+from hurstab import monodromy as md
+from hurstab.groups import FiniteGroup
 
 
 def run_to_file(tmp_path, name, argv):
@@ -76,11 +78,12 @@ def test_orbit_range_refusal_on_a_singleton_class(monkeypatch, capsys):
 
 def test_degree_resource_refusal(monkeypatch):
     # 2 * sum_{k=2..12} (k-1) 3^k = 16 740 396 generator and inverse
-    # columns, past the default bound: refused before any module is built
-    def no_module(*args, **kwargs):
-        raise AssertionError("module built before the size was checked")
+    # columns, past the default bound: refused before the pair tables
+    # that every generator is built from
+    def no_table(*args, **kwargs):
+        raise AssertionError("pair table built before the size was checked")
 
-    monkeypatch.setattr(cli.cs, "HurwitzModule", no_module)
+    monkeypatch.setattr(cli.cs.braid, "hurwitz_pairs", no_table)
     code = cli.run(["degree", "--group", "sym:3", "--class",
                     "rep:transposition", "--kmax", "12", "--cutoff", "3"])
     assert code == cli.EXIT_RESOURCE
@@ -476,6 +479,23 @@ def test_monodromy_check(tmp_path):
     assert not doc["passed"]
     assert {f["kind"] for f in doc["failures"]} == {"functoriality"}
     assert doc["checks"]["act_functorial"] == 1000
+    # each failure carries its witness: rebuilt from the report, the
+    # triple fails again when composed and acted on directly
+    spec = json.loads(model.read_text())
+    group = FiniteGroup.from_json(spec["group"])
+    md_model = md.MonodromyModel.from_json(spec, group)
+    for failure in doc["failures"]:
+        a, b, c, d = failure["objects"]
+        phi, psi, chi = (
+            md.LabeledInjection(m, n, tuple(map(tuple, failure[name]["pairs"])),
+                                tuple(map(tuple, failure[name]["labels"])))
+            for name, m, n in (("phi", a, b), ("psi", b, c), ("chi", c, d)))
+        state = tuple(failure["state"])
+        assert len(state) == d
+        one = md.act(md_model, md.compose(chi, psi, group), state)
+        assert one != md.act(md_model, psi, md.act(md_model, chi, state))
+        assert md.compose(md.compose(chi, psi, group), phi, group) == \
+            md.compose(chi, md.compose(psi, phi, group), group)
 
 
 def test_monodromy_check_refuses_large_models(tmp_path):

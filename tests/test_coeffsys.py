@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -25,12 +26,14 @@ def hurwitz_z2():
 
 def test_hurwitz_system_shapes(hurwitz_s3, hurwitz_z2):
     assert hurwitz_z2.dims == [1] * 7
-    assert all(cols == [{0: 1}] for cols in hurwitz_z2.structs)
+    assert all(mat == cs.UnitColumns([0], [1]) for mat in hurwitz_z2.structs)
     assert hurwitz_s3.dims == [3**k for k in range(7)]
     # k=2 generator is the 9x9 permutation of the move
     gen = hurwitz_s3.gens[2][0]
-    assert all(len(col) == 1 and list(col.values()) == [1] for col in gen)
-    image_rows = sorted(next(iter(col)) for col in gen)
+    assert isinstance(gen, cs.UnitColumns)
+    assert all(len(col) == 1 and list(col.values()) == [1]
+               for col in cs.columns(gen))
+    image_rows = sorted(next(iter(col)) for col in cs.columns(gen))
     assert image_rows == list(range(9))
 
 
@@ -51,7 +54,7 @@ def test_braid_relation_validation_catches_mutants(hurwitz_s3):
     bad_gens = [list(m) for m in hurwitz_s3.gens]
     bad_gens[3] = list(bad_gens[3])
     # replace sigma_1 at k=3 by a wrong permutation (swap two columns)
-    cols = [dict(c) for c in bad_gens[3][0]]
+    cols = [dict(c) for c in cs.columns(bad_gens[3][0])]
     cols[0], cols[1] = cols[1], cols[0]
     bad_gens[3][0] = cols
     with pytest.raises(cs.CoeffSystemError):
@@ -60,10 +63,33 @@ def test_braid_relation_validation_catches_mutants(hurwitz_s3):
         )
 
 
+def cols_compose(outer, inner):
+    """Columns of outer o inner, for sparse columns."""
+    return [cs.cols_apply(outer, col) for col in inner]
+
+
 def _relations_on_columns(system):
     """The oracle: every relation checked by composing sparse columns."""
-    cs._check_relations(system.dims, system.gens, system.gen_invs,
-                        cs.cols_compose, cs.cols_identity)
+    dims = system.dims
+    gens = [[cs.columns(m) for m in mats] for mats in system.gens]
+    gen_invs = [[cs.columns(m) for m in mats] for mats in system.gen_invs]
+    for k in range(2, len(dims)):
+        for i in range(1, k - 1):
+            a, b = gens[k][i - 1], gens[k][i]
+            if cols_compose(a, cols_compose(b, a)) != \
+                    cols_compose(b, cols_compose(a, b)):
+                raise cs.CoeffSystemError(f"braid relation fails at k={k}, i={i}")
+        for i, j in itertools.combinations(range(1, k), 2):
+            if j - i >= 2:
+                a, b = gens[k][i - 1], gens[k][j - 1]
+                if cols_compose(a, b) != cols_compose(b, a):
+                    raise cs.CoeffSystemError(
+                        f"commuting relation fails at k={k}, ({i},{j})"
+                    )
+        for i in range(1, k):
+            if cols_compose(gens[k][i - 1], gen_invs[k][i - 1]) != \
+                    [{j: 1} for j in range(dims[k])]:
+                raise cs.CoeffSystemError(f"inverse wrong at k={k}, i={i}")
 
 
 def _relations_verdict(check, system):
@@ -78,7 +104,7 @@ def _perturbed(system, k, i, perturb):
     """``system`` rebuilt, unvalidated, with generator i at object k
     replaced by ``perturb`` of a copy of its columns."""
     gens = [list(mats) for mats in system.gens]
-    cols = [dict(c) for c in gens[k][i - 1]]
+    cols = [dict(c) for c in cs.columns(gens[k][i - 1])]
     perturb(cols)
     gens[k][i - 1] = cols
     return cs.CoeffSystem.build(system.K_max, system.dims, gens,
@@ -111,9 +137,11 @@ def test_relations_on_permutations_match_columns(n):
             assert _relations_verdict(
                 cs.CoeffSystem.check_braid_relations, mutant) == verdict
         for step in range(6):
-            assert all(cs._signed_perm(cols) is not None
+            # every generator and inverse is a signed permutation
+            assert all(isinstance(mat, cs.UnitColumns) and 0 not in mat.signs
+                       and sorted(mat.rows) == list(range(len(mat)))
                        for mats in system.gens + system.gen_invs
-                       for cols in mats)
+                       for mat in mats)
             assert _relations_verdict(_relations_on_columns, system) is None
             system.check_braid_relations()
             if step < 5:
@@ -127,10 +155,11 @@ def _random_single_entries(rng, rows, cols):
 
 
 def test_composites_of_single_entry_columns_match_sparse_columns():
-    # a o b == c o d on rows and values exactly when it holds on the
-    # sparse columns: random matrices, and pairs made equal on purpose
+    # a o b == c o d on the stored forms exactly when it holds on the
+    # sparse columns: random matrices, and pairs made equal on purpose;
+    # all-+-1 ones are unit columns, the rest keep their sparse columns
     rng = random.Random(12)
-    agreed = set()
+    agreed, forms = set(), set()
     for _ in range(3000):
         n, ell, m = (rng.randint(0, 5) for _ in range(3))
         a = _random_single_entries(rng, n, ell)
@@ -144,21 +173,23 @@ def test_composites_of_single_entry_columns_match_sparse_columns():
         else:
             c = _random_single_entries(rng, n, ell)
             d = _random_single_entries(rng, ell, m)
-        expect = cs.cols_compose(a, b) == cs.cols_compose(c, d)
-        read = [cs._ColumnEntries(x) for x in (a, b, c, d)]
-        assert all(x.single for x in read)
-        assert cs._composites_equal(*read) == expect
-        # an inner matrix read from its table, as delta's splitting is
-        read[1].table()
-        assert cs._composites_equal(*read) == expect
+        expect = cols_compose(a, b) == cols_compose(c, d)
+        stored = [cs.as_matrix(x) for x in (a, b, c, d)]
+        for x, mat in zip((a, b, c, d), stored):
+            unit = all(set(col.values()) <= {1, -1} for col in x)
+            assert isinstance(mat, cs.UnitColumns) == unit
+            assert cs.columns(mat) == x
+            forms.add(unit)
+        ab, cd = cs.compose(*stored[:2]), cs.compose(*stored[2:])
+        assert cs.columns(ab) == cols_compose(a, b)
+        assert (ab == cd) == expect
         agreed.add(expect)
-    assert agreed == {True, False}
-    assert not cs._ColumnEntries([{0: 1, 1: 1}, {}]).single
-    partial = cs._ColumnEntries([{1: -1}, {}])
-    assert list(map(list, partial.entries())) == [[1, -1], [-1, 0]]
-    assert partial.table() == ([1, -1, -1], [-1, 0, 0])
-    full = cs._ColumnEntries([{2: 1}, {0: -3}])
-    assert list(map(list, full.entries())) == [[2, 0], [1, -3]]
+    assert agreed == {True, False} and forms == {True, False}
+    assert not isinstance(cs.as_matrix([{0: 1, 1: 1}, {}]), cs.UnitColumns)
+    partial = cs.as_matrix([{1: -1}, {}])
+    assert (partial.rows, partial.signs) == ([1, -1], [-1, 0])
+    full = cs.as_matrix([{2: 1}, {0: -1}])
+    assert (full.rows, full.signs) == ([2, 0], [1, -1])
 
 
 def test_check_extension_passes(hurwitz_s3, hurwitz_z2):
@@ -178,13 +209,13 @@ def test_check_extension_fails_with_witness(hurwitz_s3):
     )
     # transpose one generator matrix (turns the action into its inverse)
     k = 3
-    cols = mutant.gens[k][0]
-    transposed = [dict() for _ in cols]
-    for j, col in enumerate(cols):
+    gen = mutant.gens[k][0]
+    transposed = [dict() for _ in range(len(gen))]
+    for j, col in enumerate(cs.columns(gen)):
         for r, v in col.items():
             transposed[r][j] = v
-    mutant.gens[k] = [transposed] + list(mutant.gens[k][1:])
-    mutant.gen_invs[k] = [cols] + list(mutant.gen_invs[k][1:])
+    mutant.gens[k] = [cs.as_matrix(transposed)] + list(mutant.gens[k][1:])
+    mutant.gen_invs[k] = [gen] + list(mutant.gen_invs[k][1:])
     rep = cs.check_extension(mutant, ell_max=2, samples=40, seed=0)
     assert not rep.passed
     assert rep.failure is not None and "k" in rep.failure
@@ -239,7 +270,7 @@ def test_degree_undefined_on_torsion_cokernel():
     # structure map Z --2--> Z is injective but not split
     K = 3
     dims = [1] * (K + 1)
-    gens = [[cs.cols_identity(1) for _ in range(max(k - 1, 0))]
+    gens = [[cs.identity(1) for _ in range(max(k - 1, 0))]
             for k in range(K + 1)]
     structs = [[{0: 2}] for _ in range(K)]
     sys = cs.CoeffSystem.build(K, dims, gens, structs, name="doubling")
@@ -261,7 +292,8 @@ def test_kunneth_examples():
     assert F2.dims == [math.comb(k, 2) for k in range(9)]
     # Koszul sign: the generator on two degree-1 slots acts by -swap;
     # at k=2, i=2 the module is rank 1 and sigma_1 acts by -1
-    assert F2.gens[2][0] == [{0: -1}]
+    assert F2.gens[2][0] == cs.UnitColumns([0], [-1])
+    assert cs.columns(F2.gens[2][0]) == [{0: -1}]
 
 
 def test_kunneth_rank_recursion():

@@ -347,6 +347,19 @@ NONCOMMUTING_MODEL = md.MonodromyModel(
     reflection=(0, 1, 3, 2))
 
 
+def expected_witness(kind, chi, psi, phi, state=None):
+    out = {"kind": kind, "objects": [phi.m, psi.m, chi.m, chi.n],
+           "phi": {"pairs": [[i, j] for i, j in phi.pairs],
+                   "labels": [[i, q] for i, q in phi.labels]},
+           "psi": {"pairs": [[i, j] for i, j in psi.pairs],
+                   "labels": [[i, q] for i, q in psi.labels]},
+           "chi": {"pairs": [[i, j] for i, j in chi.pairs],
+                   "labels": [[i, q] for i, q in chi.labels]}}
+    if state is not None:
+        out["state"] = state
+    return out
+
+
 @pytest.mark.parametrize("model", [SWAP_MODEL, NONCOMMUTING_MODEL,
                                    regular_model(FiniteGroup.symmetric(3))])
 def test_check_model_matches_a_direct_oracle(model, monkeypatch):
@@ -379,13 +392,14 @@ def test_check_model_matches_a_direct_oracle(model, monkeypatch):
         lhs = md.compose(md.compose(chi, psi, group), phi, group)
         rhs = md.compose(chi, md.compose(psi, phi, group), group)
         if lhs != rhs:
-            expect.append({"kind": "assoc"})
+            expect.append(expected_witness("assoc", chi, psi, phi))
         state = tuple(code // z**t % z for t in reversed(range(chi.n)))
         direct = md.act(model, md.compose(chi, psi, group), state)
         verdict = direct == md.act(model, psi, md.act(model, chi, state))
         assert (one == two) == verdict and one == direct
         if not verdict:
-            expect.append({"kind": "functoriality"})
+            expect.append(expected_witness("functoriality", chi, psi, phi,
+                                           list(state)))
     assert checks["composition_assoc"] == checks["act_functorial"] == 2000
     # the identity and blank-fill checks pass on every model here
     assert failures == expect
@@ -436,6 +450,11 @@ def test_linearize_shapes_and_degree():
 
     sys2 = md.linearize(SWAP_MODEL, 5)
     assert sys2.dims == [3**k for k in range(6)]
+    # sigma_1 on pairs of states swaps the two digits of the code, and
+    # I_1 appends the basepoint 0: unit columns
+    assert sys2.gens[2][0] == cs.UnitColumns([0, 3, 6, 1, 4, 7, 2, 5, 8], [1] * 9)
+    assert sys2.gen_invs[2][0] == sys2.gens[2][0]
+    assert sys2.structs[1] == cs.UnitColumns([0, 3, 6], [1] * 3)
     res = cs.delta(sys2)
     assert res.system.dims == [2 * 3**k for k in range(5)]
     assert cs.degree(sys2, 3).value == ">cutoff"
