@@ -15,6 +15,7 @@ Conventions (fixed here and documented in the CLI manual):
 
 from __future__ import annotations
 
+import operator
 from array import array
 from dataclasses import dataclass
 
@@ -164,30 +165,21 @@ class OrbitPartition:
     Tuples are encoded as base-|c| integers, most significant digit
     first, so lexicographic order on tuples is numeric order on codes.
     Orbit representatives are the least codes; ``orbits`` builds the
-    partition level by level, and ``_root`` maps every code to the least
+    partition level by level, and ``root`` maps every code to the least
     code of its orbit.
     """
 
-    __slots__ = ("classes", "k", "reps", "sizes", "_root", "_rep_index")
+    __slots__ = ("classes", "k", "reps", "sizes", "root")
 
     def __init__(self, classes, k, reps, sizes, root):
         self.classes = classes
         self.k = k
         self.reps = reps
         self.sizes = sizes
-        self._root = root
-        self._rep_index = {r: i for i, r in enumerate(reps)}
+        self.root = root
 
     def __len__(self):
         return len(self.reps)
-
-    def encode(self, entries):
-        digit = {g: d for d, g in enumerate(self.classes.elements)}
-        code = 0
-        base = len(self.classes.elements)
-        for g in entries:
-            code = code * base + digit[g]
-        return code
 
     def decode(self, code):
         base = len(self.classes.elements)
@@ -196,9 +188,6 @@ class OrbitPartition:
             digits.append(code % base)
             code //= base
         return tuple(self.classes.elements[d] for d in reversed(digits))
-
-    def orbit_index_of(self, entries):
-        return self._rep_index[self._root[self.encode(entries)]]
 
     def representative_tuples(self):
         return [self.decode(r) for r in self.reps]
@@ -232,6 +221,23 @@ def hurwitz_pairs(classes, sign=1):
                 for s, a in enumerate(elems) for b in elems]
     return [t * base + pos[group.conj(group.inv(b), a)]
             for a in elems for t, b in enumerate(elems)]
+
+
+def pair_images(pairs, base, codes, k, i):
+    """The images of the codes of c^k (|c| = ``base``) under the move of
+    the pair table ``pairs`` on the entries i, i+1, as by sigma_i^sign
+    for a table of :func:`hurwitz_pairs`.  A tuple's code is
+    hi base^2 w + p w + lo with p the code of its entries at i, i+1 and
+    w = base^(k-i-1), and goes to hi base^2 w + pairs[p] w + lo: code
+    plus (pairs[p] - p) w.  The images are read from ``codes`` =
+    list(range(base^k)), so every image list on base^k tuples holds the
+    same int objects."""
+    w = base ** (k - i - 1)
+    block = []
+    for p, q in enumerate(pairs):
+        block += [(q - p) * w] * w
+    shifts = block * base ** (i - 1)
+    return list(map(codes.__getitem__, map(operator.add, codes, shifts)))
 
 
 def orbits(classes, k):

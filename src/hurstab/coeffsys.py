@@ -12,9 +12,9 @@ lists, or sparse column dicts ``{row: value}``; :func:`as_matrix` picks
 the form, and :func:`compose` and :func:`apply` take either.
 
 Every system is made by :meth:`CoeffSystem.build` from its forward
-generators and structure maps; ``build`` derives the inverse generators
-unless given them, as the Hurwitz builder gives the ones it reads off
-the inverse pair table, and checks the braid relations by composing.
+generators and structure maps, checking the braid relations by
+composing; an inverse generator not given (as the Hurwitz builder gives
+them) is computed on its first read, so a difference system inverts none.
 
 The difference operator takes objectwise cokernels of the structure
 maps; the induced structure maps descend along s(iota_k), which is the
@@ -22,10 +22,11 @@ maps; the induced structure maps descend along s(iota_k), which is the
 the image rows when I_k is unit columns, each +1 in a row of its own,
 and goes through the Smith form otherwise, and one routine induces both
 the generators and the structure maps on cokernels: on unit columns by
-reading one list through another.  The degree of a
-system is the number of difference steps to reach the zero system,
-minus one, with split-injectivity of the structure maps checked at
-every stage.  Functor-category splitness is approximated soundly: the
+reading one list through another, once it has checked that the map
+is defined on cokernels.  The degree of a system is the number of
+difference steps to reach the zero system, minus one, with
+split-injectivity of the structure maps checked at every stage.
+Functor-category splitness is approximated soundly: the
 canonical splitting constructed from the Smith form is tested for
 naturality on all generators and structure morphisms up to K_max, and
 the report distinguishes "naturally split" from "objectwise-split
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import random
 from dataclasses import dataclass, field
 
 from . import braid, intmat
@@ -157,7 +157,10 @@ def _inverse(mat, n):
             return UnitColumns(rows, signs)
     # the columns are the rows of the transpose, and the rows of the
     # transpose's inverse are the inverse's columns
-    inv = intmat.invert_unimodular(dict(enumerate(columns(mat))), n)
+    try:
+        inv = intmat.invert_unimodular(dict(enumerate(columns(mat))), n)
+    except ValueError as e:
+        raise CoeffSystemError(f"generator has no inverse: {e}") from None
     return as_matrix([inv[j] for j in range(n)])
 
 
@@ -166,16 +169,17 @@ class CoeffSystem:
     """Functor data on the braid category, stored up to K_max.
 
     ``gens[k]`` lists the k-1 generator matrices of B_k (empty for
-    k <= 1); ``gen_invs`` their inverses; ``structs[k]`` is I_k for
-    0 <= k <= K_max - 1.  ``dims[k]`` is the rank of F(k).
-    ``gradings[k]``, when present, assigns a degree to each basis
-    element (Kunneth systems carry it).  A matrix is stored as
-    :class:`UnitColumns` when each of its columns is empty or one +1 or
-    -1 entry, as every matrix of a Hurwitz, ``linearize``, constant or
-    identity-cZ Kunneth system, their sums, tensors and differences is;
-    only a matrix with a column of two or more entries (or another
-    value) keeps sparse columns ``{row: value}``, as those of a
-    non-permutation cZ and of the generic Smith-form cokernel do.
+    k <= 1); ``gen_invs`` their inverses, None until :meth:`generator`
+    computes one; ``structs[k]`` is I_k for 0 <= k <= K_max - 1.
+    ``dims[k]`` is the rank of F(k).  ``gradings[k]``, when present,
+    assigns a degree to each basis element (Kunneth systems carry it).
+    A matrix is stored as :class:`UnitColumns` when each of its columns
+    is empty or one +1 or -1 entry, as every matrix of a Hurwitz,
+    ``linearize``, constant or identity-cZ Kunneth system, their sums,
+    tensors and differences is; only a matrix with a column of two or
+    more entries (or another value) keeps sparse columns ``{row:
+    value}``, as those of a non-permutation cZ and of the generic
+    Smith-form cokernel do.
     """
 
     K_max: int
@@ -196,12 +200,11 @@ class CoeffSystem:
     def build(K_max, dims, gens, structs, gradings=None, name="system",
               validate=True, gen_invs=None):
         """The system of the forward generators and structure maps, in
-        either form, stored by :func:`as_matrix`; the inverses are
-        derived unless ``gen_invs`` gives them."""
+        either form, stored by :func:`as_matrix`.  Unless ``gen_invs``
+        gives the inverses, each is computed on its first read."""
         gens = [[as_matrix(mat) for mat in mats] for mats in gens]
         if gen_invs is None:
-            gen_invs = [[_inverse(mat, dims[k]) for mat in mats]
-                        for k, mats in enumerate(gens)]
+            gen_invs = [[None] * len(mats) for mats in gens]
         sys = CoeffSystem(
             K_max=K_max,
             dims=list(dims),
@@ -219,10 +222,17 @@ class CoeffSystem:
         return all(d == 0 for d in self.dims)
 
     def generator(self, k, i, sign=1):
-        """Matrix of sigma_i^sign acting on F(k) (1-based i <= k-1)."""
+        """Matrix of sigma_i^sign acting on F(k) (1-based i <= k-1); an
+        inverse is computed on its first read and kept."""
         if not 1 <= i <= k - 1:
             raise CoeffSystemError(f"generator {i} invalid at object {k}")
-        return self.gens[k][i - 1] if sign == 1 else self.gen_invs[k][i - 1]
+        if sign == 1:
+            return self.gens[k][i - 1]
+        inv = self.gen_invs[k][i - 1]
+        if inv is None:
+            inv = self.gen_invs[k][i - 1] = _inverse(
+                self.gens[k][i - 1], self.dims[k])
+        return inv
 
     def act_word(self, k, word, vec):
         """T(word) applied to a sparse vector over F(k); rightmost
@@ -262,7 +272,7 @@ class CoeffSystem:
                         )
             one = identity(dims[k])
             for i in range(1, k):
-                if compose(gens[k][i - 1], self.gen_invs[k][i - 1]) != one:
+                if compose(gens[k][i - 1], self.generator(k, i, -1)) != one:
                     raise CoeffSystemError(f"inverse wrong at k={k}, i={i}")
 
     def to_json(self):
@@ -273,34 +283,18 @@ class CoeffSystem:
         }
 
 
-def _pair_generator(pairs, base, codes, k, i, signs):
-    """sigma_i^{+-1} on Z[base^k] by the pair table ``pairs``, whose
-    entry a base + b is the code of the image of the pair (a, b).  A
-    tuple's code is hi base^2 w + p w + lo with p the code of its
-    entries at i, i+1 and w = base^(k-i-1), and goes to hi base^2 w +
-    pairs[p] w + lo: code plus (pairs[p] - p) w.  The rows are read from
-    ``codes`` = list(range(base^k)), so every matrix on base^k tuples
-    holds the same int objects."""
-    w = base ** (k - i - 1)
-    block = []
-    for p, q in enumerate(pairs):
-        block += [(q - p) * w] * w
-    shifts = block * base ** (i - 1)
-    return UnitColumns(
-        list(map(codes.__getitem__, map(operator.add, codes, shifts))), signs)
-
-
 def pair_table_system(tables, base, digit, K_max, name):
     """F(k) = Z[base^k] on k-tuples of digits, coded in base ``base``,
     most significant entry first: sigma_i and its inverse move the
-    entries i, i+1 by the pair tables ``tables`` = (forward, inverse) of
-    :func:`_pair_generator`, and I_k sends code x to x base + ``digit``
-    (appends that digit).  The braid relations are checked by ``build``."""
+    entries i, i+1 by the pair tables ``tables`` = (forward, inverse),
+    their images read by :func:`braid.pair_images`, and I_k sends code x
+    to x base + ``digit`` (appends that digit).  The braid relations are
+    checked by ``build``."""
     dims = [base**k for k in range(K_max + 1)]
     codes = [list(range(n)) for n in dims]
     ones = [[1] * n for n in dims]
     gens, gen_invs = (
-        [[_pair_generator(pairs, base, codes[k], k, i, ones[k])
+        [[UnitColumns(braid.pair_images(pairs, base, codes[k], k, i), ones[k])
           for i in range(1, k)] for k in range(K_max + 1)]
         for pairs in tables)
     structs = [UnitColumns(codes[k + 1][digit::base], ones[k])
@@ -315,8 +309,8 @@ def build_hurwitz_system(group, classes, g_hat, K_max):
 
     Built by :func:`pair_table_system` from the Hurwitz pair tables of
     sign +1 and -1 (:func:`braid.hurwitz_pairs`), a tuple coded by the
-    positions of its entries in the class set (the order of
-    ``HurwitzModule.basis``).  The k-1 generators of B_k and their
+    positions of its entries in the class set, as in
+    ``resolution.HurwitzModule``.  The k-1 generators of B_k and their
     inverses hold |c|^k columns each; a system with more of them up to
     K_max than ``braid.DEFAULT_ORBIT_BOUND`` is refused with
     OrbitSizeError before any matrix is built."""
@@ -352,75 +346,48 @@ class ExtensionReport:
         }
 
 
-def _random_word(rng, strands, max_len=10):
-    if strands < 2:
-        return BraidWord(strands, ())
-    n = rng.randint(0, max_len)
-    return BraidWord(
-        strands,
-        tuple(
-            (rng.randint(1, strands - 1), rng.choice((1, -1))) for _ in range(n)
-        ),
-    )
+def _letters(strands):
+    """The one-letter words sigma_i^+-1 of B_strands."""
+    return [BraidWord(strands, ((i, sign),))
+            for i in range(1, strands) for sign in (1, -1)]
 
 
-def check_extension(system, ell_max=3, samples=50, seed=0):
-    """Verify the two extension-criterion diagrams on sampled words.
+def check_extension(system, ell_max=3):
+    """Verify the two extension-criterion diagrams on every generator.
 
     Diagram (a): I_k o T(alpha) = T(sigma_k(alpha)) o I_k for alpha in
     B_k.  Diagram (b): T(v_k^ell(beta)) o I_k^ell = I_k^ell for beta in
-    B_ell.  Reports the first failing (k, ell, word).
+    B_ell.  T of a word is the product of its letters' matrices, so
+    each diagram holds for every word exactly when it holds for each
+    letter sigma_i^+-1, and only the letters are checked.  Reports the
+    first failing (k, ell, one-letter word, basis vector).
     """
-    rng = random.Random(seed)
     cells = []
     for k in range(2, system.K_max):
-        checked = 0
-        for _ in range(samples):
-            alpha = _random_word(rng, k)
+        letters = _letters(k)
+        for alpha in letters:
             for t in range(system.dims[k]):
                 vec = {t: 1}
-                lhs = system.struct_apply(k, system.act_word(k, alpha, vec))
-                rhs = system.act_word(
-                    k + 1, sigma_k(alpha), system.struct_apply(k, vec)
-                )
-                if lhs != rhs:
-                    return ExtensionReport(
-                        passed=False,
-                        cells=cells,
-                        failure={
-                            "diagram": "a",
-                            "k": k,
-                            "word": alpha.to_signed(),
-                            "basis": t,
-                        },
-                    )
-            checked += 1
-        cells.append({"diagram": "a", "k": k, "checked": checked})
+                if system.struct_apply(k, system.act_word(k, alpha, vec)) != \
+                        system.act_word(k + 1, sigma_k(alpha),
+                                        system.struct_apply(k, vec)):
+                    return ExtensionReport(False, cells, {
+                        "diagram": "a", "k": k, "word": alpha.to_signed(),
+                        "basis": t})
+        cells.append({"diagram": "a", "k": k, "checked": len(letters)})
     for ell in range(2, ell_max + 1):
+        letters = _letters(ell)
         for k in range(0, system.K_max - ell + 1):
-            checked = 0
-            for _ in range(samples):
-                beta = _random_word(rng, ell)
+            for beta in letters:
                 word = v_k_l(beta, k)
                 for t in range(system.dims[k]):
                     vec = system.struct_iterated(k, ell, {t: 1})
-                    moved = system.act_word(k + ell, word, vec)
-                    if moved != vec:
-                        return ExtensionReport(
-                            passed=False,
-                            cells=cells,
-                            failure={
-                                "diagram": "b",
-                                "k": k,
-                                "ell": ell,
-                                "word": beta.to_signed(),
-                                "basis": t,
-                            },
-                        )
-                checked += 1
+                    if system.act_word(k + ell, word, vec) != vec:
+                        return ExtensionReport(False, cells, {
+                            "diagram": "b", "k": k, "ell": ell,
+                            "word": beta.to_signed(), "basis": t})
             cells.append(
-                {"diagram": "b", "k": k, "ell": ell, "checked": checked}
-            )
+                {"diagram": "b", "k": k, "ell": ell, "checked": len(letters)})
     return ExtensionReport(passed=True, cells=cells)
 
 
@@ -445,7 +412,7 @@ class _CokernelData:
 
     def __init__(self, struct, n_small, n_big):
         self.keep = None
-        struct = as_matrix(struct)
+        self.struct = struct = as_matrix(struct)
         if isinstance(struct, UnitColumns) and struct.signs.count(1) == n_small:
             split, signs = [-1] * n_big, [0] * n_big
             for src, r in enumerate(struct.rows):
@@ -495,13 +462,24 @@ class _CokernelData:
         return [apply(mat, rep) for rep in self.reps]
 
 
-def _induced(src, tgt, mat):
-    """Matrix induced from coker ``src`` to coker ``tgt`` by a map that
-    carries the image of src's structure map into tgt's.  On the fast
-    path and unit columns, column t is the column of ``mat`` at row
-    src.keep[t], projected by tgt.pos: empty where it lands in the
+def _induced(src, tgt, mat, where):
+    """Matrix induced from coker ``src`` to coker ``tgt`` by ``mat``, which
+    must carry the image of src's structure map I into tgt's (tgt's
+    projection kills mat o I; else CoeffSystemError names ``where``).  On
+    the fast path and unit columns, column t is the column of ``mat`` at
+    row src.keep[t], projected by tgt.pos: empty where it lands in the
     image of tgt's structure map."""
-    if src.keep is None or tgt.keep is None or not isinstance(mat, UnitColumns):
+    fast = src.keep is not None and tgt.keep is not None \
+        and isinstance(mat, UnitColumns)
+    if fast:
+        image = map(tgt.pos.__getitem__, map(mat.rows.__getitem__, src.struct.rows))
+        stray = max(image, default=-1) != -1
+    else:
+        stray = any(map(tgt.project_vec, columns(compose(mat, src.struct))))
+    if stray:
+        raise CoeffSystemError(f"{where} does not carry the image of I_k "
+                               "into that of the target's structure map")
+    if not fast:
         return as_matrix([tgt.project_vec(c) for c in src.images(mat)])
     rows = list(map(tgt.pos.__getitem__, map(mat.rows.__getitem__, src.keep)))
     signs = list(map(mat.signs.__getitem__, src.keep))
@@ -523,9 +501,11 @@ def delta(system):
     maps, with induced generator actions and structure maps.
 
     Raises :class:`DeltaUndefined` when some I_k is not objectwise
-    split-injective.  ``naturally_split`` reports whether the canonical
-    splitting is natural on all generators and structure morphisms up
-    to K_max (sound check of splitness in the functor category).
+    split-injective, and :class:`CoeffSystemError` when a map it induces
+    on cokernels is not defined.  ``naturally_split`` reports whether
+    the canonical splitting is natural on all generators and structure
+    morphisms up to K_max (sound check of splitness in the functor
+    category).
     """
     K = system.K_max
     if K < 1:
@@ -541,7 +521,8 @@ def delta(system):
         mats = []
         for i in range(1, k):
             big = system.gens[k + 1][i - 1]
-            mats.append(_induced(coks[k], coks[k], big))
+            mats.append(_induced(coks[k], coks[k], big,
+                                 f"generator at k={k}, i={i}"))
             if compose(system.gens[k][i - 1], rho) != compose(rho, big):
                 naturally_split = False
         new_gens.append(mats)
@@ -549,7 +530,8 @@ def delta(system):
     for k in range(K - 1):
         # Ts(iota_k) = T(v_k^2(tau_1)) o I_{k+1}: generator k+1 at object k+2
         comp = compose(system.generator(k + 2, k + 1), system.structs[k + 1])
-        new_structs.append(_induced(coks[k], coks[k + 1], comp))
+        new_structs.append(_induced(coks[k], coks[k + 1], comp,
+                                    f"Ts(iota_k) at k={k}, i={k + 1}"))
         if compose(system.structs[k], coks[k].split) \
                 != compose(coks[k + 1].split, comp):
             naturally_split = False

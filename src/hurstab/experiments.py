@@ -242,22 +242,15 @@ def h0_table(group, classes, g_hat, k_max):
     for k in range(1, k_max + 1):
         parts[k] = orbits(classes, k)
         counts[k] = len(parts[k])
+    # appending g_hat sends code r to r |c| + digit(g_hat)
+    base, digit = len(classes.elements), classes.elements.index(g_hat)
     surj = {}
     inj = {}
     for k in range(1, k_max):
         src, tgt = parts[k], parts[k + 1]
-        images = set()
-        injective = True
-        seen = {}
-        for rep_code in src.reps:
-            entries = src.decode(rep_code)
-            target_idx = tgt.orbit_index_of(entries + (g_hat,))
-            if target_idx in seen:
-                injective = False
-            seen[target_idx] = rep_code
-            images.add(target_idx)
+        images = {tgt.root[r * base + digit] for r in src.reps}
         surj[k] = len(images) == len(tgt)
-        inj[k] = injective
+        inj[k] = len(images) == len(src)
     return H0Table(
         group_name=group.name,
         class_elements=list(classes.elements),

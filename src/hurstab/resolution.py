@@ -28,6 +28,9 @@ group-ring coefficient sum(n_w w) specialises to the integer block
 sum(n_w P_w) where P_w[alpha, beta] = 1 iff alpha = w . beta under the
 Hurwitz action; with these conventions homology of the specialised
 complex is group homology of B_k with coefficients in the module.
+The Hurwitz module permutes digit codes by the pair-table moves of
+``braid``, as the Hurwitz systems and orbits do; the trivial module's
+permutation is the identity, so ``specialize`` has one loop.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import garside, intmat
-from .braid import act_on_entries
+from .braid import hurwitz_pairs, pair_images
 
 
 class ResolutionError(ValueError):
@@ -336,9 +339,11 @@ def fox_complex(k):
 class HurwitzModule:
     """Free module on c^k with the Hurwitz permutation action.
 
-    The basis is all tuples in c^k in lexicographic order.  ``g_hat``
-    is the stabiliser element appended by the structure map into the
-    (k+1)-module.
+    The basis is the digit codes of c^k (entries' positions in the class
+    set, base |c|, most significant first), in lexicographic order of the
+    tuples; a letter's move (:func:`braid.pair_images`) is built once per
+    module.  ``g_hat`` is the stabiliser element appended by the
+    structure map into the (k+1)-module.
     """
 
     def __init__(self, classes, k, g_hat):
@@ -347,32 +352,39 @@ class HurwitzModule:
         self.classes = classes
         self.k = k
         self.g_hat = g_hat
-        self.basis = [
-            tuple(t) for t in itertools.product(classes.elements, repeat=k)
-        ]
-        self._index = {t: i for i, t in enumerate(self.basis)}
+        self._base = len(classes.elements)
+        self._codes = list(range(self._base**k))
+        self._pairs = {sign: hurwitz_pairs(classes, sign) for sign in (1, -1)}
+        self._moves = {}
 
     @property
     def dim(self):
-        return len(self.basis)
-
-    def index_of(self, entries):
-        return self._index[tuple(entries)]
+        return len(self._codes)
 
     def word_permutation(self, letters):
-        """The permutation of the basis given by a braid word (array
-        p with p[beta] = alpha meaning basis_beta maps to basis_alpha)."""
-        group = self.classes.group
-        return [
-            self._index[act_on_entries(letters, t, group)] for t in self.basis
-        ]
+        """The permutation of the basis given by a braid word (list p
+        with p[beta] = alpha meaning basis_beta maps to basis_alpha):
+        the letters' permutations composed, the rightmost letter first."""
+        perm = self._codes
+        for idx, sign in reversed(letters):
+            move = self._moves.get((idx, sign))
+            if move is None:
+                if not 1 <= idx <= self.k - 1 or sign not in (1, -1):
+                    raise ResolutionError(
+                        f"letter {(idx, sign)} invalid with {self.k} strands")
+                move = self._moves[idx, sign] = pair_images(
+                    self._pairs[sign], self._base, self._codes, self.k, idx)
+            perm = list(map(move.__getitem__, perm))
+        return perm
 
     def form_permutation(self, form):
         return self.word_permutation(form.to_word_letters())
 
     def stabilisation_rows(self, target):
-        """Row indices in the (k+1)-module basis of each appended tuple."""
-        return [target.index_of(t + (self.g_hat,)) for t in self.basis]
+        """Row indices in the (k+1)-module basis of each appended tuple:
+        code x goes to x |c| + digit(g_hat)."""
+        digit = self.classes.elements.index(self.g_hat)
+        return range(digit, target.dim, self._base)
 
 
 class TrivialModule:
@@ -385,6 +397,9 @@ class TrivialModule:
     @property
     def dim(self):
         return self.rank
+
+    def form_permutation(self, form):
+        return range(self.rank)
 
 
 @dataclass
@@ -449,17 +464,10 @@ def specialize(complex_, module):
     m = module.dim
     dims = [r * m for r in complex_.ranks]
     mats = {}
-    trivial = isinstance(module, TrivialModule)
     perm_cache = {}
     for j in range(1, complex_.d_max + 1):
         entries = []
         for (row, col), elt in complex_.boundaries[j].items():
-            if trivial:
-                a = elt.augmentation()
-                if a:
-                    for t in range(m):
-                        entries.append((row * m + t, col * m + t, a))
-                continue
             for form, coeff in elt.terms.items():
                 perm = perm_cache.get(form)
                 if perm is None:

@@ -175,7 +175,7 @@ def test_orbit_partition_details():
         prod = S3.product(entries)
         # every tuple in the orbit has the same total product
         for code in range(9):
-            if part._root[code] == rep_code:
+            if part.root[code] == rep_code:
                 assert S3.product(part.decode(code)) == prod
 
 
@@ -232,7 +232,7 @@ def assert_same_partition(part, ref):
     assert part.k == ref.k
     assert part.reps == ref.reps
     assert part.sizes == ref.sizes
-    assert list(part._root) == list(ref._root)
+    assert list(part.root) == list(ref.root)
 
 
 BUILTIN_GROUPS = ([FiniteGroup.cyclic(n) for n in range(1, 9)]

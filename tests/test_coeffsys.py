@@ -72,7 +72,8 @@ def _relations_on_columns(system):
     """The oracle: every relation checked by composing sparse columns."""
     dims = system.dims
     gens = [[cs.columns(m) for m in mats] for mats in system.gens]
-    gen_invs = [[cs.columns(m) for m in mats] for mats in system.gen_invs]
+    gen_invs = [[cs.columns(system.generator(k, i, -1)) for i in range(1, k)]
+                for k in range(len(dims))]
     for k in range(2, len(dims)):
         for i in range(1, k - 1):
             a, b = gens[k][i - 1], gens[k][i]
@@ -140,8 +141,9 @@ def test_relations_on_permutations_match_columns(n):
             # every generator and inverse is a signed permutation
             assert all(isinstance(mat, cs.UnitColumns) and 0 not in mat.signs
                        and sorted(mat.rows) == list(range(len(mat)))
-                       for mats in system.gens + system.gen_invs
-                       for mat in mats)
+                       for k in range(len(system.dims)) for i in range(1, k)
+                       for mat in (system.generator(k, i, 1),
+                                   system.generator(k, i, -1)))
             assert _relations_verdict(_relations_on_columns, system) is None
             system.check_braid_relations()
             if step < 5:
@@ -193,8 +195,8 @@ def test_composites_of_single_entry_columns_match_sparse_columns():
 
 
 def test_check_extension_passes(hurwitz_s3, hurwitz_z2):
-    assert cs.check_extension(hurwitz_z2, ell_max=3, samples=10, seed=0).passed
-    rep = cs.check_extension(hurwitz_s3, ell_max=3, samples=25, seed=1)
+    assert cs.check_extension(hurwitz_z2, ell_max=3).passed
+    rep = cs.check_extension(hurwitz_s3, ell_max=3)
     assert rep.passed
     assert any(c["diagram"] == "b" for c in rep.cells)
 
@@ -216,9 +218,15 @@ def test_check_extension_fails_with_witness(hurwitz_s3):
             transposed[r][j] = v
     mutant.gens[k] = [cs.as_matrix(transposed)] + list(mutant.gens[k][1:])
     mutant.gen_invs[k] = [gen] + list(mutant.gen_invs[k][1:])
-    rep = cs.check_extension(mutant, ell_max=2, samples=40, seed=0)
+    rep = cs.check_extension(mutant, ell_max=2)
     assert not rep.passed
     assert rep.failure is not None and "k" in rep.failure
+    # a wrong stored inverse alone fails at its one-letter word, first
+    # where diagram (a) carries sigma_1^-1 from object k - 1 to k
+    mutant.gens[k] = list(hurwitz_s3.gens[k])
+    mutant.gen_invs[k] = [cs.identity(hurwitz_s3.dims[k])] + mutant.gen_invs[k][1:]
+    rep = cs.check_extension(mutant, ell_max=2)
+    assert rep.failure == {"diagram": "a", "k": k - 1, "word": [-1], "basis": 1}
 
 
 def test_delta_examples(hurwitz_s3, hurwitz_z2):
@@ -232,6 +240,28 @@ def test_delta_examples(hurwitz_s3, hurwitz_z2):
     res3 = cs.delta(hurwitz_s3)
     assert res3.system.dims == [2 * 3**k for k in range(6)]
     assert res3.objectwise_split and res3.naturally_split
+
+
+def test_difference_systems_invert_nothing(monkeypatch, hurwitz_s3):
+    # degree never reads a difference system's inverses, so it computes
+    # none; one read through ``generator`` is computed then and kept
+    def refuse(mat, n):
+        raise AssertionError("an inverse was computed")
+
+    monkeypatch.setattr(cs, "_inverse", refuse)
+    assert cs.degree(hurwitz_s3, 4).value == ">cutoff"
+    diff = cs.delta(hurwitz_s3).system
+    assert all(inv is None for mats in diff.gen_invs for inv in mats)
+    monkeypatch.undo()
+    inv = diff.generator(3, 1, -1)
+    assert cs.compose(diff.generator(3, 1), inv) == cs.identity(diff.dims[3])
+    assert diff.gen_invs[3][0] is inv
+
+
+def test_non_invertible_generator_raises_coeff_system_error():
+    gens = [[], [], [[{0: 2}]]]
+    with pytest.raises(cs.CoeffSystemError, match="no inverse"):
+        cs.CoeffSystem.build(2, [1, 1, 1], gens, [cs.identity(1)] * 2)
 
 
 def test_permutation_append_system_has_degree_one():
@@ -376,4 +406,4 @@ def test_extension_criterion_on_kunneth():
     F2 = cs.build_kunneth_system(
         cs.GradedModule.point(), cs.GradedModule.circle(), 2, 6
     )
-    assert cs.check_extension(F2, ell_max=3, samples=15, seed=2).passed
+    assert cs.check_extension(F2, ell_max=3).passed

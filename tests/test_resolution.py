@@ -137,6 +137,36 @@ def test_trivial_specialization_k2():
     assert IC.mats[1] == {}  # augmentation kills sigma - 1
 
 
+def test_trivial_specializations_keep_their_matrices():
+    # each boundary entry specialises to its augmentation times the
+    # identity block, as the trivial module's branch of ``specialize``
+    # once built it
+    for k in (2, 3, 4, 5):
+        complexes = [R.salvetti_complex(k, d) for d in range(1, k)]
+        complexes += [R.fox_complex(k)]
+        for free, rank in itertools.product(complexes, (1, 2)):
+            IC = R.specialize(free, R.TrivialModule(k, rank))
+            assert IC.dims == [r * rank for r in free.ranks]
+            for j in range(1, free.d_max + 1):
+                expected = intmat.sparse_from_entries(
+                    (row * rank + t, col * rank + t, elt.augmentation())
+                    for (row, col), elt in free.boundaries[j].items()
+                    for t in range(rank))
+                assert IC.mats[j] == expected
+
+
+def test_word_permutation_rejects_invalid_letters():
+    M = R.HurwitzModule(TRANSPOSITIONS, 3, TRANSPOSITIONS.elements[0])
+    for letters in ([(0, 1)], [(3, 1)], [(-1, 1)], [(1, 0)], [(2, 2)],
+                    [(1, 1), (3, -1)]):
+        with pytest.raises(R.ResolutionError):
+            M.word_permutation(letters)
+    M1 = R.HurwitzModule(TRANSPOSITIONS, 1, TRANSPOSITIONS.elements[0])
+    with pytest.raises(R.ResolutionError):
+        M1.word_permutation([(1, 1)])
+    assert M1.word_permutation([]) == [0, 1, 2]
+
+
 def test_hurwitz_specialization_k2_is_permutation_difference():
     M = R.HurwitzModule(TRANSPOSITIONS, 2, TRANSPOSITIONS.elements[0])
     IC = R.specialize(R.salvetti_complex(2, 1), M)
