@@ -103,6 +103,21 @@ def columns(mat):
     return [{r: v} if v else {} for r, v in zip(mat.rows, mat.signs)]
 
 
+def _check_rows(mat, n, where):
+    """Raise CoeffSystemError naming an entry of ``mat`` outside rows
+    0..n-1; an empty unit column (row -1, sign 0) has none."""
+    if isinstance(mat, UnitColumns):
+        if 0 <= min(mat.rows, default=0) and max(mat.rows, default=0) < n:
+            return
+        entries = zip(mat.rows, mat.signs)
+    else:
+        entries = ((r, 1) for col in mat for r in col)
+    for r, v in entries:
+        if not 0 <= r < n and (r, v) != (-1, 0):
+            raise CoeffSystemError(f"{where} has an entry in row {r}, "
+                                   f"outside 0..{n - 1}")
+
+
 def cols_apply(cols, vec):
     """Sparse columns times sparse vector {index: value}."""
     out = {}
@@ -214,6 +229,11 @@ class CoeffSystem:
             gradings=gradings or {},
             name=name,
         )
+        for k, (mats, n) in enumerate(zip(sys.gens, sys.dims)):
+            for i, mat in enumerate(mats, start=1):
+                _check_rows(mat, n, f"generator at k={k}, i={i}")
+        for k, mat in enumerate(sys.structs):
+            _check_rows(mat, sys.dims[k + 1], f"structure map at k={k}")
         if validate:
             sys.check_braid_relations()
         return sys
@@ -410,9 +430,10 @@ class _CokernelData:
     source.  :func:`_induced` builds every matrix induced on cokernels.
     """
 
-    def __init__(self, struct, n_small, n_big):
+    def __init__(self, struct, n_small, n_big, where="structure map"):
         self.keep = None
         self.struct = struct = as_matrix(struct)
+        _check_rows(struct, n_big, where)
         if isinstance(struct, UnitColumns) and struct.signs.count(1) == n_small:
             split, signs = [-1] * n_big, [0] * n_big
             for src, r in enumerate(struct.rows):
@@ -511,7 +532,8 @@ def delta(system):
     if K < 1:
         raise CoeffSystemError("cannot apply delta with K_max < 1")
     coks = [
-        _CokernelData(system.structs[k], system.dims[k], system.dims[k + 1])
+        _CokernelData(system.structs[k], system.dims[k], system.dims[k + 1],
+                      f"structure map at k={k}")
         for k in range(K)
     ]
     naturally_split = True

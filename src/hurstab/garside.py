@@ -31,12 +31,6 @@ def perm_inv(p):
     return tuple(out)
 
 
-def perm_length(p):
-    """Coxeter length = number of inversions."""
-    n = len(p)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
-
-
 def transposition(k, i):
     """Adjacent transposition s_i swapping i-1, i (1-based generator index)."""
     p = list(range(k))
@@ -65,8 +59,8 @@ def reduced_word(p, prefer_max=False):
 
     Peels left descents; p = s_{w[0]} * s_{w[1]} * ... in the
     left-to-right product convention.  ``prefer_max`` picks the other
-    greedy choice, giving an independent reduced word for the same
-    permutation (used to assert Matsumoto well-definedness of lifts).
+    greedy choice, giving a second reduced word for the same permutation
+    (an oracle for :func:`form_from_positive_permutation` in the tests).
     """
     k = len(p)
     word = []
@@ -214,12 +208,10 @@ def normal_form(strands, letters):
 
 
 def form_from_positive_permutation(k, p):
-    """The simple braid lifting permutation p, as a normal form.
-
-    The lift is recomputed from an independent reduced word and the two
-    forms are asserted equal (Matsumoto's theorem).
-    """
-    nf = normal_form(k, [(i, 1) for i in reduced_word(p)])
-    alt = normal_form(k, [(i, 1) for i in reduced_word(p, prefer_max=True)])
-    assert nf == alt, "positive lift depends on reduced word choice"
-    return nf
+    """The simple braid lifting permutation p, as a normal form: a
+    simple braid is its own left-greedy normal form (Elrifai-Morton)."""
+    if p == perm_id(k):
+        return GarsideForm(k, 0, ())
+    if p == half_twist(k):
+        return GarsideForm(k, 1, ())
+    return GarsideForm(k, 0, (p,))

@@ -9,13 +9,12 @@ standard generators {s_1..s_{k-1}}, so rank_j = C(k-1, j), and
                W_{Gamma - tau} in W_Gamma of
                (-1)^(l(beta) + position of tau in Gamma) lift(beta) (Gamma - tau)
 
-with lift(beta) the positive braid word of any reduced word of beta
-(well-defined; asserted against a second reduced word).  W_Gamma is the
-direct product of the parabolics of Gamma's maximal runs of consecutive
-generators, so the sum over beta runs over W_B for the run B holding
-tau and depends only on (B, tau); ``salvetti_complex`` computes each
-such sum once per call and reuses it, with the sign of tau's position,
-for every Gamma that contains B as a run.  The sign
+with lift(beta) the simple braid of beta, its own normal form.  W_Gamma
+is the direct product of the parabolics of Gamma's maximal runs of
+consecutive generators, so the sum over beta runs over W_B for the run
+B holding tau and depends only on (B, tau); ``salvetti_complex`` reads
+its betas from a shuffle table and reuses each sum, with the sign of
+tau's position, for every Gamma that contains B as a run.  The sign
 convention is validated, not trusted: every specialisation checks the
 composite of consecutive boundaries is exactly zero, and the module
 homology is cross-checked against the Fox presentation complex in
@@ -37,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import garside, intmat
 from .braid import hurwitz_pairs, pair_images
@@ -164,33 +164,18 @@ class FreeComplex:
         return True
 
 
-def _parabolic_elements(k, gens):
-    """All elements of the parabolic subgroup of S_k generated by the
-    adjacent transpositions with 1-based indices in ``gens``."""
-    ident = garside.perm_id(k)
-    seen = {ident}
-    frontier = [ident]
-    ts = [garside.transposition(k, i) for i in gens]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for t in ts:
-                q = garside.perm_mul(p, t)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return seen
-
-
-def _min_coset_reps(k, gamma, sub):
-    """Minimal-length representatives of cosets w W_sub inside W_gamma."""
-    sub = set(sub)
-    return [
-        w
-        for w in _parabolic_elements(k, gamma)
-        if not (garside.right_descents(w) & sub)
-    ]
+@lru_cache(maxsize=None)
+def _shuffle_reps(r, t):
+    """The minimal coset representatives of S_t x S_(r+1-t) in S_(r+1)
+    (a run of r generators without its t-th), each with its sign
+    (-1)^length: the inverses of the shuffles S + complement, S a
+    t-subset of {0..r}, which have sum(S) - t(t-1)/2 inversions."""
+    out = []
+    for head in itertools.combinations(range(r + 1), t):
+        rest = tuple(x for x in range(r + 1) if x not in head)
+        length = sum(head) - t * (t - 1) // 2
+        out.append((garside.perm_inv(head + rest), -1 if length % 2 else 1))
+    return tuple(out)
 
 
 def _runs(gamma):
@@ -213,10 +198,11 @@ def salvetti_complex(k, d_max):
     W_Gamma is the direct product of the parabolics of Gamma's maximal
     runs of consecutive generators, so the minimal coset
     representatives of W_{Gamma - tau} in W_Gamma are those of
-    W_{B - tau} in W_B for the run B holding tau.  The boundary sum
-    over them therefore depends only on (B, tau), with the sign of
-    tau's position in Gamma on top: each distinct sum is computed once
-    per call, and each distinct permutation is lifted once per call.
+    W_{B - tau} in W_B for the run B holding tau: the shuffle table of
+    B's length and tau's place in it, shifted to B's first strand.  The
+    boundary sum therefore depends only on (B, tau), with the sign of
+    tau's position in Gamma on top: each distinct sum is built once per
+    call with both signs, and each permutation is lifted once per call.
     """
     if not 1 <= d_max <= k - 1:
         raise ResolutionError(f"need 1 <= d_max <= k-1, got d_max={d_max}, k={k}")
@@ -226,21 +212,21 @@ def salvetti_complex(k, d_max):
         for j in range(d_max + 1)
     ]
     ranks = [len(b) for b in basis_labels]
-    lifts = {}
-    sums = {}
+    lifts, sums = {}, {}
 
-    def run_sum(run, tau):
+    def run_sums(run, tau):
         """sum over beta of (-1)^l(beta) lift(beta), beta a minimal
-        coset rep of W_{run - tau} in W_run."""
+        coset rep of W_{run - tau} in W_run, and its negative."""
+        off = run[0] - 1
+        head, tail = tuple(range(off)), tuple(range(off + len(run) + 1, k))
         terms = {}
-        for beta in _min_coset_reps(k, run, [g for g in run if g != tau]):
-            lift = lifts.get(beta)
-            if lift is None:
-                lift = lifts[beta] = garside.form_from_positive_permutation(
-                    k, beta
-                )
-            terms[lift] = -1 if garside.perm_length(beta) % 2 else 1
-        return GroupRingElement(k, terms)
+        for local, sign in _shuffle_reps(len(run), tau - run[0] + 1):
+            beta = head + tuple(off + x for x in local) + tail
+            if beta not in lifts:
+                lifts[beta] = garside.form_from_positive_permutation(k, beta)
+            terms[lifts[beta]] = sign
+        plus = GroupRingElement(k, terms)
+        return plus, -plus
 
     boundaries = {}
     for j in range(1, d_max + 1):
@@ -251,11 +237,10 @@ def salvetti_complex(k, d_max):
             for run in _runs(gamma):
                 for tau in run:
                     pos += 1
-                    entry = sums.get((run, tau))
-                    if entry is None:
-                        entry = sums[run, tau] = run_sum(run, tau)
+                    if (run, tau) not in sums:
+                        sums[run, tau] = run_sums(run, tau)
                     col = index_below[tuple(g for g in gamma if g != tau)]
-                    mat[row, col] = -entry if pos % 2 else entry
+                    mat[row, col] = sums[run, tau][pos % 2]
         boundaries[j] = mat
     return FreeComplex(
         strands=k,

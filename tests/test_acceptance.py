@@ -281,6 +281,17 @@ def test_delta_refuses_maps_not_defined_on_cokernels():
                 run(system)
 
 
+def test_delta_refuses_structure_rows_out_of_range():
+    # doubling the one entry of I_0 reaches row -1 of F(1)
+    base = cs.build_hurwitz_system(
+        S3, TRANSPOSITIONS, TRANSPOSITIONS.elements[0], 6
+    )
+    mutant = _mutant_doubled_structure(base)
+    with pytest.raises(cs.CoeffSystemError,
+                       match="^structure map at k=0 has an entry in row -1"):
+        cs.delta(mutant)
+
+
 def test_criterion_8_monodromy_model():
     t0 = time.time()
     group = Z2

@@ -264,6 +264,27 @@ def test_non_invertible_generator_raises_coeff_system_error():
         cs.CoeffSystem.build(2, [1, 1, 1], gens, [cs.identity(1)] * 2)
 
 
+def test_rows_out_of_range_are_refused():
+    # row -1 must not be read as the last row on the fast path, nor
+    # reach the Smith form on the generic one
+    for struct in ([{-1: 1}], cs.UnitColumns([-1], [1]), [{-1: 1, 0: 1}],
+                   [{2: 1}], cs.UnitColumns([2], [-1])):
+        with pytest.raises(cs.CoeffSystemError, match="row (-1|2)"):
+            cs._CokernelData(struct, 1, 2)
+    # the empty unit column stays legal: this map is refused for not
+    # being injective, not for its row
+    with pytest.raises(cs.DeltaUndefined):
+        cs._CokernelData(cs.UnitColumns([-1], [0]), 1, 2)
+    gens = [[], [], [cs.UnitColumns([1], [1])]]
+    with pytest.raises(cs.CoeffSystemError,
+                       match="^generator at k=2, i=1 has an entry in row 1"):
+        cs.CoeffSystem.build(2, [1, 1, 1], gens, [cs.identity(1)] * 2)
+    with pytest.raises(cs.CoeffSystemError,
+                       match="^structure map at k=1 has an entry in row -1"):
+        cs.CoeffSystem.build(2, [1, 1, 1], [[], [], [cs.identity(1)]],
+                             [cs.identity(1), [{-1: 1}]])
+
+
 def test_permutation_append_system_has_degree_one():
     # F(k) = Z^k with coordinate-transposition action and basis append
     K = 6

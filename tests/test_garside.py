@@ -108,9 +108,20 @@ def test_permutation_projection_consistency():
 
 
 def test_positive_lift_matsumoto():
-    # lifts from independent reduced words agree
+    # the direct simple-braid lift equals the normal form of the
+    # positive word of either greedy reduced word (Matsumoto)
     import itertools
 
-    for k in (3, 4):
-        for p in itertools.permutations(range(k)):
-            garside.form_from_positive_permutation(k, p)
+    rng = random.Random(21)
+    perms = [p for k in range(1, 7) for p in itertools.permutations(range(k))]
+    for k in range(7, 11):
+        for _ in range(60):
+            p = list(range(k))
+            rng.shuffle(p)
+            perms.append(tuple(p))
+    for p in perms:
+        k = len(p)
+        lift = garside.form_from_positive_permutation(k, p)
+        for prefer_max in (False, True):
+            word = garside.reduced_word(p, prefer_max=prefer_max)
+            assert lift == garside.normal_form(k, [(i, 1) for i in word]), p

@@ -37,10 +37,61 @@ def test_salvetti_d1_is_sigma_minus_one():
         assert entry == expected
 
 
+def _length(p):
+    """Coxeter length: the number of inversions."""
+    return sum(a > b for a, b in itertools.combinations(p, 2))
+
+
+def _parabolic_elements(k, gens):
+    """All elements of the parabolic subgroup of S_k generated by the
+    adjacent transpositions with 1-based indices in ``gens``, by
+    breadth-first search."""
+    ident = garside.perm_id(k)
+    seen = {ident}
+    frontier = [ident]
+    ts = [garside.transposition(k, i) for i in gens]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for t in ts:
+                q = garside.perm_mul(p, t)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return seen
+
+
+def _min_coset_reps(k, gamma, sub):
+    """Minimal-length representatives of cosets w W_sub inside W_gamma:
+    the elements with no right descent in ``sub``.  The oracle for the
+    shuffle table."""
+    sub = set(sub)
+    return [
+        w
+        for w in _parabolic_elements(k, gamma)
+        if not (garside.right_descents(w) & sub)
+    ]
+
+
+def test_shuffle_table_matches_coset_search():
+    for r in range(1, 7):
+        run = range(1, r + 1)
+        for t in run:
+            expected = {
+                beta: -1 if _length(beta) % 2 else 1
+                for beta in _min_coset_reps(r + 1, run, set(run) - {t})
+            }
+            table = R._shuffle_reps(r, t)
+            assert len(table) == len(expected) == math.comb(r + 1, t)
+            assert dict(table) == expected, (r, t)
+
+
 def _boundaries_per_face(k, d_max):
     """The Salvetti boundaries summed afresh for every (Gamma, tau): the
-    minimal coset representatives of W_{Gamma - tau} in all of W_Gamma,
-    each lifted on its own.  The oracle for the per-run sums."""
+    minimal coset representatives of W_{Gamma - tau} in all of W_Gamma
+    by search, each lifted through the normal form of a reduced word.
+    The oracle for the per-run sums of shuffles and the direct lift."""
     gens = range(1, k)
     boundaries = {}
     for j in range(1, d_max + 1):
@@ -52,9 +103,10 @@ def _boundaries_per_face(k, d_max):
             for pos, tau in enumerate(gamma, start=1):
                 sub = tuple(g for g in gamma if g != tau)
                 terms = {}
-                for beta in R._min_coset_reps(k, gamma, sub):
-                    lift = garside.form_from_positive_permutation(k, beta)
-                    terms[lift] = -1 if (garside.perm_length(beta) + pos) % 2 else 1
+                for beta in _min_coset_reps(k, gamma, sub):
+                    word = garside.reduced_word(beta)
+                    lift = garside.normal_form(k, [(i, 1) for i in word])
+                    terms[lift] = -1 if (_length(beta) + pos) % 2 else 1
                 mat[row, index_below[sub]] = R.GroupRingElement(k, terms)
         boundaries[j] = mat
     return boundaries
@@ -74,7 +126,7 @@ def test_salvetti_lifts_each_permutation_once(monkeypatch):
         for j in range(1, 4)
         for gamma in itertools.combinations(range(1, 9), j)
         for tau in gamma
-        for beta in R._min_coset_reps(9, gamma, [g for g in gamma if g != tau])
+        for beta in _min_coset_reps(9, gamma, [g for g in gamma if g != tau])
     }
     calls = collections.Counter()
 
