@@ -4,12 +4,14 @@ degree recursion, and synthetic Kunneth systems.
 A :class:`CoeffSystem` stores, for each object k in 0..K_max, a free
 module F(k) with a chosen basis, an invertible integer matrix per braid
 generator of B_k, and a structure map I_k: F(k) -> F(k+1).  Matrices use
-the column convention (columns are images of basis vectors), and braid
-words act with the rightmost letter first, matching the Hurwitz action
-convention.  A matrix is stored in one of two forms (see
+the column convention (column j is the image of basis vector j), and
+braid words act with the rightmost letter first, matching the Hurwitz
+action convention.  A matrix is stored in one of two forms (see
 :class:`CoeffSystem`): :class:`UnitColumns`, flat ``rows`` and ``signs``
 lists, or sparse column dicts ``{row: value}``; :func:`as_matrix` picks
-the form, and :func:`compose` and :func:`apply` take either.
+the form, and :func:`compose`, which takes either, is the one way the
+module reads a map: the braid relations, naturality, the extension
+check and every map induced on cokernels are composites.
 
 Every system is made by :meth:`CoeffSystem.build` from its forward
 generators and structure maps, checking the braid relations by
@@ -18,15 +20,15 @@ them) is computed on its first read, so a difference system inverts none.
 
 The difference operator takes objectwise cokernels of the structure
 maps; the induced structure maps descend along s(iota_k), which is the
-(k+1)-st generator of B_{k+2} composed with I_{k+1}.  A cokernel drops
-the image rows when I_k is unit columns, each +1 in a row of its own,
-and goes through the Smith form otherwise, and one routine induces both
-the generators and the structure maps on cokernels: on unit columns by
-reading one list through another, once it has checked that the map
-is defined on cokernels.  The degree of a system is the number of
-difference steps to reach the zero system, minus one, with
-split-injectivity of the structure maps checked at every stage.
-Functor-category splitness is approximated soundly: the
+(k+1)-st generator of B_{k+2} composed with I_{k+1}.  A cokernel is two
+matrices, a projection onto it and its basis representatives: unit
+columns when I_k is unit columns, each +1 in a row of its own, and read
+off the Smith form otherwise.  A map induced on cokernels is the
+projection of the map of the representatives, once the projection of
+the map of the image of I_k is checked to be zero.  The degree of a
+system is the number of difference steps to reach the zero system,
+minus one, with split-injectivity of the structure maps checked at
+every stage.  Functor-category splitness is approximated soundly: the
 canonical splitting constructed from the Smith form is tested for
 naturality on all generators and structure morphisms up to K_max, and
 the report distinguishes "naturally split" from "objectwise-split
@@ -37,10 +39,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import braid, intmat
-from .braid import BraidWord, sigma_k, v_k_l
 
 
 class CoeffSystemError(ValueError):
@@ -86,10 +87,14 @@ def identity(n):
 
 def as_matrix(cols):
     """The stored form of a matrix given as sparse columns ``{row:
-    value}`` or as :class:`UnitColumns`: unit columns when every column
-    is empty or one +1 or -1 entry, the sparse columns otherwise."""
+    value}`` or as :class:`UnitColumns`: zero entries dropped, then unit
+    columns when every column is empty or one +1 or -1 entry, the sparse
+    columns otherwise.  So a matrix has one stored form, and a zero
+    matrix is unit columns (see :func:`is_zero`)."""
     if isinstance(cols, UnitColumns):
         return cols
+    if not all(all(col.values()) for col in cols):
+        cols = [{r: v for r, v in col.items() if v} for col in cols]
     if any(len(col) > 1 or set(col.values()) - {1, -1} for col in cols):
         return cols
     return UnitColumns([next(iter(col), -1) for col in cols],
@@ -127,17 +132,14 @@ def cols_apply(cols, vec):
             if w:
                 out[r] = w
             else:
-                del out[r]
+                out.pop(r, None)
     return out
 
 
-def apply(mat, vec):
-    """A matrix in either form times a sparse vector."""
-    if isinstance(mat, UnitColumns):
-        # only the columns that the vector reads
-        mat = {j: {mat.rows[j]: mat.signs[j]} if mat.signs[j] else {}
-               for j in vec}
-    return cols_apply(mat, vec)
+def is_zero(mat):
+    """Whether a matrix in its stored form (see :func:`as_matrix`) is
+    zero: unit columns, all empty."""
+    return isinstance(mat, UnitColumns) and not any(mat.signs)
 
 
 def compose(outer, inner):
@@ -186,15 +188,15 @@ class CoeffSystem:
     ``gens[k]`` lists the k-1 generator matrices of B_k (empty for
     k <= 1); ``gen_invs`` their inverses, None until :meth:`generator`
     computes one; ``structs[k]`` is I_k for 0 <= k <= K_max - 1.
-    ``dims[k]`` is the rank of F(k).  ``gradings[k]``, when present,
-    assigns a degree to each basis element (Kunneth systems carry it).
-    A matrix is stored as :class:`UnitColumns` when each of its columns
-    is empty or one +1 or -1 entry, as every matrix of a Hurwitz,
-    ``linearize``, constant or identity-cZ Kunneth system, their sums,
-    tensors and differences is; only a matrix with a column of two or
-    more entries (or another value) keeps sparse columns ``{row:
-    value}``, as those of a non-permutation cZ and of the generic
-    Smith-form cokernel do.
+    ``dims[k]`` is the rank of F(k).  A matrix is stored as
+    :class:`UnitColumns` when each of its columns is empty or one +1 or
+    -1 entry, as every matrix of a Hurwitz, ``linearize``, constant or
+    identity-cZ Kunneth system, their sums, tensors and differences is;
+    only a matrix with a column of two or more entries (or another
+    value) keeps sparse columns ``{row: value}``, as those of a
+    non-permutation cZ and of the generic Smith-form cokernel do.  Both
+    forms store no zero entry, so a matrix has one stored form and
+    ``==`` compares matrices.
     """
 
     K_max: int
@@ -202,7 +204,6 @@ class CoeffSystem:
     gens: list
     gen_invs: list
     structs: list
-    gradings: dict = field(default_factory=dict)
     name: str = "system"
 
     def __post_init__(self):
@@ -212,8 +213,8 @@ class CoeffSystem:
             raise CoeffSystemError("structs must cover objects 0..K_max-1")
 
     @staticmethod
-    def build(K_max, dims, gens, structs, gradings=None, name="system",
-              validate=True, gen_invs=None):
+    def build(K_max, dims, gens, structs, name="system", validate=True,
+              gen_invs=None):
         """The system of the forward generators and structure maps, in
         either form, stored by :func:`as_matrix`.  Unless ``gen_invs``
         gives the inverses, each is computed on its first read."""
@@ -226,7 +227,6 @@ class CoeffSystem:
             gens=gens,
             gen_invs=gen_invs,
             structs=[as_matrix(mat) for mat in structs],
-            gradings=gradings or {},
             name=name,
         )
         for k, (mats, n) in enumerate(zip(sys.gens, sys.dims)):
@@ -253,26 +253,6 @@ class CoeffSystem:
             inv = self.gen_invs[k][i - 1] = _inverse(
                 self.gens[k][i - 1], self.dims[k])
         return inv
-
-    def act_word(self, k, word, vec):
-        """T(word) applied to a sparse vector over F(k); rightmost
-        letter first."""
-        if word.strands != k:
-            raise CoeffSystemError("word strands must equal the object")
-        out = dict(vec)
-        for idx, sign in reversed(word.letters):
-            out = apply(self.generator(k, idx, sign), out)
-        return out
-
-    def struct_apply(self, k, vec):
-        return apply(self.structs[k], vec)
-
-    def struct_iterated(self, k, ell, vec):
-        """I_k^ell = I_{k+ell-1} o ... o I_k applied to a vector."""
-        out = vec
-        for t in range(ell):
-            out = self.struct_apply(k + t, out)
-        return out
 
     def check_braid_relations(self):
         """Check the braid, commuting and inverse relations of the
@@ -366,10 +346,12 @@ class ExtensionReport:
         }
 
 
-def _letters(strands):
-    """The one-letter words sigma_i^+-1 of B_strands."""
-    return [BraidWord(strands, ((i, sign),))
-            for i in range(1, strands) for sign in (1, -1)]
+def _first_difference(lhs, rhs):
+    """The first column where two matrices differ, or None."""
+    if lhs == rhs:
+        return None
+    return next((t for t, (a, b) in enumerate(zip(columns(lhs), columns(rhs)))
+                 if a != b), None)
 
 
 def check_extension(system, ell_max=3):
@@ -377,37 +359,39 @@ def check_extension(system, ell_max=3):
 
     Diagram (a): I_k o T(alpha) = T(sigma_k(alpha)) o I_k for alpha in
     B_k.  Diagram (b): T(v_k^ell(beta)) o I_k^ell = I_k^ell for beta in
-    B_ell.  T of a word is the product of its letters' matrices, so
-    each diagram holds for every word exactly when it holds for each
-    letter sigma_i^+-1, and only the letters are checked.  Reports the
-    first failing (k, ell, one-letter word, basis vector).
+    B_ell, with I_k^ell = I_{k+ell-1} o ... o I_k.  T of a word is the
+    product of its letters' matrices, so each diagram holds for every
+    word exactly when it holds for each letter sigma_i^+-1, and only the
+    letters are checked, each by comparing two composites
+    (:func:`compose`).  Reports the first failing (k, ell, one-letter
+    word, basis vector): the basis vector is the first column where the
+    two composites differ.
     """
     cells = []
     for k in range(2, system.K_max):
-        letters = _letters(k)
-        for alpha in letters:
-            for t in range(system.dims[k]):
-                vec = {t: 1}
-                if system.struct_apply(k, system.act_word(k, alpha, vec)) != \
-                        system.act_word(k + 1, sigma_k(alpha),
-                                        system.struct_apply(k, vec)):
-                    return ExtensionReport(False, cells, {
-                        "diagram": "a", "k": k, "word": alpha.to_signed(),
-                        "basis": t})
-        cells.append({"diagram": "a", "k": k, "checked": len(letters)})
+        struct = system.structs[k]
+        for i, sign in itertools.product(range(1, k), (1, -1)):
+            t = _first_difference(
+                compose(struct, system.generator(k, i, sign)),
+                compose(system.generator(k + 1, i, sign), struct))
+            if t is not None:
+                return ExtensionReport(False, cells, {
+                    "diagram": "a", "k": k, "word": [i * sign], "basis": t})
+        cells.append({"diagram": "a", "k": k, "checked": 2 * (k - 1)})
     for ell in range(2, ell_max + 1):
-        letters = _letters(ell)
         for k in range(0, system.K_max - ell + 1):
-            for beta in letters:
-                word = v_k_l(beta, k)
-                for t in range(system.dims[k]):
-                    vec = system.struct_iterated(k, ell, {t: 1})
-                    if system.act_word(k + ell, word, vec) != vec:
-                        return ExtensionReport(False, cells, {
-                            "diagram": "b", "k": k, "ell": ell,
-                            "word": beta.to_signed(), "basis": t})
+            iterated = system.structs[k]
+            for struct in system.structs[k + 1:k + ell]:
+                iterated = compose(struct, iterated)
+            for i, sign in itertools.product(range(1, ell), (1, -1)):
+                t = _first_difference(compose(
+                    system.generator(k + ell, k + i, sign), iterated), iterated)
+                if t is not None:
+                    return ExtensionReport(False, cells, {
+                        "diagram": "b", "k": k, "ell": ell,
+                        "word": [i * sign], "basis": t})
             cells.append(
-                {"diagram": "b", "k": k, "ell": ell, "checked": len(letters)})
+                {"diagram": "b", "k": k, "ell": ell, "checked": 2 * (ell - 1)})
     return ExtensionReport(passed=True, cells=cells)
 
 
@@ -416,22 +400,23 @@ def check_extension(system, ell_max=3):
 
 
 class _CokernelData:
-    """Projection/section data for coker(I_k) in one object degree.
+    """coker(I_k) in one object degree, as two matrices: ``proj``, from
+    F(k+1) onto the cokernel (proj o I_k = 0), and ``reps``, sending each
+    cokernel basis vector to a representative in F(k+1) (proj o reps =
+    id).
 
-    Fast path, when I_k is unit columns, each a +1 entry in a row of its
-    own: the cokernel basis is the rows ``keep`` that I_k misses, each
-    row its own representative; ``pos`` maps a row of F(k+1) to its
-    place in ``keep``, or -1 for an image row, and holds one more -1 at
-    the end for row -1.  Generic path: with U I_k V = [I; 0] the Smith
-    form, the projection is ``proj_rows = U[n_small:]`` and the
-    representatives ``reps`` are the matching columns of U^-1.  Either
-    way ``split`` is the canonical splitting rho (rho I_k = id): on the
-    fast path the unit columns sending each image row back to its
-    source.  :func:`_induced` builds every matrix induced on cokernels.
+    When I_k is unit columns, each a +1 entry in a row of its own, the
+    cokernel basis is the rows that I_k misses, in order, each its own
+    representative, and both matrices are unit columns: ``proj`` sends
+    a missed row to its place among them and an image row to 0.
+    Otherwise, with U I_k V = [I; 0] the Smith form, ``proj`` is the
+    rows U[n_small:] and ``reps`` the matching columns of U^-1.  Either
+    way ``split`` is the canonical splitting rho (rho I_k = id): for unit
+    columns the unit columns sending each image row back to its source.
+    :func:`_induced` builds every matrix induced on cokernels.
     """
 
     def __init__(self, struct, n_small, n_big, where="structure map"):
-        self.keep = None
         self.struct = struct = as_matrix(struct)
         _check_rows(struct, n_big, where)
         if isinstance(struct, UnitColumns) and struct.signs.count(1) == n_small:
@@ -439,12 +424,14 @@ class _CokernelData:
             for src, r in enumerate(struct.rows):
                 split[r], signs[r] = src, 1
             if signs.count(1) == n_small:  # no row hit twice
-                self.keep = list(itertools.compress(range(n_big), map(
+                missed = list(itertools.compress(range(n_big), map(
                     operator.not_, signs)))
-                self.pos = [-1] * (n_big + 1)
-                for t, r in enumerate(self.keep):
-                    self.pos[r] = t
-                self.rank = len(self.keep)
+                self.rank = len(missed)
+                self.reps = UnitColumns(missed, [1] * self.rank)
+                rows = [-1] * n_big
+                for t, r in enumerate(missed):
+                    rows[r] = t
+                self.proj = UnitColumns(rows, list(map((1).__sub__, signs)))
                 self.split = UnitColumns(split, signs)
                 return
         snf = intmat.smith_normal_form(
@@ -456,58 +443,26 @@ class _CokernelData:
                 "(non-unit invariant factors); degree undefined at this stage"
             )
         self.rank = n_big - n_small
-        self.proj_rows = [snf.u_rows[k] for k in range(n_small, n_big)]
-        self.reps = [snf.uinv_cols[k] for k in range(n_small, n_big)]
-        # canonical splitting rho = V [I 0] U, column j from column j of
-        # the first n_small rows of U
+        proj = intmat.sparse_transpose(
+            {k - n_small: snf.u_rows[k] for k in range(n_small, n_big)})
+        self.proj = as_matrix([proj.get(r, {}) for r in range(n_big)])
+        self.reps = as_matrix([snf.uinv_cols[k] for k in range(n_small, n_big)])
+        # the canonical splitting rho = V [I 0] U
         head = intmat.sparse_transpose(
             {k: snf.u_rows[k] for k in range(n_small)})
-        V = [snf.v_cols[k] for k in range(n_small)]
-        self.split = as_matrix([cols_apply(V, head.get(j, {}))
-                                for j in range(n_big)])
-
-    def project_vec(self, vec):
-        if self.keep is not None:
-            return {self.pos[r]: v for r, v in vec.items() if self.pos[r] >= 0}
-        out = {}
-        for t, row in enumerate(self.proj_rows):
-            acc = sum(row.get(r, 0) * v for r, v in vec.items())
-            if acc:
-                out[t] = acc
-        return out
-
-    def images(self, mat):
-        """Images of the cokernel representatives under a map."""
-        if self.keep is not None:
-            return [apply(mat, {r: 1}) for r in self.keep]
-        return [apply(mat, rep) for rep in self.reps]
+        self.split = compose([snf.v_cols[k] for k in range(n_small)],
+                             [head.get(r, {}) for r in range(n_big)])
 
 
 def _induced(src, tgt, mat, where):
-    """Matrix induced from coker ``src`` to coker ``tgt`` by ``mat``, which
-    must carry the image of src's structure map I into tgt's (tgt's
-    projection kills mat o I; else CoeffSystemError names ``where``).  On
-    the fast path and unit columns, column t is the column of ``mat`` at
-    row src.keep[t], projected by tgt.pos: empty where it lands in the
-    image of tgt's structure map."""
-    fast = src.keep is not None and tgt.keep is not None \
-        and isinstance(mat, UnitColumns)
-    if fast:
-        image = map(tgt.pos.__getitem__, map(mat.rows.__getitem__, src.struct.rows))
-        stray = max(image, default=-1) != -1
-    else:
-        stray = any(map(tgt.project_vec, columns(compose(mat, src.struct))))
-    if stray:
+    """Matrix induced from coker ``src`` to coker ``tgt`` by ``mat``,
+    tgt.proj o mat o src.reps.  ``mat`` must carry the image of src's
+    structure map I into tgt's: tgt.proj o mat o I is zero, else
+    CoeffSystemError names ``where``."""
+    if not is_zero(compose(tgt.proj, compose(mat, src.struct))):
         raise CoeffSystemError(f"{where} does not carry the image of I_k "
                                "into that of the target's structure map")
-    if not fast:
-        return as_matrix([tgt.project_vec(c) for c in src.images(mat)])
-    rows = list(map(tgt.pos.__getitem__, map(mat.rows.__getitem__, src.keep)))
-    signs = list(map(mat.signs.__getitem__, src.keep))
-    if -1 in rows:
-        for t in itertools.compress(range(len(rows)), map((-1).__eq__, rows)):
-            signs[t] = 0
-    return UnitColumns(rows, signs)
+    return compose(tgt.proj, compose(mat, src.reps))
 
 
 @dataclass
@@ -558,17 +513,11 @@ def delta(system):
                 != compose(coks[k + 1].split, comp):
             naturally_split = False
 
-    new_gradings = {}
-    for k in range(K):
-        grading = system.gradings.get(k + 1)
-        if grading is not None and coks[k].keep is not None:
-            new_gradings[k] = tuple(grading[r] for r in coks[k].keep)
     out = CoeffSystem.build(
         K - 1,
         [cok.rank for cok in coks],
         new_gens,
         new_structs,
-        gradings=new_gradings,
         name=f"delta({system.name})",
         validate=False,
     )
@@ -729,7 +678,6 @@ def build_kunneth_system(HY, HZ, i, K_max, cZ=None):
     bases = [basis_of(k) for k in range(K_max + 1)]
     index = [{b: t for t, b in enumerate(bs)} for bs in bases]
     dims = [len(bs) for bs in bases]
-    gradings = {k: tuple(i for _ in bases[k]) for k in range(K_max + 1)}
 
     def gen_matrix(k, gi):
         # x (x) y -> sign * cZ(y) (x) x
@@ -756,7 +704,7 @@ def build_kunneth_system(HY, HZ, i, K_max, cZ=None):
         for (y, slots) in bases[k]:
             cols.append({index[k + 1][(y, slots + (unit,))]: 1})
         structs.append(cols)
-    return CoeffSystem.build(K_max, dims, gens, structs, gradings=gradings,
+    return CoeffSystem.build(K_max, dims, gens, structs,
                              name=f"kunneth(i={i})")
 
 

@@ -13,6 +13,7 @@ factors, none trivial and none equal to Delta.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 
 def perm_id(k):
@@ -54,13 +55,11 @@ def right_descents(p):
     return {i for i in range(1, len(p)) if q[i - 1] > q[i]}
 
 
-def reduced_word(p, prefer_max=False):
+def reduced_word(p):
     """A reduced word (list of 1-based generator indices) for p.
 
-    Peels left descents; p = s_{w[0]} * s_{w[1]} * ... in the
-    left-to-right product convention.  ``prefer_max`` picks the other
-    greedy choice, giving a second reduced word for the same permutation
-    (an oracle for :func:`form_from_positive_permutation` in the tests).
+    Peels the least left descent; p = s_{w[0]} * s_{w[1]} * ... in the
+    left-to-right product convention.
     """
     k = len(p)
     word = []
@@ -69,7 +68,7 @@ def reduced_word(p, prefer_max=False):
         ds = left_descents(cur)
         if not ds:
             break
-        i = max(ds) if prefer_max else min(ds)
+        i = min(ds)
         word.append(i)
         cur = perm_mul(transposition(k, i), cur)
     return word
@@ -84,29 +83,14 @@ class BraidError(ValueError):
     pass
 
 
-class GarsideForm:
-    """Normal form Delta^infimum * factors, hashable and comparable."""
+class GarsideForm(NamedTuple):
+    """Normal form Delta^infimum * factors, hashable and comparable as
+    the tuple (strands, infimum, factors); ``factors`` is a tuple of
+    simple factors, each a permutation tuple."""
 
-    __slots__ = ("strands", "infimum", "factors")
-
-    def __init__(self, strands, infimum, factors):
-        self.strands = strands
-        self.infimum = infimum
-        self.factors = tuple(factors)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GarsideForm)
-            and self.strands == other.strands
-            and self.infimum == other.infimum
-            and self.factors == other.factors
-        )
-
-    def __hash__(self):
-        return hash((self.strands, self.infimum, self.factors))
-
-    def __repr__(self):
-        return f"GarsideForm({self.strands}, {self.infimum}, {list(self.factors)})"
+    strands: int
+    infimum: int
+    factors: tuple
 
     def is_identity(self):
         return self.infimum == 0 and not self.factors
@@ -204,7 +188,7 @@ def normal_form(strands, letters):
     while simples and simples[0] == w0:
         simples.pop(0)
         power += 1
-    return GarsideForm(k, power, simples)
+    return GarsideForm(k, power, tuple(simples))
 
 
 def form_from_positive_permutation(k, p):

@@ -194,6 +194,42 @@ def test_composites_of_single_entry_columns_match_sparse_columns():
     assert (full.rows, full.signs) == ([2, 0], [1, -1])
 
 
+def test_stored_zeros_are_no_entries():
+    # a zero given in a sparse column is dropped, not read as an entry
+    assert cs.cols_apply([{0: 2}, {1: 1}], {0: 0, 1: 1}) == {1: 1}
+    assert cs.compose([{0: 2}, {1: 1}], [{0: 0, 1: 1}]) == \
+        cs.UnitColumns([1], [1])
+    assert cs.as_matrix([{0: 1, 1: 0}, {1: 1}]) == cs.identity(2)
+    assert cs.as_matrix([{0: 3, 1: 0}]) == [{0: 3}]
+    # so a zero matrix is always unit columns, all empty
+    zero = cs.as_matrix([{0: 0}, {}])
+    assert zero == cs.UnitColumns([-1, -1], [0, 0]) and cs.is_zero(zero)
+    assert cs.is_zero(cs.compose([{0: 2}], [{0: 0}]))
+    assert not cs.is_zero(cs.as_matrix([{0: 2}]))
+    assert not cs.is_zero(cs.identity(1))
+    system = cs.CoeffSystem.build(
+        2, [1, 2, 2], [[], [], [[{0: 1, 1: 0}, {1: 1}]]],
+        [[{0: 1}], [{0: 1}, {1: 1}]])
+    assert system.gens[2][0] == cs.identity(2)
+
+
+def test_cokernel_matrices_project_onto_representatives():
+    # proj o I = 0, proj o reps = id and split o I = id, on unit columns
+    # and through the Smith form
+    for struct, n_small, n_big in (
+            (cs.UnitColumns([3, 0], [1, 1]), 2, 5),
+            ([{0: 1, 3: 2}, {1: 1, 4: -1}], 2, 5),
+            (cs.UnitColumns([1, 0], [-1, 1]), 2, 3)):
+        cok = cs._CokernelData(struct, n_small, n_big)
+        assert cok.rank == n_big - n_small
+        assert cs.is_zero(cs.compose(cok.proj, cok.struct))
+        assert cs.compose(cok.proj, cok.reps) == cs.identity(cok.rank)
+        assert cs.compose(cok.split, cok.struct) == cs.identity(n_small)
+    unit = cs._CokernelData(cs.UnitColumns([3, 0], [1, 1]), 2, 5)
+    assert unit.reps == cs.UnitColumns([1, 2, 4], [1, 1, 1])
+    assert unit.proj == cs.UnitColumns([-1, 0, 1, -1, 2], [0, 1, 1, 0, 1])
+
+
 def test_check_extension_passes(hurwitz_s3, hurwitz_z2):
     assert cs.check_extension(hurwitz_z2, ell_max=3).passed
     rep = cs.check_extension(hurwitz_s3, ell_max=3)

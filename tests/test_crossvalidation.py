@@ -11,6 +11,7 @@ import random
 
 from hurstab import coeffsys as cs
 from hurstab import garside
+from hurstab import intmat
 from hurstab.groups import FiniteGroup, conjugacy_closure
 
 # ---------------------------------------------------------------------------
@@ -159,20 +160,29 @@ def conjugated_system(system, rng):
     )
 
 
-def test_generic_delta_path_matches_fast_path():
+def test_generic_delta_path_matches_fast_path(monkeypatch):
     s3 = FiniteGroup.symmetric(3)
     threecycles = conjugacy_closure({s3.element_names.index("(1 2 3)")}, s3)
     base = cs.build_hurwitz_system(s3, threecycles, threecycles.elements[0], 4)
     rng = random.Random(77)
     scrambled = conjugated_system(base, rng)
-    # at least one structure map must have left the fast path
-    assert any(
-        cs._CokernelData(mat, scrambled.dims[k], scrambled.dims[k + 1]).keep
-        is None for k, mat in enumerate(scrambled.structs)
-    )
+    # delta takes a cokernel through the Smith form on the scrambled
+    # system (at least one structure map has left the unit columns),
+    # and on the base system never
+    calls = []
+    smith = intmat.smith_normal_form
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return smith(*args, **kwargs)
+
+    monkeypatch.setattr(intmat, "smith_normal_form", counting)
     # the scrambled bases move the canonical splitting off naturality
     assert cs.delta(scrambled).naturally_split is False
+    assert calls
+    calls.clear()
     assert cs.delta(base).naturally_split is True
+    assert calls == []
     assert cs.check_extension(scrambled, ell_max=2).passed
     rep_fast = cs.degree(base, 3)
     rep_generic = cs.degree(scrambled, 3)
