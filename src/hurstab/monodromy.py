@@ -15,7 +15,8 @@ the label has sign -1; positions with no strand are filled with the
 basepoint.  Applying the inverse of the label (pulling the state
 backwards along the strand) is what makes the action strictly
 functorial with the chosen label-composition order, provided the
-reflection commutes with the action.
+reflection commutes with the action.  :func:`check_model` samples
+composable triples and decides each on its chained strands.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ class LabeledInjection:
     strands: dict = field(repr=False, compare=False)
 
     def __init__(self, m, n, pairs, labels):
-        # one pass over the arguments: compose builds one of these per
-        # call, so validation is the hot path of monodromy-check
+        # one pass over the arguments: the identity checks of
+        # monodromy-check compose two of these per labeled injection
         if len(labels) != len(pairs):
             raise MonodromyError("labels must cover exactly the domain")
         strands = {}
@@ -233,6 +234,11 @@ MAX_OBJECT = 3
 # blank-fill tuples: about 12 us against 1.3 us for a tuple (Python 3.11)
 IDENTITY_CHECK_WEIGHT = 9
 
+# what one sample costs, in blank-fill tuples: about 9 us at |Q| >= 300,
+# where most injections it decodes are new (3.5 us at cyclic:2), against
+# 1.14 us for a tuple (Python 3.11)
+SAMPLE_WEIGHT = 8
+
 
 def _digits(code, base, length):
     """The ``length`` lowest base-``base`` digits of code, most
@@ -267,16 +273,8 @@ class InjectionSampler:
     uniform), then three residues mod L give phi: a -> b, psi: b -> c
     and chi: c -> d in turn.  Python integers keep this exact at any |Q|.
 
-    ``built`` interns every injection the sampler hands out: a decoded
-    one under its key (m, n, k, index) and, like every composite that
-    :meth:`composite` makes, under its value (m, n, pairs, labels), so
-    equal injections are one object.  ``composed`` maps the addresses
-    id(psi), id(phi) of two interned injections to the interned psi o phi,
-    so ``compose`` builds, and validates, each distinct pair's composite
-    once.  Both grow only with new injections and new pairs, by at most
-    3 decoded injections (two keys each), 4 composites and 4 pairs per
-    sample.  Pairs repeat most where |Q| is small: 200000 samples leave
-    about 0.1 entries per sample over cyclic:2 and 1.2 over cyclic:50.
+    ``built`` keeps each decoded injection under its key
+    (m, n, k, index): at most 3 new entries per sample.
     """
 
     def __init__(self, group):
@@ -305,7 +303,6 @@ class InjectionSampler:
         self.modulus = math.lcm(*(r[0] for r in self.residues.values()))
         self.triples = span**4 * self.modulus**3
         self.built = {}
-        self.composed = {}
 
     def injection(self, m, n, x):
         """The labeled injection m -> n that the residue x mod L_mn
@@ -318,10 +315,8 @@ class InjectionSampler:
             shape, code = divmod(key[3], self.order**k)
             dom, img = self.shapes[m, n][k][shape]
             labels = _digits(code, self.order, k)
-            phi = LabeledInjection(
+            phi = self.built[key] = LabeledInjection(
                 m, n, tuple(zip(dom, img)), tuple(zip(dom, labels)))
-            phi = self.built[key] = self.built.setdefault(
-                (m, n, phi.pairs, phi.labels), phi)
         return phi
 
     def triple(self, code):
@@ -337,18 +332,6 @@ class InjectionSampler:
         psi = self.injection(b, c, x)
         code, x = divmod(code, modulus)
         return self.injection(c, d, x), psi, phi, code
-
-    def composite(self, psi, phi):
-        """The interned psi o phi of two interned injections, built by
-        the module's ``compose`` the first time the pair is seen."""
-        # one int for the pair of addresses, smaller than a tuple of two
-        key = id(psi) << 64 | id(phi)
-        out = self.composed.get(key)
-        if out is None:
-            out = compose(psi, phi, self.group)
-            out = self.composed[key] = self.built.setdefault(
-                (out.m, out.n, out.pairs, out.labels), out)
-        return out
 
     def all_injections(self, m, n):
         """Every labeled injection m -> n, by size, shape and label code.
@@ -384,29 +367,38 @@ def check_model(model, samples, seed):
     ``act`` is a functor on it, for one model.
 
     The identity laws are checked on every labeled injection between
-    objects <= 2.  Associativity and functoriality of the action are
-    checked on ``samples`` random composable triples between objects
-    <= MAX_OBJECT, each with a uniform state tuple, and blank fill on
-    every state between objects <= MAX_OBJECT.  Each sample is one
-    ``randrange`` over ``sampler.triples * |Z|**MAX_OBJECT``: the
-    triple comes from its residue mod ``sampler.triples`` (see
-    :class:`InjectionSampler`) and the state tuple from the low base-|Z|
-    digits of the rest.  Composites come from the sampler's cache, so
-    each distinct pair is composed once per run; ``act`` and both
-    comparisons run on every sample.  Returns ``(checks, failures)``:
-    counts per check and one dict per failure, which for a sampled
-    triple is its :func:`witness`.
+    objects <= 2 (sum of C(m, k) P(n, k) |Q|^k), blank fill on the
+    (MAX_OBJECT+1) * sum_{n <= MAX_OBJECT} |Z|^n state tuples between
+    objects <= MAX_OBJECT, and associativity and functoriality on
+    ``samples`` random composable triples phi: a -> b, psi: b -> c and
+    chi: c -> d between objects <= MAX_OBJECT, each with a uniform state
+    tuple on d.  Each sample is one ``randrange`` over
+    ``sampler.triples * |Z|**MAX_OBJECT``: the triple comes from its
+    residue mod ``sampler.triples`` (see :class:`InjectionSampler`) and
+    the state tuple from the low base-|Z| digits of the rest.
 
-    Besides the samples, the checks visit the labeled injections
-    between objects <= 2 (sum of C(m, k) P(n, k) |Q|^k) and
-    (MAX_OBJECT+1) * sum_{n <= MAX_OBJECT} |Z|^n state tuples.  An
-    injection costs about IDENTITY_CHECK_WEIGHT (9) times what a tuple
-    costs, so it counts 9 times; a model whose weighted count exceeds
-    ``braid.DEFAULT_ORBIT_BOUND`` is refused with OrbitSizeError before
-    anything is checked.
+    A sample is decided on its chained strands from the group table and
+    the strand operators, without composing or acting.  Both composites
+    of the triple have the same strands, so associativity fails exactly
+    when a strand of phi continues through psi and chi, with labels qa,
+    qb and qc, and (qc qb) qa != qc (qb qa).  A strand of psi that stops
+    at chi gives the basepoint on both sides of functoriality, since
+    every strand operator fixes it; one with label q1 that continues
+    through a strand of chi with label q2 to a state s fails exactly
+    when ops[q2 q1](s) != ops[q1](ops[q2](s)).  The state tuple is
+    decoded only for a witness.  Returns ``(checks, failures)``: counts
+    per check and one dict per failure, which for a sampled triple is
+    its :func:`witness`.
+
+    Against ``braid.DEFAULT_ORBIT_BOUND``, a sample weighs SAMPLE_WEIGHT
+    (8) tuples and an injection IDENTITY_CHECK_WEIGHT (9); the samples,
+    and the injections and tuples together, are each refused past it
+    with OrbitSizeError before anything is checked.
     """
     z = model.states
     group = model.group
+    braid.refuse_above_bound(SAMPLE_WEIGHT * samples, (
+        f"samples {samples}, weighing {SAMPLE_WEIGHT} each, exceed"))
     rng = random.Random(seed)
     sampler = InjectionSampler(group)
     injections = sum(sum(sampler.sizes[m, n]) for m in range(3) for n in range(3))
@@ -415,8 +407,8 @@ def check_model(model, samples, seed):
         f"identity-check injections {injections} at |Q|={group.order}, "
         f"weighing {IDENTITY_CHECK_WEIGHT} each, plus blank-fill tuples "
         f"{tuples} at |Z|={z} exceed"))
-    checks = {"composition_identity": 0, "composition_assoc": 0,
-              "act_functorial": 0, "blank_fill": 0}
+    checks = {"composition_identity": injections, "composition_assoc": samples,
+              "act_functorial": samples, "blank_fill": tuples}
     failures = []
     for m in range(3):
         for n in range(3):
@@ -426,29 +418,33 @@ def check_model(model, samples, seed):
                 if compose(ident_l, psi, group) != psi or \
                         compose(psi, ident_r, group) != psi:
                     failures.append({"kind": "identity", "psi": str(psi)})
-                checks["composition_identity"] += 1
     draws = sampler.triples * z**MAX_OBJECT
     triple = sampler.triple
-    composite = sampler.composite
+    table = group.table
+    ops = model.strand_operators
     for _ in range(samples):
         chi, psi, phi, code = triple(rng.randrange(draws))
-        chi_psi = composite(chi, psi)
-        if composite(chi_psi, phi) != composite(chi, composite(psi, phi)):
-            failures.append(witness("assoc", chi, psi, phi))
-        checks["composition_assoc"] += 1
-        state = tuple(_digits(code, z, chi.n))
-        one = act(model, chi_psi, state)
-        two = act(model, psi, act(model, chi, state))
-        if one != two:
-            failures.append(witness("functoriality", chi, psi, phi, state))
-        checks["act_functorial"] += 1
+        # (0, 0) is no strand: positions start at 1
+        for j, qa in phi.strands.values():
+            l, qb = psi.strands.get(j, (0, 0))
+            p, qc = chi.strands.get(l, (0, 0))
+            if p and table[table[qc][qb]][qa] != table[qc][table[qb][qa]]:
+                failures.append(witness("assoc", chi, psi, phi))
+                break
+        d = chi.n
+        for l, q1 in psi.strands.values():
+            p, q2 = chi.strands.get(l, (0, 0))
+            s = code // z**(d - p) % z
+            if p and ops[table[q2][q1]][s] != ops[q1][ops[q2][s]]:
+                failures.append(witness("functoriality", chi, psi, phi,
+                                        _digits(code, z, d)))
+                break
     for n in range(MAX_OBJECT + 1):
         for m in range(MAX_OBJECT + 1):
             mu = LabeledInjection.make(m, n, {})
             for state in itertools.product(range(z), repeat=n):
                 if act(model, mu, state) != (model.basepoint,) * m:
                     failures.append({"kind": "blank_fill", "m": m, "n": n})
-                checks["blank_fill"] += 1
     return checks, failures
 
 

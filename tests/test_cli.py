@@ -528,6 +528,19 @@ def test_monodromy_check_refuses_large_group_actions(tmp_path):
     assert time.perf_counter() - start < 2.0
 
 
+def test_monodromy_check_refuses_too_many_samples(capsys):
+    # 10^11 samples weigh 8 * 10^11 against the bound: refused before
+    # the sampler is built
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert cli.run(["monodromy-check", "--samples", str(10**11),
+                    "--out", os.devnull]) == cli.EXIT_RESOURCE
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "resource refusal: samples 100000000000, weighing 8 each, exceed "
+        "the bound 10000000\n")
+
+
 def test_stabiliser_flag(tmp_path):
     code, body = run_to_file(
         tmp_path, "s.json",

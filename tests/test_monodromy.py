@@ -6,8 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from hurstab import braid
+from hurstab import braid, groups
 from hurstab import coeffsys as cs
 from hurstab import monodromy as md
 from hurstab.groups import FiniteGroup
@@ -168,6 +169,19 @@ def test_check_model_refuses_above_the_bound(monkeypatch):
         md.check_model(SWAP_MODEL, 5, 0)
 
 
+def test_check_model_refuses_too_many_samples(monkeypatch):
+    # 60 samples weigh 8 * 60 = 480; the identity and blank-fill checks
+    # of SWAP_MODEL weigh 475, under the bound on their own
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 480)
+    checks, failures = md.check_model(SWAP_MODEL, 60, 0)
+    assert checks["composition_assoc"] == checks["act_functorial"] == 60
+    assert not failures
+    with pytest.raises(braid.OrbitSizeError,
+                       match="samples 61, weighing 8 each, exceed the bound "
+                             "480"):
+        md.check_model(SWAP_MODEL, 61, 0)
+
+
 def test_model_refuses_above_the_bound(monkeypatch):
     # the action check composes 2 * 2 group pairs on 3 states
     monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 12)
@@ -302,11 +316,37 @@ def test_sampler_builds_what_make_builds():
         assert phi == made and phi.strands == made.strands
 
 
+class InterningSampler(md.InjectionSampler):
+    """The sampler with every injection interned by value: a decoded
+    one and each composite :meth:`composite` makes are one object per
+    value in ``interned``, and ``composed`` maps the addresses
+    id(psi), id(phi) of two interned injections to the interned
+    psi o phi, so ``md.compose`` runs once per distinct pair."""
+
+    def __init__(self, group):
+        super().__init__(group)
+        self.interned = {}
+        self.composed = {}
+
+    def injection(self, m, n, x):
+        phi = super().injection(m, n, x)
+        return self.interned.setdefault((m, n, phi.pairs, phi.labels), phi)
+
+    def composite(self, psi, phi):
+        key = id(psi) << 64 | id(phi)
+        out = self.composed.get(key)
+        if out is None:
+            out = md.compose(psi, phi, self.group)
+            out = self.composed[key] = self.interned.setdefault(
+                (out.m, out.n, out.pairs, out.labels), out)
+        return out
+
+
 def test_sampler_composes_each_pair_once(monkeypatch):
     # composites are interned by value, so equal injections are one
     # object, and compose runs once per distinct pair
     group = FiniteGroup.cyclic(3)
-    sampler = md.InjectionSampler(group)
+    sampler = InterningSampler(group)
     calls = []
 
     def counted(psi, phi, group):
@@ -322,7 +362,7 @@ def test_sampler_composes_each_pair_once(monkeypatch):
             out = sampler.composite(outer, inner)
             assert out == compose(outer, inner, group)
             assert out is sampler.composite(outer, inner)
-            assert out is sampler.built[out.m, out.n, out.pairs, out.labels]
+            assert out is sampler.interned[out.m, out.n, out.pairs, out.labels]
         lhs = sampler.composite(sampler.composite(chi, psi), phi)
         assert lhs is sampler.composite(chi, sampler.composite(psi, phi))
     pairs = [(psi.m, psi.n, psi.pairs, psi.labels, phi.m, phi.n, phi.pairs,
@@ -360,44 +400,80 @@ def expected_witness(kind, chi, psi, phi, state=None):
     return out
 
 
+def oracle_check_model(model, samples, seed):
+    """``md.check_model`` by composing and acting: the same draws,
+    checks and witnesses, with each sampled triple's composites built
+    by ``md.compose`` (once per distinct pair, through
+    :class:`InterningSampler`) and compared whole, and its state tuple
+    acted on by ``md.act``."""
+    z = model.states
+    group = model.group
+    rng = random.Random(seed)
+    sampler = InterningSampler(group)
+    checks = {"composition_identity": 0, "composition_assoc": 0,
+              "act_functorial": 0, "blank_fill": 0}
+    failures = []
+    for m in range(3):
+        for n in range(3):
+            ident_l = md.LabeledInjection.identity(n)
+            ident_r = md.LabeledInjection.identity(m)
+            for psi in sampler.all_injections(m, n):
+                if md.compose(ident_l, psi, group) != psi or \
+                        md.compose(psi, ident_r, group) != psi:
+                    failures.append({"kind": "identity", "psi": str(psi)})
+                checks["composition_identity"] += 1
+    draws = sampler.triples * z**md.MAX_OBJECT
+    composite = sampler.composite
+    for _ in range(samples):
+        chi, psi, phi, code = sampler.triple(rng.randrange(draws))
+        chi_psi = composite(chi, psi)
+        if composite(chi_psi, phi) != composite(chi, composite(psi, phi)):
+            failures.append(expected_witness("assoc", chi, psi, phi))
+        checks["composition_assoc"] += 1
+        state = tuple(code // z**t % z for t in reversed(range(chi.n)))
+        one = md.act(model, chi_psi, state)
+        two = md.act(model, psi, md.act(model, chi, state))
+        if one != two:
+            failures.append(expected_witness("functoriality", chi, psi, phi,
+                                             list(state)))
+        checks["act_functorial"] += 1
+    for n in range(md.MAX_OBJECT + 1):
+        for m in range(md.MAX_OBJECT + 1):
+            mu = md.LabeledInjection.make(m, n, {})
+            for state in itertools.product(range(z), repeat=n):
+                if md.act(model, mu, state) != (model.basepoint,) * m:
+                    failures.append({"kind": "blank_fill", "m": m, "n": n})
+                checks["blank_fill"] += 1
+    return checks, failures
+
+
 @pytest.mark.parametrize("model", [SWAP_MODEL, NONCOMMUTING_MODEL,
                                    regular_model(FiniteGroup.symmetric(3))])
 def test_check_model_matches_a_direct_oracle(model, monkeypatch):
     # the triples one seeded run draws, checked again by composing and
-    # acting directly: the same verdict on each triple, and the same
-    # counts and failures
+    # acting directly: the same counts and failures
     log = []
     triple = md.InjectionSampler.triple
-    act = md.act
 
     def logged_triple(self, code):
         out = triple(self, code)
-        log.append([out])
-        return out
-
-    def logged_act(model, morphism, state):
-        out = act(model, morphism, state)
-        log[-1].append(out)
+        log.append(out)
         return out
 
     monkeypatch.setattr(md.InjectionSampler, "triple", logged_triple)
-    monkeypatch.setattr(md, "act", logged_act)
     checks, failures = md.check_model(model, 2000, 5)
     monkeypatch.undo()
     assert len(log) == 2000
     group, z = model.group, model.states
     expect = []
-    # three act calls per triple; the last entry also holds blank fill's
-    for (chi, psi, phi, code), one, _, two, *_ in log:
+    for chi, psi, phi, code in log:
         lhs = md.compose(md.compose(chi, psi, group), phi, group)
         rhs = md.compose(chi, md.compose(psi, phi, group), group)
         if lhs != rhs:
             expect.append(expected_witness("assoc", chi, psi, phi))
         state = tuple(code // z**t % z for t in reversed(range(chi.n)))
         direct = md.act(model, md.compose(chi, psi, group), state)
-        verdict = direct == md.act(model, psi, md.act(model, chi, state))
-        assert (one == two) == verdict and one == direct
-        if not verdict:
+        if direct != md.act(model, psi, md.act(model, chi, state)):
             expect.append(expected_witness("functoriality", chi, psi, phi,
                                            list(state)))
     assert checks["composition_assoc"] == checks["act_functorial"] == 2000
@@ -407,11 +483,14 @@ def test_check_model_matches_a_direct_oracle(model, monkeypatch):
 
 
 def test_check_model_finds_a_wrong_label_order(monkeypatch):
-    # composing labels inner times outer is still associative, but over
+    # check_model reads labels off the group table, the oracle composes
+    # them: a wrong label order in compose makes the two disagree.
+    # Composing labels inner times outer is still associative, but over
     # sym:3 acting on itself the action is no longer a functor
     group = FiniteGroup.symmetric(3)
     model = regular_model(group)
     checks, failures = md.check_model(model, 500, 1)
+    assert (checks, failures) == oracle_check_model(model, 500, 1)
     assert not failures
 
     def wrong_order(psi, phi, group):
@@ -422,9 +501,110 @@ def test_check_model_finds_a_wrong_label_order(monkeypatch):
 
     compose = md.compose
     monkeypatch.setattr(md, "compose", wrong_order)
-    checks, failures = md.check_model(model, 500, 1)
-    kinds = {f["kind"] for f in failures}
+    wrong = oracle_check_model(model, 500, 1)
+    kinds = {f["kind"] for f in wrong[1]}
     assert "functoriality" in kinds and "assoc" not in kinds
+    assert md.check_model(model, 500, 1) == (checks, failures) != wrong
+
+
+def sign_characters(group):
+    """Every homomorphism from the group to {+-1}."""
+    order = group.order
+    return [sign for sign in ((1,) + rest for rest in itertools.product(
+                (1, -1), repeat=order - 1))
+            if all(sign[group.mul(a, b)] == sign[a] * sign[b]
+                   for a in range(order) for b in range(order))]
+
+
+def pointed_involution(rng, states):
+    """A random involution of range(states) that fixes 0."""
+    rest = rng.sample(range(1, states), states - 1)
+    out = list(range(states))
+    for t in range(rng.randint(0, (states - 1) // 2)):
+        a, b = rest[2 * t], rest[2 * t + 1]
+        out[a], out[b] = b, a
+    return tuple(out)
+
+
+def cyclic_action(rng, order, states):
+    """g^q for q in cyclic:order, g a random permutation of range(states)
+    fixing 0 whose cycle lengths divide the order."""
+    rest = rng.sample(range(1, states), states - 1)
+    gen = list(range(states))
+    while rest:
+        length = rng.choice([d for d in range(1, len(rest) + 1)
+                             if order % d == 0])
+        cycle, rest = rest[:length], rest[length:]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            gen[a] = b
+    action = [tuple(range(states))]
+    for _ in range(1, order):
+        action.append(tuple(gen[x] for x in action[-1]))
+    return tuple(action)
+
+
+def _non_associative_loop():
+    """The smallest loop that is not a group: a Latin square of order 5
+    with identity 0, accepted with the associativity check switched
+    off."""
+    table = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
+             (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+    inverse = tuple(row.index(0) for row in table)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "ASSOC_CHECK_BOUND", 0)
+        return FiniteGroup(5, table, inverse, "loop:5")
+
+
+LOOP5 = _non_associative_loop()
+SYM3 = FiniteGroup.symmetric(3)
+
+
+def random_model(rng, kind):
+    """A random model of one kind: ``cyclic`` (cyclic:1..6 acting
+    through a random permutation), ``left`` and ``conj`` (sym:3 acting
+    on itself by left multiplication and by conjugation) and ``loop``
+    (the order-5 loop acting trivially), each with a random sign
+    character and a random pointed involution as its reflection."""
+    if kind == "cyclic":
+        group = FiniteGroup.cyclic(rng.randint(1, 6))
+        states = rng.randint(1, 5)
+        action = cyclic_action(rng, group.order, states)
+    elif kind == "loop":
+        group, states = LOOP5, rng.randint(1, 4)
+        action = (tuple(range(states)),) * group.order
+    else:
+        group, states = SYM3, 7
+        move = group.mul if kind == "left" else group.conj
+        action = tuple((0,) + tuple(1 + move(q, g) for g in range(6))
+                       for q in range(6))
+    return md.MonodromyModel(
+        group=group, states=states, action=action,
+        sign=rng.choice(sign_characters(group)),
+        reflection=pointed_involution(rng, states))
+
+
+@seed(20261019)
+@settings(max_examples=40, deadline=None)
+@given(model_seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["cyclic", "left", "conj", "loop"]))
+def test_check_model_matches_the_oracle_on_random_models(model_seed, kind):
+    model = random_model(random.Random(model_seed), kind)
+    for samples in (0, 1, 300):
+        for s in (0, 7):
+            assert md.check_model(model, samples, s) == \
+                oracle_check_model(model, samples, s)
+
+
+def test_random_models_fail_every_sampled_check():
+    # the random models of the test above include passing ones and ones
+    # that fail each sampled check
+    kinds = collections.Counter()
+    for t in range(40):
+        for kind in ("cyclic", "left", "conj", "loop"):
+            model = random_model(random.Random(t), kind)
+            failures = md.check_model(model, 400, t)[1]
+            kinds.update({f["kind"] for f in failures} or {"passed"})
+    assert set(kinds) == {"passed", "assoc", "functoriality"}
 
 
 def test_model_validation():
