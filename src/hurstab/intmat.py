@@ -7,14 +7,15 @@ shape (m, n) where it matters; a list of columns is read as the rows of
 the transpose, and a vector is ``{index: value}``.  Four parts:
 
 * one integer Smith elimination engine on sparse rows (:func:`_smith`),
-  with two entry points.  ``sparse_invariant_factors`` asks it for the
-  invariant factors only, for the small matrices whose rank is all that
-  is read (presented maps).  ``smith_normal_form`` asks it to track the
-  row transform and its inverse, and the column transform and its
-  inverse unless the caller opts out, and returns them as sparse
-  vectors, for wherever explicit bases are needed (homology bases of
-  reduced cores, map flags, cokernels and inverses in coefficient
-  systems).
+  whose one step reduces entries mod a pivot of least absolute value by
+  elementary row and column additions, with two entry points.
+  ``sparse_invariant_factors`` asks it for the invariant factors only,
+  for the small matrices whose rank is all that is read (presented
+  maps).  ``smith_normal_form`` asks it to track the row transform and
+  its inverse, and the column transform and its inverse unless the
+  caller opts out, and returns them as sparse vectors, for wherever
+  explicit bases are needed (homology bases of reduced cores, map
+  flags, cokernels and inverses in coefficient systems).
 
 * a fraction-free determinant (:func:`abs_determinant`) for
   unimodularity checks of user matrices.
@@ -32,21 +33,6 @@ the transpose, and a vector is ``{index: value}``.  Four parts:
 from __future__ import annotations
 
 import heapq
-
-
-def xgcd(a, b):
-    """Return (x, y, g) with x*a + y*b == g == gcd(a, b) >= 0."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
 
 
 def is_int(x):
@@ -164,8 +150,8 @@ def abs_determinant(rows, n):
     """|det A| of the n x n integer matrix with sparse rows ``rows``, by
     fraction-free elimination (Bareiss, Math. Comp. 1968).  Each entry
     of the remaining rows after step k is a (k+1) x (k+1) minor of A,
-    so bit lengths grow linearly, not exponentially as under xgcd
-    combinations; the divisions by the previous pivot are exact."""
+    so bit lengths grow at most linearly in k; the divisions by the
+    previous pivot are exact."""
     rest = {i: dict(r) for i, r in rows.items() if r}
     prev = 1
     for k in range(n):
@@ -267,12 +253,18 @@ def sparse_invariant_factors(rows):
 def _smith(rows, row_dim=None, col_dim=None):
     """Sparse Smith elimination of ``rows``, which it consumes.
 
-    Pivots on a +-1 entry when there is one (the least Markowitz fill in
-    a small batch), else on an entry of least absolute value.  xgcd
-    combinations of two rows or two columns make the pivot divide its
-    column and row; then the column is cleared and the pivot's row and
-    column are dropped.  One gcd/lcm pass over the non-unit pivots makes
-    the divisibility chain.
+    Each step picks a pivot: a +-1 entry when there is one (the least
+    Markowitz fill in a small batch), else an entry of least absolute
+    value and then least fill.  Row additions reduce every other entry
+    of its column to its remainder mod the pivot, and then column
+    additions reduce its row; if either leaves a remainder, a smaller
+    pivot is picked (Havas, Holt and Rees, Linear Algebra Appl. 1993).
+    A non-unit pivot alone in its row and column that does not divide
+    some entry left adds that entry's row to its own and is kept, so
+    that its next row reduction leaves a remainder; otherwise it is
+    dropped with its row and column.  Each pivot divides every entry
+    left when it is dropped, so the units come first and d1 | d2 | ...
+    without sorting.
 
     Returns ``(pivots, U, uinv, V, vinv)``.  ``pivots`` lists
     ``(row, col, d)`` with d > 0 and d1 | d2 | ..., and U*A*V is zero
@@ -291,13 +283,6 @@ def _smith(rows, row_dim=None, col_dim=None):
             if v in (1, -1):
                 unit_queue.append((i, j))
 
-    def discard(i, j):
-        c = cols.get(j)
-        if c is not None:
-            c.discard(i)
-            if not c:
-                del cols[j]
-
     def set_entry(i, j, v):
         row = rows.get(i)
         if v:
@@ -308,21 +293,20 @@ def _smith(rows, row_dim=None, col_dim=None):
             row[j] = v
             if v in (1, -1):
                 unit_queue.append((i, j))
-        else:
-            if row is not None and j in row:
-                del row[j]
-                discard(i, j)
-                if not row:
-                    del rows[i]
+        elif row is not None and j in row:
+            del row[j]
+            cols[j].discard(i)
+            if not cols[j]:
+                del cols[j]
+            if not row:
+                del rows[i]
 
-    def add_multiple_of_row(i, src, q, skip_col):
-        # row_i += q * row_src, skipping the pivot column (cleared separately)
-        src_row = rows.get(src, {})
-        for j, v in list(src_row.items()):
-            if j == skip_col:
-                continue
-            cur = rows.get(i, {}).get(j, 0)
-            set_entry(i, j, cur + q * v)
+    def add_row(i, src, q):
+        # row_i += q * row_src, recorded on U
+        for j, v in rows[src].items():
+            set_entry(i, j, rows.get(i, {}).get(j, 0) + q * v)
+        if U is not None:
+            _add(U, uinv, i, src, q)
 
     def pick_unit_pivot():
         # lazily validated queue of entries that were +-1 when enqueued;
@@ -360,88 +344,36 @@ def _smith(rows, row_dim=None, col_dim=None):
         return best
 
     pivots = []
+    kept = None
     while cols:
-        pi, pj = pick_pivot()
-        # make the pivot divide its column and row via xgcd combinations
-        while True:
-            pval = rows[pi][pj]
-            bad = [i for i in cols[pj] if i != pi and rows[i][pj] % pval]
-            if bad:
-                i = bad[0]
-                a, b = pval, rows[i][pj]
-                x, y, g = xgcd(a, b)
-                ag, bg = a // g, b // g
-                # (pivot_row, row_i) <- (x*p + y*i, -bg*p + ag*i): pivot col gets (g, 0)
-                prow = dict(rows.get(pi, {}))
-                irow = dict(rows.get(i, {}))
-                keys = set(prow) | set(irow)
-                for j in keys:
-                    u = prow.get(j, 0)
-                    v = irow.get(j, 0)
-                    set_entry(pi, j, x * u + y * v)
-                    set_entry(i, j, -bg * u + ag * v)
-                if U is not None:
-                    _combine(U, uinv, pi, i, x, y, -bg, ag)
-                continue
-            badc = [j for j in rows.get(pi, {})
-                    if j != pj and rows[pi][j] % pval]
-            if badc:
-                j = badc[0]
-                a, b = pval, rows[pi][j]
-                x, y, g = xgcd(a, b)
-                ag, bg = a // g, b // g
-                col_j = list(cols.get(j, set()))
-                col_p = list(cols.get(pj, set()))
-                touched = set(col_j) | set(col_p)
-                for i in touched:
-                    u = rows.get(i, {}).get(pj, 0)
-                    v = rows.get(i, {}).get(j, 0)
-                    set_entry(i, pj, x * u + y * v)
-                    set_entry(i, j, -bg * u + ag * v)
-                if V is not None:
-                    _combine(V, vinv, pj, j, x, y, -bg, ag)
-                continue
-            break
-        # eliminate the pivot column, then drop pivot row and column; the
-        # pivot divides its row, so column operations would clear the row
+        pi, pj = kept or pick_pivot()
+        kept = None
         pval = rows[pi][pj]
-        for i in list(cols[pj]):
-            if i == pi:
+        for i in [i for i in cols[pj] if i != pi]:
+            add_row(i, pi, -(rows[i][pj] // pval))
+        if len(cols[pj]) > 1:
+            continue
+        for j in [j for j in rows[pi] if j != pj]:
+            q = -(rows[pi][j] // pval)
+            set_entry(pi, j, rows[pi][j] + q * pval)
+            if V is not None:
+                _add(V, vinv, j, pj, q)
+        if len(rows[pi]) > 1:
+            continue
+        if pval not in (1, -1):
+            bad = next((i for i, r in rows.items()
+                        if any(v % pval for v in r.values())), None)
+            if bad is not None:
+                add_row(pi, bad, 1)
+                kept = pi, pj
                 continue
-            q = -(rows[i][pj] // pval)
-            add_multiple_of_row(i, pi, q, pj)
-            set_entry(i, pj, 0)
-            if U is not None:
-                _add(U, uinv, i, pi, q)
-        for j, v in rows.pop(pi).items():
-            discard(pi, j)
-            if V is not None and j != pj:
-                _add(V, vinv, j, pj, -(v // pval))
+        del rows[pi], cols[pj]
         if pval < 0:
             pval = -pval
             for T in (V, vinv) if V is not None else ():
                 T[pj] = {t: -w for t, w in T[pj].items()}
         pivots.append((pi, pj, pval))
-
-    # units first; one pairwise gcd/lcm pass leaves d_k | d_l for k < l
-    pivots.sort(key=lambda p: p[2] != 1)
-    diag = [d for _, _, d in pivots]
-    for k in range(diag.count(1), len(pivots)):
-        rk, ck, _ = pivots[k]
-        for l in range(k + 1, len(pivots)):
-            a, b = diag[k], diag[l]
-            if b % a:
-                x, y, g = xgcd(a, b)
-                rl, cl, _ = pivots[l]
-                # diag(a, b) -> diag(g, lcm) by [[x, y], [-b/g, a/g]] on the
-                # rows and [[1, -yb/g], [1, xa/g]] on the columns
-                if U is not None:
-                    _combine(U, uinv, rk, rl, x, y, -(b // g), a // g)
-                if V is not None:
-                    _combine(V, vinv, ck, cl, 1, 1, -(y * b // g), x * a // g)
-                diag[k], diag[l] = g, a // g * b
-    return ([(i, j, d) for (i, j, _), d in zip(pivots, diag)],
-            U, uinv, V, vinv)
+    return pivots, U, uinv, V, vinv
 
 
 class ChainReduction:
@@ -636,26 +568,10 @@ def _axpy(u, v, q, p=0):
             u.pop(t, None)
 
 
-def _lin(x, u, y, v):
-    """The sparse vector x*u + y*v."""
-    out = {t: x * w for t, w in u.items()} if x else {}
-    if y:
-        _axpy(out, v, y)
-    return out
-
-
-def _combine(T, Tinv, a, b, p, q, r, s):
-    """(T_a, T_b) <- (p*T_a + q*T_b, r*T_a + s*T_b), ps - qr = 1, on the
-    vectors of a transform T, and the inverse operation on those of Tinv
-    (T by rows and Tinv by columns, or the other way round)."""
-    u, v = T[a], T[b]
-    T[a], T[b] = _lin(p, u, q, v), _lin(r, u, s, v)
-    u, v = Tinv[a], Tinv[b]
-    Tinv[a], Tinv[b] = _lin(s, u, -r, v), _lin(-q, u, p, v)
-
-
 def _add(T, Tinv, a, b, q):
-    """The :func:`_combine` of (p, q, r, s) = (1, q, 0, 1), in place."""
+    """T_a += q*T_b on the vectors of a transform T, and the inverse
+    operation Tinv_b -= q*Tinv_a on those of Tinv (T by rows and Tinv by
+    columns, or the other way round), in place."""
     _axpy(T[a], T[b], q)
     _axpy(Tinv[b], Tinv[a], -q)
 

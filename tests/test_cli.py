@@ -172,8 +172,9 @@ def test_usage_and_validation_errors(tmp_path, monkeypatch, capsys):
         path.write_text(json.dumps(system))
         assert cli.run(["degree", "--system", str(path), "--kmax", "3"]) \
             == cli.EXIT_VALIDATION, system
-    # unimodularity of cZ is decided by a fraction-free determinant: this
-    # singular 24 x 24 matrix ran the xgcd Smith elimination for minutes
+    # unimodularity of cZ is decided by a fraction-free determinant: an
+    # elimination by xgcd row and column combinations ran on this
+    # singular 24 x 24 matrix for minutes
     rng = random.Random(3)
     M = [[0] * 24 for _ in range(24)]
     for pos in rng.sample(range(576), 62):

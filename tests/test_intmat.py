@@ -154,10 +154,10 @@ def determinantal_factors(A):
     return factors
 
 
-# up to 4 x 4, so the minors stay cheap; scaled rows and columns give
+# up to 5 x 5, so the minors stay cheap; scaled rows and columns give
 # non-unit invariant factors that are not already a divisibility chain
-oracle_matrices = st.integers(1, 4).flatmap(
-    lambda m: st.integers(1, 4).flatmap(
+oracle_matrices = st.integers(1, 5).flatmap(
+    lambda m: st.integers(1, 5).flatmap(
         lambda n: st.tuples(
             st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
                      min_size=m, max_size=m),
@@ -311,17 +311,29 @@ def test_abs_determinant_matches_cofactors(A):
     assert intmat.abs_determinant(intmat.dense_to_sparse(A), n) == abs(_det(A))
 
 
+def sparse_user_matrix(s, m, n, nnz):
+    """The dense m x n matrix with nnz entries in [-40, 40], none zero,
+    at places drawn from random.Random(s)."""
+    rng = random.Random(s)
+    A = [[0] * n for _ in range(m)]
+    for pos in rng.sample(range(m * n), nnz):
+        v = 0
+        while not v:
+            v = rng.randint(-40, 40)
+        A[pos // n][pos % n] = v
+    return A
+
+
+# an elimination by xgcd row and column combinations ran for seconds to
+# minutes on these square matrices, and never finished on some of the
+# wide ones
+SQUARE_USER_MATRICES = [sparse_user_matrix(s, 24, 24, 62)
+                        for s in range(1, 13)]
+WIDE_USER_MATRICES = [sparse_user_matrix(s, 23, 25, 61) for s in range(30)]
+
+
 def test_abs_determinant_of_sparse_user_matrices_is_fast():
-    # the 24 x 24 matrices with 62 entries in [-40, 40] on which the
-    # xgcd elimination of the Smith engine ran for minutes
-    for s in range(1, 13):
-        rng = random.Random(s)
-        A = [[0] * 24 for _ in range(24)]
-        for pos in rng.sample(range(576), 62):
-            v = 0
-            while not v:
-                v = rng.randint(-40, 40)
-            A[pos // 24][pos % 24] = v
+    for A in SQUARE_USER_MATRICES:
         start = time.perf_counter()
         got = intmat.abs_determinant(intmat.dense_to_sparse(A), 24)
         assert time.perf_counter() - start < 1.0
@@ -334,6 +346,29 @@ def test_abs_determinant_of_sparse_user_matrices_is_fast():
         q = rng.choice((-1, 1))
         U[a] = [x + q * y for x, y in zip(U[a], U[b])]
     assert intmat.abs_determinant(intmat.dense_to_sparse(U), 12) == 1
+
+
+def test_smith_form_of_sparse_user_matrices_is_fast():
+    # U*A*V = S, with U and V invertible and S a divisibility chain,
+    # pins the Smith form down, since it is unique
+    for A in SQUARE_USER_MATRICES + WIDE_USER_MATRICES:
+        m, n = len(A), len(A[0])
+        rows = intmat.dense_to_sparse(A)
+        start = time.perf_counter()
+        factors = intmat.sparse_invariant_factors(rows)
+        full = intmat.smith_normal_form(rows, (m, n))
+        rows_only = intmat.smith_normal_form(rows, (m, n), track_cols=False)
+        assert time.perf_counter() - start < 1.0
+        U, uinv = full.u_rows, intmat.sparse_transpose(full.uinv_cols)
+        V, vinv = intmat.sparse_transpose(full.v_cols), full.vinv_rows
+        S = {k: {k: d} for k, d in enumerate(full.diag) if d}
+        assert intmat.sparse_mul(intmat.sparse_mul(U, rows), V) == S
+        assert intmat.sparse_mul(U, uinv) == {k: {k: 1} for k in range(m)}
+        assert intmat.sparse_mul(V, vinv) == {k: {k: 1} for k in range(n)}
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+        assert full.invariant_factors == factors
+        assert (rows_only.diag, rows_only.u_rows, rows_only.uinv_cols) == (
+            full.diag, full.u_rows, full.uinv_cols)
 
 
 def test_field_rank_and_kernel():
