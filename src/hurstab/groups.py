@@ -16,7 +16,6 @@ from .intmat import is_int
 
 ASSOC_CHECK_BOUND = 64
 SUBGROUP_ORDER_BOUND = 48
-SUBGROUP_3GEN_BOUND = 24
 
 
 class GroupError(ValueError):
@@ -105,29 +104,6 @@ class FiniteGroup:
                         nxt.append(y)
             frontier = nxt
         return frozenset(seen)
-
-    def subgroups(self):
-        """All subgroups found by closing generating sets of size <= 2
-        (size <= 3 when the order allows).
-
-        Complete whenever every subgroup is 2-generated (3-generated for
-        order <= 24); this covers the shipped builtin families.
-        """
-        if self.order > SUBGROUP_ORDER_BOUND:
-            raise GroupError(
-                f"subgroup enumeration refused for order {self.order} > "
-                f"{SUBGROUP_ORDER_BOUND}"
-            )
-        found = {frozenset({0})}
-        els = range(1, self.order)
-        for a in els:
-            found.add(self.closure([a]))
-        for a, b in itertools.combinations(els, 2):
-            found.add(self.closure([a, b]))
-        if self.order <= SUBGROUP_3GEN_BOUND:
-            for trip in itertools.combinations(els, 3):
-                found.add(self.closure(trip))
-        return sorted(found, key=lambda h: (len(h), sorted(h)))
 
     def conjugacy_class(self, g):
         return frozenset(self.conj(a, g) for a in self.elements())
@@ -379,17 +355,22 @@ class ClassSet:
 
     def is_non_splitting(self):
         """Whether every subgroup meets this set in at most one of its
-        own conjugacy classes (empty intersections allowed)."""
+        own conjugacy classes (empty intersections allowed).
+
+        Decided on pairs: x, y in the set that are not conjugate in a
+        subgroup H are not conjugate in <x, y> <= H either, so the set
+        is non-splitting exactly when each y is a <x, y>-conjugate of x.
+        Refused above order ``SUBGROUP_ORDER_BOUND``."""
         g = self.group
-        for h in g.subgroups():
-            meet = self._members & h
-            if len(meet) <= 1:
-                continue
-            rep = next(iter(meet))
-            h_class = {g.conj(a, rep) for a in h}
-            if meet - h_class:
-                return False
-        return True
+        if g.order > SUBGROUP_ORDER_BOUND:
+            raise GroupError(
+                f"non-splitting check refused for order {g.order} > "
+                f"{SUBGROUP_ORDER_BOUND}"
+            )
+        return all(
+            y in {g.conj(a, x) for a in g.closure((x, y))}
+            for x, y in itertools.combinations(self.elements, 2)
+        )
 
     @staticmethod
     def from_json(spec, group):

@@ -32,8 +32,6 @@ the transpose, and a vector is ``{index: value}``.  Four parts:
 
 from __future__ import annotations
 
-import heapq
-
 
 def is_int(x):
     """True for an exact integer: not a bool, float or string."""
@@ -439,8 +437,9 @@ def reduce_complex(mats, dims, p=0, lift_top=True):
     input (Kaczynski, Mrozek and Slusarek, "Homology computation by
     reduction of chain complexes", 1998).  Degrees are reduced from 1
     upwards, each to a fixed point, so cancellations in D_{j+1} never
-    create units in D_j again; within a degree each pivot is a unit of
-    least Markowitz fill.  Over F_p the core's boundaries are zero.
+    create units in D_j again; within a degree the pivots come from
+    sweeps over the rows, shortest row and shortest column first (see
+    :func:`_cancel_units`).  Over F_p the core's boundaries are zero.
 
     Returns a :class:`ChainReduction` with the projection pi, a chain
     map onto the core, kept as a log of substitutions t -> pi(t) per
@@ -485,67 +484,58 @@ def _cancel_units(rows, p, upper, lower, lift, log):
     row operations, and ``log`` the substitution t -> pi(t).  Over F_p
     (p > 0) every stored entry is a unit.
 
-    The pivot is a unit of least Markowitz fill (len(row) - 1) *
-    (len(col) - 1), taken from a heap keyed by the fill an entry had
-    when it was pushed: a popped entry whose fill has grown past the
-    next key goes back with its new key, and units made by the Schur
-    update are pushed with key 0, to be keyed when first popped.
+    The pivots are taken in sweeps, repeated until one cancels nothing:
+    a sweep visits the rows alive when it starts, shortest first, and
+    cancels each row still alive on its unit entry of shortest column.
     """
     cols = {}
     for a, r in rows.items():
         for b in r:
             cols.setdefault(b, set()).add(a)
-
-    def fill(a, b):
-        return (len(rows[a]) - 1) * (len(cols[b]) - 1)
-
-    heap = [(fill(a, b), a, b) for a, r in rows.items()
-            for b, v in r.items() if p or v == 1 or v == -1]
-    heapq.heapify(heap)
-    while heap:
-        _, s, t = heapq.heappop(heap)
-        prow = rows.get(s, {})
-        u = prow.get(t)
-        if u is None or not (p or u in (1, -1)):
-            continue
-        f = fill(s, t)
-        if heap and f > heap[0][0]:
-            heapq.heappush(heap, (f, s, t))
-            continue
-        del rows[s], prow[t]
-        inv = pow(u, p - 2, p) if p else u
-        for b in prow:
-            cols[b].discard(s)
-        col = cols.pop(t)
-        col.discard(s)
-        if lift is not None:
-            lift_s = lift.pop(s, None) or {s: 1}
-        for a in col:
-            row = rows[a]
-            q = -row.pop(t) * inv
-            if p:
-                q %= p
-            for b, v in prow.items():
-                w = row.get(b, 0) + q * v
-                if p:
-                    w %= p
-                if w:
-                    if b not in row:
-                        cols[b].add(a)
-                    row[b] = w
-                    if p or w == 1 or w == -1:
-                        heapq.heappush(heap, (0, a, b))
-                elif b in row:
-                    del row[b]
-                    cols[b].discard(a)
-            if not row:
-                del rows[a]
+    cancelled = True
+    while cancelled:
+        cancelled = False
+        for s in sorted(rows, key=lambda a: len(rows[a])):
+            prow = rows.get(s)
+            units = [b for b, v in prow.items()
+                     if p or v == 1 or v == -1] if prow else ()
+            if not units:
+                continue
+            t = min(units, key=lambda b: len(cols[b]))
+            u = prow.pop(t)
+            del rows[s]
+            inv = pow(u, p - 2, p) if p else u
+            for b in prow:
+                cols[b].discard(s)
+            col = cols.pop(t)
+            col.discard(s)
             if lift is not None:
-                _axpy(lift.setdefault(a, {a: 1}), lift_s, q, p)
-        log.append((t, {b: (-inv * v) % p if p else -inv * v
-                        for b, v in prow.items()}))
-        upper.discard(s)
-        lower.discard(t)
+                lift_s = lift.pop(s, None) or {s: 1}
+            for a in col:
+                row = rows[a]
+                q = -row.pop(t) * inv
+                if p:
+                    q %= p
+                for b, v in prow.items():
+                    w = row.get(b, 0) + q * v
+                    if p:
+                        w %= p
+                    if w:
+                        if b not in row:
+                            cols[b].add(a)
+                        row[b] = w
+                    elif b in row:
+                        del row[b]
+                        cols[b].discard(a)
+                if not row:
+                    del rows[a]
+                if lift is not None:
+                    _axpy(lift.setdefault(a, {a: 1}), lift_s, q, p)
+            log.append((t, {b: (-inv * v) % p if p else -inv * v
+                            for b, v in prow.items()}))
+            upper.discard(s)
+            lower.discard(t)
+            cancelled = True
 
 
 def _identity_pair(n):

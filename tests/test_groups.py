@@ -1,3 +1,4 @@
+import itertools
 import json
 import time
 
@@ -62,8 +63,6 @@ def test_conjugacy_closure_examples(s3):
 
 
 def test_closure_idempotent_monotone(s3):
-    import itertools
-
     for seed in itertools.combinations(range(s3.order), 2):
         c = conjugacy_closure(set(seed), s3)
         again = conjugacy_closure(set(c.elements), s3)
@@ -107,14 +106,50 @@ def test_threecycles_not_generating(s3):
     assert not threecycles.generates()  # closure is A3
 
 
-def test_subgroup_enumeration(s3):
-    subs = s3.subgroups()
-    assert len(subs) == 6  # 1, three <transposition>, A3, S3
-    orders = sorted(len(h) for h in subs)
-    assert orders == [1, 2, 2, 2, 3, 6]
-    big = FiniteGroup.symmetric(5)
+def subgroups(group):
+    """All subgroups of ``group``, by closing every set of at most two
+    elements: complete for the groups below, whose subgroups are all
+    2-generated."""
+    els = range(1, group.order)
+    gens = itertools.chain(itertools.combinations(els, 1),
+                           itertools.combinations(els, 2))
+    return {frozenset({0})} | {group.closure(s) for s in gens}
+
+
+def oracle_is_non_splitting(classes, subs):
+    """Every subgroup meets the class set in at most one of its own
+    conjugacy classes, checked subgroup by subgroup."""
+    g = classes.group
+    for h in subs:
+        meet = set(classes.elements) & h
+        if meet and meet - {g.conj(a, next(iter(meet))) for a in h}:
+            return False
+    return True
+
+
+def test_non_splitting_matches_subgroup_enumeration(s3):
+    orders = sorted(len(h) for h in subgroups(s3))
+    assert orders == [1, 2, 2, 2, 3, 6]  # 1, three <transposition>, A3, S3
+    groups = ([FiniteGroup.symmetric(n) for n in range(1, 5)]
+              + [FiniteGroup.cyclic(n) for n in range(1, 13)]
+              + [FiniteGroup.dihedral(n) for n in range(1, 25)]
+              + [FiniteGroup.quaternion()])
+    checked = splitting = 0
+    for g in groups:
+        subs = subgroups(g)
+        classes = g.conjugacy_classes()
+        unions = [u for r in (1, 2, 3)
+                  for u in itertools.combinations(classes, r)][:60]
+        for u in unions:
+            c = ClassSet(g, tuple(sorted(itertools.chain(*u))))
+            expected = oracle_is_non_splitting(c, subs)
+            assert c.is_non_splitting() == expected, (g.name, c.elements)
+            checked += 1
+            splitting += not expected
+    assert checked == 1642 and 0 < splitting < checked
+    # refused above order 48, as the subgroup enumeration was
     with pytest.raises(GroupError):
-        big.subgroups()
+        conjugacy_closure({1}, FiniteGroup.symmetric(5)).is_non_splitting()
 
 
 def test_class_set_validation(s3):
