@@ -15,8 +15,10 @@ the label has sign -1; positions with no strand are filled with the
 basepoint.  Applying the inverse of the label (pulling the state
 backwards along the strand) is what makes the action strictly
 functorial with the chosen label-composition order, provided the
-reflection commutes with the action.  :func:`check_model` samples
-composable triples and decides each on its chained strands.
+reflection commutes with the action.  :func:`check_model` decides
+composable triples on their chained strands: all of them at once, by
+the label table and the strand operators, when that costs less than
+the samples, and otherwise a sample of them.
 """
 
 from __future__ import annotations
@@ -362,6 +364,57 @@ def witness(kind, chi, psi, phi, state=None):
     return out
 
 
+def _cannot_fail(model):
+    """Whether no sampled triple can fail: the label table is associative,
+    t[t[c][b]][a] == t[c][t[b][a]] for every a, b and c, and
+    ops[t[q2][q1]] == ops[q1] o ops[q2] for every q1 and q2, at
+    |Q|^3 + |Q|^2 |Z| steps.  The table is checked again here, since a
+    group above ``groups.ASSOC_CHECK_BOUND`` was accepted unchecked."""
+    table = model.group.table
+    for row_c in table:
+        for cb, row_b in zip(row_c, table):
+            row_cb = table[cb]
+            if any(row_cb[a] != row_c[ba] for a, ba in enumerate(row_b)):
+                return False
+    ops = model.strand_operators
+    for op2, row in zip(ops, table):
+        for op1, q in zip(ops, row):
+            if ops[q] != tuple(map(op1.__getitem__, op2)):
+                return False
+    return True
+
+
+def _sampled_failures(model, sampler, rng, samples):
+    """The witnesses of ``samples`` composable triples drawn by
+    ``rng.randrange(sampler.triples * |Z|**MAX_OBJECT)``, each with a
+    state tuple, and decided on their chained strands (see
+    :func:`check_model`)."""
+    z = model.states
+    table = model.group.table
+    ops = model.strand_operators
+    draws = sampler.triples * z**MAX_OBJECT
+    triple = sampler.triple
+    failures = []
+    for _ in range(samples):
+        chi, psi, phi, code = triple(rng.randrange(draws))
+        # (0, 0) is no strand: positions start at 1
+        for j, qa in phi.strands.values():
+            l, qb = psi.strands.get(j, (0, 0))
+            p, qc = chi.strands.get(l, (0, 0))
+            if p and table[table[qc][qb]][qa] != table[qc][table[qb][qa]]:
+                failures.append(witness("assoc", chi, psi, phi))
+                break
+        d = chi.n
+        for l, q1 in psi.strands.values():
+            p, q2 = chi.strands.get(l, (0, 0))
+            s = code // z**(d - p) % z
+            if p and ops[table[q2][q1]][s] != ops[q1][ops[q2][s]]:
+                failures.append(witness("functoriality", chi, psi, phi,
+                                        _digits(code, z, d)))
+                break
+    return failures
+
+
 def check_model(model, samples, seed):
     """Check that the labeled injections form a category and that
     ``act`` is a functor on it, for one model.
@@ -386,9 +439,16 @@ def check_model(model, samples, seed):
     every strand operator fixes it; one with label q1 that continues
     through a strand of chi with label q2 to a state s fails exactly
     when ops[q2 q1](s) != ops[q1](ops[q2](s)).  The state tuple is
-    decoded only for a witness.  Returns ``(checks, failures)``: counts
-    per check and one dict per failure, which for a sampled triple is
-    its :func:`witness`.
+    decoded only for a witness.
+
+    So no sample can fail when the label table is associative and
+    ops[q2 q1] = ops[q1] o ops[q2] for every q1 and q2.  When that
+    exact check, |Q|^3 + |Q|^2 |Z| steps, weighs at most the samples
+    (SAMPLE_WEIGHT each), it runs first, and if it holds nothing is
+    drawn and ``seed`` is not read; otherwise the samples are drawn as
+    :func:`_sampled_failures` does.  Either way the report is the same.
+    Returns ``(checks, failures)``: counts per check and one dict per
+    failure, which for a sampled triple is its :func:`witness`.
 
     Against ``braid.DEFAULT_ORBIT_BOUND``, a sample weighs SAMPLE_WEIGHT
     (8) tuples and an injection IDENTITY_CHECK_WEIGHT (9); the samples,
@@ -399,7 +459,6 @@ def check_model(model, samples, seed):
     group = model.group
     braid.refuse_above_bound(SAMPLE_WEIGHT * samples, (
         f"samples {samples}, weighing {SAMPLE_WEIGHT} each, exceed"))
-    rng = random.Random(seed)
     sampler = InjectionSampler(group)
     injections = sum(sum(sampler.sizes[m, n]) for m in range(3) for n in range(3))
     tuples = (MAX_OBJECT + 1) * sum(z**n for n in range(MAX_OBJECT + 1))
@@ -418,27 +477,11 @@ def check_model(model, samples, seed):
                 if compose(ident_l, psi, group) != psi or \
                         compose(psi, ident_r, group) != psi:
                     failures.append({"kind": "identity", "psi": str(psi)})
-    draws = sampler.triples * z**MAX_OBJECT
-    triple = sampler.triple
-    table = group.table
-    ops = model.strand_operators
-    for _ in range(samples):
-        chi, psi, phi, code = triple(rng.randrange(draws))
-        # (0, 0) is no strand: positions start at 1
-        for j, qa in phi.strands.values():
-            l, qb = psi.strands.get(j, (0, 0))
-            p, qc = chi.strands.get(l, (0, 0))
-            if p and table[table[qc][qb]][qa] != table[qc][table[qb][qa]]:
-                failures.append(witness("assoc", chi, psi, phi))
-                break
-        d = chi.n
-        for l, q1 in psi.strands.values():
-            p, q2 = chi.strands.get(l, (0, 0))
-            s = code // z**(d - p) % z
-            if p and ops[table[q2][q1]][s] != ops[q1][ops[q2][s]]:
-                failures.append(witness("functoriality", chi, psi, phi,
-                                        _digits(code, z, d)))
-                break
+    order = group.order
+    if order**3 + order**2 * z > SAMPLE_WEIGHT * samples \
+            or not _cannot_fail(model):
+        failures += _sampled_failures(model, sampler, random.Random(seed),
+                                      samples)
     for n in range(MAX_OBJECT + 1):
         for m in range(MAX_OBJECT + 1):
             mu = LabeledInjection.make(m, n, {})

@@ -363,6 +363,8 @@ class HurwitzModule:
         return perm
 
     def form_permutation(self, form):
+        if self.dim == 1:
+            return self._codes
         return self.word_permutation(form.to_word_letters())
 
     def stabilisation_rows(self, target):

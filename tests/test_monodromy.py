@@ -450,8 +450,9 @@ def oracle_check_model(model, samples, seed):
 @pytest.mark.parametrize("model", [SWAP_MODEL, NONCOMMUTING_MODEL,
                                    regular_model(FiniteGroup.symmetric(3))])
 def test_check_model_matches_a_direct_oracle(model, monkeypatch):
-    # the triples one seeded run draws, checked again by composing and
-    # acting directly: the same counts and failures
+    # the triples the draw loop draws, checked again by composing and
+    # acting directly: the same failures; and check_model, which draws
+    # only for the failing model here, agrees with the oracle
     log = []
     triple = md.InjectionSampler.triple
 
@@ -461,7 +462,8 @@ def test_check_model_matches_a_direct_oracle(model, monkeypatch):
         return out
 
     monkeypatch.setattr(md.InjectionSampler, "triple", logged_triple)
-    checks, failures = md.check_model(model, 2000, 5)
+    failures = md._sampled_failures(model, md.InjectionSampler(model.group),
+                                    random.Random(5), 2000)
     monkeypatch.undo()
     assert len(log) == 2000
     group, z = model.group, model.states
@@ -476,10 +478,13 @@ def test_check_model_matches_a_direct_oracle(model, monkeypatch):
         if direct != md.act(model, psi, md.act(model, chi, state)):
             expect.append(expected_witness("functoriality", chi, psi, phi,
                                            list(state)))
+    assert failures == expect
+    assert bool(failures) == (model is NONCOMMUTING_MODEL)
+    checks, failures = md.check_model(model, 2000, 5)
+    assert (checks, failures) == oracle_check_model(model, 2000, 5)
     assert checks["composition_assoc"] == checks["act_functorial"] == 2000
     # the identity and blank-fill checks pass on every model here
     assert failures == expect
-    assert bool(failures) == (model is NONCOMMUTING_MODEL)
 
 
 def test_check_model_finds_a_wrong_label_order(monkeypatch):
@@ -581,6 +586,40 @@ def random_model(rng, kind):
         group=group, states=states, action=action,
         sign=rng.choice(sign_characters(group)),
         reflection=pointed_involution(rng, states))
+
+
+def test_check_model_draws_only_when_the_exact_check_costs_more(
+        monkeypatch):
+    # |Q|^3 + |Q|^2 |Z| against 8 per sample: 2000 samples pay for the
+    # exact check of SWAP_MODEL (20) and of sym:3 acting on itself
+    # (468), one sample does not; a model that fails the exact check
+    # draws every sample
+    def refuse(self, code):
+        raise AssertionError("drew a triple")
+
+    monkeypatch.setattr(md.InjectionSampler, "triple", refuse)
+    for model in (SWAP_MODEL, regular_model(SYM3)):
+        checks, failures = md.check_model(model, 2000, 5)
+        assert checks["composition_assoc"] == 2000 and not failures
+    with pytest.raises(AssertionError, match="drew a triple"):
+        md.check_model(SWAP_MODEL, 1, 5)
+    monkeypatch.undo()
+    drawn = []
+    triple = md.InjectionSampler.triple
+
+    def counted(self, code):
+        drawn.append(code)
+        return triple(self, code)
+
+    monkeypatch.setattr(md.InjectionSampler, "triple", counted)
+    loop_model = md.MonodromyModel(
+        group=LOOP5, states=2, action=((0, 1),) * 5, sign=(1,) * 5,
+        reflection=(0, 1))
+    for model, samples in ((NONCOMMUTING_MODEL, 2000), (loop_model, 2000),
+                           (SWAP_MODEL, 1)):
+        drawn.clear()
+        md.check_model(model, samples, 5)
+        assert len(drawn) == samples, model
 
 
 @seed(20261019)

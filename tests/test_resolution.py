@@ -219,6 +219,23 @@ def test_word_permutation_rejects_invalid_letters():
     assert M1.word_permutation([]) == [0, 1, 2]
 
 
+def test_rank_one_form_permutation_skips_the_word():
+    # a rank-1 module returns its one code without spelling the form as
+    # letters; it is what the letters' permutation would be
+    c2 = FiniteGroup.cyclic(2)
+    for classes in (conjugacy_closure({1}, c2), conjugacy_closure({0}, S3)):
+        for k in range(2, 9):
+            M = R.HurwitzModule(classes, k, classes.elements[0])
+            assert M.dim == 1
+            free = R.salvetti_complex(k, k - 1)
+            forms = {form for j in range(1, k)
+                     for elt in free.boundaries[j].values()
+                     for form in elt.terms}
+            for form in forms:
+                assert M.form_permutation(form) == \
+                    M.word_permutation(form.to_word_letters()) == [0]
+
+
 def test_hurwitz_specialization_k2_is_permutation_difference():
     M = R.HurwitzModule(TRANSPOSITIONS, 2, TRANSPOSITIONS.elements[0])
     IC = R.specialize(R.salvetti_complex(2, 1), M)
