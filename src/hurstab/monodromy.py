@@ -16,16 +16,16 @@ basepoint.  Applying the inverse of the label (pulling the state
 backwards along the strand) is what makes the action strictly
 functorial with the chosen label-composition order, provided the
 reflection commutes with the action.  :func:`check_model` decides
-composable triples on their chained strands: all of them at once, by
-the label table and the strand operators, when that costs less than
-the samples, and otherwise a sample of them.
+every composable triple at once and exactly, from the strand operators:
+the label table is associative (``FiniteGroup`` proves it), so only
+functoriality can fail, and it fails exactly when
+ops[q2 q1] != ops[q1] o ops[q2] for some labels q1 and q2.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, field
 
 from . import braid
@@ -178,8 +178,10 @@ class MonodromyModel:
         return 0
 
     def reflection_commutes(self):
-        """Optional stricter compatibility: the reflection commutes with
-        the whole action (needed for strict functoriality of act)."""
+        """Whether the reflection commutes with the whole action.  When
+        some label has sign -1, ``act`` is a functor exactly when it
+        does, so :func:`check_model` fails exactly when
+        ``any(s == -1 for s in sign) and not reflection_commutes()``."""
         return all(
             tuple(self.reflection[self.action[q][z]] for z in range(self.states))
             == tuple(self.action[q][self.reflection[z]] for z in range(self.states))
@@ -229,238 +231,108 @@ def act(model, morphism, state):
     return tuple(out)
 
 
-# monodromy-check samples and enumerates objects 0..MAX_OBJECT
+# blank fill is checked on objects 0..MAX_OBJECT
 MAX_OBJECT = 3
 
 # what one identity-check injection costs against the bound, in
 # blank-fill tuples: about 12 us against 1.3 us for a tuple (Python 3.11)
 IDENTITY_CHECK_WEIGHT = 9
 
-# what one sample costs, in blank-fill tuples: about 9 us at |Q| >= 300,
-# where most injections it decodes are new (3.5 us at cyclic:2), against
-# 1.14 us for a tuple (Python 3.11)
+# what ``--samples`` weighs per sample against the bound: it is still
+# accepted and reported, and refused past the bound as when each sample
+# was drawn (about 9 us, against 1.14 us for a tuple)
 SAMPLE_WEIGHT = 8
 
 
-def _digits(code, base, length):
-    """The ``length`` lowest base-``base`` digits of code, most
-    significant first (the order of ``itertools.product``)."""
-    out = [0] * length
-    for t in range(length - 1, -1, -1):
-        code, out[t] = divmod(code, base)
-    return out
-
-
-class InjectionSampler:
-    """Labeled injections m -> n between objects 0..MAX_OBJECT, decoded
-    from residues or enumerated from per-(m, n) tables of shapes.
-
-    ``shapes[m, n][k]`` lists the unlabeled partial injections of size
-    k as (domain, image) pairs: domains in ``itertools.combinations``
-    order, each with its images in ``itertools.permutations`` order.
-    There are ``sizes[m, n][k]`` = len(shapes[m, n][k]) * |Q|**k labeled
-    ones, numbered by index = shape * |Q|**k + label code, where the
-    label code lists the labels of the domain in base |Q|, most
-    significant first.  With B the lcm of ``sizes[m, n]``, a residue x
-    mod L_mn = (min(m, n) + 1) * B picks k = x // B and then index
-    (x % B) % sizes[m, n][k].  Every k takes B residues and every index
-    of size k takes B / sizes[m, n][k] of them, so a uniform residue
-    picks k uniformly in 0..min(m, n), then a shape and its label code
-    uniformly: an injection of size k has probability
-    1/(min(m, n)+1) * 1/C(m, k) * 1/P(n, k) * 1/|Q|**k.
-
-    A composable triple is decoded from one residue mod ``triples`` =
-    (MAX_OBJECT+1)**4 * L**3, L the lcm of every L_mn: its residue mod
-    (MAX_OBJECT+1)**4 gives the objects a, b, c, d (independent and
-    uniform), then three residues mod L give phi: a -> b, psi: b -> c
-    and chi: c -> d in turn.  Python integers keep this exact at any |Q|.
-
-    ``built`` keeps each decoded injection under its key
-    (m, n, k, index): at most 3 new entries per sample.
-    """
-
-    def __init__(self, group):
-        self.group = group
-        self.order = group.order
-        self.shapes = {}
-        self.sizes = {}
-        self.residues = {}  # (m, n) -> (L_mn, B, sizes[m, n])
-        for m in range(MAX_OBJECT + 1):
-            for n in range(MAX_OBJECT + 1):
-                shapes = self.shapes[m, n] = tuple(
-                    tuple(
-                        (dom, img)
-                        for dom in itertools.combinations(range(1, m + 1), k)
-                        for img in itertools.permutations(range(1, n + 1), k)
-                    )
-                    for k in range(min(m, n) + 1)
-                )
-                sizes = self.sizes[m, n] = tuple(
-                    len(by_k) * self.order**k for k, by_k in enumerate(shapes)
-                )
-                block = math.lcm(*sizes)
-                self.residues[m, n] = (len(sizes) * block, block, sizes)
-        span = MAX_OBJECT + 1
-        self.objects = tuple(itertools.product(range(span), repeat=4))
-        self.modulus = math.lcm(*(r[0] for r in self.residues.values()))
-        self.triples = span**4 * self.modulus**3
-        self.built = {}
-
-    def injection(self, m, n, x):
-        """The labeled injection m -> n that the residue x mod L_mn
-        picks (see the class docstring)."""
-        modulus, block, sizes = self.residues[m, n]
-        k, x = divmod(x % modulus, block)
-        key = (m, n, k, x % sizes[k])
-        phi = self.built.get(key)
-        if phi is None:
-            shape, code = divmod(key[3], self.order**k)
-            dom, img = self.shapes[m, n][k][shape]
-            labels = _digits(code, self.order, k)
-            phi = self.built[key] = LabeledInjection(
-                m, n, tuple(zip(dom, img)), tuple(zip(dom, labels)))
-        return phi
-
-    def triple(self, code):
-        """``(chi, psi, phi, rest)`` decoded from one integer: phi: a -> b,
-        psi: b -> c and chi: c -> d from the residue of code mod
-        ``triples``, and rest = code // triples."""
-        code, objects = divmod(code, len(self.objects))
-        a, b, c, d = self.objects[objects]
-        modulus = self.modulus
-        code, x = divmod(code, modulus)
-        phi = self.injection(a, b, x)
-        code, x = divmod(code, modulus)
-        psi = self.injection(b, c, x)
-        code, x = divmod(code, modulus)
-        return self.injection(c, d, x), psi, phi, code
-
-    def all_injections(self, m, n):
-        """Every labeled injection m -> n, by size, shape and label code.
-
-        Built afresh and not kept: an enumeration visits each once, and
-        keeping them would hold |Q|**k objects per shape.
-        """
-        for k, by_k in enumerate(self.shapes[m, n]):
-            for dom, img in by_k:
+def labeled_injections(m, n, order):
+    """Every labeled injection m -> n over a group of the given order,
+    by size k, then domain (``itertools.combinations`` order), image
+    (``itertools.permutations`` order) and labels
+    (``itertools.product`` order): sum_k C(m, k) P(n, k) order^k."""
+    for k in range(min(m, n) + 1):
+        for dom in itertools.combinations(range(1, m + 1), k):
+            for img in itertools.permutations(range(1, n + 1), k):
                 pairs = tuple(zip(dom, img))
-                for labels in itertools.product(range(self.order), repeat=k):
+                for labels in itertools.product(range(order), repeat=k):
                     yield LabeledInjection(m, n, pairs, tuple(zip(dom, labels)))
 
 
-def witness(kind, chi, psi, phi, state=None):
-    """A failure of a sampled triple phi: a -> b, psi: b -> c and
-    chi: c -> d, with what is needed to check it again: the objects
-    [a, b, c, d], each injection's ``pairs`` and ``labels`` as lists of
-    [i, j] and [i, q], and the state tuple on d when one was acted on.
-    ``LabeledInjection(m, n, pairs, labels)`` with the lists made tuples
-    rebuilds each injection."""
-    out = {"kind": kind, "objects": [phi.m, phi.n, psi.n, chi.n]}
+def witness(chi, psi, phi, state):
+    """A functoriality failure of the composable triple phi: a -> b,
+    psi: b -> c and chi: c -> d on a state tuple on d, with what is
+    needed to check it again: the objects [a, b, c, d], each
+    injection's ``pairs`` and ``labels`` as lists of [i, j] and [i, q],
+    and the state tuple.  ``LabeledInjection(m, n, pairs, labels)`` with
+    the lists made tuples rebuilds each injection."""
+    out = {"kind": "functoriality", "objects": [phi.m, phi.n, psi.n, chi.n],
+           "state": list(state)}
     for name, mu in (("phi", phi), ("psi", psi), ("chi", chi)):
         out[name] = {"pairs": [list(p) for p in mu.pairs],
                      "labels": [list(q) for q in mu.labels]}
-    if state is not None:
-        out["state"] = list(state)
     return out
 
 
-def _cannot_fail(model):
-    """Whether no sampled triple can fail: the label table is associative,
-    t[t[c][b]][a] == t[c][t[b][a]] for every a, b and c, and
-    ops[t[q2][q1]] == ops[q1] o ops[q2] for every q1 and q2, at
-    |Q|^3 + |Q|^2 |Z| steps.  The table is checked again here, since a
-    group above ``groups.ASSOC_CHECK_BOUND`` was accepted unchecked."""
-    table = model.group.table
-    for row_c in table:
-        for cb, row_b in zip(row_c, table):
-            row_cb = table[cb]
-            if any(row_cb[a] != row_c[ba] for a, ba in enumerate(row_b)):
-                return False
-    ops = model.strand_operators
-    for op2, row in zip(ops, table):
-        for op1, q in zip(ops, row):
-            if ops[q] != tuple(map(op1.__getitem__, op2)):
-                return False
-    return True
-
-
-def _sampled_failures(model, sampler, rng, samples):
-    """The witnesses of ``samples`` composable triples drawn by
-    ``rng.randrange(sampler.triples * |Z|**MAX_OBJECT)``, each with a
-    state tuple, and decided on their chained strands (see
-    :func:`check_model`)."""
-    z = model.states
+def _functoriality_failure(model):
+    """The witness of the first (q1, q2, s), in that order, with
+    ops[q2 q1](s) != ops[q1](ops[q2](s)), or None when there is none:
+    |Q|^2 |Z| steps.  The triple is phi = identity(1), psi: 1 -> 1
+    labeled q1 and chi: 1 -> 1 labeled q2, on the state (s,)."""
     table = model.group.table
     ops = model.strand_operators
-    draws = sampler.triples * z**MAX_OBJECT
-    triple = sampler.triple
-    failures = []
-    for _ in range(samples):
-        chi, psi, phi, code = triple(rng.randrange(draws))
-        # (0, 0) is no strand: positions start at 1
-        for j, qa in phi.strands.values():
-            l, qb = psi.strands.get(j, (0, 0))
-            p, qc = chi.strands.get(l, (0, 0))
-            if p and table[table[qc][qb]][qa] != table[qc][table[qb][qa]]:
-                failures.append(witness("assoc", chi, psi, phi))
-                break
-        d = chi.n
-        for l, q1 in psi.strands.values():
-            p, q2 = chi.strands.get(l, (0, 0))
-            s = code // z**(d - p) % z
-            if p and ops[table[q2][q1]][s] != ops[q1][ops[q2][s]]:
-                failures.append(witness("functoriality", chi, psi, phi,
-                                        _digits(code, z, d)))
-                break
-    return failures
+    for q1, op1 in enumerate(ops):
+        for q2, op2 in enumerate(ops):
+            op = ops[table[q2][q1]]
+            composite = tuple(map(op1.__getitem__, op2))
+            if op != composite:
+                s = next(s for s, t in enumerate(composite) if op[s] != t)
+                psi = LabeledInjection(1, 1, ((1, 1),), ((1, q1),))
+                chi = LabeledInjection(1, 1, ((1, 1),), ((1, q2),))
+                return witness(chi, psi, LabeledInjection.identity(1), (s,))
+    return None
 
 
 def check_model(model, samples, seed):
     """Check that the labeled injections form a category and that
-    ``act`` is a functor on it, for one model.
+    ``act`` is a functor on it, for one model.  Every check is exact.
 
-    The identity laws are checked on every labeled injection between
-    objects <= 2 (sum of C(m, k) P(n, k) |Q|^k), blank fill on the
-    (MAX_OBJECT+1) * sum_{n <= MAX_OBJECT} |Z|^n state tuples between
-    objects <= MAX_OBJECT, and associativity and functoriality on
-    ``samples`` random composable triples phi: a -> b, psi: b -> c and
-    chi: c -> d between objects <= MAX_OBJECT, each with a uniform state
-    tuple on d.  Each sample is one ``randrange`` over
-    ``sampler.triples * |Z|**MAX_OBJECT``: the triple comes from its
-    residue mod ``sampler.triples`` (see :class:`InjectionSampler`) and
-    the state tuple from the low base-|Z| digits of the rest.
+    The identity laws are checked by :func:`compose` on every labeled
+    injection between objects <= 2 (sum of C(m, k) P(n, k) |Q|^k), and
+    blank fill by :func:`act` on the (MAX_OBJECT+1) *
+    sum_{n <= MAX_OBJECT} |Z|^n state tuples between objects
+    <= MAX_OBJECT.
 
-    A sample is decided on its chained strands from the group table and
-    the strand operators, without composing or acting.  Both composites
-    of the triple have the same strands, so associativity fails exactly
-    when a strand of phi continues through psi and chi, with labels qa,
-    qb and qc, and (qc qb) qa != qc (qb qa).  A strand of psi that stops
+    Associativity and functoriality are decided on composable triples
+    phi: a -> b, psi: b -> c and chi: c -> d at every object.  Both
+    composites of a triple have the same strands, and a strand of phi
+    that continues through psi and chi carries (qc qb) qa on one side
+    and qc (qb qa) on the other: equal, since the group table is
+    associative (``FiniteGroup`` proves it).  A strand of psi that stops
     at chi gives the basepoint on both sides of functoriality, since
     every strand operator fixes it; one with label q1 that continues
     through a strand of chi with label q2 to a state s fails exactly
-    when ops[q2 q1](s) != ops[q1](ops[q2](s)).  The state tuple is
-    decoded only for a witness.
+    when ops[q2 q1](s) != ops[q1](ops[q2](s)).  So functoriality holds
+    on every triple exactly when it holds for every q1, q2 and s, which
+    is |Q|^2 |Z| steps, as many as ``MonodromyModel`` pays to check its
+    action.  The first failing (q1, q2, s) is reported as one witness
+    (see :func:`_functoriality_failure`).
 
-    So no sample can fail when the label table is associative and
-    ops[q2 q1] = ops[q1] o ops[q2] for every q1 and q2.  When that
-    exact check, |Q|^3 + |Q|^2 |Z| steps, weighs at most the samples
-    (SAMPLE_WEIGHT each), it runs first, and if it holds nothing is
-    drawn and ``seed`` is not read; otherwise the samples are drawn as
-    :func:`_sampled_failures` does.  Either way the report is the same.
+    ``samples`` is reported as the count of ``composition_assoc`` and
+    ``act_functorial``, and ``seed`` is not read: both are accepted so
+    that existing command lines and reports stay as they are.
+
     Returns ``(checks, failures)``: counts per check and one dict per
-    failure, which for a sampled triple is its :func:`witness`.
-
-    Against ``braid.DEFAULT_ORBIT_BOUND``, a sample weighs SAMPLE_WEIGHT
-    (8) tuples and an injection IDENTITY_CHECK_WEIGHT (9); the samples,
-    and the injections and tuples together, are each refused past it
-    with OrbitSizeError before anything is checked.
+    failure.  Against ``braid.DEFAULT_ORBIT_BOUND``, a sample weighs
+    SAMPLE_WEIGHT (8) tuples and an injection IDENTITY_CHECK_WEIGHT (9);
+    the samples, and the injections and tuples together, are each
+    refused past it with OrbitSizeError before anything is checked.
     """
     z = model.states
     group = model.group
     braid.refuse_above_bound(SAMPLE_WEIGHT * samples, (
         f"samples {samples}, weighing {SAMPLE_WEIGHT} each, exceed"))
-    sampler = InjectionSampler(group)
-    injections = sum(sum(sampler.sizes[m, n]) for m in range(3) for n in range(3))
+    injections = sum(math.comb(m, k) * math.perm(n, k) * group.order**k
+                     for m in range(3) for n in range(3)
+                     for k in range(min(m, n) + 1))
     tuples = (MAX_OBJECT + 1) * sum(z**n for n in range(MAX_OBJECT + 1))
     braid.refuse_above_bound(IDENTITY_CHECK_WEIGHT * injections + tuples, (
         f"identity-check injections {injections} at |Q|={group.order}, "
@@ -473,15 +345,13 @@ def check_model(model, samples, seed):
         for n in range(3):
             ident_l = LabeledInjection.identity(n)
             ident_r = LabeledInjection.identity(m)
-            for psi in sampler.all_injections(m, n):
+            for psi in labeled_injections(m, n, group.order):
                 if compose(ident_l, psi, group) != psi or \
                         compose(psi, ident_r, group) != psi:
                     failures.append({"kind": "identity", "psi": str(psi)})
-    order = group.order
-    if order**3 + order**2 * z > SAMPLE_WEIGHT * samples \
-            or not _cannot_fail(model):
-        failures += _sampled_failures(model, sampler, random.Random(seed),
-                                      samples)
+    failure = _functoriality_failure(model)
+    if failure is not None:
+        failures.append(failure)
     for n in range(MAX_OBJECT + 1):
         for m in range(MAX_OBJECT + 1):
             mu = LabeledInjection.make(m, n, {})

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import time
 
 import pytest
@@ -27,6 +28,12 @@ def test_builtin_orders():
     assert FiniteGroup.dihedral(4).order == 8
     assert FiniteGroup.symmetric(4).order == 24
     assert FiniteGroup.quaternion().order == 8
+    # every builtin passes the associativity check, also above order 64
+    for n in range(1, 7):
+        assert FiniteGroup.symmetric(n).order == math.factorial(n)
+    for n in (1, 2, 3, 31, 32, 33, 64, 65, 100, 257):
+        assert FiniteGroup.cyclic(n).order == n
+        assert FiniteGroup.dihedral(n).order == 2 * n
 
 
 def test_table_invariants(s3):
@@ -200,6 +207,58 @@ def test_bad_tables_rejected():
     ]
     with pytest.raises(GroupError):
         FiniteGroup.from_table(bad)
+    # the same loop times cyclic:13, of order 65, is refused too
+    loop65 = [[bad[a][b] * 13 + (x + y) % 13 for b in range(5)
+               for y in range(13)] for a in range(5) for x in range(13)]
+    with pytest.raises(GroupError, match="not associative"):
+        FiniteGroup.from_table(loop65)
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square over 0..n-1 whose first row and column
+    are 0..n-1: the Cayley tables with identity 0 of every loop."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(cell):
+        if cell == n * n:
+            yield tuple(map(tuple, rows))
+            return
+        i, j = divmod(cell, n)
+        if rows[i][j] is not None:
+            yield from fill(cell + 1)
+            return
+        used = set(rows[i]) | {rows[r][j] for r in range(n)}
+        for v in range(n):
+            if v not in used:
+                rows[i][j] = v
+                yield from fill(cell + 1)
+        rows[i][j] = None
+
+    yield from fill(0)
+
+
+def test_associativity_check_matches_the_triple_loop():
+    # Light's test on a generating set against every triple, on every
+    # loop of order <= 6: 1, 1, 1, 4, 56 and 9408 tables
+    verdicts = {}
+    for n in range(1, 7):
+        for table in reduced_latin_squares(n):
+            t = table
+            expect = all(t[t[a][b]][c] == t[a][t[b][c]] for a in range(n)
+                         for b in range(n) for c in range(n))
+            inverse = tuple(row.index(0) for row in table)
+            try:
+                FiniteGroup(n, table, inverse)
+                accepted = True
+            except GroupError:
+                accepted = False
+            assert accepted == expect, table
+            verdicts[n, accepted] = verdicts.get((n, accepted), 0) + 1
+    # the groups are the labelings that fix 0: 4!/|Aut| = 6 of cyclic:5,
+    # and 5!/|Aut| = 60 of cyclic:6 and 20 of sym:3
+    assert verdicts == {(1, True): 1, (2, True): 1, (3, True): 1,
+                        (4, True): 4, (5, True): 6, (5, False): 50,
+                        (6, True): 80, (6, False): 9328}
 
 
 def test_group_tables_refused_above_the_bound(monkeypatch):

@@ -3,12 +3,13 @@ import dataclasses
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from hurstab import braid, groups
+from hurstab import braid
 from hurstab import coeffsys as cs
 from hurstab import monodromy as md
 from hurstab.groups import FiniteGroup
@@ -252,12 +253,107 @@ def test_appended_strand_commutes():
         assert lhs == rhs
 
 
+def digits(code, base, length):
+    """The ``length`` lowest base-``base`` digits of code, most
+    significant first (the order of ``itertools.product``)."""
+    out = [0] * length
+    for t in range(length - 1, -1, -1):
+        code, out[t] = divmod(code, base)
+    return out
+
+
+class InjectionSampler:
+    """The sampling oracle's draws: labeled injections m -> n between
+    objects 0..md.MAX_OBJECT, decoded from residues through per-(m, n)
+    tables of shapes.
+
+    ``shapes[m, n][k]`` lists the unlabeled partial injections of size
+    k as (domain, image) pairs: domains in ``itertools.combinations``
+    order, each with its images in ``itertools.permutations`` order.
+    There are ``sizes[m, n][k]`` = len(shapes[m, n][k]) * |Q|**k labeled
+    ones, numbered by index = shape * |Q|**k + label code, where the
+    label code lists the labels of the domain in base |Q|, most
+    significant first.  With B the lcm of ``sizes[m, n]``, a residue x
+    mod L_mn = (min(m, n) + 1) * B picks k = x // B and then index
+    (x % B) % sizes[m, n][k].  Every k takes B residues and every index
+    of size k takes B / sizes[m, n][k] of them, so a uniform residue
+    picks k uniformly in 0..min(m, n), then a shape and its label code
+    uniformly: an injection of size k has probability
+    1/(min(m, n)+1) * 1/C(m, k) * 1/P(n, k) * 1/|Q|**k.
+
+    A composable triple is decoded from one residue mod ``triples`` =
+    (md.MAX_OBJECT+1)**4 * L**3, L the lcm of every L_mn: its residue mod
+    (md.MAX_OBJECT+1)**4 gives the objects a, b, c, d (independent and
+    uniform), then three residues mod L give phi: a -> b, psi: b -> c
+    and chi: c -> d in turn.  Python integers keep this exact at any |Q|.
+
+    ``built`` keeps each decoded injection under its key
+    (m, n, k, index): at most 3 new entries per sample.
+    """
+
+    def __init__(self, group):
+        self.group = group
+        self.order = group.order
+        self.shapes = {}
+        self.sizes = {}
+        self.residues = {}  # (m, n) -> (L_mn, B, sizes[m, n])
+        for m in range(md.MAX_OBJECT + 1):
+            for n in range(md.MAX_OBJECT + 1):
+                shapes = self.shapes[m, n] = tuple(
+                    tuple(
+                        (dom, img)
+                        for dom in itertools.combinations(range(1, m + 1), k)
+                        for img in itertools.permutations(range(1, n + 1), k)
+                    )
+                    for k in range(min(m, n) + 1)
+                )
+                sizes = self.sizes[m, n] = tuple(
+                    len(by_k) * self.order**k for k, by_k in enumerate(shapes)
+                )
+                block = math.lcm(*sizes)
+                self.residues[m, n] = (len(sizes) * block, block, sizes)
+        span = md.MAX_OBJECT + 1
+        self.objects = tuple(itertools.product(range(span), repeat=4))
+        self.modulus = math.lcm(*(r[0] for r in self.residues.values()))
+        self.triples = span**4 * self.modulus**3
+        self.built = {}
+
+    def injection(self, m, n, x):
+        """The labeled injection m -> n that the residue x mod L_mn
+        picks (see the class docstring)."""
+        modulus, block, sizes = self.residues[m, n]
+        k, x = divmod(x % modulus, block)
+        key = (m, n, k, x % sizes[k])
+        phi = self.built.get(key)
+        if phi is None:
+            shape, code = divmod(key[3], self.order**k)
+            dom, img = self.shapes[m, n][k][shape]
+            labels = digits(code, self.order, k)
+            phi = self.built[key] = md.LabeledInjection(
+                m, n, tuple(zip(dom, img)), tuple(zip(dom, labels)))
+        return phi
+
+    def triple(self, code):
+        """``(chi, psi, phi, rest)`` decoded from one integer: phi: a -> b,
+        psi: b -> c and chi: c -> d from the residue of code mod
+        ``triples``, and rest = code // triples."""
+        code, objects = divmod(code, len(self.objects))
+        a, b, c, d = self.objects[objects]
+        modulus = self.modulus
+        code, x = divmod(code, modulus)
+        phi = self.injection(a, b, x)
+        code, x = divmod(code, modulus)
+        psi = self.injection(b, c, x)
+        code, x = divmod(code, modulus)
+        return self.injection(c, d, x), psi, phi, code
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_sampler_distribution_is_exact(order):
     # every residue mod L_mn once: each labeled injection comes out as
     # often as its probability says, exactly
     group = FiniteGroup.cyclic(order)
-    sampler = md.InjectionSampler(group)
+    sampler = InjectionSampler(group)
     for m in range(4):
         for n in range(4):
             modulus = sampler.residues[m, n][0]
@@ -280,7 +376,7 @@ def test_sampler_objects_are_uniform():
     # the residue mod 4**4 picks the objects a, b, c, d, the next three
     # residues mod L the injections phi, psi and chi, and the rest is
     # handed back for the state tuple
-    sampler = md.InjectionSampler(Z2)
+    sampler = InjectionSampler(Z2)
     L = sampler.modulus
     assert sampler.triples == 4**4 * L**3
     rng = random.Random(2)
@@ -300,13 +396,13 @@ def test_sampler_objects_are_uniform():
 
 
 def test_sampler_builds_what_make_builds():
-    sampler = md.InjectionSampler(FiniteGroup.cyclic(3))
+    sampler = InjectionSampler(FiniteGroup.cyclic(3))
     rng = random.Random(4)
     drawn = [sampler.injection(m, n, rng.randrange(sampler.modulus))
              for _ in range(300) for m in range(4) for n in range(4)]
     for m in range(4):
         for n in range(4):
-            listed = list(sampler.all_injections(m, n))
+            listed = list(md.labeled_injections(m, n, 3))
             assert listed == list(
                 all_labeled_injections(FiniteGroup.cyclic(3), m, n))
             drawn += listed
@@ -316,7 +412,7 @@ def test_sampler_builds_what_make_builds():
         assert phi == made and phi.strands == made.strands
 
 
-class InterningSampler(md.InjectionSampler):
+class InterningSampler(InjectionSampler):
     """The sampler with every injection interned by value: a decoded
     one and each composite :meth:`composite` makes are one object per
     value in ``interned``, and ``composed`` maps the addresses
@@ -401,11 +497,17 @@ def expected_witness(kind, chi, psi, phi, state=None):
 
 
 def oracle_check_model(model, samples, seed):
-    """``md.check_model`` by composing and acting: the same draws,
-    checks and witnesses, with each sampled triple's composites built
-    by ``md.compose`` (once per distinct pair, through
-    :class:`InterningSampler`) and compared whole, and its state tuple
-    acted on by ``md.act``."""
+    """The sampling oracle for ``md.check_model``: the same identity and
+    blank-fill checks, and associativity and functoriality on
+    ``samples`` composable triples drawn by
+    ``random.Random(seed).randrange(sampler.triples * |Z|**MAX_OBJECT)``.
+    Each triple comes from the residue mod ``sampler.triples`` (see
+    :class:`InjectionSampler`) and its state tuple on d from the low
+    base-|Z| digits of the rest.  The composites are built by
+    ``md.compose`` (once per distinct pair, through
+    :class:`InterningSampler`) and compared whole, and the state tuple
+    is acted on by ``md.act``; a failing triple is reported as its
+    :func:`expected_witness`."""
     z = model.states
     group = model.group
     rng = random.Random(seed)
@@ -417,7 +519,7 @@ def oracle_check_model(model, samples, seed):
         for n in range(3):
             ident_l = md.LabeledInjection.identity(n)
             ident_r = md.LabeledInjection.identity(m)
-            for psi in sampler.all_injections(m, n):
+            for psi in all_labeled_injections(group, m, n):
                 if md.compose(ident_l, psi, group) != psi or \
                         md.compose(psi, ident_r, group) != psi:
                     failures.append({"kind": "identity", "psi": str(psi)})
@@ -447,44 +549,43 @@ def oracle_check_model(model, samples, seed):
     return checks, failures
 
 
+def replays(model, failure):
+    """Whether a functoriality witness fails again when rebuilt from
+    the report, composed by ``md.compose`` and acted on by ``md.act``."""
+    a, b, c, d = failure["objects"]
+    phi, psi, chi = (
+        md.LabeledInjection(m, n, tuple(map(tuple, failure[name]["pairs"])),
+                            tuple(map(tuple, failure[name]["labels"])))
+        for name, m, n in (("phi", a, b), ("psi", b, c), ("chi", c, d)))
+    state = tuple(failure["state"])
+    group = model.group
+    return (failure["kind"] == "functoriality" and len(state) == d
+            and md.act(model, md.compose(chi, psi, group), state)
+            != md.act(model, psi, md.act(model, chi, state)))
+
+
 @pytest.mark.parametrize("model", [SWAP_MODEL, NONCOMMUTING_MODEL,
                                    regular_model(FiniteGroup.symmetric(3))])
-def test_check_model_matches_a_direct_oracle(model, monkeypatch):
-    # the triples the draw loop draws, checked again by composing and
-    # acting directly: the same failures; and check_model, which draws
-    # only for the failing model here, agrees with the oracle
-    log = []
-    triple = md.InjectionSampler.triple
-
-    def logged_triple(self, code):
-        out = triple(self, code)
-        log.append(out)
-        return out
-
-    monkeypatch.setattr(md.InjectionSampler, "triple", logged_triple)
-    failures = md._sampled_failures(model, md.InjectionSampler(model.group),
-                                    random.Random(5), 2000)
-    monkeypatch.undo()
-    assert len(log) == 2000
-    group, z = model.group, model.states
-    expect = []
-    for chi, psi, phi, code in log:
-        lhs = md.compose(md.compose(chi, psi, group), phi, group)
-        rhs = md.compose(chi, md.compose(psi, phi, group), group)
-        if lhs != rhs:
-            expect.append(expected_witness("assoc", chi, psi, phi))
-        state = tuple(code // z**t % z for t in reversed(range(chi.n)))
-        direct = md.act(model, md.compose(chi, psi, group), state)
-        if direct != md.act(model, psi, md.act(model, chi, state)):
-            expect.append(expected_witness("functoriality", chi, psi, phi,
-                                           list(state)))
-    assert failures == expect
-    assert bool(failures) == (model is NONCOMMUTING_MODEL)
+def test_check_model_matches_a_direct_oracle(model):
+    # the sampling oracle composes and acts on 2000 drawn triples: it
+    # fails where check_model fails, with the same counts, and the one
+    # witness check_model reports fails again when composed and acted on
     checks, failures = md.check_model(model, 2000, 5)
-    assert (checks, failures) == oracle_check_model(model, 2000, 5)
+    expect_checks, expect = oracle_check_model(model, 2000, 5)
+    assert checks == expect_checks
     assert checks["composition_assoc"] == checks["act_functorial"] == 2000
-    # the identity and blank-fill checks pass on every model here
-    assert failures == expect
+    assert bool(failures) == bool(expect) == (model is NONCOMMUTING_MODEL)
+    assert {f["kind"] for f in expect} <= {"functoriality"}
+    assert all(replays(model, f) for f in failures + expect)
+    if failures:
+        # the first (q1, q2, s): q1 = 0 has sign +1, and q1 = 1 fails
+        # first with q2 = 1 on the state 1
+        assert failures == [{
+            "kind": "functoriality", "objects": [1, 1, 1, 1],
+            "phi": {"pairs": [[1, 1]], "labels": [[1, 0]]},
+            "psi": {"pairs": [[1, 1]], "labels": [[1, 1]]},
+            "chi": {"pairs": [[1, 1]], "labels": [[1, 1]]},
+            "state": [1]}]
 
 
 def test_check_model_finds_a_wrong_label_order(monkeypatch):
@@ -548,35 +649,19 @@ def cyclic_action(rng, order, states):
     return tuple(action)
 
 
-def _non_associative_loop():
-    """The smallest loop that is not a group: a Latin square of order 5
-    with identity 0, accepted with the associativity check switched
-    off."""
-    table = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
-             (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
-    inverse = tuple(row.index(0) for row in table)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(groups, "ASSOC_CHECK_BOUND", 0)
-        return FiniteGroup(5, table, inverse, "loop:5")
-
-
-LOOP5 = _non_associative_loop()
 SYM3 = FiniteGroup.symmetric(3)
 
 
 def random_model(rng, kind):
     """A random model of one kind: ``cyclic`` (cyclic:1..6 acting
     through a random permutation), ``left`` and ``conj`` (sym:3 acting
-    on itself by left multiplication and by conjugation) and ``loop``
-    (the order-5 loop acting trivially), each with a random sign
-    character and a random pointed involution as its reflection."""
+    on itself by left multiplication and by conjugation), each with a
+    random sign character and a random pointed involution as its
+    reflection."""
     if kind == "cyclic":
         group = FiniteGroup.cyclic(rng.randint(1, 6))
         states = rng.randint(1, 5)
         action = cyclic_action(rng, group.order, states)
-    elif kind == "loop":
-        group, states = LOOP5, rng.randint(1, 4)
-        action = (tuple(range(states)),) * group.order
     else:
         group, states = SYM3, 7
         move = group.mul if kind == "left" else group.conj
@@ -588,62 +673,58 @@ def random_model(rng, kind):
         reflection=pointed_involution(rng, states))
 
 
-def test_check_model_draws_only_when_the_exact_check_costs_more(
-        monkeypatch):
-    # |Q|^3 + |Q|^2 |Z| against 8 per sample: 2000 samples pay for the
-    # exact check of SWAP_MODEL (20) and of sym:3 acting on itself
-    # (468), one sample does not; a model that fails the exact check
-    # draws every sample
-    def refuse(self, code):
-        raise AssertionError("drew a triple")
+def test_check_model_draws_nothing(monkeypatch):
+    # a seed that random.Random refuses is never read, and the most
+    # samples the bound accepts cost nothing: check_model draws nothing
+    with pytest.raises(TypeError):
+        random.Random([])
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 10**12)
+    start = time.perf_counter()
+    for model in (SWAP_MODEL, NONCOMMUTING_MODEL, regular_model(SYM3)):
+        checks, failures = md.check_model(model, 10**11, [])
+        assert checks["composition_assoc"] == checks["act_functorial"] \
+            == 10**11
+        assert md.check_model(model, 0, 7) == (
+            {**checks, "composition_assoc": 0, "act_functorial": 0}, failures)
+    assert time.perf_counter() - start < 2.0
 
-    monkeypatch.setattr(md.InjectionSampler, "triple", refuse)
-    for model in (SWAP_MODEL, regular_model(SYM3)):
-        checks, failures = md.check_model(model, 2000, 5)
-        assert checks["composition_assoc"] == 2000 and not failures
-    with pytest.raises(AssertionError, match="drew a triple"):
-        md.check_model(SWAP_MODEL, 1, 5)
-    monkeypatch.undo()
-    drawn = []
-    triple = md.InjectionSampler.triple
 
-    def counted(self, code):
-        drawn.append(code)
-        return triple(self, code)
-
-    monkeypatch.setattr(md.InjectionSampler, "triple", counted)
-    loop_model = md.MonodromyModel(
-        group=LOOP5, states=2, action=((0, 1),) * 5, sign=(1,) * 5,
-        reflection=(0, 1))
-    for model, samples in ((NONCOMMUTING_MODEL, 2000), (loop_model, 2000),
-                           (SWAP_MODEL, 1)):
-        drawn.clear()
-        md.check_model(model, samples, 5)
-        assert len(drawn) == samples, model
+# enough draws for the sampling oracle to find the failure of every
+# failing model that the test below generates
+ORACLE_SAMPLES = 2000
 
 
 @seed(20261019)
 @settings(max_examples=40, deadline=None)
 @given(model_seed=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from(["cyclic", "left", "conj", "loop"]))
+       kind=st.sampled_from(["cyclic", "left", "conj"]))
 def test_check_model_matches_the_oracle_on_random_models(model_seed, kind):
+    # the sampling oracle finds a failure exactly when check_model does,
+    # with the same counts, and every witness fails again
     model = random_model(random.Random(model_seed), kind)
-    for samples in (0, 1, 300):
-        for s in (0, 7):
-            assert md.check_model(model, samples, s) == \
-                oracle_check_model(model, samples, s)
+    checks, failures = md.check_model(model, ORACLE_SAMPLES, model_seed)
+    expect_checks, expect = oracle_check_model(model, ORACLE_SAMPLES, 0)
+    assert checks == expect_checks
+    assert bool(failures) == bool(expect), model
+    assert len(failures) <= 1
+    assert all(replays(model, f) for f in failures + expect)
 
 
 def test_random_models_fail_every_sampled_check():
-    # the random models of the test above include passing ones and ones
-    # that fail each sampled check
-    kinds = collections.Counter()
-    for t in range(40):
-        for kind in ("cyclic", "left", "conj", "loop"):
+    # check_model fails exactly when some label has sign -1 and the
+    # reflection does not commute with the action; the random models
+    # include passing and failing ones of every kind
+    verdicts = collections.Counter()
+    for t in range(300):
+        for kind in ("cyclic", "left", "conj"):
             model = random_model(random.Random(t), kind)
-            failures = md.check_model(model, 400, t)[1]
-            kinds.update({f["kind"] for f in failures} or {"passed"})
-    assert set(kinds) == {"passed", "assoc", "functoriality"}
+            failures = md.check_model(model, 0, 0)[1]
+            assert bool(failures) == (any(s == -1 for s in model.sign)
+                                      and not model.reflection_commutes())
+            assert all(replays(model, f) for f in failures)
+            verdicts[kind, bool(failures)] += 1
+    assert set(verdicts) == {(kind, v) for kind in ("cyclic", "left", "conj")
+                             for v in (True, False)}
 
 
 def test_model_validation():

@@ -30,17 +30,15 @@ from hurstab import cli
 DIGESTS = pathlib.Path(__file__).parent / "fixtures" / "report_digests.json"
 
 
-def _loop65():
-    """A loop of order 65 that is not a group: the order-5 loop of
-    ``test_monodromy.LOOP5`` times cyclic:13.  Tables above
-    ``groups.ASSOC_CHECK_BOUND`` are not checked for associativity, so
-    only monodromy-check can see that it is not one."""
+def _loop65_table():
+    """The Cayley table of a loop of order 65 that is not a group: the
+    order-5 loop of ``test_groups.test_bad_tables_rejected`` times
+    cyclic:13.  Every command that reads it refuses it as not
+    associative."""
     loop = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
             (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
-    table = [[loop[a][b] * 13 + (x + y) % 13 for b in range(5)
-              for y in range(13)] for a in range(5) for x in range(13)]
-    return {"group": {"table": table}, "states": 2,
-            "action": [[0, 1]] * 65, "sign": [1] * 65, "reflection": [0, 1]}
+    return [[loop[a][b] * 13 + (x + y) % 13 for b in range(5)
+             for y in range(13)] for a in range(5) for x in range(13)]
 
 
 INPUTS = {
@@ -51,7 +49,10 @@ INPUTS = {
                           "states": 4,
                           "action": [[0, 1, 2, 3], [0, 2, 1, 3]],
                           "sign": [1, -1], "reflection": [0, 1, 3, 2]},
-    "loop65.json": _loop65(),
+    "loop65.json": {"group": {"table": _loop65_table()}, "states": 2,
+                    "action": [[0, 1]] * 65, "sign": [1] * 65,
+                    "reflection": [0, 1]},
+    "loop65-group.json": {"table": _loop65_table()},
     "shear.json": {"HZ": [1, 2], "i": 2, "cZ": {"1": [[1, 1], [0, 1]]}},
 }
 
