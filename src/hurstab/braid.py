@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import operator
 from array import array
-from dataclasses import dataclass
 
 from . import garside
 from .garside import BraidError
-from .groups import ClassSet
 
 # the one resource bound: every size guard reads it at call time
 DEFAULT_ORBIT_BOUND = 10_000_000
@@ -38,21 +36,19 @@ def refuse_above_bound(count, what):
         raise OrbitSizeError(f"{what} the bound {DEFAULT_ORBIT_BOUND}")
 
 
-@dataclass(frozen=True)
 class BraidWord:
-    strands: int
-    letters: tuple
-
-    def __post_init__(self):
-        if self.strands < 1:
+    def __init__(self, strands, letters):
+        if strands < 1:
             raise BraidError("strands must be >= 1")
-        for idx, sign in self.letters:
-            if not 1 <= idx <= self.strands - 1:
+        for idx, sign in letters:
+            if not 1 <= idx <= strands - 1:
                 raise BraidError(
-                    f"letter index {idx} invalid with {self.strands} strands"
+                    f"letter index {idx} invalid with {strands} strands"
                 )
             if sign not in (-1, 1):
                 raise BraidError("letter sign must be +1 or -1")
+        self.strands = strands
+        self.letters = letters
 
     @staticmethod
     def from_signed(strands, signed):
@@ -95,16 +91,13 @@ def normal_form(w):
     return garside.normal_form(w.strands, w.letters)
 
 
-@dataclass(frozen=True)
 class HurwitzTuple:
-    classes: ClassSet
-    entries: tuple
-
-    def __post_init__(self):
-        members = set(self.classes.elements)
-        for g in self.entries:
-            if g not in members:
+    def __init__(self, classes, entries):
+        for g in entries:
+            if g not in classes:
                 raise BraidError(f"tuple entry {g} is not in the class set")
+        self.classes = classes
+        self.entries = entries
 
     @property
     def length(self):

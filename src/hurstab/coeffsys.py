@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 
 from . import braid, intmat
 
@@ -181,7 +180,6 @@ def _inverse(mat, n):
     return as_matrix([inv[j] for j in range(n)])
 
 
-@dataclass
 class CoeffSystem:
     """Functor data on the braid category, stored up to K_max.
 
@@ -199,18 +197,17 @@ class CoeffSystem:
     ``==`` compares matrices.
     """
 
-    K_max: int
-    dims: list
-    gens: list
-    gen_invs: list
-    structs: list
-    name: str = "system"
-
-    def __post_init__(self):
-        if len(self.dims) != self.K_max + 1:
+    def __init__(self, K_max, dims, gens, gen_invs, structs, name="system"):
+        if len(dims) != K_max + 1:
             raise CoeffSystemError("dims must cover objects 0..K_max")
-        if len(self.structs) != self.K_max:
+        if len(structs) != K_max:
             raise CoeffSystemError("structs must cover objects 0..K_max-1")
+        self.K_max = K_max
+        self.dims = dims
+        self.gens = gens
+        self.gen_invs = gen_invs
+        self.structs = structs
+        self.name = name
 
     @staticmethod
     def build(K_max, dims, gens, structs, name="system", validate=True,
@@ -332,11 +329,11 @@ def build_hurwitz_system(group, classes, g_hat, K_max):
 # extension criterion
 
 
-@dataclass
 class ExtensionReport:
-    passed: bool
-    cells: list
-    failure: dict | None = None
+    def __init__(self, passed, cells, failure=None):
+        self.passed = passed
+        self.cells = cells
+        self.failure = failure
 
     def to_json(self):
         return {
@@ -465,11 +462,11 @@ def _induced(src, tgt, mat, where):
     return compose(tgt.proj, compose(mat, src.reps))
 
 
-@dataclass
 class DeltaResult:
-    system: CoeffSystem
-    objectwise_split: bool
-    naturally_split: bool
+    def __init__(self, system, objectwise_split, naturally_split):
+        self.system = system
+        self.objectwise_split = objectwise_split
+        self.naturally_split = naturally_split
 
 
 def delta(system):
@@ -528,13 +525,14 @@ def delta(system):
     )
 
 
-@dataclass
 class DegreeReport:
-    value: object  # -1, 0, 1, ..., ">cutoff", or "undefined"
-    delta_ranks: list
-    k_max_consulted: int
-    naturally_split: bool
-    reason: str = ""
+    def __init__(self, value, delta_ranks, k_max_consulted, naturally_split,
+                 reason=""):
+        self.value = value  # -1, 0, 1, ..., ">cutoff", or "undefined"
+        self.delta_ranks = delta_ranks
+        self.k_max_consulted = k_max_consulted
+        self.naturally_split = naturally_split
+        self.reason = reason
 
     def to_json(self):
         return {
@@ -599,13 +597,13 @@ def degree(system, cutoff):
 # synthetic Kunneth systems
 
 
-@dataclass(frozen=True)
 class GradedModule:
     """Graded free ranks (with optional torsion data, which the Kunneth
     construction refuses)."""
 
-    ranks: tuple  # tuple of (degree, free_rank)
-    torsion: tuple = ()
+    def __init__(self, ranks, torsion=()):
+        self.ranks = ranks  # tuple of (degree, free_rank)
+        self.torsion = torsion
 
     def rank(self, d):
         for deg, r in self.ranks:

@@ -16,7 +16,6 @@ dictionaries, and the TSV/JSON writers iterate in sorted order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from . import braid
@@ -30,21 +29,34 @@ from .groups import GroupError
 ISO_OFFSET = {"Z": 4, "field": 2}
 SURJ_OFFSET = {"Z": 2, "field": 0}
 
+# what a cell of a specialised complex weighs against the one resource
+# bound: a grid spends about 18 us and 1.3 KiB per cell of its largest
+# complex (sym:3 transpositions, i1/k9 and i1/k10 over Z, whole process),
+# against about 1.1 us for a unit of the bound (a blank-fill tuple of
+# monodromy-check).  So the largest grid accepted has 625 000 cells,
+# about 11 s and 800 MiB; i1/k8 (190 269 cells, about 4 s) is accepted
+# and i1/k9 (728 271 cells, 13 s and 900 MiB) is refused.
+CELL_WEIGHT = 16
 
-@dataclass
+
 class StabilityReport:
-    group_name: str
-    class_elements: list
-    g_hat: int
-    coeff: str
-    i_max: int
-    k_max: int
-    hypothesis: dict
-    cells: dict  # (k, i) -> HomologyGroup
-    maps: dict  # (k, i) -> InducedHomologyMap (map k -> k+1)
-    iso_onsets: dict  # i -> least k with all later maps iso, or None
-    range_violations: list
-    asserted: bool  # whether the range predicate was asserted (|c| = 1)
+    def __init__(self, group_name, class_elements, g_hat, coeff, i_max,
+                 k_max, hypothesis, cells, maps, iso_onsets,
+                 range_violations, asserted):
+        self.group_name = group_name
+        self.class_elements = class_elements
+        self.g_hat = g_hat
+        self.coeff = coeff
+        self.i_max = i_max
+        self.k_max = k_max
+        self.hypothesis = hypothesis
+        self.cells = cells  # (k, i) -> HomologyGroup
+        self.maps = maps  # (k, i) -> InducedHomologyMap (map k -> k+1)
+        # i -> least k with all later maps iso, or None
+        self.iso_onsets = iso_onsets
+        self.range_violations = range_violations
+        # whether the range predicate was asserted (|c| = 1)
+        self.asserted = asserted
 
     @property
     def assertion_passed(self):
@@ -129,24 +141,26 @@ def stability_table(
         raise GroupError("stabiliser must lie in the class set")
     flags = hypothesis_flags(classes)
     # refuse, before any build, the first k whose specialised complex has
-    # more cells than the bound: C(k-1, j) Salvetti cells in degree
-    # j <= min(i_max+1, k-1), each times |c|^k tuples.  The count never
-    # falls as k grows, so doubling then bisection finds that k in
-    # O(log k_max) counts.
+    # more cells than the bound allows at CELL_WEIGHT each: C(k-1, j)
+    # Salvetti cells in degree j <= min(i_max+1, k-1), each times |c|^k
+    # tuples.  The count never falls as k grows, so doubling then
+    # bisection finds that k in O(log k_max) counts.
     def chain_size(k):
         dim = sum(comb(k - 1, j) for j in range(min(i_max + 1, k - 1) + 1))
         return dim * len(classes) ** k
 
-    bound = braid.DEFAULT_ORBIT_BOUND
+    max_cells = braid.DEFAULT_ORBIT_BOUND // CELL_WEIGHT
     lo, hi = 1, 2  # k = 1 has no Salvetti cells to count
-    while hi < k_max and chain_size(hi) <= bound:
+    while hi < k_max and chain_size(hi) <= max_cells:
         lo, hi = hi, min(2 * hi, k_max)
-    if k_max >= 2 and chain_size(hi) > bound:
+    if k_max >= 2 and chain_size(hi) > max_cells:
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if chain_size(mid) > bound else (mid, hi)
+            lo, hi = (lo, mid) if chain_size(mid) > max_cells else (mid, hi)
         total = chain_size(hi)
-        refuse_above_bound(total, f"chain size {total} at k={hi} exceeds")
+        refuse_above_bound(CELL_WEIGHT * total, (
+            f"chain size {total} at k={hi}, weighing {CELL_WEIGHT} each, "
+            "exceeds"))
     cells = {}
     maps = {}
     module, complex_ = _complex_for(classes, g_hat, 1, i_max)
@@ -202,14 +216,15 @@ def stability_table(
     )
 
 
-@dataclass
 class H0Table:
-    group_name: str
-    class_elements: list
-    g_hat: int
-    counts: dict  # k -> orbit count
-    map_surjective: dict  # k -> bool (orbit map k -> k+1)
-    map_injective: dict
+    def __init__(self, group_name, class_elements, g_hat, counts,
+                 map_surjective, map_injective):
+        self.group_name = group_name
+        self.class_elements = class_elements
+        self.g_hat = g_hat
+        self.counts = counts  # k -> orbit count
+        self.map_surjective = map_surjective  # k -> bool (orbit map k -> k+1)
+        self.map_injective = map_injective
 
     def to_json(self):
         return {
@@ -261,11 +276,11 @@ def h0_table(group, classes, g_hat, k_max):
     )
 
 
-@dataclass
 class SplitAudit:
-    flags: dict  # (k, i) -> bool
-    asserted: bool
-    violations: list
+    def __init__(self, flags, asserted, violations):
+        self.flags = flags  # (k, i) -> bool
+        self.asserted = asserted
+        self.violations = violations
 
     def to_json(self):
         return {

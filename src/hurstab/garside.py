@@ -12,8 +12,8 @@ factors, none trivial and none equal to Delta.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 
 def perm_id(k):
@@ -83,14 +83,12 @@ class BraidError(ValueError):
     pass
 
 
-class GarsideForm(NamedTuple):
+class GarsideForm(namedtuple("GarsideForm", "strands infimum factors")):
     """Normal form Delta^infimum * factors, hashable and comparable as
     the tuple (strands, infimum, factors); ``factors`` is a tuple of
     simple factors, each a permutation tuple."""
 
-    strands: int
-    infimum: int
-    factors: tuple
+    __slots__ = ()
 
     def is_identity(self):
         return self.infimum == 0 and not self.factors

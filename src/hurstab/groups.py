@@ -7,14 +7,22 @@ All values are immutable after construction.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
-from dataclasses import dataclass
 
+from .braid import refuse_above_bound
 from .intmat import is_int
 
 SUBGROUP_ORDER_BOUND = 48
+
+# what a table entry weighs against the one resource bound: a table is
+# only a command's set-up, before the work it counts against the same
+# bound, so it may take a tenth of it.  An entry costs up to about 1 us
+# to build and check (dihedral; cyclic about 0.45 us and 38 B), about
+# a unit of the bound, so 1000 rows is the largest table: dihedral:500
+# builds in about 1 s and cyclic:1000 in 0.5 s and 49 MiB as whole
+# processes.
+ENTRY_WEIGHT = 10
 
 
 class GroupError(ValueError):
@@ -22,14 +30,13 @@ class GroupError(ValueError):
 
 
 def _refuse_table(rows, name):
-    """OrbitSizeError before a table of rows^2 entries is built or checked
-    past the one resource bound (braid imports this module)."""
-    from .braid import refuse_above_bound
+    """OrbitSizeError before a table of rows^2 entries, each weighing
+    ENTRY_WEIGHT, is built or checked past the one resource bound."""
+    refuse_above_bound(ENTRY_WEIGHT * rows * rows, (
+        f"{name} table of {rows * rows} entries, weighing {ENTRY_WEIGHT} "
+        "each, exceeds"))
 
-    refuse_above_bound(rows * rows, f"{name} table of {rows * rows} entries exceeds")
 
-
-@dataclass(frozen=True)
 class FiniteGroup:
     """A finite group as its Cayley table, checked on construction: rows
     and columns are permutations, 0 is the identity, ``inverse`` is
@@ -41,13 +48,12 @@ class FiniteGroup:
     :meth:`closure`.  That is n^2 |S| lookups, with |S| <= log2(n) for a
     group."""
 
-    order: int
-    table: tuple
-    inverse: tuple
-    name: str = "group"
-    element_names: tuple = ()
-
-    def __post_init__(self):
+    def __init__(self, order, table, inverse, name="group", element_names=()):
+        self.order = order
+        self.table = table
+        self.inverse = inverse
+        self.name = name
+        self.element_names = element_names
         n = self.order
         if n < 1 or len(self.table) != n:
             raise GroupError("table size does not match order")
@@ -326,14 +332,14 @@ def conjugacy_closure(elements, group):
     return ClassSet(group, tuple(sorted(closed)))
 
 
-@dataclass(frozen=True)
 class ClassSet:
     """A non-empty, conjugation-closed set of group elements."""
 
-    group: FiniteGroup
-    elements: tuple
-
-    def __post_init__(self):
+    def __init__(self, group, elements):
+        self.group = group
+        self.elements = elements
+        # the elements as a set, for membership tests
+        self._members = frozenset(elements)
         if not self.elements:
             raise GroupError("class set may not be empty")
         if tuple(sorted(self._members)) != self.elements:
@@ -344,11 +350,6 @@ class ClassSet:
             for a in self.group.elements():
                 if self.group.conj(a, x) not in self._members:
                     raise GroupError("class set is not closed under conjugation")
-
-    @functools.cached_property
-    def _members(self):
-        """The elements as a set, built once."""
-        return frozenset(self.elements)
 
     def __len__(self):
         return len(self.elements)

@@ -45,7 +45,6 @@ source generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import intmat
 from .intmat import smith_normal_form  # re-exported surface
@@ -67,12 +66,20 @@ class HomologyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Coeff:
     """Coefficient ring: Z, Q, or F_p for a prime p < 2**31."""
 
-    kind: str
-    p: int = 0
+    def __init__(self, kind, p=0):
+        self.kind = kind
+        self.p = p
+
+    def __eq__(self, other):
+        if type(other) is not Coeff:
+            return NotImplemented
+        return (self.kind, self.p) == (other.kind, other.p)
+
+    def __hash__(self):
+        return hash((self.kind, self.p))
 
     @staticmethod
     def parse(text):
@@ -100,21 +107,27 @@ Z = Coeff("Z")
 Q = Coeff("Q")
 
 
-@dataclass(frozen=True)
 class HomologyGroup:
     """Isomorphism type: free rank plus invariant factors d1 | d2 | ...,
     each > 1."""
 
-    free_rank: int
-    torsion: tuple = ()
-
-    def __post_init__(self):
-        for d in self.torsion:
+    def __init__(self, free_rank, torsion=()):
+        for d in torsion:
             if d <= 1:
                 raise HomologyError("torsion coefficients must exceed 1")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise HomologyError("torsion must form a divisibility chain")
+        self.free_rank = free_rank
+        self.torsion = torsion
+
+    def __eq__(self, other):
+        if type(other) is not HomologyGroup:
+            return NotImplemented
+        return (self.free_rank, self.torsion) == (other.free_rank, other.torsion)
+
+    def __hash__(self):
+        return hash((self.free_rank, self.torsion))
 
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
@@ -448,7 +461,6 @@ def is_split_injective(src_orders, tgt_orders, M):
     return True
 
 
-@dataclass
 class InducedHomologyMap:
     """Map on homology induced by a chain map, with decided properties.
 
@@ -457,14 +469,16 @@ class InducedHomologyMap:
     HomologyGroup convention (torsion first, then zeros for free).
     """
 
-    source: HomologyGroup
-    target: HomologyGroup
-    src_orders: list
-    tgt_orders: list
-    matrix: list
-    is_injective: bool
-    is_surjective: bool
-    is_split_injective: bool
+    def __init__(self, source, target, src_orders, tgt_orders, matrix,
+                 is_injective, is_surjective, is_split_injective):
+        self.source = source
+        self.target = target
+        self.src_orders = src_orders
+        self.tgt_orders = tgt_orders
+        self.matrix = matrix
+        self.is_injective = is_injective
+        self.is_surjective = is_surjective
+        self.is_split_injective = is_split_injective
 
     @property
     def is_iso(self):

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from . import braid
 from .coeffsys import pair_table_system
@@ -37,20 +36,15 @@ class MonodromyError(ValueError):
     pass
 
 
-@dataclass(frozen=True, init=False)
 class LabeledInjection:
     """Partial injection {1..m} -> {1..n} with Q-labels on its domain.
 
-    ``pairs`` maps domain positions to target positions; ``labels``
-    maps the same domain positions to group element indices.
-    ``strands`` is derived: {domain position: (target, label)}.
+    ``pairs`` maps domain positions to target positions (sorted
+    ((i, j), ...)); ``labels`` maps the same domain positions to group
+    element indices (((i, q), ...), aligned with pairs).  ``strands`` is
+    derived: {domain position: (target, label)}; equality, hashing and
+    repr ignore it.
     """
-
-    m: int
-    n: int
-    pairs: tuple  # sorted ((i, j), ...)
-    labels: tuple  # ((i, q), ...) aligned with pairs
-    strands: dict = field(repr=False, compare=False)
 
     def __init__(self, m, n, pairs, labels):
         # one pass over the arguments: the identity checks of
@@ -70,9 +64,26 @@ class LabeledInjection:
             prev = i
             images.add(j)
             strands[i] = (j, q)
-        # frozen: bypass the generated __setattr__, which refuses writes
-        vars(self).update(m=m, n=n, pairs=pairs, labels=labels,
-                          strands=strands)
+        self.m = m
+        self.n = n
+        self.pairs = pairs
+        self.labels = labels
+        self.strands = strands
+
+    def _key(self):
+        return (self.m, self.n, self.pairs, self.labels)
+
+    def __eq__(self, other):
+        if type(other) is not LabeledInjection:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"LabeledInjection(m={self.m!r}, n={self.n!r}, "
+                f"pairs={self.pairs!r}, labels={self.labels!r})")
 
     @staticmethod
     def make(m, n, mapping, labels=None):
@@ -118,28 +129,27 @@ def compose(psi, phi, group):
     return LabeledInjection(phi.m, psi.n, tuple(pairs), tuple(labels))
 
 
-@dataclass(frozen=True)
 class MonodromyModel:
     """Pointed state set with a Q-action, sign character, and reflection.
 
-    ``action[q]`` is a permutation of the states (a left action:
-    action[q1*q2] = action[q1] o action[q2]); ``sign`` maps each q to
-    +-1 and must be a homomorphism; ``reflection`` is an involution.
-    Both the action and the reflection fix the basepoint (state 0).
-    ``strand_operators[q]`` is derived: the state map used when pulling
-    back along a strand labeled q, action[q^-1] followed by the
-    reflection when sign[q] = -1.  Checking the action takes |Q|^2 |Z|
-    steps, refused past ``braid.DEFAULT_ORBIT_BOUND`` with OrbitSizeError.
+    ``group`` is the FiniteGroup Q.  ``action[q]`` is a permutation of
+    the states (a left action: action[q1*q2] = action[q1] o action[q2]),
+    one tuple per q; ``sign`` maps each q to +-1 and must be a
+    homomorphism; ``reflection`` is an involution.  Both the action and
+    the reflection fix the basepoint (state 0).  ``strand_operators[q]``
+    is derived: the state map used when pulling back along a strand
+    labeled q, action[q^-1] followed by the reflection when
+    sign[q] = -1; equality and hashing ignore it.  Checking the action
+    takes |Q|^2 |Z| steps, refused past ``braid.DEFAULT_ORBIT_BOUND``
+    with OrbitSizeError.
     """
 
-    group: object  # FiniteGroup for Q
-    states: int
-    action: tuple  # tuple of permutations (tuples), one per q
-    sign: tuple  # tuple of +-1 per q
-    reflection: tuple
-    strand_operators: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, group, states, action, sign, reflection):
+        self.group = group
+        self.states = states
+        self.action = action
+        self.sign = sign
+        self.reflection = reflection
         g = self.group
         if len(self.action) != g.order or len(self.sign) != g.order:
             raise MonodromyError("action and sign must cover the group")
@@ -171,7 +181,19 @@ class MonodromyModel:
         for q in range(g.order):
             act = self.action[g.inv(q)]
             ops.append(tuple(refl[z] for z in act) if self.sign[q] == -1 else act)
-        object.__setattr__(self, "strand_operators", tuple(ops))
+        self.strand_operators = tuple(ops)
+
+    def _key(self):
+        return (self.group, self.states, self.action, self.sign,
+                self.reflection)
+
+    def __eq__(self, other):
+        if type(other) is not MonodromyModel:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def basepoint(self):

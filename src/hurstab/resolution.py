@@ -35,7 +35,6 @@ permutation is the identity, so ``specialize`` has one loop.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import garside, intmat
@@ -125,7 +124,6 @@ class GroupRingElement:
         return " + ".join(f"{c}*{f!r}" for f, c in self.terms.items())
 
 
-@dataclass
 class FreeComplex:
     """Free complex over Z[B_k], degrees 0..d_max.
 
@@ -134,12 +132,14 @@ class FreeComplex:
     ``basis_labels[j]`` names the degree-j basis.
     """
 
-    strands: int
-    d_max: int
-    ranks: list
-    boundaries: dict
-    basis_labels: list
-    complete: bool = False
+    def __init__(self, strands, d_max, ranks, boundaries, basis_labels,
+                 complete=False):
+        self.strands = strands
+        self.d_max = d_max
+        self.ranks = ranks
+        self.boundaries = boundaries
+        self.basis_labels = basis_labels
+        self.complete = complete
 
     def boundary_entry(self, j, row, col):
         return self.boundaries[j].get(
@@ -389,7 +389,6 @@ class TrivialModule:
         return range(self.rank)
 
 
-@dataclass
 class IntegerComplex:
     """Specialised integer chain complex.
 
@@ -401,15 +400,16 @@ class IntegerComplex:
     basis; dims[j] = len(cell_labels[j]) * (module dimension).
     """
 
-    dims: list
-    mats: dict
-    complete: bool = False
-    cell_labels: list = field(default_factory=list)
-    # homology bases, built on first use by ``homology._basis`` and kept
-    # as long as the complex (a grid holds two complexes at a time);
-    # keyed by (degree, "Z" or "Fp:p"), beside the ring's unit-pivot
-    # reduction under ("reduction", "Z" or "Fp:p")
-    bases: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, dims, mats, complete=False, cell_labels=None):
+        self.dims = dims
+        self.mats = mats
+        self.complete = complete
+        self.cell_labels = [] if cell_labels is None else cell_labels
+        # homology bases, built on first use by ``homology._basis`` and
+        # kept as long as the complex (a grid holds two complexes at a
+        # time); keyed by (degree, "Z" or "Fp:p"), beside the ring's
+        # unit-pivot reduction under ("reduction", "Z" or "Fp:p")
+        self.bases = {}
 
     @property
     def top_degree(self):
@@ -486,7 +486,6 @@ def point_complex(module):
     )
 
 
-@dataclass
 class ChainMap:
     """Chain map between integer complexes, one matrix per shared degree.
 
@@ -495,10 +494,11 @@ class ChainMap:
     D^src_j * F_{j-1} = F_j * D^tgt_j.
     """
 
-    source: IntegerComplex
-    target: IntegerComplex
-    mats: dict
-    verified: bool = field(default=False, repr=False, compare=False)
+    def __init__(self, source, target, mats):
+        self.source = source
+        self.target = target
+        self.mats = mats
+        self.verified = False
 
     def verify(self):
         if self.verified:

@@ -1,6 +1,8 @@
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 
 from hurstab import braid, cli
@@ -13,6 +15,18 @@ def run_to_file(tmp_path, name, argv):
     out = tmp_path / name
     code = cli.run(argv + ["--out", str(out)])
     return code, out.read_bytes()
+
+
+def test_cli_import_loads_no_code_generation_modules():
+    # start-up cost: dataclasses brings inspect, ast, dis and tokenize,
+    # and with typing they cost more than the rest of the import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import hurstab.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'typing'} & "
+             "sys.modules.keys()))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_selftest_passes(tmp_path):
@@ -66,14 +80,18 @@ def test_orbit_range_refusal_on_a_singleton_class(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "resource refusal: orbit work k |c|^k at |c|=1 over k=1..100000 "
         "exceeds the bound 10000000\n")
-    # exact threshold: 1 + 2 + 3 + 4 = 10
+    # exact threshold: 1 + 2 + ... + 9 = 45, above the 4 table entries
+    # of cyclic:2, which weigh 40
     monkeypatch.undo()
     argv = ["orbits", "--group", "cyclic:2", "--class", "elems:[1]",
-            "--k", "1..4", "--out", os.devnull]
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 10)
+            "--k", "1..9", "--out", os.devnull]
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 45)
     assert cli.run(argv) == cli.EXIT_OK
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 9)
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 44)
+    capsys.readouterr()
     assert cli.run(argv) == cli.EXIT_RESOURCE
+    assert capsys.readouterr().err.startswith(
+        "resource refusal: orbit work k |c|^k")
 
 
 def test_degree_resource_refusal(monkeypatch):
@@ -90,8 +108,9 @@ def test_degree_resource_refusal(monkeypatch):
 
 
 def test_grid_guard_finds_a_far_refusal_at_once(capsys):
-    # a singleton class at i_max 0 counts k cells at k, so the first k
-    # past the bound is 10^7 + 1; it is found without a loop over k
+    # a singleton class at i_max 0 counts k cells at k, each weighing 16,
+    # so the first k past the bound is 10^7 / 16 + 1; it is found
+    # without a loop over k
     capsys.readouterr()
     start = time.perf_counter()
     assert cli.run(["stability", "--group", "cyclic:2", "--class", "elems:[1]",
@@ -99,8 +118,22 @@ def test_grid_guard_finds_a_far_refusal_at_once(capsys):
                     "--out", os.devnull]) == cli.EXIT_RESOURCE
     assert time.perf_counter() - start < 2.0
     assert capsys.readouterr().err == (
-        "resource refusal: chain size 10000001 at k=10000001 exceeds the "
-        "bound 10000000\n")
+        "resource refusal: chain size 625001 at k=625001, weighing 16 each, "
+        "exceeds the bound 10000000\n")
+
+
+def test_grid_too_costly_refused_at_once(capsys):
+    # sym:3 transpositions i1/k11 would need about 12 GiB; the guard
+    # refuses it at k = 9, before any complex is built
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert cli.run(["stability", "--group", "sym:3", "--class",
+                    "rep:transposition", "--imax", "1", "--kmax", "11",
+                    "--no-cache", "--out", os.devnull]) == cli.EXIT_RESOURCE
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "resource refusal: chain size 728271 at k=9, weighing 16 each, "
+        "exceeds the bound 10000000\n")
 
 
 def test_large_group_table_refused_before_it_is_built(capsys):
@@ -110,8 +143,8 @@ def test_large_group_table_refused_before_it_is_built(capsys):
                     "--k", "1", "--out", os.devnull]) == cli.EXIT_RESOURCE
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
-        "resource refusal: cyclic:20000 table of 400000000 entries exceeds "
-        "the bound 10000000\n")
+        "resource refusal: cyclic:20000 table of 400000000 entries, "
+        "weighing 10 each, exceeds the bound 10000000\n")
 
 
 def test_usage_and_validation_errors(tmp_path, monkeypatch, capsys):
@@ -514,19 +547,24 @@ def test_monodromy_check_refuses_large_models(tmp_path):
     assert time.perf_counter() - start < 2.0
 
 
-def test_monodromy_check_refuses_large_group_actions(tmp_path):
-    # checking the action of cyclic:1500 on 100 states composes
-    # 1500^2 * 100 pairs on states; it is refused before that loop
+def test_monodromy_check_refuses_large_group_actions(tmp_path, capsys):
+    # checking the action of cyclic:1000, the largest cyclic table
+    # accepted, on 11 states composes 1000^2 * 11 pairs on states; it is
+    # refused before that loop
     model = tmp_path / "big-group.json"
     model.write_text(json.dumps(
-        {"group": {"builtin": {"family": "cyclic", "n": 1500}}, "states": 100,
-         "action": [list(range(100))] * 1500, "sign": [1] * 1500,
-         "reflection": list(range(100))}))
+        {"group": {"builtin": {"family": "cyclic", "n": 1000}}, "states": 11,
+         "action": [list(range(11))] * 1000, "sign": [1] * 1000,
+         "reflection": list(range(11))}))
+    capsys.readouterr()
     start = time.perf_counter()
     code = cli.run(["monodromy-check", "--model", str(model),
                     "--samples", "10"])
     assert code == cli.EXIT_RESOURCE
     assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err == (
+        "resource refusal: action checks 11000000 at |Q|=1000, |Z|=11 "
+        "exceed the bound 10000000\n")
 
 
 def test_monodromy_check_refuses_too_many_samples(capsys):

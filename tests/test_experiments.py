@@ -132,13 +132,15 @@ def test_split_audit(z2_grid):
 
 
 def test_resource_refusal(monkeypatch):
-    # i1/k3: (1 + 2 + 1) Salvetti cells times 3^3 tuples at k = 3
+    # i1/k3: (1 + 2 + 1) Salvetti cells times 3^3 tuples at k = 3, each
+    # weighing CELL_WEIGHT (16)
     g_hat = TRANSPOSITIONS.elements[0]
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 108)
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", xp.CELL_WEIGHT * 108)
     xp.stability_table(S3, TRANSPOSITIONS, g_hat, i_max=1, k_max=3, coeff=hm.Z)
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 107)
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", xp.CELL_WEIGHT * 108 - 1)
     with pytest.raises(braid.OrbitSizeError,
-                       match="chain size 108 at k=3 exceeds the bound 107"):
+                       match="chain size 108 at k=3, weighing 16 each, "
+                             "exceeds the bound 1727"):
         xp.stability_table(S3, TRANSPOSITIONS, g_hat, i_max=1, k_max=3,
                            coeff=hm.Z)
     # h0_table reaches the bound through orbits: 4 * 3^4 at k = 4
@@ -157,15 +159,46 @@ def test_refusal_comes_before_any_complex(monkeypatch):
         raise Built
 
     monkeypatch.setattr(xp.rs, "salvetti_complex", no_complex)
-    # k = 9: (1 + 8 + 28) Salvetti cells times 3^9 tuples; at that bound
-    # the grid passes the check and reaches its first Salvetti build
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 728_271)
+    # k = 9: (1 + 8 + 28) Salvetti cells times 3^9 tuples, weighing
+    # CELL_WEIGHT each; at that bound the grid passes the check and
+    # reaches its first Salvetti build
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", xp.CELL_WEIGHT * 728_271)
     with pytest.raises(Built):
         xp.stability_table(S3, TRANSPOSITIONS, TRANSPOSITIONS.elements[0],
                            i_max=1, k_max=9, coeff=hm.Z)
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 500_000)
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", xp.CELL_WEIGHT * 500_000)
     with pytest.raises(braid.OrbitSizeError,
-                       match="chain size 728271 at k=9 exceeds the bound 500000"):
+                       match="chain size 728271 at k=9, weighing 16 each, "
+                             "exceeds the bound 8000000"):
+        xp.stability_table(S3, TRANSPOSITIONS, TRANSPOSITIONS.elements[0],
+                           i_max=1, k_max=9, coeff=hm.Z)
+
+
+def test_grid_guard_weighs_cells(monkeypatch):
+    # at the real bound, the largest grids of CI, the README and the
+    # benchmark reach their first Salvetti build, while sym:3
+    # transpositions i1/k9 (728 271 cells, about 13 s and 900 MiB) is
+    # refused before it
+    class Built(Exception):
+        pass
+
+    def no_complex(*args):
+        raise Built
+
+    monkeypatch.setattr(xp.rs, "salvetti_complex", no_complex)
+    S4 = FiniteGroup.symmetric(4)
+    T4 = conjugacy_closure({S4.element_names.index("(1 2)")}, S4)
+    Z3 = FiniteGroup.cyclic(3)
+    for group, classes, i_max, k_max in (
+            (S3, TRANSPOSITIONS, 1, 8), (S3, TRANSPOSITIONS, 2, 6),
+            (S4, T4, 1, 5), (Z2, CENTRAL, 2, 18),
+            (Z3, conjugacy_closure({1, 2}, Z3), 2, 9)):
+        with pytest.raises(Built):
+            xp.stability_table(group, classes, classes.elements[0], i_max,
+                               k_max, coeff=hm.Z)
+    with pytest.raises(braid.OrbitSizeError,
+                       match="chain size 728271 at k=9, weighing 16 each, "
+                             "exceeds the bound 10000000"):
         xp.stability_table(S3, TRANSPOSITIONS, TRANSPOSITIONS.elements[0],
                            i_max=1, k_max=9, coeff=hm.Z)
 

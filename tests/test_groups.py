@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from hurstab import braid
+from hurstab import braid, groups
 from hurstab.groups import (
     ClassSet,
     FiniteGroup,
@@ -263,19 +263,40 @@ def test_associativity_check_matches_the_triple_loop():
 
 def test_group_tables_refused_above_the_bound(monkeypatch):
     # cyclic:5 has 25 table entries, dihedral:3 has 6^2 = 36 and a raw
-    # table of 2 rows has 4; each passes at that bound and is refused one
-    # below, before the table is built
+    # table of 2 rows has 4, each weighing ENTRY_WEIGHT (10); each passes
+    # at that bound and is refused one below, before the table is built
     for build, entries, what in (
             (lambda: FiniteGroup.cyclic(5), 25, "cyclic:5"),
             (lambda: FiniteGroup.dihedral(3), 36, "dihedral:3"),
             (lambda: FiniteGroup.from_table([[0, 1], [1, 0]], "z2"), 4, "z2")):
-        monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", entries)
+        weight = groups.ENTRY_WEIGHT * entries
+        monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", weight)
         assert build().order ** 2 == entries
-        monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", entries - 1)
+        monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", weight - 1)
         with pytest.raises(braid.OrbitSizeError,
-                           match=f"{what} table of {entries} entries exceeds "
-                                 f"the bound {entries - 1}"):
+                           match=f"{what} table of {entries} entries, "
+                                 f"weighing 10 each, exceeds the bound "
+                                 f"{weight - 1}"):
             build()
+
+
+def test_largest_accepted_tables():
+    # at the real bound, tables of 1000 rows are accepted and built (the
+    # dihedral builder is the slowest, about 1 s for dihedral:500 as a
+    # whole process); one row more is refused before anything is built
+    assert FiniteGroup.cyclic(1000).order == 1000
+    assert FiniteGroup.dihedral(500).order == 1000
+    for build, what in (
+            (lambda: FiniteGroup.cyclic(1001), "cyclic:1001 table of 1002001"),
+            (lambda: FiniteGroup.dihedral(501), "dihedral:501 table of 1004004"),
+            (lambda: FiniteGroup.from_table([[0]] * 1001, "big"),
+             "big table of 1002001")):
+        start = time.perf_counter()
+        with pytest.raises(braid.OrbitSizeError,
+                           match=f"{what} entries, weighing 10 each, exceeds "
+                                 "the bound 10000000"):
+            build()
+        assert time.perf_counter() - start < 0.5
 
 
 def test_class_validation_is_linear_in_the_class():

@@ -128,6 +128,21 @@ def test_coeff_parsing():
     assert hm.Coeff.parse("Fp:2147483647") == hm.Coeff("Fp", 2**31 - 1)
 
 
+def test_groups_and_rings_compare_by_every_field():
+    # the homology checks of this suite compare groups with ==, so == and
+    # hash must see the torsion as well as the rank, and p as well as
+    # the kind
+    for cls, values in (
+            (hm.HomologyGroup, [(0, ()), (1, ()), (0, (2,)), (1, (2,)),
+                                (1, (2, 4))]),
+            (hm.Coeff, [("Z", 0), ("Q", 0), ("Fp", 2), ("Fp", 3)])):
+        for x in values:
+            for y in values:
+                assert (cls(*x) == cls(*y)) == (x == y)
+            assert hash(cls(*x)) == hash(cls(*x))
+            assert cls(*x) != x
+
+
 def identity_chain_map(C):
     mats = {
         j: {i: {i: 1} for i in range(C.dims[j])}

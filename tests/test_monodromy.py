@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import itertools
 import math
 import random
@@ -185,13 +184,17 @@ def test_check_model_refuses_too_many_samples(monkeypatch):
 
 def test_model_refuses_above_the_bound(monkeypatch):
     # the action check composes 2 * 2 group pairs on 3 states
+    def rebuild(model):
+        return md.MonodromyModel(model.group, model.states, model.action,
+                                 model.sign, model.reflection)
+
     monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 12)
-    assert dataclasses.replace(SWAP_MODEL) == SWAP_MODEL
+    assert rebuild(SWAP_MODEL) == SWAP_MODEL
     monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 11)
     with pytest.raises(braid.OrbitSizeError,
                        match=r"action checks 12 at \|Q\|=2, \|Z\|=3 exceed "
                              "the bound 11"):
-        dataclasses.replace(SWAP_MODEL)
+        rebuild(SWAP_MODEL)
 
 
 def test_act_functoriality_seeded():
@@ -768,6 +771,22 @@ def test_linearize_shapes_and_degree():
     sys3 = md.linearize(two, 5)
     assert cs.delta(sys3).system.dims == [2**k for k in range(5)]
     assert cs.degree(sys3, 3).value == ">cutoff"
+
+
+def test_injections_and_models_compare_by_every_field():
+    # compose is checked against identities with ==, and a failure
+    # reports the injection by its repr
+    psi = md.LabeledInjection.make(2, 3, {1: 3, 2: 1}, {2: 1})
+    same = md.LabeledInjection(2, 3, ((1, 3), (2, 1)), ((1, 0), (2, 1)))
+    assert psi == same and hash(psi) == hash(same)
+    for other in (md.LabeledInjection.make(2, 3, {1: 3, 2: 1}),
+                  md.LabeledInjection.make(2, 4, {1: 3, 2: 1}, {2: 1}),
+                  md.LabeledInjection.make(3, 3, {1: 3, 2: 1}, {2: 1}),
+                  md.LabeledInjection.make(2, 3, {1: 3}, {})):
+        assert psi != other
+    assert repr(psi) == ("LabeledInjection(m=2, n=3, pairs=((1, 3), (2, 1)), "
+                         "labels=((1, 0), (2, 1)))")
+    assert SWAP_MODEL != TRIVIAL_MODEL
 
 
 def test_json_round_trip():
