@@ -27,7 +27,8 @@ from . import experiments as xp
 from . import homology as hm
 from . import monodromy as md
 from .braid import BraidError, OrbitSizeError, orbits, refuse_orbit_range
-from .groups import ClassSet, FiniteGroup, GroupError, conjugacy_closure
+from .groups import (FAMILIES, ClassSet, FiniteGroup, GroupError,
+                     conjugacy_closure)
 from .intmat import is_int
 from .resolution import ResolutionError
 
@@ -70,14 +71,9 @@ def parse_group(spec):
         return FiniteGroup.quaternion()
     if ":" in spec:
         family, _, n = spec.partition(":")
-        builders = {
-            "sym": FiniteGroup.symmetric,
-            "symmetric": FiniteGroup.symmetric,
-            "cyclic": FiniteGroup.cyclic,
-            "dihedral": FiniteGroup.dihedral,
-        }
-        if family in builders:
-            return builders[family](_int(n, "group order"))
+        family = "symmetric" if family == "sym" else family
+        if family in FAMILIES:
+            return FAMILIES[family](_int(n, "group order"))
     raise UsageError(f"cannot parse group spec {spec!r}")
 
 

@@ -17,11 +17,11 @@ SUBGROUP_ORDER_BOUND = 48
 
 # what a table entry weighs against the one resource bound: a table is
 # only a command's set-up, before the work it counts against the same
-# bound, so it may take a tenth of it.  An entry costs up to about 1 us
-# to build and check (dihedral; cyclic about 0.45 us and 38 B), about
-# a unit of the bound, so 1000 rows is the largest table: dihedral:500
-# builds in about 1 s and cyclic:1000 in 0.5 s and 49 MiB as whole
-# processes.
+# bound, so it may take a tenth of it.  An entry costs about 0.2 us and
+# 8 B to build and check (cyclic:1000 and dihedral:500; about 0.45 us
+# in sym:6, which checks more generators), under a unit of the bound, so
+# 1000 rows is the largest table: cyclic:1000 and dihedral:500 each
+# build in about 0.3 s and 27 MiB as whole processes.
 ENTRY_WEIGHT = 10
 
 
@@ -39,40 +39,35 @@ def _refuse_table(rows, name):
 
 class FiniteGroup:
     """A finite group as its Cayley table, checked on construction: rows
-    and columns are permutations, 0 is the identity, ``inverse`` is
-    right, and the table is associative at every order.  Associativity
-    is Light's test (Clifford-Preston, The Algebraic Theory of
-    Semigroups I, 1961, section 1.2): the elements s with
-    (x s) y = x (s y) for all x and y are closed under products, so it
-    suffices to check them on a generating set S, chosen greedily from
-    :meth:`closure`.  That is n^2 |S| lookups, with |S| <= log2(n) for a
-    group."""
+    and columns are permutations of 0..n-1, 0 is the identity, and the
+    table is associative at every order, so ``inverse`` is read off the
+    rows.  Associativity is Light's test (Clifford-Preston, The
+    Algebraic Theory of Semigroups I, 1961, section 1.2): the elements s
+    with (x s) y = x (s y) for all x and y are closed under products, so
+    it suffices to check them on a generating set S, chosen greedily
+    from :meth:`closure`.  That is n^2 |S| lookups, with |S| <= log2(n)
+    for a group.  The builtins close the rows of their generators into
+    the table with :func:`_table_from_generators` (Cayley's theorem)."""
 
-    def __init__(self, order, table, inverse, name="group", element_names=()):
-        self.order = order
-        self.table = table
-        self.inverse = inverse
+    def __init__(self, table, name="group", element_names=()):
+        self.table = t = table
         self.name = name
         self.element_names = element_names
-        n = self.order
-        if n < 1 or len(self.table) != n:
-            raise GroupError("table size does not match order")
+        self.order = n = len(t)
+        if n < 1:
+            raise GroupError("table may not be empty")
         rng = set(range(n))
-        for row in self.table:
-            if set(row) != rng:
+        for row in t:
+            if len(row) != n or set(row) != rng:
                 raise GroupError("table rows must be permutations of 0..order-1")
-        for j in range(n):
-            if {self.table[i][j] for i in range(n)} != rng:
+        for col in zip(*t):
+            if set(col) != rng:
                 raise GroupError("table columns must be permutations of 0..order-1")
         for x in range(n):
-            if self.table[0][x] != x or self.table[x][0] != x:
+            if t[0][x] != x or t[x][0] != x:
                 raise GroupError("element 0 must be the identity")
-        for x in range(n):
-            if self.table[x][self.inverse[x]] != 0:
-                raise GroupError("inverse table is wrong")
         # Light's test: (x s) y == x (s y) for every x and y, with s
         # running over a generating set, proves the table associative
-        t = self.table
         gens = []
         reached = {0}
         for g in range(n):
@@ -84,6 +79,7 @@ class FiniteGroup:
             for row_x in t:
                 if t[row_x[s]] != tuple(map(row_x.__getitem__, row_s)):
                     raise GroupError("multiplication is not associative")
+        self.inverse = tuple(row.index(0) for row in t)
 
     def mul(self, g, h):
         return self.table[g][h]
@@ -143,96 +139,61 @@ class FiniteGroup:
         return {"table": [list(row) for row in self.table], "name": self.name}
 
     # ------------------------------------------------------------------
-    # builtin families
+    # builtin families, each given by the rows of its generators
 
     @staticmethod
     def cyclic(n):
+        """Cyclic group of order n, generated by r = 1."""
         if n < 1:
             raise GroupError("cyclic order must be >= 1")
         _refuse_table(n, f"cyclic:{n}")
-        table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-        inverse = tuple((-i) % n for i in range(n))
+        r = tuple(range(1, n)) + (0,)
         names = tuple("e" if i == 0 else f"r^{i}" if i > 1 else "r" for i in range(n))
-        return FiniteGroup(n, table, inverse, f"cyclic:{n}", names)
+        return FiniteGroup(_table_from_generators(n, [r]), f"cyclic:{n}", names)
 
     @staticmethod
     def dihedral(n):
-        """Dihedral group of order 2n: rotations r^i, reflections r^i s."""
+        """Dihedral group of order 2n: rotations r^i = i and reflections
+        r^i s = n + i, generated by r and s, where s r^i = r^-i s."""
         if n < 1:
             raise GroupError("dihedral parameter must be >= 1")
         _refuse_table(2 * n, f"dihedral:{n}")
-        order = 2 * n
-
-        def mul(a, b):
-            ai, af = a % n, a // n
-            bi, bf = b % n, b // n
-            # (r^ai s^af)(r^bi s^bf): s r^b = r^-b s
-            if af == 0:
-                return (ai + bi) % n + n * bf
-            return (ai - bi) % n + n * (1 - bf)
-
-        table = tuple(tuple(mul(a, b) for b in range(order)) for a in range(order))
-        inverse = tuple(next(b for b in range(order) if table[a][b] == 0)
-                        for a in range(order))
+        rot, ref = tuple(range(n)), tuple(range(n, 2 * n))
+        r = rot[1:] + rot[:1] + ref[1:] + ref[:1]
+        s = ref[:1] + ref[:0:-1] + rot[:1] + rot[:0:-1]
         names = tuple(
             ("e" if i == 0 else f"r^{i}" if i > 1 else "r") if i < n
             else ("s" if i == n else f"r^{i - n}s" if i - n > 1 else "rs")
-            for i in range(order)
+            for i in range(2 * n)
         )
-        return FiniteGroup(order, table, inverse, f"dihedral:{n}", names)
+        return FiniteGroup(_table_from_generators(2 * n, [r, s]),
+                           f"dihedral:{n}", names)
 
     @staticmethod
     def symmetric(n):
-        """Symmetric group on {0..n-1}; composition applies the right
-        factor first: (p*q)(x) = p(q(x))."""
+        """Symmetric group on {0..n-1}, its permutations in sorted order,
+        generated by the adjacent transpositions; composition applies
+        the right factor first: (p*q)(x) = p(q(x))."""
         if not 1 <= n <= 6:
             raise GroupError("symmetric builtin supports 1 <= n <= 6")
         perms = sorted(itertools.permutations(range(n)))
         index = {p: i for i, p in enumerate(perms)}
-        order = len(perms)
-        table = tuple(
-            tuple(index[tuple(p[q[x]] for x in range(n))] for q in perms)
-            for p in perms
-        )
-        inverse = tuple(
-            index[tuple(sorted(range(n), key=lambda x: p[x]))] for p in perms
-        )
+        swaps = [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
+                 for i in range(n - 1)]
+        gens = [tuple(index[tuple(map(t.__getitem__, q))] for q in perms)
+                for t in swaps]
         names = tuple(_cycle_name(p) for p in perms)
-        return FiniteGroup(order, table, inverse, f"sym:{n}", names)
+        return FiniteGroup(_table_from_generators(len(perms), gens),
+                           f"sym:{n}", names)
 
     @staticmethod
     def quaternion():
-        """Quaternion group {1, -1, i, -i, j, -j, k, -k}."""
+        """Quaternion group {1, -1, i, -i, j, -j, k, -k}, generated by i
+        and j, where i j = k, j k = i, k i = j and i^2 = j^2 = k^2 = -1."""
         names = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-        # encode as (sign, axis): 0:+1 1:-1 2:+i 3:-i 4:+j 5:-j 6:+k 7:-k
-        def unpack(x):
-            return x % 2, x // 2  # (sign bit, axis 0=1,1=i,2=j,3=k)
-
-        def pack(sign, axis):
-            return axis * 2 + sign
-
-        # i*j=k, j*k=i, k*i=j; squares of i,j,k are -1
-        prod = {}
-        for a in range(4):
-            prod[(0, a)] = (0, a)
-            prod[(a, 0)] = (0, a)
-        for a in range(1, 4):
-            prod[(a, a)] = (1, 0)
-        cyc = {(1, 2): (0, 3), (2, 3): (0, 1), (3, 1): (0, 2)}
-        for (a, b), (s, c) in list(cyc.items()):
-            prod[(a, b)] = (s, c)
-            prod[(b, a)] = (1 - s, c)
-
-        def mul(x, y):
-            sx, ax = unpack(x)
-            sy, ay = unpack(y)
-            s, a = prod[(ax, ay)]
-            return pack((sx + sy + s) % 2, a)
-
-        table = tuple(tuple(mul(a, b) for b in range(8)) for a in range(8))
-        inverse = tuple(next(b for b in range(8) if table[a][b] == 0)
-                        for a in range(8))
-        return FiniteGroup(8, table, inverse, "quaternion", names)
+        i = (2, 3, 1, 0, 6, 7, 5, 4)
+        j = (4, 5, 7, 6, 1, 0, 2, 3)
+        return FiniteGroup(_table_from_generators(8, [i, j]), "quaternion", names)
 
     @staticmethod
     def from_table(rows, name="group"):
@@ -240,6 +201,9 @@ class FiniteGroup:
         n = len(rows)
         _refuse_table(n, name)
         rows = [list(r) for r in rows]
+        # before the search and the re-indexing, which read n columns
+        if any(len(r) != n for r in rows):
+            raise GroupError("table rows must be permutations of 0..order-1")
         ident = None
         for e in range(n):
             if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
@@ -251,14 +215,7 @@ class FiniteGroup:
             perm = [ident] + [x for x in range(n) if x != ident]
             pos = {x: i for i, x in enumerate(perm)}
             rows = [[pos[rows[perm[i]][perm[j]]] for j in range(n)] for i in range(n)]
-        table = tuple(tuple(r) for r in rows)
-        inverse = []
-        for a in range(n):
-            invs = [b for b in range(n) if table[a][b] == 0]
-            if len(invs) != 1 or table[invs[0]][a] != 0:
-                raise GroupError("element has no two-sided inverse")
-            inverse.append(invs[0])
-        return FiniteGroup(n, table, tuple(inverse), name)
+        return FiniteGroup(tuple(map(tuple, rows)), name)
 
     @staticmethod
     def from_json(spec):
@@ -273,14 +230,11 @@ class FiniteGroup:
                 family = b["family"]
                 if family == "quaternion":
                     return FiniteGroup.quaternion()
-                builders = {"cyclic": FiniteGroup.cyclic,
-                            "dihedral": FiniteGroup.dihedral,
-                            "symmetric": FiniteGroup.symmetric}
-                if family not in builders:
+                if family not in FAMILIES:
                     raise GroupError(f"unknown builtin family {family!r}")
                 if not is_int(b["n"]):
                     raise GroupError(f"builtin n must be an integer, got {b['n']!r}")
-                return builders[family](b["n"])
+                return FAMILIES[family](b["n"])
             if "table" in spec:
                 rows = spec["table"]
                 if not all(isinstance(r, list) and all(map(is_int, r))
@@ -292,6 +246,29 @@ class FiniteGroup:
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
             raise GroupError(f"malformed group spec: {e!r}") from None
         raise GroupError("group spec needs 'builtin' or 'table'")
+
+
+# the builtin families that take a parameter n, by their JSON names
+FAMILIES = {"cyclic": FiniteGroup.cyclic,
+            "dihedral": FiniteGroup.dihedral,
+            "symmetric": FiniteGroup.symmetric}
+
+
+def _table_from_generators(order, gen_rows):
+    """The Cayley table of the group of the given order generated by
+    gen_rows, each the row of left multiplication by a generator g, so
+    row[0] = g.  Row g a is row g composed with row a, one map each."""
+    rows = [None] * order
+    rows[0] = tuple(range(order))
+    todo = [0]
+    while todo:
+        a = todo.pop()
+        for row_g in gen_rows:
+            ga = row_g[a]
+            if rows[ga] is None:
+                rows[ga] = tuple(map(row_g.__getitem__, rows[a]))
+                todo.append(ga)
+    return tuple(rows)
 
 
 def _cycle_name(p):
@@ -318,17 +295,12 @@ def conjugacy_closure(elements, group):
     elements = set(elements)
     if not elements:
         raise GroupError("class set may not be empty")
-    closed = set()
-    frontier = list(elements)
-    while frontier:
-        x = frontier.pop()
-        if x in closed:
-            continue
-        closed.add(x)
-        for a in group.elements():
-            y = group.conj(a, x)
-            if y not in closed:
-                frontier.append(y)
+    for x in sorted(elements):
+        if not 0 <= x < group.order:
+            raise GroupError(f"class element {x} out of range for a group "
+                             f"of order {group.order}")
+    # the union of the elements' conjugacy classes
+    closed = {group.conj(a, x) for x in elements for a in group.elements()}
     return ClassSet(group, tuple(sorted(closed)))
 
 

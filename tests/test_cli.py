@@ -336,6 +336,35 @@ def test_usage_and_validation_errors(tmp_path, monkeypatch, capsys):
         assert len(capsys.readouterr().err.splitlines()) == 1, k
 
 
+def test_out_of_range_representative_exits_65(capsys):
+    # a representative past the table, or negative, is a validation
+    # error on every command that reads a class, not an IndexError
+    capsys.readouterr()
+    for rep in (6, -1):
+        cls = json.dumps({"representative": rep})
+        for argv in (["orbits", "--k", "1"],
+                     ["stability", "--imax", "0", "--kmax", "2", "--no-cache"],
+                     ["degree", "--kmax", "3", "--cutoff", "1"]):
+            assert cli.run(argv + ["--group", "sym:3", "--class", cls,
+                                   "--out", os.devnull]) \
+                == cli.EXIT_VALIDATION, (rep, argv)
+            assert capsys.readouterr().err == (
+                f"validation error: class element {rep} out of range for "
+                "a group of order 6\n")
+
+
+def test_ragged_tables_exit_65(capsys):
+    # rows that hold every element but are too long are not a group
+    capsys.readouterr()
+    for table in ([[0, 1, 0], [1, 0, 1]], [[0, 0]]):
+        assert cli.run(["orbits", "--group", json.dumps({"table": table}),
+                        "--class", "rep:0", "--k", "1..2",
+                        "--out", os.devnull]) == cli.EXIT_VALIDATION, table
+        assert capsys.readouterr().err == (
+            "validation error: table rows must be permutations of "
+            "0..order-1\n")
+
+
 def test_io_errors_exit_74(tmp_path):
     grid = ["stability", "--group", "cyclic:2", "--class", "elems:[1]",
             "--imax", "0", "--kmax", "2"]

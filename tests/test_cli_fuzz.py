@@ -1,0 +1,170 @@
+"""Fuzz the CLI's failure contract on group and class specs: every spec
+exits 0, 3, 64 or 65, with at most one line on stderr and no traceback,
+in bounded time, and a JSON table is accepted only if it is a group."""
+
+import contextlib
+import io
+import itertools
+import json
+import os
+import signal
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from hurstab import braid, cli
+
+EXITS = {cli.EXIT_OK, cli.EXIT_RESOURCE, cli.EXIT_USAGE, cli.EXIT_VALIDATION}
+
+# a small bound keeps every accepted build cheap: tables of up to 31
+# rows, and orbit ranges of up to 10^4 tuples
+BOUND = 10 ** 4
+SECONDS_PER_CALL = 10
+
+# mostly small, so that most specs name real elements of small groups
+numbers = st.one_of(st.integers(-2, 12), st.integers(-3, 40),
+                    st.just(10 ** 30))
+junk = st.one_of(st.floats(allow_nan=False), st.booleans(), st.none(),
+                 st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2))
+json_values = st.one_of(numbers, junk)
+families = st.sampled_from(["sym", "symmetric", "cyclic", "dihedral"])
+bad_families = st.sampled_from(["quaternion", "nope", "", "Cyclic"])
+n_texts = st.one_of(
+    st.integers(1, 7).map(str), numbers.map(str),
+    st.sampled_from(["", "x", "1.5", "-", "0x10", " 3", "3 ", "٣"]))
+family_specs = st.one_of(
+    st.builds("{}:{}".format, families, st.integers(1, 7)),
+    st.builds("{}:{}".format, st.one_of(families, bad_families), n_texts))
+json_families = st.sampled_from(["cyclic", "dihedral", "symmetric"])
+builtins = st.one_of(
+    st.fixed_dictionaries({"family": json_families, "n": st.integers(1, 7)}),
+    st.fixed_dictionaries({"family": st.just("quaternion")}),
+    st.fixed_dictionaries(
+        {}, optional={"family": st.one_of(json_families, bad_families, junk),
+                      "n": json_values}),
+    junk)
+builtin_specs = builtins.map(lambda b: json.dumps({"builtin": b}))
+# square, ragged or empty tables with entries a little out of range
+raw_tables = st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-1, n), min_size=max(n - 1, 0),
+                                max_size=n + 1),
+                       min_size=n, max_size=n))
+
+
+def relabelled(table_perm):
+    """A group table with its elements relabelled, so the identity may
+    sit anywhere and the table must be re-indexed."""
+    table, perm = table_perm
+    pos = {x: i for i, x in enumerate(perm)}
+    n = len(perm)
+    return [[pos[table[perm[i]][perm[j]]] for j in range(n)]
+            for i in range(n)]
+
+
+small_groups = st.sampled_from([
+    [[0]], [[0, 1], [1, 0]],
+    [[(i + j) % 4 for j in range(4)] for i in range(4)],
+    [[i ^ j for j in range(4)] for i in range(4)],
+    [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 4, 0, 5, 1, 3],
+     [3, 5, 1, 4, 0, 2], [4, 2, 5, 0, 3, 1], [5, 3, 4, 1, 2, 0]]])
+group_tables = small_groups.flatmap(
+    lambda t: st.tuples(st.just(t), st.permutations(range(len(t))))
+).map(relabelled)
+# group tables whose rows from the m-th on repeat their first k entries:
+# ragged, yet every row still holds every element
+padded_tables = st.builds(
+    lambda t, k, m: [row + row[:k] if i >= m else row
+                     for i, row in enumerate(t)],
+    group_tables, st.integers(1, 2), st.integers(0, 3))
+table_specs = st.one_of(group_tables, raw_tables, padded_tables).map(
+    lambda t: json.dumps({"table": t}))
+group_specs = st.one_of(family_specs, builtin_specs, table_specs,
+                        st.sampled_from(["quaternion", "", "{", "{}", "[]"]))
+# groups that are accepted, to reach the class spec
+good_groups = st.one_of(
+    st.builds("{}:{}".format, families, st.integers(1, 5)),
+    st.builds(lambda f, n: json.dumps({"builtin": {"family": f, "n": n}}),
+              json_families, st.integers(1, 5)),
+    st.just("quaternion"),
+    group_tables.map(lambda t: json.dumps({"table": t})))
+
+names = st.sampled_from(["transposition", "e", "r", "s", "i", "-1", "(1 2)",
+                         "(1 2 3)", "zz", ""])
+class_specs = st.one_of(
+    st.one_of(numbers, names).map("rep:{}".format),
+    st.lists(numbers, max_size=4).map(lambda e: f"elems:{json.dumps(e)}"),
+    json_values.map(lambda r: json.dumps({"representative": r})),
+    st.lists(numbers, max_size=4).map(
+        lambda e: json.dumps({"elements": e})),
+    junk.map(lambda e: f"elems:{json.dumps(e)}"),
+    junk.map(lambda e: json.dumps({"elements": e})),
+    st.sampled_from(["", "rep", "{", "{}", "[1]", "nope:1"]))
+
+
+def is_group(table):
+    """Brute force over every triple, on a list of lists."""
+    n = len(table)
+    if n == 0 or any(len(row) != n for row in table):
+        return False
+    if any(x not in range(n) for row in table for x in row):
+        return False
+    ids = [e for e in range(n)
+           if all(table[e][x] == x == table[x][e] for x in range(n))]
+    return (len(ids) == 1
+            and all(any(table[a][b] == ids[0] for b in range(n))
+                    for a in range(n))
+            and all(table[table[a][b]][c] == table[a][table[b][c]]
+                    for a, b, c in itertools.product(range(n), repeat=3)))
+
+
+class Hang(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise Hang
+
+
+def check_contract(group, cls):
+    """Run orbits at k = 1 in process under the small bound and an
+    alarm, and check its exit code and stderr."""
+    argv = ["orbits", "--group", group, "--class", cls, "--k", "1",
+            "--out", os.devnull]
+    err = io.StringIO()
+    old = signal.signal(signal.SIGALRM, _alarm)
+    try:
+        with pytest.MonkeyPatch.context() as mp, \
+                contextlib.redirect_stderr(err):
+            mp.setattr(braid, "DEFAULT_ORBIT_BOUND", BOUND)
+            signal.alarm(SECONDS_PER_CALL)
+            code = cli.run(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    lines = err.getvalue().splitlines()
+    assert code in EXITS, (argv, code, lines)
+    assert len(lines) <= 1, (argv, lines)
+    assert not any("Traceback" in line for line in lines), (argv, lines)
+    assert (code == cli.EXIT_OK) == (not lines), (argv, code, lines)
+    if code == cli.EXIT_OK and group.startswith('{"table"'):
+        assert is_group(json.loads(group)["table"]), argv
+
+
+fuzz = settings(max_examples=150, deadline=None, derandomize=True,
+                database=None, suppress_health_check=[HealthCheck.too_slow])
+needs_alarm = pytest.mark.skipif(not hasattr(signal, "SIGALRM"),
+                                 reason="needs SIGALRM")
+
+
+@needs_alarm
+@fuzz
+@given(group=group_specs, cls=st.sampled_from(["rep:0", "rep:1"]))
+def test_group_specs_keep_the_failure_contract(group, cls):
+    check_contract(group, cls)
+
+
+@needs_alarm
+@fuzz
+@given(group=good_groups, cls=class_specs)
+def test_class_specs_keep_the_failure_contract(group, cls):
+    check_contract(group, cls)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import time
 
 import pytest
@@ -36,6 +37,72 @@ def test_builtin_orders():
         assert FiniteGroup.dihedral(n).order == 2 * n
 
 
+def oracle_cyclic(n):
+    return ([[(i + j) % n for j in range(n)] for i in range(n)],
+            [(-i) % n for i in range(n)])
+
+
+def oracle_dihedral(n):
+    """r^i is i and r^i s is n + i, multiplied entry by entry."""
+    def mul(a, b):
+        ai, af = a % n, a // n
+        bi, bf = b % n, b // n
+        # (r^ai s^af)(r^bi s^bf): s r^b = r^-b s
+        if af == 0:
+            return (ai + bi) % n + n * bf
+        return (ai - bi) % n + n * (1 - bf)
+
+    table = [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]
+    return table, [row.index(0) for row in table]
+
+
+def oracle_symmetric(n):
+    """Sorted permutations, composed as (p*q)(x) = p(q(x))."""
+    perms = sorted(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[x]] for x in range(n))] for q in perms]
+             for p in perms]
+    inverse = [index[tuple(sorted(range(n), key=lambda x: p[x]))]
+               for p in perms]
+    return table, inverse
+
+
+def oracle_quaternion():
+    """x = 2 axis + sign, axes 1, i, j, k: i j = k, j k = i, k i = j and
+    the squares of i, j and k are -1."""
+    prod = {}
+    for a in range(4):
+        prod[0, a] = prod[a, 0] = (0, a)
+    for a in range(1, 4):
+        prod[a, a] = (1, 0)
+    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        prod[a, b] = (0, c)
+        prod[b, a] = (1, c)
+
+    def mul(x, y):
+        s, a = prod[x // 2, y // 2]
+        return 2 * a + (x + y + s) % 2
+
+    table = [[mul(x, y) for y in range(8)] for x in range(8)]
+    return table, [row.index(0) for row in table]
+
+
+def test_builtins_match_entry_by_entry_products():
+    # the tables closed from the generators' rows against the products
+    # taken entry by entry, and the inverses read off the table against
+    # the closed forms
+    cases = ([(FiniteGroup.cyclic(n), oracle_cyclic(n)) for n in range(1, 41)]
+             + [(FiniteGroup.dihedral(n), oracle_dihedral(n))
+                for n in range(1, 41)]
+             + [(FiniteGroup.symmetric(n), oracle_symmetric(n))
+                for n in range(1, 7)]
+             + [(FiniteGroup.quaternion(), oracle_quaternion())])
+    for group, (table, inverse) in cases:
+        assert group.order == len(table), group.name
+        assert group.table == tuple(map(tuple, table)), group.name
+        assert group.inverse == tuple(inverse), group.name
+
+
 def test_table_invariants(s3):
     n = s3.order
     for row in s3.table:
@@ -67,6 +134,27 @@ def test_conjugacy_closure_examples(s3):
     assert conjugacy_closure({0}, s3).elements == (0,)
     z4 = FiniteGroup.cyclic(4)
     assert conjugacy_closure({1}, z4).elements == (1,)
+
+
+def test_closure_is_the_union_of_conjugacy_classes():
+    rng = random.Random(5)
+    for g in (FiniteGroup.symmetric(4), FiniteGroup.dihedral(6),
+              FiniteGroup.quaternion(), FiniteGroup.cyclic(5),
+              FiniteGroup.symmetric(5)):
+        classes = g.conjugacy_classes()
+        for size in (1, 2, 3, 5):
+            seed = set(rng.sample(range(g.order), size))
+            union = sorted(x for cl in classes if seed & set(cl) for x in cl)
+            assert conjugacy_closure(seed, g).elements == tuple(union)
+
+
+def test_closure_refuses_elements_out_of_range(s3):
+    # -1 would otherwise index the last element's row
+    for bad in (s3.order, -1, 99):
+        with pytest.raises(GroupError, match="out of range"):
+            conjugacy_closure({1, bad}, s3)
+        with pytest.raises(GroupError, match="out of range"):
+            ClassSet.from_json({"representative": bad}, s3)
 
 
 def test_closure_idempotent_monotone(s3):
@@ -196,6 +284,14 @@ def test_json_class_specs(s3):
 def test_bad_tables_rejected():
     with pytest.raises(GroupError):
         FiniteGroup.from_table([[0, 1], [1, 1]])
+    # ragged rows whose entries are still 0..n-1
+    # (the second needs re-indexing, which once dropped the extra column)
+    for ragged in ([[0, 1, 0], [1, 0, 1]], [[1, 0, 1], [0, 1, 0]], [[0, 0]],
+                   [[0, 1], [1, 0, 0]], [[0], [1, 0]]):
+        with pytest.raises(GroupError, match="rows must be permutations"):
+            FiniteGroup.from_table(ragged)
+    with pytest.raises(GroupError, match="may not be empty"):
+        FiniteGroup(())
     # broken associativity hidden in a Latin square with identity:
     # rows/cols are permutations but (1*1)*2 != 1*(1*2)
     bad = [
@@ -246,9 +342,8 @@ def test_associativity_check_matches_the_triple_loop():
             t = table
             expect = all(t[t[a][b]][c] == t[a][t[b][c]] for a in range(n)
                          for b in range(n) for c in range(n))
-            inverse = tuple(row.index(0) for row in table)
             try:
-                FiniteGroup(n, table, inverse)
+                FiniteGroup(table)
                 accepted = True
             except GroupError:
                 accepted = False
