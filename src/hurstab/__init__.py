@@ -13,7 +13,6 @@ from .braid import (  # noqa: F401
     BraidWord,
     HurwitzTuple,
     hurwitz_act,
-    normal_form,
     orbits,
     sigma_k,
     stabilize_tuple,
@@ -47,7 +46,6 @@ from .resolution import (  # noqa: F401
     HurwitzModule,
     IntegerComplex,
     TrivialModule,
-    fox_complex,
     salvetti_complex,
     specialize,
     stabilisation_chain_map,

@@ -18,11 +18,12 @@ from __future__ import annotations
 import operator
 from array import array
 
-from . import garside
-from .garside import BraidError
-
 # the one resource bound: every size guard reads it at call time
 DEFAULT_ORBIT_BOUND = 10_000_000
+
+
+class BraidError(ValueError):
+    pass
 
 
 class OrbitSizeError(RuntimeError):
@@ -84,11 +85,6 @@ def v_k_l(w, k):
     return BraidWord(
         w.strands + k, tuple((i + k, s) for i, s in w.letters)
     )
-
-
-def normal_form(w):
-    """Left-greedy Garside normal form; the word-problem oracle."""
-    return garside.normal_form(w.strands, w.letters)
 
 
 class HurwitzTuple:

@@ -428,7 +428,6 @@ def cmd_selftest(args):
     """Direct oracle checks of the documented examples; exit 0 iff all
     hold."""
     from .braid import BraidWord, HurwitzTuple, hurwitz_act, total_product
-    from . import garside
 
     failures = []
 
@@ -469,14 +468,6 @@ def cmd_selftest(args):
     part2 = orbits(c, 2)
     check("orbits-k1", len(part1) == 3)
     check("orbits-k2", len(part2) == 5)
-    nf1 = garside.normal_form(3, [(1, 1), (2, 1), (1, 1)])
-    nf2 = garside.normal_form(3, [(2, 1), (1, 1), (2, 1)])
-    check("garside-braid-relation", nf1 == nf2)
-    check("garside-reduction",
-          garside.normal_form(2, [(1, 1), (1, -1)]).is_identity())
-    check("garside-distinct",
-          garside.normal_form(3, [(1, 1), (2, 1)])
-          != garside.normal_form(3, [(2, 1), (1, 1)]))
     snf = hm.smith_normal_form({0: {0: 2, 1: 4}, 1: {0: 6, 1: 8}}, (2, 2))
     check("snf-example", snf.invariant_factors == [2, 4])
     check("snf-identity", hm.smith_normal_form(

@@ -39,8 +39,18 @@ from __future__ import annotations
 
 import itertools
 import operator
+from math import comb
 
 from . import braid, intmat
+
+# what a column, or a relation checked, of a Kunneth system weighs
+# against the one resource bound: building, checking and reducing the
+# system took about 8-10 us and 240-380 B a column (HZ = [1, 1] at
+# i = 1 up to k = 120, i = 6 up to k = 20, HZ = [1, 50] at i = 3 and
+# k = 4; whole processes), about 16 us at k = 200, against about 1.1 us
+# for a unit of the bound.  So the largest system accepted counts
+# 625 000, about 6 s and 240 MiB.
+COLUMN_WEIGHT = 16
 
 
 class CoeffSystemError(ValueError):
@@ -639,6 +649,13 @@ def build_kunneth_system(HY, HZ, i, K_max, cZ=None):
     moves left (identity by default); the structure map inserts the
     degree-0 unit of HZ in the last slot.  HZ must have rank 1 in
     degree 0 (connectedness hypothesis) and cZ must fix the unit.
+
+    F(k) has rank dims[k], the sum over d of rank_d(HY) times the
+    coefficient of t^(i-d) in P(t)^k, P the Poincare polynomial of HZ.
+    Before any basis is built, a system is refused with OrbitSizeError
+    when its columns (of the k - 1 generators of F(k) and the structure
+    map out of it) and its relations checked (comb(k, 2) on F(k)), each
+    weighing COLUMN_WEIGHT, exceed ``braid.DEFAULT_ORBIT_BOUND``.
     """
     if not intmat.is_int(i):
         raise CoeffSystemError(f"degree i must be an integer, got {i!r}")
@@ -651,24 +668,31 @@ def build_kunneth_system(HY, HZ, i, K_max, cZ=None):
     cZ = dict(cZ or {})
     for d, M in cZ.items():
         _check_automorphism(d, M, HZ.rank(d))
-    for d, r in HZ.ranks:
-        cZ.setdefault(d, [[int(a == b) for b in range(r)] for a in range(r)])
-    if cZ[0] != [[1]]:
+    if cZ.get(0, [[1]]) != [[1]]:
         raise CoeffSystemError("cZ must restrict to the identity in degree 0")
+    power, count = {0: 1}, 0  # P(t)^k, truncated above t^i
+    for k in range(K_max + 1):
+        dim = sum(r * power.get(i - d, 0) for d, r in HY.ranks)
+        count += max(k, 1) * dim + comb(k, 2)
+        braid.refuse_above_bound(COLUMN_WEIGHT * count, (
+            f"Kunneth system of {count} columns and relations up to k={k}, "
+            f"weighing {COLUMN_WEIGHT} each, exceeds"))
+        nxt = {}
+        for e, c in power.items():
+            for d, r in HZ.ranks:
+                if e + d <= i:
+                    nxt[e + d] = nxt.get(e + d, 0) + c * r
+        power = nxt
 
     z_degs = HZ.degrees()
-    y_parts = [(d, idx) for d, r in HY.ranks for idx in range(r)]
 
     def basis_of(k):
         out = []
-        for yd, yi in y_parts:
-            rem = i - yd
-            if rem < 0:
-                continue
-            for combo in _degree_tuples(z_degs, k, rem):
-                for idxs in itertools.product(
-                    *[range(HZ.rank(d)) for d in combo]
-                ):
+        for yd, r in HY.ranks:
+            for combo in _degree_tuples(z_degs, k, i - yd):
+                for yi, idxs in itertools.product(
+                    range(r), itertools.product(
+                        *[range(HZ.rank(d)) for d in combo])):
                     out.append(((yd, yi), tuple(zip(combo, idxs))))
         out.sort()
         return out
@@ -684,13 +708,15 @@ def build_kunneth_system(HY, HZ, i, K_max, cZ=None):
             a = slots[gi - 1]
             b = slots[gi]
             sign = -1 if (a[0] * b[0]) % 2 else 1
-            mat = cZ[b[0]]
+            # cZ is the identity in a degree it does not give
+            mat = cZ.get(b[0])
+            images = [(b, 1)] if mat is None else [
+                ((b[0], t), row[b[1]])
+                for t, row in enumerate(mat) if row[b[1]]]
             col = {}
-            for t in range(len(mat)):
-                v = mat[t][b[1]]
-                if v:
-                    new = slots[: gi - 1] + ((b[0], t), a) + slots[gi + 1:]
-                    col[index[k][(y, new)]] = sign * v
+            for moved, v in images:
+                new = slots[: gi - 1] + (moved, a) + slots[gi + 1:]
+                col[index[k][(y, new)]] = sign * v
             cols.append(col)
         return cols
 

@@ -1,7 +1,10 @@
-"""Left-greedy Garside normal forms for braid words.
+"""Permutations of {0..k-1} and the simple braids lifting them.
 
-Words are equal in the braid group iff their normal forms are
-identical, which is the equality oracle behind group-ring arithmetic.
+Every term of a Salvetti boundary is the simple braid lifting a
+permutation, and a simple braid is its own left-greedy Garside normal
+form (Elrifai-Morton), so :func:`form_from_positive_permutation` keys
+each term by its normal form without reducing a word.  The normal forms
+of arbitrary words, the word-problem oracle, live with the tests.
 
 Simple elements are permutations of {0..k-1} in one-line notation.
 Permutations multiply left-to-right: (p * q)(x) = q(p(x)), so a braid
@@ -49,12 +52,6 @@ def left_descents(p):
     return {i for i in range(1, len(p)) if p[i - 1] > p[i]}
 
 
-def right_descents(p):
-    """{i : l(p * s_i) < l(p)}: value i appears before value i-1 (0-based)."""
-    q = perm_inv(p)
-    return {i for i in range(1, len(p)) if q[i - 1] > q[i]}
-
-
 def reduced_word(p):
     """A reduced word (list of 1-based generator indices) for p.
 
@@ -79,26 +76,12 @@ def _delta_word(k):
     return tuple(reduced_word(half_twist(k)))
 
 
-class BraidError(ValueError):
-    pass
-
-
 class GarsideForm(namedtuple("GarsideForm", "strands infimum factors")):
     """Normal form Delta^infimum * factors, hashable and comparable as
     the tuple (strands, infimum, factors); ``factors`` is a tuple of
     simple factors, each a permutation tuple."""
 
     __slots__ = ()
-
-    def is_identity(self):
-        return self.infimum == 0 and not self.factors
-
-    def underlying_permutation(self):
-        k = self.strands
-        p = half_twist(k) if self.infimum % 2 else perm_id(k)
-        for f in self.factors:
-            p = perm_mul(p, f)
-        return p
 
     def to_word_letters(self):
         """Signed letters multiplying out to this element (word order)."""
@@ -114,79 +97,6 @@ class GarsideForm(namedtuple("GarsideForm", "strands infimum factors")):
         for f in self.factors:
             letters.extend((i, 1) for i in reduced_word(f))
         return letters
-
-
-def _tau(p):
-    """Conjugation by Delta: tau(a) = Delta^-1 a Delta, on permutations
-    w0 * p * w0 (w0 is an involution)."""
-    w0 = half_twist(len(p))
-    return perm_mul(w0, perm_mul(p, w0))
-
-
-def _normalize_pair(a, b):
-    """Slide generators from b to a until (a, b) is left-weighted."""
-    k = len(a)
-    changed = False
-    while True:
-        movable = left_descents(b) - right_descents(a)
-        if not movable:
-            return a, b, changed
-        i = min(movable)
-        s = transposition(k, i)
-        a = perm_mul(a, s)
-        b = perm_mul(s, b)
-        changed = True
-
-
-def normal_form(strands, letters):
-    """Left-greedy Garside normal form of a braid word.
-
-    ``letters`` is a sequence of (generator index 1..strands-1, sign).
-    """
-    k = strands
-    if k < 1:
-        raise BraidError("strands must be >= 1")
-    ident = perm_id(k)
-    w0 = half_twist(k)
-    power = 0
-    simples = []
-    for idx, sign in letters:
-        if not 1 <= idx <= k - 1:
-            raise BraidError(f"letter index {idx} out of range for {k} strands")
-        if sign == 1:
-            simples.append(transposition(k, idx))
-        elif sign == -1:
-            # sigma_i^-1 = Delta^-1 * lift(w0 * s_i); push Delta^-1 left
-            power -= 1
-            simples = [_tau(a) for a in simples]
-            simples.append(perm_mul(w0, transposition(k, idx)))
-        else:
-            raise BraidError("letter sign must be +1 or -1")
-
-    simples = [a for a in simples if a != ident]
-    # local normalization passes until globally left-weighted
-    changed = True
-    while changed:
-        changed = False
-        out = []
-        for b in simples:
-            if b == ident:
-                continue
-            if out:
-                a, b, moved = _normalize_pair(out[-1], b)
-                if moved:
-                    changed = True
-                if a == ident:
-                    out.pop()
-                else:
-                    out[-1] = a
-            if b != ident:
-                out.append(b)
-        simples = out
-    while simples and simples[0] == w0:
-        simples.pop(0)
-        power += 1
-    return GarsideForm(k, power, tuple(simples))
 
 
 def form_from_positive_permutation(k, p):

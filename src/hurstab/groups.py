@@ -39,15 +39,18 @@ def _refuse_table(rows, name):
 
 class FiniteGroup:
     """A finite group as its Cayley table, checked on construction: rows
-    and columns are permutations of 0..n-1, 0 is the identity, and the
-    table is associative at every order, so ``inverse`` is read off the
-    rows.  Associativity is Light's test (Clifford-Preston, The
-    Algebraic Theory of Semigroups I, 1961, section 1.2): the elements s
-    with (x s) y = x (s y) for all x and y are closed under products, so
-    it suffices to check them on a generating set S, chosen greedily
-    from :meth:`closure`.  That is n^2 |S| lookups, with |S| <= log2(n)
-    for a group.  The builtins close the rows of their generators into
-    the table with :func:`_table_from_generators` (Cayley's theorem)."""
+    are permutations of 0..n-1, 0 is the identity, and the table is
+    associative at every order, so ``inverse`` is read off the rows.
+    Associativity is Light's test (Clifford-Preston, The Algebraic
+    Theory of Semigroups I, 1961, section 1.2): the elements s with
+    (x s) y = x (s y) for all x and y are closed under products, so it
+    suffices to check them on a generating set S, chosen greedily from
+    :meth:`closure` and kept as ``generators``.  That is n^2 |S|
+    lookups, with |S| <= log2(n) for a group.  The columns need no
+    check: a finite monoid in which every element has a right inverse
+    (row x holds 0) is a group, whose columns are permutations.  The
+    builtins close the rows of their generators into the table with
+    :func:`_table_from_generators` (Cayley's theorem)."""
 
     def __init__(self, table, name="group", element_names=()):
         self.table = t = table
@@ -60,9 +63,6 @@ class FiniteGroup:
         for row in t:
             if len(row) != n or set(row) != rng:
                 raise GroupError("table rows must be permutations of 0..order-1")
-        for col in zip(*t):
-            if set(col) != rng:
-                raise GroupError("table columns must be permutations of 0..order-1")
         for x in range(n):
             if t[0][x] != x or t[x][0] != x:
                 raise GroupError("element 0 must be the identity")
@@ -79,6 +79,7 @@ class FiniteGroup:
             for row_x in t:
                 if t[row_x[s]] != tuple(map(row_x.__getitem__, row_s)):
                     raise GroupError("multiplication is not associative")
+        self.generators = tuple(gens)
         self.inverse = tuple(row.index(0) for row in t)
 
     def mul(self, g, h):
@@ -305,7 +306,10 @@ def conjugacy_closure(elements, group):
 
 
 class ClassSet:
-    """A non-empty, conjugation-closed set of group elements."""
+    """A non-empty, conjugation-closed set of group elements.  Closure is
+    checked under conjugation by the group's generators: every element
+    is a product of them, and conjugation by a product is conjugation by
+    each factor in turn."""
 
     def __init__(self, group, elements):
         self.group = group
@@ -319,8 +323,8 @@ class ClassSet:
         for x in self.elements:
             if not 0 <= x < self.group.order:
                 raise GroupError("class element out of range")
-            for a in self.group.elements():
-                if self.group.conj(a, x) not in self._members:
+            for s in self.group.generators:
+                if self.group.conj(s, x) not in self._members:
                     raise GroupError("class set is not closed under conjugation")
 
     def __len__(self):

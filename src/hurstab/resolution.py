@@ -9,16 +9,19 @@ standard generators {s_1..s_{k-1}}, so rank_j = C(k-1, j), and
                W_{Gamma - tau} in W_Gamma of
                (-1)^(l(beta) + position of tau in Gamma) lift(beta) (Gamma - tau)
 
-with lift(beta) the simple braid of beta, its own normal form.  W_Gamma
-is the direct product of the parabolics of Gamma's maximal runs of
-consecutive generators, so the sum over beta runs over W_B for the run
-B holding tau and depends only on (B, tau); ``salvetti_complex`` reads
-its betas from a shuffle table and reuses each sum, with the sign of
-tau's position, for every Gamma that contains B as a run.  The sign
-convention is validated, not trusted: every specialisation checks the
-composite of consecutive boundaries is exactly zero, and the module
-homology is cross-checked against the Fox presentation complex in
-degrees 0 and 1.
+with lift(beta) the simple braid of beta, its own normal form.  A
+boundary entry is that sum as a plain {simple braid: +-1} dict: no
+product in the group ring is ever formed, so the package needs no
+normal forms of arbitrary words.  W_Gamma is the direct product of the
+parabolics of Gamma's maximal runs of consecutive generators, so the
+sum over beta runs over W_B for the run B holding tau and depends only
+on (B, tau); ``salvetti_complex`` reads its betas from a shuffle table
+and reuses each sum, with the sign of tau's position, for every Gamma
+that contains B as a run.  The sign convention is validated, not
+trusted: every specialisation checks the composite of consecutive
+boundaries is exactly zero, and the test suite checks d^2 = 0 over the
+group ring and cross-checks the module homology against the Fox
+presentation complex in degrees 0 and 1.
 
 Matrix conventions for the integer specialisation: the degree-j matrix
 has shape dims_j x dims_{j-1} (rows are the source basis), acting on
@@ -45,91 +48,14 @@ class ResolutionError(ValueError):
     pass
 
 
-class GroupRingElement:
-    """Element of the integral group ring of B_k, keyed by normal forms."""
-
-    __slots__ = ("strands", "terms")
-
-    def __init__(self, strands, terms=None):
-        self.strands = strands
-        self.terms = {}
-        if terms:
-            for form, coeff in terms.items():
-                if coeff:
-                    self.terms[form] = coeff
-
-    @staticmethod
-    def zero(strands):
-        return GroupRingElement(strands)
-
-    @staticmethod
-    def one(strands):
-        return GroupRingElement(strands, {garside.normal_form(strands, []): 1})
-
-    @staticmethod
-    def from_word(strands, letters, coeff=1):
-        return GroupRingElement(
-            strands, {garside.normal_form(strands, letters): coeff}
-        )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for form, c in other.terms.items():
-            v = out.get(form, 0) + c
-            if v:
-                out[form] = v
-            else:
-                del out[form]
-        return GroupRingElement(self.strands, out)
-
-    def __neg__(self):
-        return GroupRingElement(self.strands, {f: -c for f, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for fa, ca in self.terms.items():
-            wa = fa.to_word_letters()
-            for fb, cb in other.terms.items():
-                prod = garside.normal_form(self.strands, wa + fb.to_word_letters())
-                v = out.get(prod, 0) + ca * cb
-                if v:
-                    out[prod] = v
-                else:
-                    del out[prod]
-        return GroupRingElement(self.strands, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupRingElement)
-            and self.strands == other.strands
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.strands, frozenset(self.terms.items())))
-
-    def is_zero(self):
-        return not self.terms
-
-    def augmentation(self):
-        """Image under the trivial character (all generators -> 1)."""
-        return sum(self.terms.values())
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*{f!r}" for f, c in self.terms.items())
-
-
 class FreeComplex:
     """Free complex over Z[B_k], degrees 0..d_max.
 
     ``boundaries[j]`` (1 <= j <= d_max) is a sparse dict
-    {(row, col): GroupRingElement} of shape ranks[j] x ranks[j-1].
-    ``basis_labels[j]`` names the degree-j basis.
+    {(row, col): entry} of shape ranks[j] x ranks[j-1], each entry a
+    group-ring element as a {simple braid: coefficient} dict keyed by
+    normal forms.  Entries may share one dict, so none is changed in
+    place.  ``basis_labels[j]`` names the degree-j basis.
     """
 
     def __init__(self, strands, d_max, ranks, boundaries, basis_labels,
@@ -140,28 +66,6 @@ class FreeComplex:
         self.boundaries = boundaries
         self.basis_labels = basis_labels
         self.complete = complete
-
-    def boundary_entry(self, j, row, col):
-        return self.boundaries[j].get(
-            (row, col), GroupRingElement.zero(self.strands)
-        )
-
-    def ring_square_is_zero(self):
-        """Whether d_j o d_{j+1} = 0 holds already over the group ring."""
-        for j in range(1, self.d_max):
-            upper = self.boundaries[j + 1]
-            lower = self.boundaries[j]
-            acc = {}
-            for (r, m), elt in upper.items():
-                for (m2, c), elt2 in lower.items():
-                    if m2 != m:
-                        continue
-                    key = (r, c)
-                    prod = elt * elt2
-                    acc[key] = acc.get(key, GroupRingElement.zero(self.strands)) + prod
-            if any(not v.is_zero() for v in acc.values()):
-                return False
-        return True
 
 
 @lru_cache(maxsize=None)
@@ -202,7 +106,8 @@ def salvetti_complex(k, d_max):
     B's length and tau's place in it, shifted to B's first strand.  The
     boundary sum therefore depends only on (B, tau), with the sign of
     tau's position in Gamma on top: each distinct sum is built once per
-    call with both signs, and each permutation is lifted once per call.
+    call with both signs, as two dicts that every entry of that (B, tau)
+    and sign shares, and each permutation is lifted once per call.
     """
     if not 1 <= d_max <= k - 1:
         raise ResolutionError(f"need 1 <= d_max <= k-1, got d_max={d_max}, k={k}")
@@ -225,8 +130,7 @@ def salvetti_complex(k, d_max):
             if beta not in lifts:
                 lifts[beta] = garside.form_from_positive_permutation(k, beta)
             terms[lifts[beta]] = sign
-        plus = GroupRingElement(k, terms)
-        return plus, -plus
+        return terms, {form: -sign for form, sign in terms.items()}
 
     boundaries = {}
     for j in range(1, d_max + 1):
@@ -249,71 +153,6 @@ def salvetti_complex(k, d_max):
         boundaries=boundaries,
         basis_labels=basis_labels,
         complete=(d_max == k - 1),
-    )
-
-
-def _fox_derivatives(strands, letters, gen_count):
-    """Fox derivatives of a signed word, evaluated in the group ring.
-
-    d(uv) = du + u dv; d(x_i)/d(x_j) = delta_ij; d(x^-1) = -x^-1 per
-    generator.  Returns one GroupRingElement per generator.
-    """
-    derivs = [GroupRingElement.zero(strands) for _ in range(gen_count)]
-    prefix = []
-    for idx, sign in letters:
-        if sign == 1:
-            derivs[idx - 1] = derivs[idx - 1] + GroupRingElement.from_word(
-                strands, prefix
-            )
-            prefix = prefix + [(idx, 1)]
-        else:
-            prefix = prefix + [(idx, -1)]
-            derivs[idx - 1] = derivs[idx - 1] - GroupRingElement.from_word(
-                strands, prefix
-            )
-    return derivs
-
-
-def braid_relators(k):
-    """Defining relators of B_k, labelled by the 2-subsets {i, j}."""
-    rels = []
-    for i, j in itertools.combinations(range(1, k), 2):
-        if j == i + 1:
-            word = [(i, 1), (j, 1), (i, 1), (j, -1), (i, -1), (j, -1)]
-        else:
-            word = [(i, 1), (j, 1), (i, -1), (j, -1)]
-        rels.append(((i, j), word))
-    return rels
-
-
-def fox_complex(k):
-    """Presentation complex of B_k with Fox-derivative second boundary.
-
-    Computes H_0 and H_1 exactly for any coefficients; the independent
-    oracle against the Salvetti model.
-    """
-    if k < 2:
-        raise ResolutionError("fox complex needs k >= 2")
-    gens = list(range(1, k))
-    rels = braid_relators(k)
-    basis_labels = [[()], [(i,) for i in gens], [lab for lab, _ in rels]]
-    ranks = [1, len(gens), len(rels)]
-    boundaries = {1: {}, 2: {}}
-    for row, i in enumerate(gens):
-        boundaries[1][(row, 0)] = GroupRingElement.from_word(
-            k, [(i, 1)]
-        ) - GroupRingElement.one(k)
-    for row, (_, word) in enumerate(rels):
-        for col, d in enumerate(_fox_derivatives(k, word, len(gens))):
-            if not d.is_zero():
-                boundaries[2][(row, col)] = d
-    return FreeComplex(
-        strands=k,
-        d_max=2,
-        ranks=ranks,
-        boundaries=boundaries,
-        basis_labels=basis_labels,
-        complete=False,
     )
 
 
@@ -455,7 +294,7 @@ def specialize(complex_, module):
     for j in range(1, complex_.d_max + 1):
         entries = []
         for (row, col), elt in complex_.boundaries[j].items():
-            for form, coeff in elt.terms.items():
+            for form, coeff in elt.items():
                 perm = perm_cache.get(form)
                 if perm is None:
                     perm = module.form_permutation(form)

@@ -9,6 +9,7 @@ import os
 import time
 
 import pytest
+from braid_oracle import fox_complex
 
 from hurstab import braid
 from hurstab import cli
@@ -96,7 +97,7 @@ def test_criterion_3_oracle_equivalence():
             ]
             for module in modules:
                 sal = rs.specialize(rs.salvetti_complex(k, min(2, k - 1)), module)
-                fox = rs.specialize(rs.fox_complex(k), module)
+                fox = rs.specialize(fox_complex(k), module)
                 assert hm.homology(sal, 0) == hm.homology(fox, 0)
                 if k >= 3:
                     assert hm.homology(sal, 1) == hm.homology(fox, 1)

@@ -107,6 +107,21 @@ def test_degree_resource_refusal(monkeypatch):
     assert code == cli.EXIT_RESOURCE
 
 
+def test_kunneth_system_refused_at_once(tmp_path, capsys):
+    # HZ = (1, 1) at i = 1 has rank k at k: up to --kmax 400 that is
+    # over 2.7 GiB and 100 s of build; the guard refuses it at k = 108
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"HZ": [1, 1], "i": 1}))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert cli.run(["degree", "--system", str(path), "--kmax", "400",
+                    "--cutoff", "3", "--out", os.devnull]) == cli.EXIT_RESOURCE
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "resource refusal: Kunneth system of 635688 columns and relations up "
+        "to k=108, weighing 16 each, exceeds the bound 10000000\n")
+
+
 def test_grid_guard_finds_a_far_refusal_at_once(capsys):
     # a singleton class at i_max 0 counts k cells at k, each weighing 16,
     # so the first k past the bound is 10^7 / 16 + 1; it is found
@@ -363,6 +378,18 @@ def test_ragged_tables_exit_65(capsys):
         assert capsys.readouterr().err == (
             "validation error: table rows must be permutations of "
             "0..order-1\n")
+
+
+def test_table_with_a_repeated_column_exits_65(capsys):
+    # permutation rows and identity 0, but column 1 is (1, 0, 0): such a
+    # table is never associative, and is refused as such
+    capsys.readouterr()
+    table = [[0, 1, 2], [1, 0, 2], [2, 0, 1]]
+    assert cli.run(["orbits", "--group", json.dumps({"table": table}),
+                    "--class", "rep:0", "--k", "1",
+                    "--out", os.devnull]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "validation error: multiplication is not associative\n")
 
 
 def test_io_errors_exit_74(tmp_path):

