@@ -45,10 +45,10 @@ from . import braid, intmat
 
 # what a column, or a relation checked, of a Kunneth system weighs
 # against the one resource bound: building, checking and reducing the
-# system took about 8-10 us and 240-380 B a column (HZ = [1, 1] at
-# i = 1 up to k = 120, i = 6 up to k = 20, HZ = [1, 50] at i = 3 and
-# k = 4; whole processes), about 16 us at k = 200, against about 1.1 us
-# for a unit of the bound.  So the largest system accepted counts
+# system took about 8-10 us and 240-380 B a count (HZ = [1, 1] at i = 1
+# up to k = 120, i = 6 up to k = 20, HZ = [1, 50] at i = 3 and k = 4;
+# whole processes), and 3-4 us on systems of rank 0 or 1, against about
+# 1.1 us for a unit of the bound.  So the largest system accepted counts
 # 625 000, about 6 s and 240 MiB.
 COLUMN_WEIGHT = 16
 
