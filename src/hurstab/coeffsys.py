@@ -670,8 +670,9 @@ def build_kunneth_system(HY, HZ, i, K_max, cZ=None):
         _check_automorphism(d, M, HZ.rank(d))
     if cZ.get(0, [[1]]) != [[1]]:
         raise CoeffSystemError("cZ must restrict to the identity in degree 0")
-    power, count = {0: 1}, 0  # P(t)^k, truncated above t^i
+    powers, count = [{0: 1}], 0  # P(t)^k, truncated above t^i
     for k in range(K_max + 1):
+        power = powers[k]
         dim = sum(r * power.get(i - d, 0) for d, r in HY.ranks)
         count += max(k, 1) * dim + comb(k, 2)
         braid.refuse_above_bound(COLUMN_WEIGHT * count, (
@@ -682,14 +683,14 @@ def build_kunneth_system(HY, HZ, i, K_max, cZ=None):
             for d, r in HZ.ranks:
                 if e + d <= i:
                     nxt[e + d] = nxt.get(e + d, 0) + c * r
-        power = nxt
+        powers.append(nxt)
 
     z_degs = HZ.degrees()
 
     def basis_of(k):
         out = []
         for yd, r in HY.ranks:
-            for combo in _degree_tuples(z_degs, k, i - yd):
+            for combo in _degree_tuples(z_degs, k, i - yd, powers):
                 for yi, idxs in itertools.product(
                     range(r), itertools.product(
                         *[range(HZ.rank(d)) for d in combo])):
@@ -747,15 +748,18 @@ def _check_automorphism(d, M, n):
         raise CoeffSystemError(f"cZ in degree {d} is not unimodular")
 
 
-def _degree_tuples(degs, k, total):
-    """All k-tuples over degs summing to total."""
+def _degree_tuples(degs, k, total, powers):
+    """All k-tuples over degs summing to total.  powers[j] holds the
+    coefficients of P(t)^j, which are nonzero exactly at the sums of
+    j-tuples over degs, so every prefix visited extends to a tuple and
+    the walk costs at most k steps a tuple."""
     if k == 0:
         if total == 0:
             yield ()
         return
     for d in degs:
-        if d <= total:
-            for rest in _degree_tuples(degs, k - 1, total - d):
+        if powers[k - 1].get(total - d):
+            for rest in _degree_tuples(degs, k - 1, total - d, powers):
                 yield (d,) + rest
 
 

@@ -122,6 +122,20 @@ def test_kunneth_system_refused_at_once(tmp_path, capsys):
         "to k=108, weighing 16 each, exceeds the bound 10000000\n")
 
 
+def test_kunneth_system_without_a_degree_i_part_builds_at_once(tmp_path):
+    # P(t)^k = (1 + t)^k has no t^50 term below k = 50, so every rank is
+    # 0; the basis walk follows only prefixes that reach degree 50, where
+    # walking every prefix of degree <= 50 took about 2^32 steps
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"HZ": [1, 1], "i": 50}))
+    out = tmp_path / "degree.json"
+    start = time.perf_counter()
+    assert cli.run(["degree", "--system", str(path), "--kmax", "30",
+                    "--cutoff", "3", "--out", str(out)]) == cli.EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(out.read_text())["degree"]["degree"] == -1
+
+
 def test_grid_guard_finds_a_far_refusal_at_once(capsys):
     # a singleton class at i_max 0 counts k cells at k, each weighing 16,
     # so the first k past the bound is 10^7 / 16 + 1; it is found
@@ -369,27 +383,20 @@ def test_out_of_range_representative_exits_65(capsys):
 
 
 def test_ragged_tables_exit_65(capsys):
-    # rows that hold every element but are too long are not a group
+    # rows that hold every element but are too long are not a group, nor
+    # is a table with permutation rows and identity 0 whose column 1 is
+    # (1, 0, 0): such a table is never associative, and is refused as such
     capsys.readouterr()
-    for table in ([[0, 1, 0], [1, 0, 1]], [[0, 0]]):
+    rows = ("validation error: table rows must be permutations of "
+            "0..order-1\n")
+    for table, message in (
+            ([[0, 1, 0], [1, 0, 1]], rows), ([[0, 0]], rows),
+            ([[0, 1, 2], [1, 0, 2], [2, 0, 1]],
+             "validation error: multiplication is not associative\n")):
         assert cli.run(["orbits", "--group", json.dumps({"table": table}),
                         "--class", "rep:0", "--k", "1..2",
                         "--out", os.devnull]) == cli.EXIT_VALIDATION, table
-        assert capsys.readouterr().err == (
-            "validation error: table rows must be permutations of "
-            "0..order-1\n")
-
-
-def test_table_with_a_repeated_column_exits_65(capsys):
-    # permutation rows and identity 0, but column 1 is (1, 0, 0): such a
-    # table is never associative, and is refused as such
-    capsys.readouterr()
-    table = [[0, 1, 2], [1, 0, 2], [2, 0, 1]]
-    assert cli.run(["orbits", "--group", json.dumps({"table": table}),
-                    "--class", "rep:0", "--k", "1",
-                    "--out", os.devnull]) == cli.EXIT_VALIDATION
-    assert capsys.readouterr().err == (
-        "validation error: multiplication is not associative\n")
+        assert capsys.readouterr().err == message, table
 
 
 def test_io_errors_exit_74(tmp_path):

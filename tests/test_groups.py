@@ -465,5 +465,3 @@ def test_tables_without_the_column_check():
             counts[n, accepted] = counts.get((n, accepted), 0) + 1
     assert counts == {(1, True): 1, (2, True): 1, (3, True): 1, (3, False): 3,
                       (4, True): 4, (4, False): 212}
-    with pytest.raises(GroupError, match="not associative"):
-        FiniteGroup.from_table([[0, 1, 2], [1, 0, 2], [2, 0, 1]])
