@@ -14,21 +14,18 @@ from .braid import (  # noqa: F401
     HurwitzTuple,
     hurwitz_act,
     orbits,
-    sigma_k,
     stabilize_tuple,
     total_product,
-    v_k_l,
 )
 from .coeffsys import (  # noqa: F401
     CoeffSystem,
     GradedModule,
     build_hurwitz_system,
     build_kunneth_system,
-    check_extension,
     degree,
     delta,
 )
-from .experiments import h0_table, split_audit, stability_table  # noqa: F401
+from .experiments import h0_table, stability_table  # noqa: F401
 from .groups import ClassSet, FiniteGroup, conjugacy_closure  # noqa: F401
 # the homology OPERATION stays at hurstab.homology.homology so the
 # top-level name keeps pointing at the submodule

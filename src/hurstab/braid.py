@@ -75,18 +75,6 @@ class BraidWord:
         )
 
 
-def sigma_k(w):
-    """Inclusion B_k -> B_{k+1} fixing the new last strand."""
-    return BraidWord(w.strands + 1, w.letters)
-
-
-def v_k_l(w, k):
-    """B_l -> B_{k+l}: shift every letter index by k."""
-    return BraidWord(
-        w.strands + k, tuple((i + k, s) for i, s in w.letters)
-    )
-
-
 class HurwitzTuple:
     def __init__(self, classes, entries):
         for g in entries:

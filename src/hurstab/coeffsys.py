@@ -10,8 +10,8 @@ action convention.  A matrix is stored in one of two forms (see
 :class:`CoeffSystem`): :class:`UnitColumns`, flat ``rows`` and ``signs``
 lists, or sparse column dicts ``{row: value}``; :func:`as_matrix` picks
 the form, and :func:`compose`, which takes either, is the one way the
-module reads a map: the braid relations, naturality, the extension
-check and every map induced on cokernels are composites.
+module reads a map: the braid relations, naturality and every map
+induced on cokernels are composites.
 
 Every system is made by :meth:`CoeffSystem.build` from its forward
 generators and structure maps, checking the braid relations by
@@ -51,6 +51,15 @@ from . import braid, intmat
 # 1.1 us for a unit of the bound.  So the largest system accepted counts
 # 625 000, about 6 s and 240 MiB.
 COLUMN_WEIGHT = 16
+
+# what a relation checked on a Hurwitz system weighs against the one
+# resource bound, beside its columns, which weigh 1: the braid,
+# commuting and inverse relations of F(k) are about comb(k, 2) checks,
+# and on a singleton class, whose columns cost almost nothing, building
+# and checking the system took about 1.9 us a check (kmax 200 and 300,
+# whole processes), against about 1.1 us for a unit of the bound.  So a
+# singleton class is accepted up to kmax 309, about 10 s.
+RELATION_WEIGHT = 2
 
 
 class CoeffSystemError(ValueError):
@@ -198,13 +207,12 @@ class CoeffSystem:
     computes one; ``structs[k]`` is I_k for 0 <= k <= K_max - 1.
     ``dims[k]`` is the rank of F(k).  A matrix is stored as
     :class:`UnitColumns` when each of its columns is empty or one +1 or
-    -1 entry, as every matrix of a Hurwitz, ``linearize``, constant or
-    identity-cZ Kunneth system, their sums, tensors and differences is;
-    only a matrix with a column of two or more entries (or another
-    value) keeps sparse columns ``{row: value}``, as those of a
-    non-permutation cZ and of the generic Smith-form cokernel do.  Both
-    forms store no zero entry, so a matrix has one stored form and
-    ``==`` compares matrices.
+    -1 entry, as every matrix of a Hurwitz or identity-cZ Kunneth
+    system and of their differences is; only a matrix with a column of
+    two or more entries (or another value) keeps sparse columns ``{row:
+    value}``, as those of a non-permutation cZ and of the generic
+    Smith-form cokernel do.  Both forms store no zero entry, so a matrix
+    has one stored form and ``==`` compares matrices.
     """
 
     def __init__(self, K_max, dims, gens, gen_invs, structs, name="system"):
@@ -317,89 +325,25 @@ def build_hurwitz_system(group, classes, g_hat, K_max):
     Built by :func:`pair_table_system` from the Hurwitz pair tables of
     sign +1 and -1 (:func:`braid.hurwitz_pairs`), a tuple coded by the
     positions of its entries in the class set, as in
-    ``resolution.HurwitzModule``.  The k-1 generators of B_k and their
-    inverses hold |c|^k columns each; a system with more of them up to
-    K_max than ``braid.DEFAULT_ORBIT_BOUND`` is refused with
-    OrbitSizeError before any matrix is built."""
+    ``resolution.HurwitzModule``.  Before any matrix is built, a system
+    is refused with OrbitSizeError when its columns (the k-1 generators
+    of B_k and their inverses hold |c|^k each) plus RELATION_WEIGHT
+    times its relations checked (comb(k, 2) on F(k)) exceed
+    ``braid.DEFAULT_ORBIT_BOUND``."""
     if g_hat not in classes:
         raise CoeffSystemError("stabiliser element must lie in the class set")
-    count = 0
+    columns = relations = 0
     for k in range(2, K_max + 1):
-        count += 2 * (k - 1) * len(classes) ** k
-        braid.refuse_above_bound(
-            count, f"generator and inverse columns {count} up to k={k} exceed")
+        columns += 2 * (k - 1) * len(classes) ** k
+        relations += comb(k, 2)
+        braid.refuse_above_bound(columns + RELATION_WEIGHT * relations, (
+            f"Hurwitz system of {columns} columns and {relations} relations "
+            f"up to k={k}, relations weighing {RELATION_WEIGHT} each, exceeds"))
     return pair_table_system(
         (braid.hurwitz_pairs(classes, 1), braid.hurwitz_pairs(classes, -1)),
         len(classes.elements), classes.elements.index(g_hat), K_max,
         name=f"hurwitz({group.name}, |c|={len(classes)})",
     )
-
-
-# ---------------------------------------------------------------------------
-# extension criterion
-
-
-class ExtensionReport:
-    def __init__(self, passed, cells, failure=None):
-        self.passed = passed
-        self.cells = cells
-        self.failure = failure
-
-    def to_json(self):
-        return {
-            "passed": self.passed,
-            "cells": self.cells,
-            "failure": self.failure,
-        }
-
-
-def _first_difference(lhs, rhs):
-    """The first column where two matrices differ, or None."""
-    if lhs == rhs:
-        return None
-    return next((t for t, (a, b) in enumerate(zip(columns(lhs), columns(rhs)))
-                 if a != b), None)
-
-
-def check_extension(system, ell_max=3):
-    """Verify the two extension-criterion diagrams on every generator.
-
-    Diagram (a): I_k o T(alpha) = T(sigma_k(alpha)) o I_k for alpha in
-    B_k.  Diagram (b): T(v_k^ell(beta)) o I_k^ell = I_k^ell for beta in
-    B_ell, with I_k^ell = I_{k+ell-1} o ... o I_k.  T of a word is the
-    product of its letters' matrices, so each diagram holds for every
-    word exactly when it holds for each letter sigma_i^+-1, and only the
-    letters are checked, each by comparing two composites
-    (:func:`compose`).  Reports the first failing (k, ell, one-letter
-    word, basis vector): the basis vector is the first column where the
-    two composites differ.
-    """
-    cells = []
-    for k in range(2, system.K_max):
-        struct = system.structs[k]
-        for i, sign in itertools.product(range(1, k), (1, -1)):
-            t = _first_difference(
-                compose(struct, system.generator(k, i, sign)),
-                compose(system.generator(k + 1, i, sign), struct))
-            if t is not None:
-                return ExtensionReport(False, cells, {
-                    "diagram": "a", "k": k, "word": [i * sign], "basis": t})
-        cells.append({"diagram": "a", "k": k, "checked": 2 * (k - 1)})
-    for ell in range(2, ell_max + 1):
-        for k in range(0, system.K_max - ell + 1):
-            iterated = system.structs[k]
-            for struct in system.structs[k + 1:k + ell]:
-                iterated = compose(struct, iterated)
-            for i, sign in itertools.product(range(1, ell), (1, -1)):
-                t = _first_difference(compose(
-                    system.generator(k + ell, k + i, sign), iterated), iterated)
-                if t is not None:
-                    return ExtensionReport(False, cells, {
-                        "diagram": "b", "k": k, "ell": ell,
-                        "word": [i * sign], "basis": t})
-            cells.append(
-                {"diagram": "b", "k": k, "ell": ell, "checked": 2 * (ell - 1)})
-    return ExtensionReport(passed=True, cells=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +417,8 @@ def _induced(src, tgt, mat, where):
 
 
 class DeltaResult:
-    def __init__(self, system, objectwise_split, naturally_split):
+    def __init__(self, system, naturally_split):
         self.system = system
-        self.objectwise_split = objectwise_split
         self.naturally_split = naturally_split
 
 
@@ -528,11 +471,7 @@ def delta(system):
         name=f"delta({system.name})",
         validate=False,
     )
-    return DeltaResult(
-        system=out,
-        objectwise_split=True,
-        naturally_split=naturally_split,
-    )
+    return DeltaResult(system=out, naturally_split=naturally_split)
 
 
 class DegreeReport:
@@ -762,74 +701,3 @@ def _degree_tuples(degs, k, total, powers):
             for rest in _degree_tuples(degs, k - 1, total - d, powers):
                 yield (d,) + rest
 
-
-# ---------------------------------------------------------------------------
-# direct sums and tensor products
-
-
-def direct_sum(a, b):
-    K = min(a.K_max, b.K_max)
-    dims = [a.dims[k] + b.dims[k] for k in range(K + 1)]
-
-    def stack(mat_a, mat_b, off):
-        out = [dict(c) for c in columns(mat_a)]
-        for c in columns(mat_b):
-            out.append({r + off: v for r, v in c.items()})
-        return out
-
-    gens = []
-    for k in range(K + 1):
-        gens.append(
-            [
-                stack(a.gens[k][i], b.gens[k][i], a.dims[k])
-                for i in range(k - 1)
-            ]
-        )
-    structs = [
-        stack(a.structs[k], b.structs[k], a.dims[k + 1]) for k in range(K)
-    ]
-    return CoeffSystem.build(
-        K, dims, gens, structs, name=f"({a.name})+({b.name})", validate=False
-    )
-
-
-def tensor(a, b):
-    K = min(a.K_max, b.K_max)
-    dims = [a.dims[k] * b.dims[k] for k in range(K + 1)]
-
-    def kron(mat_a, mat_b, rows_b):
-        cols_a, cols_b = columns(mat_a), columns(mat_b)
-        n_a, n_b = len(cols_a), len(cols_b)
-        out = []
-        for ja in range(n_a):
-            for jb in range(n_b):
-                col = {}
-                for ra, va in cols_a[ja].items():
-                    for rb, vb in cols_b[jb].items():
-                        col[ra * rows_b + rb] = va * vb
-                out.append(col)
-        return out
-
-    gens = []
-    for k in range(K + 1):
-        gens.append(
-            [
-                kron(a.gens[k][i], b.gens[k][i], b.dims[k])
-                for i in range(k - 1)
-            ]
-        )
-    structs = [
-        kron(a.structs[k], b.structs[k], b.dims[k + 1]) for k in range(K)
-    ]
-    return CoeffSystem.build(
-        K, dims, gens, structs, name=f"({a.name})x({b.name})", validate=False
-    )
-
-
-def constant_system(K_max, rank=1, name="constant"):
-    dims = [rank] * (K_max + 1)
-    gens = [[identity(rank) for _ in range(max(k - 1, 0))]
-            for k in range(K_max + 1)]
-    structs = [identity(rank) for _ in range(K_max)]
-    return CoeffSystem.build(K_max, dims, gens, structs, name=name,
-                             validate=False)

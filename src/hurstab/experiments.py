@@ -276,39 +276,6 @@ def h0_table(group, classes, g_hat, k_max):
     )
 
 
-class SplitAudit:
-    def __init__(self, flags, asserted, violations):
-        self.flags = flags  # (k, i) -> bool
-        self.asserted = asserted
-        self.violations = violations
-
-    def to_json(self):
-        return {
-            "flags": {f"{k},{i}": v for (k, i), v in sorted(self.flags.items())},
-            "asserted": self.asserted,
-            "violations": self.violations,
-        }
-
-
-def split_audit(report):
-    """Split-injectivity flags for every map in a Z-grid report.
-
-    Asserted (violations collected) when |c| = 1, where the classical
-    split-injectivity claim applies; reported without assertion
-    otherwise.
-    """
-    if report.coeff != "Z":
-        raise ValueError("split audit requires a Z-coefficient report")
-    flags = {}
-    violations = []
-    asserted = len(report.class_elements) == 1
-    for (k, i), m in sorted(report.maps.items()):
-        flags[(k, i)] = m.is_split_injective
-        if asserted and not m.is_split_injective:
-            violations.append({"k": k, "i": i})
-    return SplitAudit(flags=flags, asserted=asserted, violations=violations)
-
-
 def universal_coefficient_check(z_report, f_report, p):
     """The rank identity dim_Fp H_i = rank H_i + #{p | torsion of H_i}
     + #{p | torsion of H_{i-1}}, asserted cellwise."""

@@ -28,7 +28,6 @@ import itertools
 import math
 
 from . import braid
-from .coeffsys import pair_table_system
 from .intmat import is_int
 
 
@@ -382,13 +381,3 @@ def check_model(model, samples, seed):
                     failures.append({"kind": "blank_fill", "m": m, "n": n})
     return checks, failures
 
-
-def linearize(model, K_max):
-    """The H_0 shadow: free modules on state tuples with the
-    transposition action of total unlabeled injections, feeding the
-    degree machinery: sigma_i swaps the states at i and i+1, and the
-    structure map appends the basepoint."""
-    z = model.states
-    swap = [b * z + a for a in range(z) for b in range(z)]
-    return pair_table_system((swap, swap), z, model.basepoint, K_max,
-                             name=f"linearized(|Z|={z})")

@@ -263,20 +263,6 @@ class IntegerComplex:
                     "sign convention or action bug"
                 )
 
-    def to_json(self):
-        return {
-            "dims": list(self.dims),
-            "complete": self.complete,
-            "matrices": {
-                str(j): sorted(
-                    [i, c, v]
-                    for i, row in self.mats[j].items()
-                    for c, v in row.items()
-                )
-                for j in range(1, self.top_degree + 1)
-            },
-        }
-
 
 def specialize(complex_, module):
     """Specialise a free complex at a coefficient module.

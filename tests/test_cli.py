@@ -107,6 +107,22 @@ def test_degree_resource_refusal(monkeypatch):
     assert code == cli.EXIT_RESOURCE
 
 
+def test_hurwitz_system_refused_at_once(capsys):
+    # a singleton class has one column per generator, but comb(k, 2)
+    # relations checked at k: up to --kmax 400 that is about 20 s of
+    # checks; the guard refuses it at k = 310
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert cli.run(["degree", "--group", "cyclic:2", "--class", "elems:[1]",
+                    "--kmax", "400", "--cutoff", "3",
+                    "--out", os.devnull]) == cli.EXIT_RESOURCE
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "resource refusal: Hurwitz system of 95790 columns and 4965115 "
+        "relations up to k=310, relations weighing 2 each, exceeds the "
+        "bound 10000000\n")
+
+
 def test_kunneth_system_refused_at_once(tmp_path, capsys):
     # HZ = (1, 1) at i = 1 has rank k at k: up to --kmax 400 that is
     # over 2.7 GiB and 100 s of build; the guard refuses it at k = 108

@@ -120,17 +120,6 @@ def test_h0_consistency_with_homology_grid():
         assert rep.maps[(k, 0)].is_injective == table.map_injective[k]
 
 
-def test_split_audit(z2_grid):
-    audit = xp.split_audit(z2_grid)
-    assert audit.asserted
-    assert audit.violations == []
-    assert all(audit.flags.values())
-    with pytest.raises(ValueError):
-        xp.split_audit(
-            xp.stability_table(Z2, CENTRAL, 1, i_max=0, k_max=3, coeff=hm.Q)
-        )
-
-
 def test_resource_refusal(monkeypatch):
     # i1/k3: (1 + 2 + 1) Salvetti cells times 3^3 tuples at k = 3, each
     # weighing CELL_WEIGHT (16)

@@ -378,12 +378,3 @@ def test_point_complex():
     assert hm.homology(P, 0) == hm.HomologyGroup(3)
     assert hm.homology(P, 1) == hm.HomologyGroup(0)
 
-
-def test_integer_complex_json_export():
-    IC = R.specialize(R.salvetti_complex(3, 2), R.TrivialModule(3, 1))
-    doc = IC.to_json()
-    assert doc["dims"] == [1, 2, 1]
-    assert set(doc["matrices"]) == {"1", "2"}
-    # entries are coordinate triples
-    for triple in doc["matrices"]["2"]:
-        assert len(triple) == 3
