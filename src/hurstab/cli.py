@@ -5,6 +5,11 @@ Exit codes: 0 success, 2 assertion failure, 3 resource refusal,
 
 `homology` is `stability` without the cache and without exit code 2.
 
+Every flag is declared once, in COMMANDS: the canonical `--flag value`
+argv is read straight from that table, and any other argv (help,
+`--version`, errors, abbreviations, `--flag=value`, `--config`) goes to
+the argparse parser built from it, which is imported only then.
+
 Braid words are serialized as signed integer lists, e.g. [1, -2, 1]
 for sigma_1 sigma_2^-1 sigma_1, with the LEFTMOST letter acting LAST
 (letters compose as left actions, rightmost first).  Reports embed the
@@ -15,11 +20,11 @@ output byte.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from . import coeffsys as cs
@@ -223,7 +228,8 @@ class ResultCache:
         }
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(wrapped, fh, sort_keys=True)
+            # json.dump always runs the pure-Python encoder; dumps is C
+            fh.write(json.dumps(wrapped, sort_keys=True))
         os.replace(tmp, path)
 
 
@@ -487,9 +493,110 @@ def cmd_selftest(args):
 
 # ---------------------------------------------------------------------------
 # argument wiring
+#
+# Each command's flags are declared once, as (option, add_argument
+# keywords), in COMMANDS: name -> (help, flags, handler).  read_canonical
+# reads the canonical argv straight from it; build_parser builds the
+# argparse parser that handles every other argv from it too.
+
+COMMON_FLAGS = (
+    ("--config", {"help": "JSON file of flag defaults; explicit flags win"}),
+    ("--group", {"help": "sym:N | cyclic:N | dihedral:N | quaternion | JSON"}),
+    ("--class", {"dest": "class_spec", "help": "rep:<elt> | elems:[...] | JSON"}),
+    ("--out", {"help": "output path (default stdout)"}),
+    ("--format", {"choices": ("tsv", "json"), "default": "tsv"}),
+    ("--workers", {"type": int, "default": 1,
+                   "help": "accepted for existing scripts; only 1"}),
+)
+GRID_FLAGS = COMMON_FLAGS + (
+    ("--stabiliser", {}),
+    ("--kmax", {"type": int,
+                "help": "default: 9 when |c| = 1, 6 when |c| <= 3"}),
+    ("--imax", {"type": int,
+                "help": "default: 2 when |c| = 1, 1 when |c| <= 3"}),
+    ("--coeff", {"default": "Z", "help": "Z | Q | Fp:<p>"}),
+)
+COMMANDS = {
+    "orbits": ("Hurwitz orbit counts", COMMON_FLAGS + (
+        ("--k", {"required": True, "help": "single k or range a..b"}),
+    ), cmd_orbits),
+    "homology": ("homology grid without cache", GRID_FLAGS, cmd_grid),
+    "stability": ("stability report with assertions", GRID_FLAGS + (
+        ("--cache", {"action": "store_true", "default": True}),
+        ("--no-cache", {"dest": "cache", "action": "store_false"}),
+        ("--cache-dir", {}),
+    ), cmd_grid),
+    "degree": ("degree of a coefficient system", (
+        ("--config", {}),
+        ("--group", {}),
+        ("--class", {"dest": "class_spec"}),
+        ("--stabiliser", {}),
+        ("--system", {"help": "JSON file for a synthetic system "
+                              "(overrides --group)"}),
+        ("--kmax", {"type": int, "required": True}),
+        ("--cutoff", {"type": int, "default": 4}),
+        ("--out", {}),
+        ("--format", {"choices": ("tsv", "json"), "default": "json"}),
+    ), cmd_degree),
+    "monodromy-check": ("labeled-injection validation", (
+        ("--model", {"help": "JSON model file"}),
+        ("--samples", {"type": int, "default": 1000}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--out", {}),
+    ), cmd_monodromy_check),
+    "selftest": ("run the documented oracle checks", (
+        ("--out", {}),
+    ), cmd_selftest),
+}
+
+
+def read_canonical(argv):
+    """The namespace argparse gives ``argv``, read straight from COMMANDS
+    when ``argv`` is canonical, else None.  Canonical: a command, then
+    exact flags of it (not ``-h``, ``--help`` or ``--config``), a store
+    flag without a value and every other flag with one value that does
+    not start with ``-``, converts by its ``type`` and is one of its
+    ``choices``, and every required flag given.  A repeated flag keeps
+    its last value, as in argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, flags, fn = COMMANDS[argv[0]]
+    args = {"command": argv[0], "fn": fn}
+    specs = {}
+    for option, kw in flags:
+        dest = kw.get("dest") or option[2:].replace("-", "_")
+        # flags sharing a dest take the first one's default, as in argparse
+        args.setdefault(dest, kw.get("default"))
+        if option != "--config":
+            specs[option] = dest, kw
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in specs:
+            return None
+        dest, kw = specs[token]
+        given.add(token)
+        if "action" in kw:
+            args[dest] = kw["action"] == "store_true"
+            continue
+        value = next(tokens, "-")  # so a missing value declines too
+        if value.startswith("-"):
+            return None
+        try:
+            value = kw.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in kw.get("choices", (value,)):
+            return None
+        args[dest] = value
+    if any(kw.get("required") and option not in given for option, kw in flags):
+        return None
+    return SimpleNamespace(**args)
 
 
 def build_parser():
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="hurstab",
         description=(
@@ -499,64 +606,11 @@ def build_parser():
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", default=None,
-                       help="JSON file of flag defaults; explicit flags win")
-        p.add_argument("--group", default=None,
-                       help="sym:N | cyclic:N | dihedral:N | quaternion | JSON")
-        p.add_argument("--class", dest="class_spec", default=None,
-                       help="rep:<elt> | elems:[...] | JSON")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-        p.add_argument("--workers", type=int, default=1,
-                       help="accepted for existing scripts; only 1")
-
-    p = sub.add_parser("orbits", help="Hurwitz orbit counts")
-    common(p)
-    p.add_argument("--k", required=True, help="single k or range a..b")
-    p.set_defaults(fn=cmd_orbits)
-
-    for name, text in (("homology", "homology grid without cache"),
-                       ("stability", "stability report with assertions")):
+    for name, (text, flags, fn) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        common(p)
-        p.add_argument("--stabiliser", default=None)
-        p.add_argument("--kmax", type=int, default=None,
-                       help="default: 9 when |c| = 1, 6 when |c| <= 3")
-        p.add_argument("--imax", type=int, default=None,
-                       help="default: 2 when |c| = 1, 1 when |c| <= 3")
-        p.add_argument("--coeff", default="Z", help="Z | Q | Fp:<p>")
-        p.set_defaults(fn=cmd_grid)
-        if name == "stability":
-            p.add_argument("--cache", dest="cache", action="store_true",
-                           default=True)
-            p.add_argument("--no-cache", dest="cache", action="store_false")
-            p.add_argument("--cache-dir", default=None)
-
-    p = sub.add_parser("degree", help="degree of a coefficient system")
-    p.add_argument("--config", default=None)
-    p.add_argument("--group", default=None)
-    p.add_argument("--class", dest="class_spec", default=None)
-    p.add_argument("--stabiliser", default=None)
-    p.add_argument("--system", default=None,
-                   help="JSON file for a synthetic system (overrides --group)")
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--cutoff", type=int, default=4)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("tsv", "json"), default="json")
-    p.set_defaults(fn=cmd_degree)
-
-    p = sub.add_parser("monodromy-check", help="labeled-injection validation")
-    p.add_argument("--model", default=None, help="JSON model file")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_monodromy_check)
-
-    p = sub.add_parser("selftest", help="run the documented oracle checks")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_selftest)
+        for option, kw in flags:
+            p.add_argument(option, **kw)
+        p.set_defaults(fn=fn)
     ap._subcommands = sub.choices
     return ap
 
@@ -594,13 +648,22 @@ def _apply_config(path, parser):
         parser.set_defaults(**{action.dest: value})
 
 
-def run(argv):
-    ap = build_parser()
-    try:
+def parse_argv(argv):
+    """The parsed namespace: read directly when ``argv`` is canonical,
+    else by argparse, with the ``--config`` file's defaults applied."""
+    args = read_canonical(argv)
+    if args is None:
+        ap = build_parser()
         args = ap.parse_args(argv)
         if getattr(args, "config", None) is not None:
             _apply_config(args.config, ap._subcommands[args.command])
             args = ap.parse_args(argv)
+    return args
+
+
+def run(argv):
+    try:
+        args = parse_argv(argv)
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO

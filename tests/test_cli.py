@@ -29,6 +29,22 @@ def test_cli_import_loads_no_code_generation_modules():
     assert out.stdout == "[]\n"
 
 
+def test_canonical_argv_loads_no_argparse():
+    # start-up cost: building the argparse parsers and the locale import
+    # of argparse's first message take about 3 ms of each call, so the
+    # canonical argv is read straight from the flag table
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import hurstab.cli; "
+             "loaded = lambda: sorted({'argparse', 'locale'} & "
+             "sys.modules.keys()); print(loaded()); "
+             "hurstab.cli.parse_argv(['stability', '--group', 'sym:3', "
+             "'--class', 'rep:1', '--kmax', '2', '--no-cache']); "
+             "print(loaded())")
+    out = subprocess.run([sys.executable, "-S", "-c", probe],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n[]\n"
+
+
 def test_selftest_passes(tmp_path):
     code, body = run_to_file(tmp_path, "self.json", ["selftest"])
     assert code == cli.EXIT_OK
