@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from array import array
 
-# the one resource bound: every size guard reads it at call time
+# the one resource bound (a unit is about 1.1 us of work), read at call time
 DEFAULT_ORBIT_BOUND = 10_000_000
 
 

@@ -205,10 +205,7 @@ class ResultCache:
         try:
             with open(path, encoding="utf-8") as fh:
                 wrapped = json.load(fh)
-            blob = json.dumps(
-                wrapped["payload"], sort_keys=True, separators=(",", ":")
-            )
-            if hashlib.sha256(blob.encode()).hexdigest() != wrapped["checksum"]:
+            if self.key_of(wrapped["payload"]) != wrapped["checksum"]:
                 return None
             return wrapped["payload"]
         except (OSError, ValueError, KeyError):
@@ -221,11 +218,7 @@ class ResultCache:
         if os.path.exists(path) and self.get(key) is not None:
             return  # write-once
         os.makedirs(self.root, exist_ok=True)
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        wrapped = {
-            "checksum": hashlib.sha256(blob.encode()).hexdigest(),
-            "payload": payload,
-        }
+        wrapped = {"checksum": self.key_of(payload), "payload": payload}
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             # json.dump always runs the pure-Python encoder; dumps is C
@@ -419,7 +412,7 @@ def cmd_monodromy_check(args):
             sign=(1, -1),
             reflection=(0, 2, 1),
         )
-    checks, failures = md.check_model(model, args.samples, args.seed)
+    checks, failures = md.check_model(model, args.samples)
     doc = {
         "config": resolved_config(args, ["model", "seed", "samples"]),
         "checks": checks,
@@ -654,10 +647,19 @@ def parse_argv(argv):
     args = read_canonical(argv)
     if args is None:
         ap = build_parser()
-        args = ap.parse_args(argv)
+        args = _parse_command(ap, argv)
         if getattr(args, "config", None) is not None:
             _apply_config(args.config, ap._subcommands[args.command])
-            args = ap.parse_args(argv)
+            args = _parse_command(ap, argv)
+    return args
+
+
+def _parse_command(ap, argv):
+    """``ap.parse_args(argv)``, reporting unknown tokens by the command."""
+    args, extra = ap.parse_known_args(argv)
+    if extra:
+        ap._subcommands[args.command].error(
+            f"unrecognized arguments: {' '.join(extra)}")
     return args
 
 

@@ -48,8 +48,8 @@ from . import braid, intmat
 # system took about 8-10 us and 240-380 B a count (HZ = [1, 1] at i = 1
 # up to k = 120, i = 6 up to k = 20, HZ = [1, 50] at i = 3 and k = 4;
 # whole processes), and 3-4 us on systems of rank 0 or 1, against about
-# 1.1 us for a unit of the bound.  So the largest system accepted counts
-# 625 000, about 6 s and 240 MiB.
+# 1.1 us of work for a unit of the bound.  So the largest system
+# accepted counts 625 000, about 6 s and 240 MiB.
 COLUMN_WEIGHT = 16
 
 # what a relation checked on a Hurwitz system weighs against the one
@@ -57,8 +57,8 @@ COLUMN_WEIGHT = 16
 # commuting and inverse relations of F(k) are about comb(k, 2) checks,
 # and on a singleton class, whose columns cost almost nothing, building
 # and checking the system took about 1.9 us a check (kmax 200 and 300,
-# whole processes), against about 1.1 us for a unit of the bound.  So a
-# singleton class is accepted up to kmax 309, about 10 s.
+# whole processes), against about 1.1 us of work for a unit of the
+# bound.  So a singleton class is accepted up to kmax 309, about 10 s.
 RELATION_WEIGHT = 2
 
 

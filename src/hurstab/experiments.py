@@ -32,10 +32,10 @@ SURJ_OFFSET = {"Z": 2, "field": 0}
 # what a cell of a specialised complex weighs against the one resource
 # bound: a grid spends about 18 us and 1.3 KiB per cell of its largest
 # complex (sym:3 transpositions, i1/k9 and i1/k10 over Z, whole process),
-# against about 1.1 us for a unit of the bound (a blank-fill tuple of
-# monodromy-check).  So the largest grid accepted has 625 000 cells,
-# about 11 s and 800 MiB; i1/k8 (190 269 cells, about 4 s) is accepted
-# and i1/k9 (728 271 cells, 13 s and 900 MiB) is refused.
+# against about 1.1 us of work for a unit of the bound.  So the largest
+# grid accepted has 625 000 cells, about 11 s and 800 MiB; i1/k8
+# (190 269 cells, about 4 s) is accepted and i1/k9 (728 271 cells, 13 s
+# and 900 MiB) is refused.
 CELL_WEIGHT = 16
 
 

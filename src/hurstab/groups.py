@@ -19,9 +19,9 @@ SUBGROUP_ORDER_BOUND = 48
 # only a command's set-up, before the work it counts against the same
 # bound, so it may take a tenth of it.  An entry costs about 0.2 us and
 # 8 B to build and check (cyclic:1000 and dihedral:500; about 0.45 us
-# in sym:6, which checks more generators), under a unit of the bound, so
-# 1000 rows is the largest table: cyclic:1000 and dihedral:500 each
-# build in about 0.3 s and 27 MiB as whole processes.
+# in sym:6, which checks more generators), under the 1.1 us of work of a
+# unit of the bound, so 1000 rows is the largest table: cyclic:1000 and
+# dihedral:500 each build in about 0.3 s and 27 MiB as whole processes.
 ENTRY_WEIGHT = 10
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -515,6 +516,24 @@ def test_cache_corruption_recovers(tmp_path):
     assert code2 == cli.EXIT_OK and body1 == body2
 
 
+def test_cache_entry_checksum_is_the_payload_key(tmp_path):
+    # put writes key_of(payload), the sha256 of its compact sorted JSON,
+    # as the checksum, and get checks the payload against it
+    cache = cli.ResultCache(str(tmp_path))
+    payload = {"b": [1, 2], "a": {"y": None, "x": "z"}}
+    key = cli.ResultCache.key_of(payload)
+    assert key == hashlib.sha256(json.dumps(
+        payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    cache.put("entry", payload)
+    raw = (tmp_path / "entry.json").read_text()
+    wrapped = {"checksum": key, "payload": payload}
+    assert raw == json.dumps(wrapped, sort_keys=True)
+    assert cache.get("entry") == payload
+    (tmp_path / "entry.json").write_text(
+        json.dumps({**wrapped, "checksum": "0" * 64}))
+    assert cache.get("entry") is None
+
+
 def test_stability_tsv_output(tmp_path):
     code, body = run_to_file(
         tmp_path, "st.tsv",
@@ -627,39 +646,70 @@ def test_monodromy_check(tmp_path):
             md.compose(chi, md.compose(psi, phi, group), group)
 
 
-def test_monodromy_check_refuses_large_models(tmp_path):
-    # blank fill would act on about 10^8 state tuples; the refusal
-    # comes before any enumeration
-    model = tmp_path / "big.json"
-    model.write_text(json.dumps(
-        {"group": {"builtin": {"family": "cyclic", "n": 2}}, "states": 300,
-         "action": [list(range(300))] * 2, "sign": [1, 1],
-         "reflection": list(range(300))}))
+def test_monodromy_check_refuses_large_models(tmp_path, capsys):
+    # blank fill decides 4 * (1 + 300 + 300^2 + 300^3) state tuples from
+    # one tuple per pair of objects, so 300 states over cyclic:2 run to
+    # a report; 3 000 000 states are refused by the action check, before
+    # the rows are read
+    def model_file(name, states, row):
+        path = tmp_path / name
+        path.write_text(json.dumps(
+            {"group": {"builtin": {"family": "cyclic", "n": 2}},
+             "states": states, "action": [row] * 2, "sign": [1, 1],
+             "reflection": row}))
+        return str(path)
+
+    out = tmp_path / "report.json"
     start = time.perf_counter()
-    code = cli.run(["monodromy-check", "--model", str(model),
-                    "--samples", "10"])
-    assert code == cli.EXIT_RESOURCE
+    code = cli.run(["monodromy-check", "--model",
+                    model_file("big.json", 300, list(range(300))),
+                    "--samples", "10", "--out", str(out)])
+    assert code == cli.EXIT_OK
     assert time.perf_counter() - start < 2.0
+    assert json.loads(out.read_text())["checks"] == {
+        "composition_identity": 35, "composition_assoc": 10,
+        "act_functorial": 10, "blank_fill": 4 * (1 + 300 + 300**2 + 300**3)}
+    capsys.readouterr()
+    start = time.perf_counter()
+    code = cli.run(["monodromy-check", "--model",
+                    model_file("huge.json", 3_000_000, [0]),
+                    "--samples", "10", "--out", os.devnull])
+    assert code == cli.EXIT_RESOURCE
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "resource refusal: action checks 12000000 at |Q|=2, |S|=1, "
+        "|Z|=3000000 exceed the bound 10000000\n")
 
 
 def test_monodromy_check_refuses_large_group_actions(tmp_path, capsys):
-    # checking the action of cyclic:1000, the largest cyclic table
-    # accepted, on 11 states composes 1000^2 * 11 pairs on states; it is
-    # refused before that loop
-    model = tmp_path / "big-group.json"
-    model.write_text(json.dumps(
-        {"group": {"builtin": {"family": "cyclic", "n": 1000}}, "states": 11,
-         "action": [list(range(11))] * 1000, "sign": [1] * 1000,
-         "reflection": list(range(11))}))
+    # the action of cyclic:1000, the largest cyclic table accepted, is
+    # checked on 0 and its one generator: on 11 states that is
+    # 1000 * 2 * 11 steps, which run to a report, and on 5001 states
+    # 10 002 000, refused before the rows are read
+    def model_file(name, states, row):
+        path = tmp_path / name
+        path.write_text(json.dumps(
+            {"group": {"builtin": {"family": "cyclic", "n": 1000}},
+             "states": states, "action": [row] * 1000, "sign": [1] * 1000,
+             "reflection": row}))
+        return str(path)
+
+    start = time.perf_counter()
+    code = cli.run(["monodromy-check", "--model",
+                    model_file("big-group.json", 11, list(range(11))),
+                    "--samples", "10", "--out", os.devnull])
+    assert code == cli.EXIT_OK
+    assert time.perf_counter() - start < 2.0
     capsys.readouterr()
     start = time.perf_counter()
-    code = cli.run(["monodromy-check", "--model", str(model),
-                    "--samples", "10"])
+    code = cli.run(["monodromy-check", "--model",
+                    model_file("huge-group.json", 5001, [0]),
+                    "--samples", "10", "--out", os.devnull])
     assert code == cli.EXIT_RESOURCE
     assert time.perf_counter() - start < 2.0
     assert capsys.readouterr().err == (
-        "resource refusal: action checks 11000000 at |Q|=1000, |Z|=11 "
-        "exceed the bound 10000000\n")
+        "resource refusal: action checks 10002000 at |Q|=1000, |S|=1, "
+        "|Z|=5001 exceed the bound 10000000\n")
 
 
 def test_monodromy_check_refuses_too_many_samples(capsys):

@@ -131,9 +131,12 @@ def test_direct_reader_declines_the_other_forms():
         assert cli.read_canonical(argv) is None, argv
 
 
+# an unknown flag after a command is reported by the command's parser
+UNKNOWN = [["stability", "--bogus"], ["orbits", "--k", "1", "--bogus"]]
+
 # each argparse exits on: its output and exit code are the parser's own
 EXITING = [[], ["--help"], ["-h"], ["--version"], ["nonsense"],
-           ["stability", "--bogus"], ["stability", "--kmax", "x"]] + [
+           ["stability", "--kmax", "x"]] + UNKNOWN + [
     [command, "--help"] for command in cli.COMMANDS]
 
 
@@ -143,8 +146,11 @@ def test_fallback_prints_what_argparse_prints(argv, capsys, monkeypatch):
     capsys.readouterr()
     code = cli.run(argv)
     got = capsys.readouterr()
+    parser, words = cli.build_parser(), argv
+    if argv in UNKNOWN:
+        parser, words = parser._subcommands[argv[0]], argv[1:]
     with pytest.raises(SystemExit) as exit_:
-        cli.build_parser().parse_args(argv)
+        parser.parse_args(words)
     want = capsys.readouterr()
     assert code == (cli.EXIT_USAGE if exit_.value.code else cli.EXIT_OK)
     assert (got.out, got.err) == (want.out, want.err)
@@ -153,6 +159,9 @@ def test_fallback_prints_what_argparse_prints(argv, capsys, monkeypatch):
         assert code == cli.EXIT_OK and want.out and not want.err
     else:
         assert code == cli.EXIT_USAGE and want.err.startswith("usage: ")
+    if argv in UNKNOWN:
+        assert want.err.startswith(f"usage: hurstab {argv[0]} ")
+        assert want.err.endswith(": error: unrecognized arguments: --bogus\n")
 
 
 def cli_output(tmp_path, argv):

@@ -155,47 +155,64 @@ def test_blank_fill_all_empty_morphisms():
 
 
 def test_check_model_refuses_above_the_bound(monkeypatch):
-    # SWAP_MODEL: the identity laws visit 9 + 9*2 + 2*2**2 = 35 labeled
-    # injections, weighing 9 tuples each, and blank fill
-    # 4 * (1 + 3 + 9 + 27) = 160 state tuples: 35 * 9 + 160 = 475
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 475)
-    checks, failures = md.check_model(SWAP_MODEL, 5, 0)
-    assert checks["composition_identity"] == 35
-    assert checks["blank_fill"] == 160 and not failures
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 474)
+    # SWAP_MODEL: the identity laws decide 9 + 9*2 + 2*2**2 = 35 labeled
+    # injections and blank fill 4 * (1 + 3 + 9 + 27) = 160 state tuples;
+    # neither count weighs against the bound, which only the samples
+    # reach, so a bound of 40 (5 samples weighing 8) still runs them all
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 40)
+    checks, failures = md.check_model(SWAP_MODEL, 5)
+    assert checks == {"composition_identity": 35, "composition_assoc": 5,
+                      "act_functorial": 5, "blank_fill": 160}
+    assert not failures
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 39)
     with pytest.raises(braid.OrbitSizeError,
-                       match=r"injections 35 at \|Q\|=2, weighing 9 each, "
-                             r"plus blank-fill tuples 160 at \|Z\|=3 exceed "
-                             "the bound 474"):
-        md.check_model(SWAP_MODEL, 5, 0)
+                       match="samples 5, weighing 8 each, exceed the bound "
+                             "39"):
+        md.check_model(SWAP_MODEL, 5)
+    # the counts are not enumerated: a one-state model over cyclic:1000
+    # reports 9 + 9 |Q| + 2 |Q|^2 injections at once
+    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 10**7)
+    group = FiniteGroup.cyclic(1000)
+    one = md.MonodromyModel(group, 1, ((0,),) * 1000, (1,) * 1000, (0,))
+    start = time.perf_counter()
+    checks, failures = md.check_model(one, 0)
+    assert checks["composition_identity"] == 2009009
+    assert checks["blank_fill"] == 16 and not failures
+    assert time.perf_counter() - start < 1.0
 
 
 def test_check_model_refuses_too_many_samples(monkeypatch):
-    # 60 samples weigh 8 * 60 = 480; the identity and blank-fill checks
-    # of SWAP_MODEL weigh 475, under the bound on their own
+    # 60 samples weigh 8 * 60 = 480, and nothing else check_model does
+    # weighs against the bound
     monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 480)
-    checks, failures = md.check_model(SWAP_MODEL, 60, 0)
+    checks, failures = md.check_model(SWAP_MODEL, 60)
     assert checks["composition_assoc"] == checks["act_functorial"] == 60
     assert not failures
     with pytest.raises(braid.OrbitSizeError,
                        match="samples 61, weighing 8 each, exceed the bound "
                              "480"):
-        md.check_model(SWAP_MODEL, 61, 0)
+        md.check_model(SWAP_MODEL, 61)
 
 
 def test_model_refuses_above_the_bound(monkeypatch):
-    # the action check composes 2 * 2 group pairs on 3 states
+    # the action check composes each of the |Q| elements with 0 and the
+    # |S| generators on every state: 2 * 2 * 3 on SWAP_MODEL, and
+    # 6 * 3 * 7 = 126 (not 6 * 6 * 7) for sym:3 acting on itself
     def rebuild(model):
         return md.MonodromyModel(model.group, model.states, model.action,
                                  model.sign, model.reflection)
 
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 12)
-    assert rebuild(SWAP_MODEL) == SWAP_MODEL
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 11)
-    with pytest.raises(braid.OrbitSizeError,
-                       match=r"action checks 12 at \|Q\|=2, \|Z\|=3 exceed "
-                             "the bound 11"):
-        rebuild(SWAP_MODEL)
+    regular = regular_model(SYM3)
+    assert len(SYM3.generators) == 2
+    for model, count, what in ((SWAP_MODEL, 12, r"\|Q\|=2, \|S\|=1, \|Z\|=3"),
+                               (regular, 126, r"\|Q\|=6, \|S\|=2, \|Z\|=7")):
+        monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", count)
+        assert rebuild(model) == model
+        monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", count - 1)
+        with pytest.raises(braid.OrbitSizeError,
+                           match=rf"action checks {count} at {what} exceed "
+                                 rf"the bound {count - 1}"):
+            rebuild(model)
 
 
 def test_act_functoriality_seeded():
@@ -574,7 +591,7 @@ def test_check_model_matches_a_direct_oracle(model):
     # the sampling oracle composes and acts on 2000 drawn triples: it
     # fails where check_model fails, with the same counts, and the one
     # witness check_model reports fails again when composed and acted on
-    checks, failures = md.check_model(model, 2000, 5)
+    checks, failures = md.check_model(model, 2000)
     expect_checks, expect = oracle_check_model(model, 2000, 5)
     assert checks == expect_checks
     assert checks["composition_assoc"] == checks["act_functorial"] == 2000
@@ -599,7 +616,7 @@ def test_check_model_finds_a_wrong_label_order(monkeypatch):
     # sym:3 acting on itself the action is no longer a functor
     group = FiniteGroup.symmetric(3)
     model = regular_model(group)
-    checks, failures = md.check_model(model, 500, 1)
+    checks, failures = md.check_model(model, 500)
     assert (checks, failures) == oracle_check_model(model, 500, 1)
     assert not failures
 
@@ -614,7 +631,7 @@ def test_check_model_finds_a_wrong_label_order(monkeypatch):
     wrong = oracle_check_model(model, 500, 1)
     kinds = {f["kind"] for f in wrong[1]}
     assert "functoriality" in kinds and "assoc" not in kinds
-    assert md.check_model(model, 500, 1) == (checks, failures) != wrong
+    assert md.check_model(model, 500) == (checks, failures) != wrong
 
 
 def sign_characters(group):
@@ -678,17 +695,15 @@ def random_model(rng, kind):
 
 
 def test_check_model_draws_nothing(monkeypatch):
-    # a seed that random.Random refuses is never read, and the most
-    # samples the bound accepts cost nothing: check_model draws nothing
-    with pytest.raises(TypeError):
-        random.Random([])
+    # the most samples the bound accepts cost nothing: check_model draws
+    # nothing
     monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 10**12)
     start = time.perf_counter()
     for model in (SWAP_MODEL, NONCOMMUTING_MODEL, regular_model(SYM3)):
-        checks, failures = md.check_model(model, 10**11, [])
+        checks, failures = md.check_model(model, 10**11)
         assert checks["composition_assoc"] == checks["act_functorial"] \
             == 10**11
-        assert md.check_model(model, 0, 7) == (
+        assert md.check_model(model, 0) == (
             {**checks, "composition_assoc": 0, "act_functorial": 0}, failures)
     assert time.perf_counter() - start < 2.0
 
@@ -706,7 +721,7 @@ def test_check_model_matches_the_oracle_on_random_models(model_seed, kind):
     # the sampling oracle finds a failure exactly when check_model does,
     # with the same counts, and every witness fails again
     model = random_model(random.Random(model_seed), kind)
-    checks, failures = md.check_model(model, ORACLE_SAMPLES, model_seed)
+    checks, failures = md.check_model(model, ORACLE_SAMPLES)
     expect_checks, expect = oracle_check_model(model, ORACLE_SAMPLES, 0)
     assert checks == expect_checks
     assert bool(failures) == bool(expect), model
@@ -722,7 +737,7 @@ def test_random_models_fail_every_sampled_check():
     for t in range(300):
         for kind in ("cyclic", "left", "conj"):
             model = random_model(random.Random(t), kind)
-            failures = md.check_model(model, 0, 0)[1]
+            failures = md.check_model(model, 0)[1]
             assert bool(failures) == (any(s == -1 for s in model.sign)
                                       and not model.reflection_commutes())
             assert all(replays(model, f) for f in failures)
@@ -731,7 +746,150 @@ def test_random_models_fail_every_sampled_check():
                              for v in (True, False)}
 
 
+# groups with 0, 1 and 2 generators, abelian and not
+ORACLE_GROUPS = [FiniteGroup.cyclic(n) for n in (1, 2, 4, 6)] + [
+    FiniteGroup.dihedral(3), FiniteGroup.dihedral(4), SYM3,
+    FiniteGroup.quaternion()]
+
+
+def coset_action(rng, group):
+    """Q acting by left multiplication on the left cosets of a random
+    subgroup, in one or two copies, on the states 1.. in random order
+    beside the basepoint 0, and the involution swapping the copies
+    (which commutes with the action) or None."""
+    order = group.order
+    sub = group.closure(rng.sample(range(order),
+                                   min(order, rng.randint(0, 2))))
+    reps = sorted({min(group.mul(g, h) for h in sub) for g in range(order)})
+    which = {group.mul(r, h): c for c, r in enumerate(reps) for h in sub}
+    copies = rng.randint(1, 2)
+    points = [(c, t) for t in range(copies) for c in range(len(reps))]
+    code = dict(zip(points, rng.sample(range(1, len(points) + 1),
+                                       len(points))))
+    action = tuple((0,) + tuple(
+        code[which[group.mul(q, reps[c])], t]
+        for c, t in sorted(points, key=code.get)) for q in range(order))
+    states = len(points) + 1
+    swap = None
+    if copies == 2:
+        swap = list(range(states))
+        for c in range(len(reps)):
+            swap[code[c, 0]], swap[code[c, 1]] = code[c, 1], code[c, 0]
+        swap = tuple(swap)
+    return action, states, swap
+
+
+def oracle_model(rng, group):
+    """The arguments of a MonodromyModel over ``group``: a coset action,
+    changed in one row about half the time (two entries swapped, the
+    basepoint moved, an entry repeated, or another row copied), a sign
+    character or a random sign, and a reflection that is the identity,
+    the swap of two copies, a random pointed involution, or a random
+    permutation."""
+    action, states, swap = coset_action(rng, group)
+    action = [list(row) for row in action]
+    row = action[rng.randrange(group.order)]
+    change = rng.choice(["none"] * 4 + ["swap", "swap", "base", "repeat",
+                                        "copy"])
+    if change == "swap" and states >= 3:
+        a, b = rng.sample(range(1, states), 2)
+        row[a], row[b] = row[b], row[a]
+    elif change == "base" and states >= 2:
+        b = rng.randrange(1, states)
+        row[0], row[b] = row[b], row[0]
+    elif change == "repeat" and states >= 2:
+        row[rng.randrange(states)] = row[rng.randrange(states)]
+    elif change == "copy":
+        row[:] = action[rng.randrange(group.order)]
+    if rng.random() < 0.8:
+        sign = rng.choice(sign_characters(group))
+    else:
+        sign = (1,) + tuple(rng.choice((1, -1))
+                            for _ in range(group.order - 1))
+    refl = rng.choice(["identity", "swap", "swap", "involution", "involution",
+                       "any"])
+    if refl == "swap" and swap is not None:
+        reflection = swap
+    elif refl == "involution":
+        reflection = pointed_involution(rng, states)
+    elif refl == "any":
+        reflection = tuple(rng.sample(range(states), states))
+    else:
+        reflection = tuple(range(states))
+    return (group, states, tuple(map(tuple, action)), sign, reflection)
+
+
+def full_loop_accepts(group, states, action, sign, reflection):
+    """Whether the arguments make a model, checked on every pair of
+    labels: a left action by pointed permutations, a sign homomorphism
+    and a pointed involution."""
+    labels = range(group.order)
+    perm = list(range(states))
+    return (all(sorted(row) == perm and row[0] == 0 for row in action)
+            and sorted(reflection) == perm and reflection[0] == 0
+            and all(reflection[reflection[z]] == z for z in perm)
+            and all(sign[group.mul(a, b)] == sign[a] * sign[b]
+                    and all(action[group.mul(a, b)][z]
+                            == action[a][action[b][z]] for z in perm)
+                    for a in labels for b in labels))
+
+
+def full_loop_fails(group, states, action, sign, reflection):
+    """Whether pulling states back along strands fails to be functorial
+    for some pair of labels q1, q2 and state s."""
+    ops = [tuple(reflection[z] if sign[q] == -1 else z
+                 for z in action[group.inv(q)]) for q in range(group.order)]
+    return any(ops[group.mul(q2, q1)][s] != ops[q1][ops[q2][s]]
+               for q1 in range(group.order) for q2 in range(group.order)
+               for s in range(states))
+
+
+def oracle_verdict(group, args):
+    """For a model's arguments: whether ``MonodromyModel`` accepts them
+    (compared with :func:`full_loop_accepts`), and if so whether
+    ``check_model`` fails (compared with :func:`full_loop_fails`), with
+    every witness failing again."""
+    try:
+        model = md.MonodromyModel(*args)
+    except md.MonodromyError:
+        assert not full_loop_accepts(*args), args
+        return "rejected"
+    assert full_loop_accepts(*args), args
+    failures = md.check_model(model, 0)[1]
+    assert bool(failures) == full_loop_fails(*args), args
+    assert len(failures) <= 1 and all(replays(model, f) for f in failures)
+    return "fails" if failures else "passes"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(group=st.sampled_from(ORACLE_GROUPS),
+       model_seed=st.integers(0, 2**32 - 1))
+def test_generator_checks_match_full_loops(group, model_seed):
+    # the action, the sign and functoriality checked on generators
+    # decide what checking every pair of labels decides
+    oracle_verdict(group, oracle_model(random.Random(model_seed), group))
+
+
+def test_oracle_models_reach_every_verdict():
+    # the models of the property above are rejected, pass and fail, and
+    # over cyclic:1, which has no generators, rejected and passing ones
+    verdicts = collections.Counter()
+    for t in range(100):
+        for group in ORACLE_GROUPS:
+            args = oracle_model(random.Random(t), group)
+            verdicts[group.order == 1, oracle_verdict(group, args)] += 1
+    assert set(verdicts) == {(False, "rejected"), (False, "passes"),
+                             (False, "fails"), (True, "rejected"),
+                             (True, "passes")}, verdicts
+
+
 def test_model_validation():
+    # a non-identity action of the trivial group, which has no
+    # generators, is not a group action
+    with pytest.raises(md.MonodromyError, match="left group action"):
+        md.MonodromyModel(group=FiniteGroup.cyclic(1), states=3,
+                          action=((0, 2, 1),), sign=(1,),
+                          reflection=(0, 1, 2))
     with pytest.raises(md.MonodromyError):
         md.MonodromyModel(group=Z2, states=2, action=((0, 1), (0, 1)),
                           sign=(1, 1), reflection=(1, 0))  # moves basepoint
