@@ -18,23 +18,11 @@ from __future__ import annotations
 import operator
 from array import array
 
-# the one resource bound (a unit is about 1.1 us of work), read at call time
-DEFAULT_ORBIT_BOUND = 10_000_000
+from . import cost
 
 
 class BraidError(ValueError):
     pass
-
-
-class OrbitSizeError(RuntimeError):
-    """An input's work exceeds DEFAULT_ORBIT_BOUND (exit 3 in the CLI)."""
-
-
-def refuse_above_bound(count, what):
-    """OrbitSizeError when ``count`` exceeds DEFAULT_ORBIT_BOUND; ``what``
-    names the count and ends with its verb."""
-    if count > DEFAULT_ORBIT_BOUND:
-        raise OrbitSizeError(f"{what} the bound {DEFAULT_ORBIT_BOUND}")
 
 
 class BraidWord:
@@ -175,7 +163,7 @@ def refuse_orbit_range(classes, ks):
     k |c|^k per k (a bound on the level-by-level build, which touches
     sum_{m<=k} |c|^m codes), sums past the bound.  The sum stops there,
     so a long range costs nothing."""
-    base, bound = len(classes.elements), DEFAULT_ORBIT_BOUND
+    base, bound = len(classes.elements), cost.BOUND
     work = 0
     for k in ks:
         # past the bound's bit length k 2^k exceeds it: skip the power
@@ -183,7 +171,7 @@ def refuse_orbit_range(classes, ks):
         if work > bound:
             break
     span = f"{ks[0]}..{ks[-1]}" if len(ks) > 1 else ks[0]
-    refuse_above_bound(work, f"orbit work k |c|^k at |c|={base} over k={span} exceeds")
+    cost.refuse(work, f"orbit work k |c|^k at |c|={base} over k={span} exceeds")
 
 
 def hurwitz_pairs(classes, sign=1):

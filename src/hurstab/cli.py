@@ -28,10 +28,11 @@ from types import SimpleNamespace
 
 from . import __version__
 from . import coeffsys as cs
+from . import cost
 from . import experiments as xp
 from . import homology as hm
 from . import monodromy as md
-from .braid import BraidError, OrbitSizeError, orbits, refuse_orbit_range
+from .braid import BraidError, orbits, refuse_orbit_range
 from .groups import (FAMILIES, ClassSet, FiniteGroup, GroupError,
                      conjugacy_closure)
 from .intmat import is_int
@@ -683,7 +684,7 @@ def run(argv):
             cs.CoeffSystemError, md.MonodromyError) as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OrbitSizeError as e:
+    except cost.ResourceRefusal as e:
         print(f"resource refusal: {e}", file=sys.stderr)
         return EXIT_RESOURCE
     except OSError as e:

@@ -41,25 +41,7 @@ import itertools
 import operator
 from math import comb
 
-from . import braid, intmat
-
-# what a column, or a relation checked, of a Kunneth system weighs
-# against the one resource bound: building, checking and reducing the
-# system took about 8-10 us and 240-380 B a count (HZ = [1, 1] at i = 1
-# up to k = 120, i = 6 up to k = 20, HZ = [1, 50] at i = 3 and k = 4;
-# whole processes), and 3-4 us on systems of rank 0 or 1, against about
-# 1.1 us of work for a unit of the bound.  So the largest system
-# accepted counts 625 000, about 6 s and 240 MiB.
-COLUMN_WEIGHT = 16
-
-# what a relation checked on a Hurwitz system weighs against the one
-# resource bound, beside its columns, which weigh 1: the braid,
-# commuting and inverse relations of F(k) are about comb(k, 2) checks,
-# and on a singleton class, whose columns cost almost nothing, building
-# and checking the system took about 1.9 us a check (kmax 200 and 300,
-# whole processes), against about 1.1 us of work for a unit of the
-# bound.  So a singleton class is accepted up to kmax 309, about 10 s.
-RELATION_WEIGHT = 2
+from . import braid, cost, intmat
 
 
 class CoeffSystemError(ValueError):
@@ -326,19 +308,19 @@ def build_hurwitz_system(group, classes, g_hat, K_max):
     sign +1 and -1 (:func:`braid.hurwitz_pairs`), a tuple coded by the
     positions of its entries in the class set, as in
     ``resolution.HurwitzModule``.  Before any matrix is built, a system
-    is refused with OrbitSizeError when its columns (the k-1 generators
+    is refused with ResourceRefusal when its columns (the k-1 generators
     of B_k and their inverses hold |c|^k each) plus RELATION_WEIGHT
     times its relations checked (comb(k, 2) on F(k)) exceed
-    ``braid.DEFAULT_ORBIT_BOUND``."""
+    ``cost.BOUND``."""
     if g_hat not in classes:
         raise CoeffSystemError("stabiliser element must lie in the class set")
     columns = relations = 0
     for k in range(2, K_max + 1):
         columns += 2 * (k - 1) * len(classes) ** k
         relations += comb(k, 2)
-        braid.refuse_above_bound(columns + RELATION_WEIGHT * relations, (
+        cost.refuse(columns + cost.RELATION_WEIGHT * relations, (
             f"Hurwitz system of {columns} columns and {relations} relations "
-            f"up to k={k}, relations weighing {RELATION_WEIGHT} each, exceeds"))
+            f"up to k={k}, relations weighing {cost.RELATION_WEIGHT} each, exceeds"))
     return pair_table_system(
         (braid.hurwitz_pairs(classes, 1), braid.hurwitz_pairs(classes, -1)),
         len(classes.elements), classes.elements.index(g_hat), K_max,
@@ -591,10 +573,10 @@ def build_kunneth_system(HY, HZ, i, K_max, cZ=None):
 
     F(k) has rank dims[k], the sum over d of rank_d(HY) times the
     coefficient of t^(i-d) in P(t)^k, P the Poincare polynomial of HZ.
-    Before any basis is built, a system is refused with OrbitSizeError
+    Before any basis is built, a system is refused with ResourceRefusal
     when its columns (of the k - 1 generators of F(k) and the structure
     map out of it) and its relations checked (comb(k, 2) on F(k)), each
-    weighing COLUMN_WEIGHT, exceed ``braid.DEFAULT_ORBIT_BOUND``.
+    weighing COLUMN_WEIGHT, exceed ``cost.BOUND``.
     """
     if not intmat.is_int(i):
         raise CoeffSystemError(f"degree i must be an integer, got {i!r}")
@@ -614,9 +596,9 @@ def build_kunneth_system(HY, HZ, i, K_max, cZ=None):
         power = powers[k]
         dim = sum(r * power.get(i - d, 0) for d, r in HY.ranks)
         count += max(k, 1) * dim + comb(k, 2)
-        braid.refuse_above_bound(COLUMN_WEIGHT * count, (
+        cost.refuse(cost.COLUMN_WEIGHT * count, (
             f"Kunneth system of {count} columns and relations up to k={k}, "
-            f"weighing {COLUMN_WEIGHT} each, exceeds"))
+            f"weighing {cost.COLUMN_WEIGHT} each, exceeds"))
         nxt = {}
         for e, c in power.items():
             for d, r in HZ.ranks:

@@ -18,25 +18,16 @@ from __future__ import annotations
 
 from math import comb
 
-from . import braid
+from . import cost
 from . import homology as hm
 from . import resolution as rs
-from .braid import orbits, refuse_above_bound
+from .braid import orbits
 from .groups import GroupError
 
 # stability ranges: over Z isomorphisms from k >= 2i+4 and surjections from
 # k >= 2i+2; over a field both bounds improve by two
 ISO_OFFSET = {"Z": 4, "field": 2}
 SURJ_OFFSET = {"Z": 2, "field": 0}
-
-# what a cell of a specialised complex weighs against the one resource
-# bound: a grid spends about 18 us and 1.3 KiB per cell of its largest
-# complex (sym:3 transpositions, i1/k9 and i1/k10 over Z, whole process),
-# against about 1.1 us of work for a unit of the bound.  So the largest
-# grid accepted has 625 000 cells, about 11 s and 800 MiB; i1/k8
-# (190 269 cells, about 4 s) is accepted and i1/k9 (728 271 cells, 13 s
-# and 900 MiB) is refused.
-CELL_WEIGHT = 16
 
 
 class StabilityReport:
@@ -140,26 +131,17 @@ def stability_table(
     if g_hat not in classes:
         raise GroupError("stabiliser must lie in the class set")
     flags = hypothesis_flags(classes)
-    # refuse, before any build, the first k whose specialised complex has
-    # more cells than the bound allows at CELL_WEIGHT each: C(k-1, j)
-    # Salvetti cells in degree j <= min(i_max+1, k-1), each times |c|^k
-    # tuples.  The count never falls as k grows, so doubling then
-    # bisection finds that k in O(log k_max) counts.
-    def chain_size(k):
-        dim = sum(comb(k - 1, j) for j in range(min(i_max + 1, k - 1) + 1))
-        return dim * len(classes) ** k
-
-    max_cells = braid.DEFAULT_ORBIT_BOUND // CELL_WEIGHT
-    lo, hi = 1, 2  # k = 1 has no Salvetti cells to count
-    while hi < k_max and chain_size(hi) <= max_cells:
-        lo, hi = hi, min(2 * hi, k_max)
-    if k_max >= 2 and chain_size(hi) > max_cells:
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if chain_size(mid) > max_cells else (mid, hi)
-        total = chain_size(hi)
-        refuse_above_bound(CELL_WEIGHT * total, (
-            f"chain size {total} at k={hi}, weighing {CELL_WEIGHT} each, "
+    # refuse, before any build, the first k at which columns 2..k sum past
+    # the bound: C(k-1, j) |c|^k cells in each degree j <= depth, and
+    # (k - r)(2^(r+1) - 2) lifts of k strands for each run length r <= depth
+    ncells = nstrands = 0
+    for k in range(2, k_max + 1):
+        depth = min(i_max + 1, k - 1)
+        ncells += sum(comb(k - 1, j) for j in range(depth + 1)) * len(classes) ** k
+        nstrands += k * sum((k - r) * (2**(r + 1) - 2) for r in range(1, depth + 1))
+        cost.refuse(cost.CELL_WEIGHT * ncells + nstrands // cost.STRANDS_PER_UNIT, (
+            f"grid of {ncells} cells and {nstrands} key strands up to k={k}, "
+            f"weighing {cost.CELL_WEIGHT} and 1/{cost.STRANDS_PER_UNIT} each, "
             "exceeds"))
     cells = {}
     maps = {}

@@ -10,19 +10,10 @@ from __future__ import annotations
 import itertools
 import json
 
-from .braid import refuse_above_bound
+from . import cost
 from .intmat import is_int
 
 SUBGROUP_ORDER_BOUND = 48
-
-# what a table entry weighs against the one resource bound: a table is
-# only a command's set-up, before the work it counts against the same
-# bound, so it may take a tenth of it.  An entry costs about 0.2 us and
-# 8 B to build and check (cyclic:1000 and dihedral:500; about 0.45 us
-# in sym:6, which checks more generators), under the 1.1 us of work of a
-# unit of the bound, so 1000 rows is the largest table: cyclic:1000 and
-# dihedral:500 each build in about 0.3 s and 27 MiB as whole processes.
-ENTRY_WEIGHT = 10
 
 
 class GroupError(ValueError):
@@ -30,10 +21,10 @@ class GroupError(ValueError):
 
 
 def _refuse_table(rows, name):
-    """OrbitSizeError before a table of rows^2 entries, each weighing
-    ENTRY_WEIGHT, is built or checked past the one resource bound."""
-    refuse_above_bound(ENTRY_WEIGHT * rows * rows, (
-        f"{name} table of {rows * rows} entries, weighing {ENTRY_WEIGHT} "
+    """ResourceRefusal before a table of rows^2 entries, each weighing
+    ENTRY_WEIGHT, is built or checked past ``cost.BOUND``."""
+    cost.refuse(cost.ENTRY_WEIGHT * rows * rows, (
+        f"{name} table of {rows * rows} entries, weighing {cost.ENTRY_WEIGHT} "
         "each, exceeds"))
 
 

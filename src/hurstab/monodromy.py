@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from . import braid
+from . import cost
 from .intmat import is_int
 
 
@@ -138,8 +138,8 @@ class MonodromyModel:
     labeled q, action[q^-1] followed by the reflection when
     sign[q] = -1; equality and hashing ignore it.  The action and sign
     are checked on (a, b) for every a and b in (0,) + the generators S,
-    |Q| (|S|+1) |Z| steps, refused past ``braid.DEFAULT_ORBIT_BOUND``
-    with OrbitSizeError: the b that pass for every a are closed under
+    |Q| (|S|+1) |Z| steps, refused past ``cost.BOUND`` with
+    ResourceRefusal: the b that pass for every a are closed under
     products, and b = 0 (needed when S is empty) makes action[0] the
     identity, since action[a] is a permutation.
     """
@@ -155,9 +155,8 @@ class MonodromyModel:
             raise MonodromyError("action and sign must cover the group")
         gens = (0,) + g.generators
         n = g.order * len(gens) * self.states
-        braid.refuse_above_bound(
-            n, f"action checks {n} at |Q|={g.order}, |S|={len(gens) - 1}, "
-               f"|Z|={self.states} exceed")
+        cost.refuse(n, f"action checks {n} at |Q|={g.order}, |S|={len(gens) - 1}, "
+                       f"|Z|={self.states} exceed")
         for q in range(g.order):
             if sorted(self.action[q]) != list(range(self.states)):
                 raise MonodromyError("action entries must be permutations")
@@ -258,11 +257,6 @@ def act(model, morphism, state):
 # blank fill is checked on objects 0..MAX_OBJECT
 MAX_OBJECT = 3
 
-# what ``--samples`` weighs per sample against the bound: it is still
-# accepted and reported, and refused past the bound as when each sample
-# was drawn (about 9 us, against about 1.1 us for a unit of the bound)
-SAMPLE_WEIGHT = 8
-
 
 def labeled_injections(m, n, order):
     """Every labeled injection m -> n over a group of the given order,
@@ -346,14 +340,14 @@ def check_model(model, samples):
     and reports stay as they are.
 
     Returns ``(checks, failures)``: counts per check and one dict per
-    failure.  A sample weighs SAMPLE_WEIGHT (8) against
-    ``braid.DEFAULT_ORBIT_BOUND``, and the samples are refused past it
-    with OrbitSizeError before anything is checked.
+    failure.  A sample weighs SAMPLE_WEIGHT (8) against ``cost.BOUND``,
+    and the samples are refused past it with ResourceRefusal before
+    anything is checked.
     """
     z = model.states
     group = model.group
-    braid.refuse_above_bound(SAMPLE_WEIGHT * samples, (
-        f"samples {samples}, weighing {SAMPLE_WEIGHT} each, exceed"))
+    cost.refuse(cost.SAMPLE_WEIGHT * samples, (
+        f"samples {samples}, weighing {cost.SAMPLE_WEIGHT} each, exceed"))
     injections = sum(math.comb(m, k) * math.perm(n, k) * group.order**k
                      for m in range(3) for n in range(3)
                      for k in range(min(m, n) + 1))

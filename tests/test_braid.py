@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 from system_oracle import sigma_k, v_k_l
 
-from hurstab import braid
+from hurstab import braid, cost
 from hurstab import experiments as xp
 from hurstab.braid import (
     BraidError,
     BraidWord,
     HurwitzTuple,
-    OrbitSizeError,
     hurwitz_act,
     orbits,
     stabilize_tuple,
@@ -186,10 +185,10 @@ def test_orbits_trivial_cases():
 
 def test_orbit_size_bound(monkeypatch):
     # the orbit work of k = 4 counts k |c|^k = 4 * 81
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 324)
+    monkeypatch.setattr(cost, "BOUND", 324)
     assert sum(orbits(TRANSPOSITIONS, 4).sizes) == 81
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 323)
-    with pytest.raises(OrbitSizeError, match="over k=4 exceeds the bound 323"):
+    monkeypatch.setattr(cost, "BOUND", 323)
+    with pytest.raises(cost.ResourceRefusal, match="over k=4 exceeds the bound 323"):
         orbits(TRANSPOSITIONS, 4)
 
 

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import time
 
-from hurstab import braid, cli
+from hurstab import cli, cost
 from hurstab import experiments as xp
 from hurstab import monodromy as md
 from hurstab.groups import FiniteGroup
@@ -76,9 +76,9 @@ def test_orbit_resource_refusal(tmp_path, monkeypatch):
     # the range counts k 3^k per k: 3 + 18 + 81 + 324 = 426
     argv = ["orbits", "--group", "sym:3", "--class", "rep:transposition",
             "--k", "1..4", "--out", str(tmp_path / "o.tsv")]
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 426)
+    monkeypatch.setattr(cost, "BOUND", 426)
     assert cli.run(argv) == cli.EXIT_OK
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 425)
+    monkeypatch.setattr(cost, "BOUND", 425)
     assert cli.run(argv) == cli.EXIT_RESOURCE
 
 
@@ -102,9 +102,9 @@ def test_orbit_range_refusal_on_a_singleton_class(monkeypatch, capsys):
     monkeypatch.undo()
     argv = ["orbits", "--group", "cyclic:2", "--class", "elems:[1]",
             "--k", "1..9", "--out", os.devnull]
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 45)
+    monkeypatch.setattr(cost, "BOUND", 45)
     assert cli.run(argv) == cli.EXIT_OK
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 44)
+    monkeypatch.setattr(cost, "BOUND", 44)
     capsys.readouterr()
     assert cli.run(argv) == cli.EXIT_RESOURCE
     assert capsys.readouterr().err.startswith(
@@ -171,22 +171,27 @@ def test_kunneth_system_without_a_degree_i_part_builds_at_once(tmp_path):
 
 def test_grid_guard_finds_a_far_refusal_at_once(capsys):
     # a singleton class at i_max 0 counts k cells at k, each weighing 16,
-    # so the first k past the bound is 10^7 / 16 + 1; it is found
-    # without a loop over k
-    capsys.readouterr()
-    start = time.perf_counter()
-    assert cli.run(["stability", "--group", "cyclic:2", "--class", "elems:[1]",
-                    "--imax", "0", "--kmax", "100000000", "--no-cache",
-                    "--out", os.devnull]) == cli.EXIT_RESOURCE
-    assert time.perf_counter() - start < 2.0
-    assert capsys.readouterr().err == (
-        "resource refusal: chain size 625001 at k=625001, weighing 16 each, "
-        "exceeds the bound 10000000\n")
+    # and 2 k (k - 1) key strands, 16 to a unit; the columns 2..564 sum
+    # past the bound, so the running total stops at k = 564.  kmax 2000
+    # took about 386 s and 160 MiB while only the largest column was
+    # weighed
+    for kmax in ("100000000", "2000"):
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert cli.run(["stability", "--group", "cyclic:2", "--class",
+                        "elems:[1]", "--imax", "0", "--kmax", kmax,
+                        "--no-cache", "--out", os.devnull]) == cli.EXIT_RESOURCE
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "resource refusal: grid of 159329 cells and 119603720 key strands "
+            "up to k=564, weighing 16 and 1/16 each, exceeds the bound "
+            "10000000\n")
 
 
 def test_grid_too_costly_refused_at_once(capsys):
     # sym:3 transpositions i1/k11 would need about 12 GiB; the guard
-    # refuses it at k = 9, before any complex is built
+    # refuses it at k = 9, where the cells of columns 2..9 sum to
+    # 981 684, before any complex is built
     capsys.readouterr()
     start = time.perf_counter()
     assert cli.run(["stability", "--group", "sym:3", "--class",
@@ -194,8 +199,8 @@ def test_grid_too_costly_refused_at_once(capsys):
                     "--no-cache", "--out", os.devnull]) == cli.EXIT_RESOURCE
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
-        "resource refusal: chain size 728271 at k=9, weighing 16 each, "
-        "exceeds the bound 10000000\n")
+        "resource refusal: grid of 981684 cells and 1656 key strands up to "
+        "k=9, weighing 16 and 1/16 each, exceeds the bound 10000000\n")
 
 
 def test_large_group_table_refused_before_it_is_built(capsys):

@@ -2,7 +2,11 @@
 exits 0, 3, 64 or 65, with at most one line on stderr and no traceback,
 in bounded time, and a JSON table is accepted only if it is a group.
 Kunneth system files and monodromy model files may also exit 2, a check
-that ran and failed, which like 0 prints nothing on stderr."""
+that ran and failed, which like 0 prints nothing on stderr.  The
+commands' own flags (``--imax``, ``--kmax``, ``--k``, ``--coeff``) go
+through the same contract, with exits 2 and 74 allowed too, so that
+every resource guard is checked to refuse what it cannot finish in
+time."""
 
 import contextlib
 import io
@@ -14,7 +18,7 @@ import signal
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hurstab import braid, cli
+from hurstab import cli, cost
 
 EXITS = {cli.EXIT_OK, cli.EXIT_RESOURCE, cli.EXIT_USAGE, cli.EXIT_VALIDATION}
 FILE_EXITS = EXITS | {cli.EXIT_ASSERTION}
@@ -129,17 +133,17 @@ def _alarm(signum, frame):
     raise Hang
 
 
-def run_contract(argv, exits):
-    """Run a command in process under the small bound and an alarm, and
-    check that it exits in exits, with one stderr line exactly when it
-    exits neither 0 nor 2; returns the exit code."""
+def run_contract(argv, exits, seconds=SECONDS_PER_CALL):
+    """Run a command in process under the small bound and an alarm of
+    ``seconds``, and check that it exits in exits, with one stderr line
+    exactly when it exits neither 0 nor 2; returns the exit code."""
     err = io.StringIO()
     old = signal.signal(signal.SIGALRM, _alarm)
     try:
         with pytest.MonkeyPatch.context() as mp, \
                 contextlib.redirect_stderr(err):
-            mp.setattr(braid, "DEFAULT_ORBIT_BOUND", BOUND)
-            signal.alarm(SECONDS_PER_CALL)
+            mp.setattr(cost, "BOUND", BOUND)
+            signal.alarm(seconds)
             code = cli.run(argv)
     finally:
         signal.alarm(0)
@@ -295,3 +299,43 @@ def test_model_specs_keep_the_failure_contract(tmp_path_factory, spec):
     path = tmp_path_factory.getbasetemp() / "model.json"
     check_file_contract(path, spec, ["monodromy-check", "--model", str(path),
                                      "--samples", "50", "--seed", "1"])
+
+
+# small groups and classes, singletons among them (cyclic:n elems:[1]
+# and the centre of quaternion), and k from a few up to past the point
+# where an unweighted singleton grid at imax 0 runs for seconds
+command_groups = st.sampled_from(["cyclic:1", "cyclic:2", "cyclic:4", "sym:3",
+                                  "dihedral:3", "quaternion"])
+command_classes = st.sampled_from(["rep:0", "rep:1", "elems:[1]",
+                                   "rep:transposition"])
+ks = st.one_of(st.integers(1, 12), st.integers(100, 700),
+               st.sampled_from(range(100, 800, 100)))
+coeffs = st.sampled_from(["Z", "Q", "Fp:2", "Fp:3", "Fp:4", "Fp:x"])
+
+
+@st.composite
+def command_argvs(draw):
+    command = draw(st.sampled_from(["stability", "homology", "degree",
+                                    "orbits"]))
+    argv = [command, "--group", draw(command_groups),
+            "--class", draw(command_classes)]
+    if command == "orbits":
+        lo, hi = draw(ks), draw(ks)
+        argv += ["--k", draw(st.sampled_from([str(lo), f"{lo}..{hi}"]))]
+    elif command == "degree":
+        argv += ["--kmax", str(draw(ks)),
+                 "--cutoff", str(draw(st.integers(0, 4)))]
+    else:
+        argv += ["--imax", str(draw(st.one_of(st.just(0), st.integers(-1, 4)))),
+                 "--kmax", str(draw(ks)), "--coeff", draw(coeffs)]
+        if command == "stability":
+            argv.append("--no-cache")
+    return argv
+
+
+@needs_alarm
+@settings(fuzz, max_examples=2500)
+@given(argv=command_argvs())
+def test_command_flags_keep_the_failure_contract(argv):
+    run_contract(argv + ["--out", os.devnull], FILE_EXITS | {cli.EXIT_IO},
+                 seconds=5)

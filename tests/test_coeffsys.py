@@ -5,7 +5,7 @@ import random
 import pytest
 from system_oracle import check_extension, constant_system
 
-from hurstab import braid
+from hurstab import cost
 from hurstab import coeffsys as cs
 from hurstab.groups import FiniteGroup, conjugacy_closure
 
@@ -43,13 +43,13 @@ def test_hurwitz_system_refuses_above_the_bound(monkeypatch):
     # their inverses hold 2 * (1 * 3**2 + 2 * 3**3) = 126 columns, and
     # F(2) and F(3) have comb(2, 2) + comb(3, 2) = 4 relations checked
     g_hat = TRANSPOSITIONS.elements[0]
-    count = 126 + cs.RELATION_WEIGHT * 4
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", count)
+    count = 126 + cost.RELATION_WEIGHT * 4
+    monkeypatch.setattr(cost, "BOUND", count)
     system = cs.build_hurwitz_system(S3, TRANSPOSITIONS, g_hat, 3)
     assert sum(len(m) for mats in system.gens + system.gen_invs
                for m in mats) == 126
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", count - 1)
-    with pytest.raises(braid.OrbitSizeError):
+    monkeypatch.setattr(cost, "BOUND", count - 1)
+    with pytest.raises(cost.ResourceRefusal):
         cs.build_hurwitz_system(S3, TRANSPOSITIONS, g_hat, 3)
 
 
@@ -430,7 +430,7 @@ def test_kunneth_validation():
 
 def test_kunneth_guard_counts_the_built_system(monkeypatch):
     # the guard's ranks, read off P_HZ(t)^k, are the built system's: at
-    # the bound sum max(k, 1) dims[k] + comb(k, 2) times COLUMN_WEIGHT
+    # the bound sum max(k, 1) dims[k] + comb(k, 2) times cost.COLUMN_WEIGHT
     # the system is built, and one below it is refused
     G = cs.GradedModule
     specs = [(G.point(), G.circle(), 1, 9, None),
@@ -444,11 +444,11 @@ def test_kunneth_guard_counts_the_built_system(monkeypatch):
     for (HY, HZ, i, K, cZ), F in zip(specs, built):
         count = sum(max(k, 1) * d + math.comb(k, 2)
                     for k, d in enumerate(F.dims))
-        weight = cs.COLUMN_WEIGHT * count
-        monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", weight)
+        weight = cost.COLUMN_WEIGHT * count
+        monkeypatch.setattr(cost, "BOUND", weight)
         assert cs.build_kunneth_system(HY, HZ, i, K, cZ=cZ).dims == F.dims
-        monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", weight - 1)
-        with pytest.raises(braid.OrbitSizeError,
+        monkeypatch.setattr(cost, "BOUND", weight - 1)
+        with pytest.raises(cost.ResourceRefusal,
                            match=f"Kunneth system of {count} columns and "
                                  f"relations up to k={K}, weighing 16 each, "
                                  f"exceeds the bound {weight - 1}"):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hurstab import braid, cli
+from hurstab import cli, cost
 from hurstab import experiments as xp
 from hurstab import homology as hm
 from hurstab.groups import FiniteGroup, conjugacy_closure
@@ -121,44 +121,50 @@ def test_h0_consistency_with_homology_grid():
 
 
 def test_resource_refusal(monkeypatch):
-    # i1/k3: (1 + 2 + 1) Salvetti cells times 3^3 tuples at k = 3, each
-    # weighing CELL_WEIGHT (16)
+    # i1/k3: columns 2 and 3 hold (1 + 1) 3^2 + (1 + 2 + 1) 3^3 = 126
+    # cells, each weighing CELL_WEIGHT (16), and their Salvetti builds
+    # lift 2 keys of 2 strands and 4 + 6 of 3, 34 strands at 1/16 each
     g_hat = TRANSPOSITIONS.elements[0]
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", xp.CELL_WEIGHT * 108)
+    count = cost.CELL_WEIGHT * 126 + 34 // cost.STRANDS_PER_UNIT
+    monkeypatch.setattr(cost, "BOUND", count)
     xp.stability_table(S3, TRANSPOSITIONS, g_hat, i_max=1, k_max=3, coeff=hm.Z)
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", xp.CELL_WEIGHT * 108 - 1)
-    with pytest.raises(braid.OrbitSizeError,
-                       match="chain size 108 at k=3, weighing 16 each, "
-                             "exceeds the bound 1727"):
+    monkeypatch.setattr(cost, "BOUND", count - 1)
+    with pytest.raises(cost.ResourceRefusal,
+                       match="grid of 126 cells and 34 key strands up to k=3, "
+                             "weighing 16 and 1/16 each, exceeds the bound 2017"):
         xp.stability_table(S3, TRANSPOSITIONS, g_hat, i_max=1, k_max=3,
                            coeff=hm.Z)
     # h0_table reaches the bound through orbits: 4 * 3^4 at k = 4
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 324)
+    monkeypatch.setattr(cost, "BOUND", 324)
     assert xp.h0_table(S3, TRANSPOSITIONS, g_hat, 4).counts[4] == 6
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 323)
-    with pytest.raises(braid.OrbitSizeError):
+    monkeypatch.setattr(cost, "BOUND", 323)
+    with pytest.raises(cost.ResourceRefusal):
         xp.h0_table(S3, TRANSPOSITIONS, g_hat, 4)
 
 
+class Built(Exception):
+    pass
+
+
+def no_complex(*args):
+    raise Built
+
+
 def test_refusal_comes_before_any_complex(monkeypatch):
-    class Built(Exception):
-        pass
-
-    def no_complex(*args):
-        raise Built
-
     monkeypatch.setattr(xp.rs, "salvetti_complex", no_complex)
-    # k = 9: (1 + 8 + 28) Salvetti cells times 3^9 tuples, weighing
-    # CELL_WEIGHT each; at that bound the grid passes the check and
-    # reaches its first Salvetti build
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", xp.CELL_WEIGHT * 728_271)
+    # columns 2..9 hold 981 684 cells, (1 + 8 + 28) 3^9 of them at k = 9,
+    # weighing CELL_WEIGHT each, and 1656 key strands; at that bound the
+    # grid passes the check and reaches its first Salvetti build
+    count = cost.CELL_WEIGHT * 981_684 + 1656 // cost.STRANDS_PER_UNIT
+    monkeypatch.setattr(cost, "BOUND", count)
     with pytest.raises(Built):
         xp.stability_table(S3, TRANSPOSITIONS, TRANSPOSITIONS.elements[0],
                            i_max=1, k_max=9, coeff=hm.Z)
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", xp.CELL_WEIGHT * 500_000)
-    with pytest.raises(braid.OrbitSizeError,
-                       match="chain size 728271 at k=9, weighing 16 each, "
-                             "exceeds the bound 8000000"):
+    monkeypatch.setattr(cost, "BOUND", cost.CELL_WEIGHT * 500_000)
+    with pytest.raises(cost.ResourceRefusal,
+                       match="grid of 981684 cells and 1656 key strands up to "
+                             "k=9, weighing 16 and 1/16 each, exceeds the "
+                             "bound 8000000"):
         xp.stability_table(S3, TRANSPOSITIONS, TRANSPOSITIONS.elements[0],
                            i_max=1, k_max=9, coeff=hm.Z)
 
@@ -166,14 +172,8 @@ def test_refusal_comes_before_any_complex(monkeypatch):
 def test_grid_guard_weighs_cells(monkeypatch):
     # at the real bound, the largest grids of CI, the README and the
     # benchmark reach their first Salvetti build, while sym:3
-    # transpositions i1/k9 (728 271 cells, about 13 s and 900 MiB) is
-    # refused before it
-    class Built(Exception):
-        pass
-
-    def no_complex(*args):
-        raise Built
-
+    # transpositions i1/k9 (728 271 cells at k = 9, about 13 s and
+    # 900 MiB) is refused before it
     monkeypatch.setattr(xp.rs, "salvetti_complex", no_complex)
     S4 = FiniteGroup.symmetric(4)
     T4 = conjugacy_closure({S4.element_names.index("(1 2)")}, S4)
@@ -185,11 +185,25 @@ def test_grid_guard_weighs_cells(monkeypatch):
         with pytest.raises(Built):
             xp.stability_table(group, classes, classes.elements[0], i_max,
                                k_max, coeff=hm.Z)
-    with pytest.raises(braid.OrbitSizeError,
-                       match="chain size 728271 at k=9, weighing 16 each, "
-                             "exceeds the bound 10000000"):
+    with pytest.raises(cost.ResourceRefusal,
+                       match="grid of 981684 cells and 1656 key strands up to "
+                             "k=9, weighing 16 and 1/16 each, exceeds the "
+                             "bound 10000000"):
         xp.stability_table(S3, TRANSPOSITIONS, TRANSPOSITIONS.elements[0],
                            i_max=1, k_max=9, coeff=hm.Z)
+
+
+@pytest.mark.parametrize("i_max, k_max", [(0, 563), (1, 152), (2, 62), (3, 38)])
+def test_singleton_grid_limits(monkeypatch, i_max, k_max):
+    # at the real bound, the largest singleton grid at each i_max reaches
+    # its first Salvetti build, and one column more is refused: cells
+    # cost a singleton class almost nothing, so its key strands decide
+    monkeypatch.setattr(xp.rs, "salvetti_complex", no_complex)
+    with pytest.raises(Built):
+        xp.stability_table(Z2, CENTRAL, 1, i_max, k_max, coeff=hm.Z)
+    with pytest.raises(cost.ResourceRefusal,
+                       match=f"up to k={k_max + 1}, weighing 16 and 1/16 each"):
+        xp.stability_table(Z2, CENTRAL, 1, i_max, k_max + 1, coeff=hm.Z)
 
 
 def test_tsv_rendering(z2_grid):

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from hurstab import braid, groups
+from hurstab import cost, groups
 from hurstab.groups import (
     ClassSet,
     FiniteGroup,
@@ -364,11 +364,11 @@ def test_group_tables_refused_above_the_bound(monkeypatch):
             (lambda: FiniteGroup.cyclic(5), 25, "cyclic:5"),
             (lambda: FiniteGroup.dihedral(3), 36, "dihedral:3"),
             (lambda: FiniteGroup.from_table([[0, 1], [1, 0]], "z2"), 4, "z2")):
-        weight = groups.ENTRY_WEIGHT * entries
-        monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", weight)
+        weight = cost.ENTRY_WEIGHT * entries
+        monkeypatch.setattr(cost, "BOUND", weight)
         assert build().order ** 2 == entries
-        monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", weight - 1)
-        with pytest.raises(braid.OrbitSizeError,
+        monkeypatch.setattr(cost, "BOUND", weight - 1)
+        with pytest.raises(cost.ResourceRefusal,
                            match=f"{what} table of {entries} entries, "
                                  f"weighing 10 each, exceeds the bound "
                                  f"{weight - 1}"):
@@ -387,7 +387,7 @@ def test_largest_accepted_tables():
             (lambda: FiniteGroup.from_table([[0]] * 1001, "big"),
              "big table of 1002001")):
         start = time.perf_counter()
-        with pytest.raises(braid.OrbitSizeError,
+        with pytest.raises(cost.ResourceRefusal,
                            match=f"{what} entries, weighing 10 each, exceeds "
                                  "the bound 10000000"):
             build()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 from system_oracle import check_extension, linearize
 
-from hurstab import braid
+from hurstab import cost
 from hurstab import coeffsys as cs
 from hurstab import monodromy as md
 from hurstab.groups import FiniteGroup
@@ -159,19 +159,19 @@ def test_check_model_refuses_above_the_bound(monkeypatch):
     # injections and blank fill 4 * (1 + 3 + 9 + 27) = 160 state tuples;
     # neither count weighs against the bound, which only the samples
     # reach, so a bound of 40 (5 samples weighing 8) still runs them all
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 40)
+    monkeypatch.setattr(cost, "BOUND", 40)
     checks, failures = md.check_model(SWAP_MODEL, 5)
     assert checks == {"composition_identity": 35, "composition_assoc": 5,
                       "act_functorial": 5, "blank_fill": 160}
     assert not failures
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 39)
-    with pytest.raises(braid.OrbitSizeError,
+    monkeypatch.setattr(cost, "BOUND", 39)
+    with pytest.raises(cost.ResourceRefusal,
                        match="samples 5, weighing 8 each, exceed the bound "
                              "39"):
         md.check_model(SWAP_MODEL, 5)
     # the counts are not enumerated: a one-state model over cyclic:1000
     # reports 9 + 9 |Q| + 2 |Q|^2 injections at once
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 10**7)
+    monkeypatch.setattr(cost, "BOUND", 10**7)
     group = FiniteGroup.cyclic(1000)
     one = md.MonodromyModel(group, 1, ((0,),) * 1000, (1,) * 1000, (0,))
     start = time.perf_counter()
@@ -184,11 +184,11 @@ def test_check_model_refuses_above_the_bound(monkeypatch):
 def test_check_model_refuses_too_many_samples(monkeypatch):
     # 60 samples weigh 8 * 60 = 480, and nothing else check_model does
     # weighs against the bound
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 480)
+    monkeypatch.setattr(cost, "BOUND", 480)
     checks, failures = md.check_model(SWAP_MODEL, 60)
     assert checks["composition_assoc"] == checks["act_functorial"] == 60
     assert not failures
-    with pytest.raises(braid.OrbitSizeError,
+    with pytest.raises(cost.ResourceRefusal,
                        match="samples 61, weighing 8 each, exceed the bound "
                              "480"):
         md.check_model(SWAP_MODEL, 61)
@@ -206,10 +206,10 @@ def test_model_refuses_above_the_bound(monkeypatch):
     assert len(SYM3.generators) == 2
     for model, count, what in ((SWAP_MODEL, 12, r"\|Q\|=2, \|S\|=1, \|Z\|=3"),
                                (regular, 126, r"\|Q\|=6, \|S\|=2, \|Z\|=7")):
-        monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", count)
+        monkeypatch.setattr(cost, "BOUND", count)
         assert rebuild(model) == model
-        monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", count - 1)
-        with pytest.raises(braid.OrbitSizeError,
+        monkeypatch.setattr(cost, "BOUND", count - 1)
+        with pytest.raises(cost.ResourceRefusal,
                            match=rf"action checks {count} at {what} exceed "
                                  rf"the bound {count - 1}"):
             rebuild(model)
@@ -697,7 +697,7 @@ def random_model(rng, kind):
 def test_check_model_draws_nothing(monkeypatch):
     # the most samples the bound accepts cost nothing: check_model draws
     # nothing
-    monkeypatch.setattr(braid, "DEFAULT_ORBIT_BOUND", 10**12)
+    monkeypatch.setattr(cost, "BOUND", 10**12)
     start = time.perf_counter()
     for model in (SWAP_MODEL, NONCOMMUTING_MODEL, regular_model(SYM3)):
         checks, failures = md.check_model(model, 10**11)
