@@ -129,22 +129,40 @@ class OrbitPartition:
 
     Tuples are encoded as base-|c| integers, most significant digit
     first, so lexicographic order on tuples is numeric order on codes.
-    Orbit representatives are the least codes; ``orbits`` builds the
-    partition level by level, and ``root`` maps every code to the least
-    code of its orbit.
+    Orbit representatives are the least codes.  ``orbits`` builds the
+    partition level by level from representatives only, and keeps the
+    maps it glues with: ``levels[m - 1][l]`` sends each representative r
+    of c^(m-1) to the representative of r |c| + l in c^m, for m = 1..k.
+    ``root``, which maps every code of c^k to the least code of its
+    orbit, is built from these maps on its first read.
     """
 
-    __slots__ = ("classes", "k", "reps", "sizes", "root")
+    __slots__ = ("classes", "k", "reps", "sizes", "levels", "_root")
 
-    def __init__(self, classes, k, reps, sizes, root):
+    def __init__(self, classes, k, reps, sizes, levels):
         self.classes = classes
         self.k = k
         self.reps = reps
         self.sizes = sizes
-        self.root = root
+        self.levels = levels
+        self._root = None
 
     def __len__(self):
         return len(self.reps)
+
+    @property
+    def root(self):
+        """The least code of each code's orbit, an array of |c|^k."""
+        if self._root is None:
+            base = len(self.classes.elements)
+            root = array("q", [0])  # the one empty tuple
+            for level in self.levels:
+                new = array("q", [0]) * (len(root) * base)
+                for l, ext in enumerate(level):
+                    new[l::base] = array("q", map(ext.__getitem__, root))
+                root = new
+            self._root = root
+        return self._root
 
     def decode(self, code):
         base = len(self.classes.elements)
@@ -160,8 +178,9 @@ class OrbitPartition:
 
 def refuse_orbit_range(classes, ks):
     """Refuse the k range ``ks`` when the work of ``orbits``, counted as
-    k |c|^k per k (a bound on the level-by-level build, which touches
-    sum_{m<=k} |c|^m codes), sums past the bound.  The sum stops there,
+    k |c|^k per k, sums past the bound.  The count is an upper bound: the
+    level-by-level build glues |c|^2 digit pairs per orbit of each
+    level, far fewer than the |c|^k tuples.  The sum stops at the bound,
     so a long range costs nothing."""
     base, bound = len(classes.elements), cost.BOUND
     work = 0
@@ -207,18 +226,24 @@ def pair_images(pairs, base, codes, k, i):
 
 def orbits(classes, k):
     """Orbit partition of c^k under sigma_1..sigma_{k-1}, built level by
-    level from the partition of c^(m-1), m = 1..k.
+    level from the orbit representatives of c^(m-1), m = 1..k.
 
     sigma_1..sigma_{m-2} fix the last entry, so the tuples with prefix
     in the orbit of least code r and last entry l form one class inside
     a B_m-orbit, with least code r |c| + l.  sigma_{m-1}, which maps
-    (..., d, l) to (..., d l d^-1, d), glues these classes into the
-    B_m-orbits; each orbit's least code is its least class code.
+    (p, d, l) to (p, d l d^-1, d), glues these classes into the
+    B_m-orbits; each orbit's least code is its least class code.  The
+    class of (p, d, l) depends on p only through the representative q of
+    p's orbit in c^(m-2): its r is the representative of q |c| + d, read
+    from level m-1's map.  So level m glues |c|^2 digit pairs per orbit
+    of c^(m-2), and no level walks its tuples.
     """
     refuse_orbit_range(classes, range(k, k + 1))
     base = len(classes.elements)
-    pairs = hurwitz_pairs(classes)
-    root, sizes = array("q", [0]), {0: 1}  # the one empty tuple
+    # sigma_{m-1} moves the last pair (d, l) to (d l d^-1, d), and
+    # d l d^-1 has digit firsts[d |c| + l]
+    firsts = [q // base for q in hurwitz_pairs(classes)]
+    sizes, levels = {0: 1}, []  # the one empty tuple
     for m in range(1, k + 1):
         up = {}  # class code -> a smaller class code of the same orbit
 
@@ -227,20 +252,25 @@ def orbits(classes, k):
                 up[x] = x = up.get(up[x], up[x])
             return x
 
-        for d in range(base if m > 1 else 0):  # sigma_{m-1} needs m >= 2
-            ends = root[d::base]
-            for l in range(base):
-                moved = root[pairs[d * base + l] // base::base]
-                for r, s in set(zip(ends, moved)):
-                    x, y = find(r * base + l), find(s * base + d)
-                    if x != y:
-                        up[max(x, y)] = min(x, y)
-        new, new_sizes = array("q", [0]) * base**m, {}
+        if m > 1:
+            # every map of a level is keyed by the same representatives,
+            # in the same order, so their values zip by prefix orbit q
+            prev = levels[-1]
+            for d in range(base):
+                ends = prev[d].values()
+                for l in range(base):
+                    moved = prev[firsts[d * base + l]].values()
+                    for r, s in set(zip(ends, moved)):
+                        x, y = find(r * base + l), find(s * base + d)
+                        if x != y:
+                            up[max(x, y)] = min(x, y)
+        level, new_sizes = [], {}
         for l in range(base):
-            canon = {r: find(r * base + l) for r in sizes}
-            new[l::base] = array("q", map(canon.__getitem__, root))
-            for r, c in canon.items():
+            ext = {r: find(r * base + l) for r in sizes}
+            for r, c in ext.items():
                 new_sizes[c] = new_sizes.get(c, 0) + sizes[r]
-        root, sizes = new, new_sizes
+            level.append(ext)
+        levels.append(level)
+        sizes = new_sizes
     reps = sorted(sizes)
-    return OrbitPartition(classes, k, reps, [sizes[r] for r in reps], root)
+    return OrbitPartition(classes, k, reps, [sizes[r] for r in reps], levels)

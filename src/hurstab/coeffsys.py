@@ -15,8 +15,12 @@ induced on cokernels are composites.
 
 Every system is made by :meth:`CoeffSystem.build` from its forward
 generators and structure maps, checking the braid relations by
-composing; an inverse generator not given (as the Hurwitz builder gives
-them) is computed on its first read, so a difference system inverts none.
+composing.  A system built from one pair table, as every Hurwitz system
+is, has them checked on F(k) for k <= 4, where they hold for every k
+(see :func:`pair_table_system`); a Kunneth system has them checked on
+every object.  An inverse generator not given (as the pair-table
+builder gives them up to k = 4) is computed on its first read, so a
+difference system inverts none.
 
 The difference operator takes objectwise cokernels of the structure
 maps; the induced structure maps descend along s(iota_k), which is the
@@ -285,19 +289,36 @@ def pair_table_system(tables, base, digit, K_max, name):
     most significant entry first: sigma_i and its inverse move the
     entries i, i+1 by the pair tables ``tables`` = (forward, inverse),
     their images read by :func:`braid.pair_images`, and I_k sends code x
-    to x base + ``digit`` (appends that digit).  The braid relations are
-    checked by ``build``."""
+    to x base + ``digit`` (appends that digit).
+
+    Every generator moves its pair by the same table, so each relation
+    holds on every F(k) once it holds on the F(k) with k <= 4: the braid
+    relation moves three adjacent entries as it does on F(3), far
+    generators move disjoint pairs, which commute on any F(k), and
+    sigma_i sigma_i^-1 moves one pair as it does on F(2).  So ``build``
+    checks the relations, with the inverses read from the inverse
+    table, on the system of the objects k <= min(K_max, 4) only, and
+    raises as the check of every object would, at the same k and i.  The
+    whole system keeps those inverses; an inverse above k = 4 is
+    computed on its first read."""
+    small = min(K_max, 4)
     dims = [base**k for k in range(K_max + 1)]
     codes = [list(range(n)) for n in dims]
     ones = [[1] * n for n in dims]
-    gens, gen_invs = (
-        [[UnitColumns(braid.pair_images(pairs, base, codes[k], k, i), ones[k])
-          for i in range(1, k)] for k in range(K_max + 1)]
-        for pairs in tables)
+
+    def moves(pairs, top):
+        return [[UnitColumns(braid.pair_images(pairs, base, codes[k], k, i),
+                             ones[k]) for i in range(1, k)]
+                for k in range(top + 1)]
+
+    gens, gen_invs = moves(tables[0], K_max), moves(tables[1], small)
     structs = [UnitColumns(codes[k + 1][digit::base], ones[k])
                for k in range(K_max)]
+    CoeffSystem.build(small, dims[:small + 1], gens[:small + 1],
+                      structs[:small], name=name, gen_invs=gen_invs)
+    gen_invs += [[None] * (k - 1) for k in range(small + 1, K_max + 1)]
     return CoeffSystem.build(K_max, dims, gens, structs, name=name,
-                             gen_invs=gen_invs)
+                             validate=False, gen_invs=gen_invs)
 
 
 def build_hurwitz_system(group, classes, g_hat, K_max):
@@ -310,8 +331,10 @@ def build_hurwitz_system(group, classes, g_hat, K_max):
     ``resolution.HurwitzModule``.  Before any matrix is built, a system
     is refused with ResourceRefusal when its columns (the k-1 generators
     of B_k and their inverses hold |c|^k each) plus RELATION_WEIGHT
-    times its relations checked (comb(k, 2) on F(k)) exceed
-    ``cost.BOUND``."""
+    times its relations (comb(k, 2) on F(k)) exceed ``cost.BOUND``.
+    Both counts are upper bounds: only the inverses on k <= 4 are built,
+    and relations are checked there only (see
+    :func:`pair_table_system`)."""
     if g_hat not in classes:
         raise CoeffSystemError("stabiliser element must lie in the class set")
     columns = relations = 0

@@ -239,13 +239,15 @@ def h0_table(group, classes, g_hat, k_max):
     for k in range(1, k_max + 1):
         parts[k] = orbits(classes, k)
         counts[k] = len(parts[k])
-    # appending g_hat sends code r to r |c| + digit(g_hat)
-    base, digit = len(classes.elements), classes.elements.index(g_hat)
+    # appending g_hat sends code r to r |c| + digit(g_hat), whose orbit
+    # tgt's last level map gives for each representative r of src
+    digit = classes.elements.index(g_hat)
     surj = {}
     inj = {}
     for k in range(1, k_max):
         src, tgt = parts[k], parts[k + 1]
-        images = {tgt.root[r * base + digit] for r in src.reps}
+        append = tgt.levels[-1][digit]
+        images = {append[r] for r in src.reps}
         surj[k] = len(images) == len(tgt)
         inj[k] = len(images) == len(src)
     return H0Table(

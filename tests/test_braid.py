@@ -192,9 +192,9 @@ def test_orbit_size_bound(monkeypatch):
         orbits(TRANSPOSITIONS, 4)
 
 
-def _union_find_orbits(classes, k):
-    """Slow reference for ``orbits``: a union-find over every code of
-    c^k, one pass per generator, with the least code as each root."""
+def _union_find_roots(classes, k):
+    """A union-find over every code of c^k, one pass per generator, with
+    the least code as each root: the array of every code's root."""
     base = len(classes.elements)
     total = base**k
     group, elems = classes.group, classes.elements
@@ -218,12 +218,29 @@ def _union_find_orbits(classes, k):
                      * right_width + tail)
             rx, ry = sorted((find(code), find(image)))
             parent[ry] = rx
-    roots = {}
     for code in range(total):
-        parent[code] = r = find(code)
+        parent[code] = find(code)
+    return parent
+
+
+def _union_find_orbits(classes, k):
+    """Slow reference for ``orbits``: the union-find of every level
+    m <= k.  Level m's maps are read off its roots at every code of
+    c^(m-1), not only at representatives, and ``root`` is the
+    union-find's own array, not one built from the maps."""
+    base = len(classes.elements)
+    levels, parent = [], array("q", [0])
+    for m in range(1, k + 1):
+        parent = _union_find_roots(classes, m)
+        levels.append([{x: parent[x * base + l] for x in range(base ** (m - 1))}
+                       for l in range(base)])
+    roots = {}
+    for r in parent:
         roots[r] = roots.get(r, 0) + 1
     reps = sorted(roots)
-    return braid.OrbitPartition(classes, k, reps, [roots[r] for r in reps], parent)
+    part = braid.OrbitPartition(classes, k, reps, [roots[r] for r in reps], levels)
+    part._root = parent
+    return part
 
 
 def assert_same_partition(part, ref):
@@ -231,6 +248,11 @@ def assert_same_partition(part, ref):
     assert part.reps == ref.reps
     assert part.sizes == ref.sizes
     assert list(part.root) == list(ref.root)
+    # the maps agree at every representative the build keys them by
+    assert len(part.levels) == part.k
+    for level, ref_level in zip(part.levels, ref.levels):
+        for ext, ref_ext in zip(level, ref_level):
+            assert all(ref_ext[r] == c for r, c in ext.items())
 
 
 BUILTIN_GROUPS = ([FiniteGroup.cyclic(n) for n in range(1, 9)]
@@ -262,6 +284,18 @@ def test_level_build_matches_union_find_on_sym4():
     for k in range(1, 7):
         assert_same_partition(orbits(classes, k), _union_find_orbits(classes, k))
     assert orbits(classes, 0).reps == [0] and orbits(classes, 0).sizes == [1]
+
+
+def test_orbit_representatives_up_to_k12():
+    # the CI level of sym:3 transpositions, past what the union-find
+    # reaches in a test: the sizes cover c^k, and each representative
+    # is its own root
+    for k in range(1, 13):
+        part = orbits(TRANSPOSITIONS, k)
+        assert sum(part.sizes) == 3**k
+        root = part.root
+        assert len(root) == 3**k
+        assert all(root[r] == r for r in part.reps)
 
 
 def test_h0_table_matches_union_find(monkeypatch):

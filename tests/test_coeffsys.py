@@ -3,9 +3,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 from system_oracle import check_extension, constant_system
 
-from hurstab import cost
+from hurstab import braid, cost
 from hurstab import coeffsys as cs
 from hurstab.groups import FiniteGroup, conjugacy_closure
 
@@ -151,6 +152,88 @@ def test_relations_on_permutations_match_columns(n):
             system.check_braid_relations()
             if step < 5:
                 system = cs.delta(system).system
+
+
+def _pair_system_unchecked(tables, base, digit, K_max):
+    """The system of ``cs.pair_table_system``, every inverse read from
+    the inverse table, built with no relation checked."""
+    dims = [base**k for k in range(K_max + 1)]
+    codes = [list(range(n)) for n in dims]
+    gens, invs = (
+        [[cs.UnitColumns(braid.pair_images(pairs, base, codes[k], k, i),
+                         [1] * dims[k]) for i in range(1, k)]
+         for k in range(K_max + 1)]
+        for pairs in tables)
+    structs = [cs.UnitColumns(codes[k + 1][digit::base], [1] * dims[k])
+               for k in range(K_max)]
+    return cs.CoeffSystem.build(K_max, dims, gens, structs, validate=False,
+                                gen_invs=invs)
+
+
+# every class of 2 to 4 elements closed from one or two elements of a
+# small group, abelian ones included
+PAIR_CLASSES = list({
+    (group.name, tuple(c.elements)): c
+    for group in ([FiniteGroup.cyclic(n) for n in range(2, 7)]
+                  + [FiniteGroup.dihedral(n) for n in range(3, 7)]
+                  + [S3, FiniteGroup.symmetric(4)])
+    for picks in itertools.combinations_with_replacement(range(group.order), 2)
+    for c in [conjugacy_closure(set(picks), group)]
+    if 2 <= len(c.elements) <= 4}.values())
+
+
+def _inverse_table(table):
+    inv = [0] * len(table)
+    for p, q in enumerate(table):
+        inv[q] = p
+    return inv
+
+
+@st.composite
+def pair_tables(draw):
+    """(forward, inverse, base, digit, K_max): the Hurwitz pair tables of
+    a class of 2 to 4 elements, or those tables with two entries of one
+    swapped, or the forward one swapped and the inverse its inverse."""
+    classes = draw(st.sampled_from(PAIR_CLASSES))
+    base = len(classes.elements)
+    tables = [braid.hurwitz_pairs(classes, 1), braid.hurwitz_pairs(classes, -1)]
+    mode = draw(st.sampled_from(["true", "forward", "inverse", "both"]))
+    if mode != "true":
+        p, q = draw(st.lists(st.integers(0, base * base - 1), min_size=2,
+                             max_size=2, unique=True))
+        t = tables[mode == "inverse"]
+        t[p], t[q] = t[q], t[p]
+        if mode == "both":
+            tables[1] = _inverse_table(tables[0])
+    return (tables[0], tables[1], base, draw(st.integers(0, base - 1)),
+            draw(st.integers(5, 6)))
+
+
+@seed(3162)
+@settings(max_examples=60, deadline=None)
+@given(pair_tables())
+def test_pair_table_system_checks_relations_as_the_whole_check(case):
+    # relations checked on k <= 4 raise exactly when, and as, the check
+    # of every object raises
+    forward, inverse, base, digit, K_max = case
+    unchecked = _pair_system_unchecked((forward, inverse), base, digit, K_max)
+    expected = _relations_verdict(cs.CoeffSystem.check_braid_relations,
+                                  unchecked)
+    try:
+        system = cs.pair_table_system((forward, inverse), base, digit, K_max,
+                                      name="pairs")
+    except cs.CoeffSystemError as e:
+        assert str(e) == expected
+        return
+    assert expected is None
+    assert system.dims == unchecked.dims and system.structs == unchecked.structs
+    assert system.gens == unchecked.gens
+    # inverses above k = 4 are computed on first read, and agree with the
+    # inverse table's
+    assert all(inv is None for k in range(5, K_max + 1)
+               for inv in system.gen_invs[k])
+    assert all(system.generator(k, i, -1) == unchecked.generator(k, i, -1)
+               for k in range(K_max + 1) for i in range(1, k))
 
 
 def _random_single_entries(rng, rows, cols):
