@@ -15,6 +15,7 @@ Conventions (fixed here and documented in the CLI manual):
 
 from __future__ import annotations
 
+import itertools
 import operator
 from array import array
 
@@ -207,26 +208,30 @@ def hurwitz_pairs(classes, sign=1):
             for a in elems for t, b in enumerate(elems)]
 
 
-def pair_images(pairs, base, codes, k, i):
+def pair_images(pairs, base, codes, k, i, first=0):
     """The images of the codes of c^k (|c| = ``base``) under the move of
     the pair table ``pairs`` on the entries i, i+1, as by sigma_i^sign
     for a table of :func:`hurwitz_pairs`.  A tuple's code is
     hi base^2 w + p w + lo with p the code of its entries at i, i+1 and
     w = base^(k-i-1), and goes to hi base^2 w + pairs[p] w + lo: code
-    plus (pairs[p] - p) w.  The images are read from ``codes`` =
-    list(range(base^k)), so every image list on base^k tuples holds the
-    same int objects."""
+    plus (pairs[p] - p) w.  The images are counted from ``first`` (1 for
+    the codes of :class:`coeffsys.UnitColumns`) and read from ``codes``
+    = list(range(base^k + first)), so every image list on base^k tuples
+    holds the same int objects."""
     w = base ** (k - i - 1)
     block = []
     for p, q in enumerate(pairs):
         block += [(q - p) * w] * w
     shifts = block * base ** (i - 1)
-    return list(map(codes.__getitem__, map(operator.add, codes, shifts)))
+    starts = itertools.islice(codes, first, None) if first else codes
+    return list(map(codes.__getitem__, map(operator.add, starts, shifts)))
 
 
-def orbits(classes, k):
+def orbits(classes, k, start=None):
     """Orbit partition of c^k under sigma_1..sigma_{k-1}, built level by
-    level from the orbit representatives of c^(m-1), m = 1..k.
+    level from the orbit representatives of c^(m-1), m = 1..k.  Given
+    ``start``, the partition of c^j for some j <= k, the levels continue
+    from its ``levels``, ``reps`` and ``sizes`` at m = j + 1.
 
     sigma_1..sigma_{m-2} fix the last entry, so the tuples with prefix
     in the orbit of least code r and last entry l form one class inside
@@ -243,8 +248,11 @@ def orbits(classes, k):
     # sigma_{m-1} moves the last pair (d, l) to (d l d^-1, d), and
     # d l d^-1 has digit firsts[d |c| + l]
     firsts = [q // base for q in hurwitz_pairs(classes)]
-    sizes, levels = {0: 1}, []  # the one empty tuple
-    for m in range(1, k + 1):
+    if start is None:
+        sizes, levels = {0: 1}, []  # the one empty tuple
+    else:
+        sizes, levels = dict(zip(start.reps, start.sizes)), list(start.levels)
+    for m in range(len(levels) + 1, k + 1):
         up = {}  # class code -> a smaller class code of the same orbit
 
         def find(x):

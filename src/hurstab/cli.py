@@ -263,9 +263,9 @@ def cmd_orbits(args):
     # refuse the whole range before enumerating any k
     refuse_orbit_range(classes, ks)
     rows = ["k\torbits\tsizes"]
-    payload = {}
+    payload, part = {}, None
     for k in ks:
-        part = orbits(classes, k)
+        part = orbits(classes, k, part)  # each k continues the one before
         rows.append(f"{k}\t{len(part)}\t{','.join(map(str, part.sizes))}")
         payload[str(k)] = {"count": len(part), "sizes": part.sizes}
     if args.format == "json":

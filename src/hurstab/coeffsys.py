@@ -7,11 +7,12 @@ generator of B_k, and a structure map I_k: F(k) -> F(k+1).  Matrices use
 the column convention (column j is the image of basis vector j), and
 braid words act with the rightmost letter first, matching the Hurwitz
 action convention.  A matrix is stored in one of two forms (see
-:class:`CoeffSystem`): :class:`UnitColumns`, flat ``rows`` and ``signs``
-lists, or sparse column dicts ``{row: value}``; :func:`as_matrix` picks
-the form, and :func:`compose`, which takes either, is the one way the
-module reads a map: the braid relations, naturality and every map
-induced on cokernels are composites.
+:class:`CoeffSystem`): :class:`UnitColumns`, one flat list of signed
+codes with a ``signed`` flag, or sparse column dicts ``{row: value}``;
+:func:`as_matrix` picks the form, and :func:`compose`, which takes
+either, is the one way the module reads a map: the braid relations,
+naturality and every map induced on cokernels are composites.  On unit
+columns a composite is one table lookup per column.
 
 Every system is made by :meth:`CoeffSystem.build` from its forward
 generators and structure maps, checking the braid relations by
@@ -41,6 +42,7 @@ only".
 
 from __future__ import annotations
 
+import collections
 import itertools
 import operator
 from math import comb
@@ -62,67 +64,83 @@ class DeltaUndefined(CoeffSystemError):
 
 
 class UnitColumns:
-    """A matrix whose column j is ``signs[j] * e_rows[j]``: each column
-    is empty (row -1, sign 0) or holds one entry, +1 or -1.  ``rows`` and
-    ``signs`` are flat lists, one item per column; they may be shared
-    between matrices, so they are never changed in place.  Equal
-    matrices have equal lists, so ``==`` compares the lists."""
+    """A matrix each of whose columns is empty or holds one entry, +1 or
+    -1, stored as one flat list ``codes``: column j holds ``s (r + 1)``
+    for an entry s in row r, and 0 when it is empty.  ``codes`` may be
+    shared between matrices, so it is never changed in place.  Equal
+    matrices have equal lists, so ``==`` compares the lists.
 
-    __slots__ = ("rows", "signs")
+    ``signed`` is False only when no code is negative; it is read off
+    the codes when not given, and given where no -1 can arise, so that
+    :func:`compose` need not scan its operands for signs."""
 
-    def __init__(self, rows, signs):
-        self.rows = rows
-        self.signs = signs
+    __slots__ = ("codes", "signed")
+
+    def __init__(self, codes, signed=None):
+        self.codes = codes
+        self.signed = min(codes, default=0) < 0 if signed is None else signed
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.codes)
 
     def __eq__(self, other):
-        return (isinstance(other, UnitColumns) and self.rows == other.rows
-                and self.signs == other.signs)
+        return isinstance(other, UnitColumns) and self.codes == other.codes
 
     def __repr__(self):
-        return f"UnitColumns({self.rows}, {self.signs})"
+        return f"UnitColumns({self.codes})"
 
 
 def identity(n):
-    return UnitColumns(list(range(n)), [1] * n)
+    return UnitColumns(list(range(1, n + 1)), signed=False)
 
 
 def as_matrix(cols):
     """The stored form of a matrix given as sparse columns ``{row:
     value}`` or as :class:`UnitColumns`: zero entries dropped, then unit
-    columns when every column is empty or one +1 or -1 entry, the sparse
-    columns otherwise.  So a matrix has one stored form, and a zero
-    matrix is unit columns (see :func:`is_zero`)."""
+    columns when every column is empty or one +1 or -1 entry in a row
+    >= 0, the sparse columns otherwise (so :func:`_check_rows` names a
+    negative row).  So a matrix has one stored form, and a zero matrix
+    is unit columns (see :func:`is_zero`)."""
     if isinstance(cols, UnitColumns):
         return cols
     if not all(all(col.values()) for col in cols):
         cols = [{r: v for r, v in col.items() if v} for col in cols]
-    if any(len(col) > 1 or set(col.values()) - {1, -1} for col in cols):
-        return cols
-    return UnitColumns([next(iter(col), -1) for col in cols],
-                       [next(iter(col.values()), 0) for col in cols])
+    codes = []
+    for col in cols:
+        if not col:
+            codes.append(0)
+            continue
+        if len(col) > 1:
+            return cols
+        (r, v), = col.items()
+        if r < 0 or v not in (1, -1):
+            return cols
+        codes.append(v * (r + 1))
+    return UnitColumns(codes)
 
 
 def columns(mat):
     """The sparse columns ``{row: value}`` of a matrix in either form."""
     if not isinstance(mat, UnitColumns):
         return mat
-    return [{r: v} if v else {} for r, v in zip(mat.rows, mat.signs)]
+    return [{c - 1: 1} if c > 0 else {-c - 1: -1} if c else {}
+            for c in mat.codes]
 
 
 def _check_rows(mat, n, where):
     """Raise CoeffSystemError naming an entry of ``mat`` outside rows
-    0..n-1; an empty unit column (row -1, sign 0) has none."""
+    0..n-1."""
     if isinstance(mat, UnitColumns):
-        if 0 <= min(mat.rows, default=0) and max(mat.rows, default=0) < n:
+        codes = mat.codes
+        if max(codes, default=0) <= n and (
+                not mat.signed or -n <= min(codes, default=0)):
             return
-        entries = zip(mat.rows, mat.signs)
+        # an empty column, code 0, has no entry
+        rows = (abs(c) - 1 for c in codes if c)
     else:
-        entries = ((r, 1) for col in mat for r in col)
-    for r, v in entries:
-        if not 0 <= r < n and (r, v) != (-1, 0):
+        rows = (r for col in mat for r in col)
+    for r in rows:
+        if not 0 <= r < n:
             raise CoeffSystemError(f"{where} has an entry in row {r}, "
                                    f"outside 0..{n - 1}")
 
@@ -143,39 +161,50 @@ def cols_apply(cols, vec):
 def is_zero(mat):
     """Whether a matrix in its stored form (see :func:`as_matrix`) is
     zero: unit columns, all empty."""
-    return isinstance(mat, UnitColumns) and not any(mat.signs)
+    return isinstance(mat, UnitColumns) and not any(mat.codes)
 
 
 def compose(outer, inner):
     """outer o inner, in the stored form (see :func:`as_matrix`).  On
-    unit columns, column j is row outer.rows[inner.rows[j]] with sign
-    outer.signs[inner.rows[j]] * inner.signs[j]; an empty inner column
-    reads the empty column appended to outer at index -1."""
+    unit columns, column j is the column of outer that inner's code c
+    names, read as ``table[c]`` with ``table = [0, *outer.codes]``; when
+    inner is signed, the table ends with outer's codes negated and
+    reversed, so a negative c reads the column negated."""
     if not (isinstance(outer, UnitColumns) and isinstance(inner, UnitColumns)):
         cols = columns(outer)
         return as_matrix([cols_apply(cols, col) for col in columns(inner)])
-    rows = list(map((outer.rows + [-1]).__getitem__, inner.rows))
-    if outer.signs.count(1) == len(outer.signs):
-        # all +1: the composite's signs are inner's, empty columns and all
-        return UnitColumns(rows, inner.signs)
-    signs = outer.signs + [0]
-    return UnitColumns(rows, list(map(
-        operator.mul, map(signs.__getitem__, inner.rows), inner.signs)))
+    table = [0, *outer.codes]
+    if inner.signed:
+        table += map(operator.neg, reversed(outer.codes))
+    return UnitColumns(list(map(table.__getitem__, inner.codes)),
+                       outer.signed or inner.signed)
+
+
+def _transpose(rows, n, values):
+    """The n codes that hold ``values[j]`` at place ``rows[j] - 1`` for
+    each j, and 0 elsewhere, in one C-level pass: with ``rows`` the
+    codes of unsigned unit columns and ``values`` 1, 2, ..., the codes of
+    their transpose."""
+    out = [0] * (n + 1)
+    collections.deque(map(out.__setitem__, rows, values), maxlen=0)
+    del out[0]
+    return out
 
 
 def _inverse(mat, n):
     """The inverse of an invertible n x n matrix, read off the
     permutation when it is a signed permutation."""
-    if isinstance(mat, UnitColumns) and len(mat) == n \
-            and 0 not in mat.signs and max(mat.rows, default=-1) < n:
-        rows = [-1] * n
-        for j, r in enumerate(mat.rows):
-            rows[r] = j
-        if -1 not in rows:  # no row hit twice
-            # column r of the inverse is sign * e_j for column j = sign * e_r
-            signs = mat.signs if mat.signs.count(1) == n else \
-                list(map(mat.signs.__getitem__, rows))
-            return UnitColumns(rows, signs)
+    if isinstance(mat, UnitColumns) and len(mat) == n:
+        codes, places = mat.codes, range(1, n + 1)
+        rows = list(map(abs, codes)) if mat.signed else codes
+        if 0 < min(rows, default=1) and max(rows, default=0) <= n:
+            # column r of the inverse is s e_j for column j = s e_r
+            if mat.signed:  # s (j + 1), with s = c // |c|
+                places = map(operator.mul, map(operator.floordiv, codes, rows),
+                             places)
+            inv = _transpose(rows, n, places)
+            if 0 not in inv:  # no row hit twice
+                return UnitColumns(inv, mat.signed)
     # the columns are the rows of the transpose, and the rows of the
     # transpose's inverse are the inverse's columns
     try:
@@ -303,16 +332,15 @@ def pair_table_system(tables, base, digit, K_max, name):
     computed on its first read."""
     small = min(K_max, 4)
     dims = [base**k for k in range(K_max + 1)]
-    codes = [list(range(n)) for n in dims]
-    ones = [[1] * n for n in dims]
+    codes = [list(range(n + 1)) for n in dims]  # 0, then the codes
 
     def moves(pairs, top):
-        return [[UnitColumns(braid.pair_images(pairs, base, codes[k], k, i),
-                             ones[k]) for i in range(1, k)]
-                for k in range(top + 1)]
+        return [[UnitColumns(braid.pair_images(pairs, base, codes[k], k, i,
+                                               first=1), signed=False)
+                 for i in range(1, k)] for k in range(top + 1)]
 
     gens, gen_invs = moves(tables[0], K_max), moves(tables[1], small)
-    structs = [UnitColumns(codes[k + 1][digit::base], ones[k])
+    structs = [UnitColumns(codes[k + 1][1 + digit::base], signed=False)
                for k in range(K_max)]
     CoeffSystem.build(small, dims[:small + 1], gens[:small + 1],
                       structs[:small], name=name, gen_invs=gen_invs)
@@ -375,20 +403,17 @@ class _CokernelData:
     def __init__(self, struct, n_small, n_big, where="structure map"):
         self.struct = struct = as_matrix(struct)
         _check_rows(struct, n_big, where)
-        if isinstance(struct, UnitColumns) and struct.signs.count(1) == n_small:
-            split, signs = [-1] * n_big, [0] * n_big
-            for src, r in enumerate(struct.rows):
-                split[r], signs[r] = src, 1
-            if signs.count(1) == n_small:  # no row hit twice
-                missed = list(itertools.compress(range(n_big), map(
-                    operator.not_, signs)))
-                self.rank = len(missed)
-                self.reps = UnitColumns(missed, [1] * self.rank)
-                rows = [-1] * n_big
-                for t, r in enumerate(missed):
-                    rows[r] = t
-                self.proj = UnitColumns(rows, list(map((1).__sub__, signs)))
-                self.split = UnitColumns(split, signs)
+        if isinstance(struct, UnitColumns) and len(struct) == n_small \
+                and min(struct.codes, default=1) > 0:
+            split = _transpose(struct.codes, n_big, range(1, n_small + 1))
+            missed = list(itertools.compress(range(1, n_big + 1), map(
+                operator.not_, split)))
+            self.rank = len(missed)
+            if self.rank == n_big - n_small:  # no row hit twice
+                self.reps = UnitColumns(missed, signed=False)
+                self.proj = UnitColumns(_transpose(
+                    missed, n_big, range(1, self.rank + 1)), signed=False)
+                self.split = UnitColumns(split, signed=False)
                 return
         snf = intmat.smith_normal_form(
             intmat.sparse_transpose(dict(enumerate(columns(struct)))),

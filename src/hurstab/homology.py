@@ -339,8 +339,8 @@ class _FieldHomologyBasis:
     ``{cell: value}`` (reduced mod p here) and ``generator_chain``.  The
     kernel is the left kernel of :func:`_boundary` mod p, so also in
     degree 0.  Kernel coordinates come from batched
-    ``field_solve_in_rowspace`` calls, one elimination each: one for all
-    rows of D_{i+1}, read from the sparse matrix, when the basis is
+    ``field_solve_in_rowspace`` calls, one elimination each: one for the
+    rows of D_{i+1} that the sparse matrix holds, when the basis is
     built, and one per ``classes_of`` call.  :class:`_ReducedBasis`
     builds it on a reduced core, whose boundaries are zero mod p.
     """
@@ -355,10 +355,10 @@ class _FieldHomologyBasis:
         self.kernel = intmat.field_left_kernel(p, _boundary(C, i))
         self.width = C.dims[i]
         z = len(self.kernel)
-        n_upper = C.dims[i + 1] if i < C.top_degree else 0
+        # the rows that D_{i+1} holds: a row it does not hold is zero
+        upper = C.mats.get(i + 1, {}) if i < C.top_degree else {}
         img_coords = intmat.field_solve_in_rowspace(
-            p, self.kernel,
-            [C.mats[i + 1].get(t, {}).items() for t in range(n_upper)],
+            p, self.kernel, [row.items() for row in upper.values()],
             self.width)
         if None in img_coords:
             raise HomologyError("boundary escaped the cycle space")

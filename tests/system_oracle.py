@@ -44,8 +44,8 @@ def apply_matrix(mat, vec):
     """A matrix in either stored form times a sparse vector."""
     if isinstance(mat, cs.UnitColumns):
         # only the columns that the vector reads
-        mat = {j: {mat.rows[j]: mat.signs[j]} if mat.signs[j] else {}
-               for j in vec}
+        mat = dict(zip(vec, cs.columns(cs.UnitColumns(
+            list(map(mat.codes.__getitem__, vec))))))
     return cs.cols_apply(mat, vec)
 
 

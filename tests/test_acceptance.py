@@ -278,7 +278,8 @@ def test_delta_refuses_maps_not_defined_on_cokernels():
     mutant = _mutant_prepend_structure(base)
     # the same with every structure map negated, through the Smith form
     negated = _clone(mutant)
-    negated.structs = [cs.UnitColumns(m.rows, [-v for v in m.signs])
+    negated.structs = [cs.as_matrix([{r: -v for r, v in col.items()}
+                                     for col in cs.columns(m)])
                        for m in mutant.structs]
     for system in (mutant, negated):
         for run in (cs.delta, lambda system: cs.degree(system, 4)):

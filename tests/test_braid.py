@@ -286,6 +286,21 @@ def test_level_build_matches_union_find_on_sym4():
     assert orbits(classes, 0).reps == [0] and orbits(classes, 0).sizes == [1]
 
 
+def test_orbits_continue_from_a_smaller_k():
+    # from the partition of every smaller j, and k by k as `orbits --k
+    # lo..hi` builds them, the same reps, sizes, root and maps
+    sym4 = conjugacy_closure({1}, FiniteGroup.symmetric(4))
+    for classes, k_max in ((TRANSPOSITIONS, 7), (sym4, 5)):
+        parts = [orbits(classes, j) for j in range(k_max + 1)]
+        chained = None
+        for k in range(k_max + 1):
+            ref = _union_find_orbits(classes, k)
+            for start in parts[:k + 1]:
+                assert_same_partition(orbits(classes, k, start), ref)
+            chained = orbits(classes, k, chained)
+            assert_same_partition(chained, ref)
+
+
 def test_orbit_representatives_up_to_k12():
     # the CI level of sym:3 transpositions, past what the union-find
     # reaches in a test: the sizes cover c^k, and each representative

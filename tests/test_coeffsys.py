@@ -28,7 +28,7 @@ def hurwitz_z2():
 
 def test_hurwitz_system_shapes(hurwitz_s3, hurwitz_z2):
     assert hurwitz_z2.dims == [1] * 7
-    assert all(mat == cs.UnitColumns([0], [1]) for mat in hurwitz_z2.structs)
+    assert all(mat == cs.as_matrix([{0: 1}]) for mat in hurwitz_z2.structs)
     assert hurwitz_s3.dims == [3**k for k in range(7)]
     # k=2 generator is the 9x9 permutation of the move
     gen = hurwitz_s3.gens[2][0]
@@ -143,11 +143,14 @@ def test_relations_on_permutations_match_columns(n):
                 cs.CoeffSystem.check_braid_relations, mutant) == verdict
         for step in range(6):
             # every generator and inverse is a signed permutation
-            assert all(isinstance(mat, cs.UnitColumns) and 0 not in mat.signs
-                       and sorted(mat.rows) == list(range(len(mat)))
+            assert all(isinstance(mat, cs.UnitColumns)
+                       and all(len(col) == 1 for col in cols)
+                       and sorted(r for col in cols for r in col)
+                       == list(range(len(cols)))
                        for k in range(len(system.dims)) for i in range(1, k)
                        for mat in (system.generator(k, i, 1),
-                                   system.generator(k, i, -1)))
+                                   system.generator(k, i, -1))
+                       for cols in [cs.columns(mat)])
             assert _relations_verdict(_relations_on_columns, system) is None
             system.check_braid_relations()
             if step < 5:
@@ -160,11 +163,11 @@ def _pair_system_unchecked(tables, base, digit, K_max):
     dims = [base**k for k in range(K_max + 1)]
     codes = [list(range(n)) for n in dims]
     gens, invs = (
-        [[cs.UnitColumns(braid.pair_images(pairs, base, codes[k], k, i),
-                         [1] * dims[k]) for i in range(1, k)]
+        [[cs.as_matrix([{r: 1} for r in braid.pair_images(
+            pairs, base, codes[k], k, i)]) for i in range(1, k)]
          for k in range(K_max + 1)]
         for pairs in tables)
-    structs = [cs.UnitColumns(codes[k + 1][digit::base], [1] * dims[k])
+    structs = [cs.as_matrix([{r: 1} for r in codes[k + 1][digit::base]])
                for k in range(K_max)]
     return cs.CoeffSystem.build(K_max, dims, gens, structs, validate=False,
                                 gen_invs=invs)
@@ -275,21 +278,75 @@ def test_composites_of_single_entry_columns_match_sparse_columns():
     assert agreed == {True, False} and forms == {True, False}
     assert not isinstance(cs.as_matrix([{0: 1, 1: 1}, {}]), cs.UnitColumns)
     partial = cs.as_matrix([{1: -1}, {}])
-    assert (partial.rows, partial.signs) == ([1, -1], [-1, 0])
+    assert isinstance(partial, cs.UnitColumns)
+    assert cs.columns(partial) == [{1: -1}, {}]
     full = cs.as_matrix([{2: 1}, {0: -1}])
-    assert (full.rows, full.signs) == ([2, 0], [1, -1])
+    assert isinstance(full, cs.UnitColumns)
+    assert cs.columns(full) == [{2: 1}, {0: -1}]
+
+
+@st.composite
+def signed_partial_maps(draw):
+    """(outer, inner, square) as sparse columns, each column empty or one
+    +1 or -1 entry: outer n x m, inner m x l, and an m x m square that is
+    a signed permutation about half the time, sizes 0 to 12."""
+    n, m, ell = (draw(st.integers(0, 12)) for _ in range(3))
+
+    def cols(rows, count):
+        entry = st.tuples(st.integers(-1, rows - 1), st.sampled_from((1, -1)))
+        return [{r: v} if r >= 0 else {} for r, v in draw(
+            st.lists(entry, min_size=count, max_size=count))]
+
+    if draw(st.booleans()):
+        square = [{r: draw(st.sampled_from((1, -1)))}
+                  for r in draw(st.permutations(range(m)))]
+    else:
+        square = cols(m, m)
+    return cols(n, m), cols(m, ell), square
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(signed_partial_maps())
+def test_unit_columns_agree_with_sparse_columns(case):
+    # the table lookups of compose and the transposes of _inverse give
+    # the composites and inverses of cols_apply, and a matrix with a -1
+    # entry is marked signed, on operands and results alike
+    outer, inner, square = mats = [cs.as_matrix(cols) for cols in case]
+    for mat, cols in zip(mats, case):
+        assert isinstance(mat, cs.UnitColumns)
+        assert cs.columns(mat) == cols and cs.as_matrix(cs.columns(mat)) == mat
+    products = [cs.compose(outer, inner), cs.compose(square, inner),
+                cs.compose(outer, cs.compose(square, square))]
+    assert [cs.columns(mat) for mat in products] == [
+        cols_compose(case[0], case[1]), cols_compose(case[2], case[1]),
+        cols_compose(case[0], cols_compose(case[2], case[2]))]
+    m = len(square)
+    if sorted(r for col in case[2] for r in col) == list(range(m)):
+        inv = cs._inverse(square, m)
+        one = [{j: 1} for j in range(m)]
+        assert cols_compose(cs.columns(inv), case[2]) == one
+        assert cols_compose(case[2], cs.columns(inv)) == one
+        products += [inv, cs.compose(inv, square), cs.compose(square, inv)]
+        assert products[-2] == products[-1] == cs.identity(m)
+    else:
+        with pytest.raises(cs.CoeffSystemError, match="no inverse"):
+            cs._inverse(square, m)
+    for mat in mats + products:
+        assert mat.signed or min(mat.codes, default=0) >= 0
 
 
 def test_stored_zeros_are_no_entries():
     # a zero given in a sparse column is dropped, not read as an entry
     assert cs.cols_apply([{0: 2}, {1: 1}], {0: 0, 1: 1}) == {1: 1}
     assert cs.compose([{0: 2}, {1: 1}], [{0: 0, 1: 1}]) == \
-        cs.UnitColumns([1], [1])
+        cs.as_matrix([{1: 1}])
     assert cs.as_matrix([{0: 1, 1: 0}, {1: 1}]) == cs.identity(2)
     assert cs.as_matrix([{0: 3, 1: 0}]) == [{0: 3}]
     # so a zero matrix is always unit columns, all empty
     zero = cs.as_matrix([{0: 0}, {}])
-    assert zero == cs.UnitColumns([-1, -1], [0, 0]) and cs.is_zero(zero)
+    assert zero == cs.as_matrix([{}, {}]) and cs.is_zero(zero)
+    assert isinstance(zero, cs.UnitColumns)
+    assert cs.columns(zero) == [{}, {}]
     assert cs.is_zero(cs.compose([{0: 2}], [{0: 0}]))
     assert not cs.is_zero(cs.as_matrix([{0: 2}]))
     assert not cs.is_zero(cs.identity(1))
@@ -303,17 +360,20 @@ def test_cokernel_matrices_project_onto_representatives():
     # proj o I = 0, proj o reps = id and split o I = id, on unit columns
     # and through the Smith form
     for struct, n_small, n_big in (
-            (cs.UnitColumns([3, 0], [1, 1]), 2, 5),
+            (cs.as_matrix([{3: 1}, {0: 1}]), 2, 5),
             ([{0: 1, 3: 2}, {1: 1, 4: -1}], 2, 5),
-            (cs.UnitColumns([1, 0], [-1, 1]), 2, 3)):
+            (cs.as_matrix([{1: -1}, {0: 1}]), 2, 3)):
         cok = cs._CokernelData(struct, n_small, n_big)
         assert cok.rank == n_big - n_small
         assert cs.is_zero(cs.compose(cok.proj, cok.struct))
         assert cs.compose(cok.proj, cok.reps) == cs.identity(cok.rank)
         assert cs.compose(cok.split, cok.struct) == cs.identity(n_small)
-    unit = cs._CokernelData(cs.UnitColumns([3, 0], [1, 1]), 2, 5)
-    assert unit.reps == cs.UnitColumns([1, 2, 4], [1, 1, 1])
-    assert unit.proj == cs.UnitColumns([-1, 0, 1, -1, 2], [0, 1, 1, 0, 1])
+    unit = cs._CokernelData(cs.as_matrix([{3: 1}, {0: 1}]), 2, 5)
+    assert cs.columns(unit.reps) == [{1: 1}, {2: 1}, {4: 1}]
+    assert cs.columns(unit.proj) == [{}, {0: 1}, {1: 1}, {}, {2: 1}]
+    assert cs.columns(unit.split) == [{1: 1}, {}, {}, {0: 1}, {}]
+    assert all(isinstance(m, cs.UnitColumns)
+               for m in (unit.reps, unit.proj, unit.split))
 
 
 def test_check_extension_passes(hurwitz_s3, hurwitz_z2):
@@ -389,15 +449,15 @@ def test_non_invertible_generator_raises_coeff_system_error():
 def test_rows_out_of_range_are_refused():
     # row -1 must not be read as the last row on the fast path, nor
     # reach the Smith form on the generic one
-    for struct in ([{-1: 1}], cs.UnitColumns([-1], [1]), [{-1: 1, 0: 1}],
-                   [{2: 1}], cs.UnitColumns([2], [-1])):
+    for struct in ([{-1: 1}], cs.as_matrix([{-1: 1}]), [{-1: 1, 0: 1}],
+                   [{2: 1}], cs.as_matrix([{2: -1}])):
         with pytest.raises(cs.CoeffSystemError, match="row (-1|2)"):
             cs._CokernelData(struct, 1, 2)
     # the empty unit column stays legal: this map is refused for not
     # being injective, not for its row
     with pytest.raises(cs.DeltaUndefined):
-        cs._CokernelData(cs.UnitColumns([-1], [0]), 1, 2)
-    gens = [[], [], [cs.UnitColumns([1], [1])]]
+        cs._CokernelData(cs.as_matrix([{}]), 1, 2)
+    gens = [[], [], [cs.as_matrix([{1: 1}])]]
     with pytest.raises(cs.CoeffSystemError,
                        match="^generator at k=2, i=1 has an entry in row 1"):
         cs.CoeffSystem.build(2, [1, 1, 1], gens, [cs.identity(1)] * 2)
@@ -465,7 +525,7 @@ def test_kunneth_examples():
     assert F2.dims == [math.comb(k, 2) for k in range(9)]
     # Koszul sign: the generator on two degree-1 slots acts by -swap;
     # at k=2, i=2 the module is rank 1 and sigma_1 acts by -1
-    assert F2.gens[2][0] == cs.UnitColumns([0], [-1])
+    assert F2.gens[2][0] == cs.as_matrix([{0: -1}])
     assert cs.columns(F2.gens[2][0]) == [{0: -1}]
 
 

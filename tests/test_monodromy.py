@@ -914,9 +914,12 @@ def test_linearize_shapes_and_degree():
     assert sys2.dims == [3**k for k in range(6)]
     # sigma_1 on pairs of states swaps the two digits of the code, and
     # I_1 appends the basepoint 0: unit columns
-    assert sys2.gens[2][0] == cs.UnitColumns([0, 3, 6, 1, 4, 7, 2, 5, 8], [1] * 9)
+    assert sys2.gens[2][0] == cs.as_matrix(
+        [{r: 1} for r in [0, 3, 6, 1, 4, 7, 2, 5, 8]])
     assert sys2.gen_invs[2][0] == sys2.gens[2][0]
-    assert sys2.structs[1] == cs.UnitColumns([0, 3, 6], [1] * 3)
+    assert sys2.structs[1] == cs.as_matrix([{0: 1}, {3: 1}, {6: 1}])
+    assert isinstance(sys2.gens[2][0], cs.UnitColumns)
+    assert isinstance(sys2.structs[1], cs.UnitColumns)
     res = cs.delta(sys2)
     assert res.system.dims == [2 * 3**k for k in range(5)]
     assert cs.degree(sys2, 3).value == ">cutoff"
